@@ -11,7 +11,7 @@ that share a value (or carry no mass) are collapsed before any optimization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import fsum, isfinite
 
 from .errors import AlignmentError, DegenerateBeliefError
 
@@ -59,8 +59,8 @@ class Belief:
             raise ValueError("belief masses must be finite and non-negative")
         if all(m == 0.0 for m in masses):
             raise DegenerateBeliefError("belief puts no mass on any state")
-        if abs(sum(masses) - 1.0) > MASS_TOL:
-            raise ValueError(f"belief masses sum to {sum(masses)!r}, not 1")
+        if abs(fsum(masses) - 1.0) > MASS_TOL:
+            raise ValueError(f"belief masses sum to {fsum(masses)!r}, not 1")
         object.__setattr__(self, "masses", masses)
 
     def __len__(self):
@@ -85,7 +85,7 @@ class ValueLadder:
             raise ValueError("ladder levels must be strictly ascending")
         if any(m < 0 for m in level_masses):
             raise ValueError("ladder masses must be non-negative")
-        if abs(sum(level_masses) - 1.0) > MASS_TOL:
+        if abs(fsum(level_masses) - 1.0) > MASS_TOL:
             raise ValueError("ladder masses must sum to 1")
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "level_masses", level_masses)

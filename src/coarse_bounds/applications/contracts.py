@@ -15,17 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..acts import Belief, DiscreteAct, build_ladder
-from ..engine import (
-    attitude_kind,
-    bound,
-    pull_back,
-    _dp_prefix_tables,
-    _dp_solve,
-    _prefix_masses,
-)
+from ..engine import attitude_kind, bound, pull_back, top_block_starts
 from ..errors import InfeasibleConstructionError, PreconditionError
 
 
@@ -164,30 +155,13 @@ def simplify_contract(problem: ContractingProblem, schedule, n: int) -> Simplifi
 
 def _top_block_start(problem: ContractingProblem, schedule, effort, n: int) -> float:
     """Output where the top block of the perceived upper bound begins, for
-    the optimum-set selection with the largest last cutoff.
-
-    Found without enumeration: the largest cutoff c whose prefix (solved at
-    capacity n-1) plus the top cell [c..end] still attains the optimum.
-    """
+    the optimal partition whose top block starts highest."""
     act = utility_act(problem, schedule, effort)
-    ladder = build_ladder(act, problem.belief(effort))
+    belief = problem.belief(effort)
+    ladder = build_ladder(act, belief)
     if len(ladder) <= n:
         raise PreconditionError("schedule is already within the agent's capacity")
-    levels, masses = ladder.levels, ladder.level_masses
-    length = len(levels)
-    best, _ = _dp_solve(levels, masses, n, upper=True)
-    prefix = _dp_prefix_tables(levels, masses, n - 1, upper=True)
-    pref = _prefix_masses(masses)
-    top_cut = None
-    for c in range(length - 1, 0, -1):
-        cand = prefix[n - 1][c - 1] + levels[length - 1] * (pref[length] - pref[c])
-        if np.isclose(cand, best, rtol=1e-12, atol=1e-12):
-            top_cut = c
-            break
-    if top_cut is None:  # pragma: no cover - the optimum always decomposes
-        raise PreconditionError("failed to locate the top perceived block")
-    top_level = levels[top_cut]
-    belief = problem.belief(effort)
+    top_level = ladder.levels[top_block_starts(ladder, n, "upper")[-1]]
     return min(
         o
         for o, u, m in zip(problem.outputs, act.values, belief.masses)

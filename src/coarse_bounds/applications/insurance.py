@@ -18,14 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..acts import Belief, DiscreteAct, build_ladder
-from ..engine import (
-    attitude_kind,
-    blocks_from_cuts,
-    bound,
-    _dp_prefix_tables,
-    _dp_solve,
-    _prefix_masses,
-)
+from ..engine import attitude_kind, blocks_from_cuts, bound, top_block_starts
 from ..errors import BracketingError, PreconditionError
 from ..statics import optimum_set
 
@@ -308,33 +301,18 @@ def _exists_selection_first_block_reaching(contract, model, utility, n, loss_mar
     ``loss_mark`` into its first loss block (lowest cutoff >= loss_mark)."""
     act = utility_act(contract, model, utility)
     ladder = build_ladder(act, model.belief)
-    levels, masses = ladder.levels, ladder.level_masses
-    length = len(levels)
-    n_eff = min(n, length)
-    if n_eff == 1:
+    if min(n, len(ladder)) == 1:
         return True
-    best, _ = _dp_solve(levels, masses, n_eff, upper=False)
-    # the first loss block is the last ladder block; its lowest loss cutoff
-    # reaches loss_mark iff the last ladder cut is at or below the level of
-    # the first grid loss at or beyond loss_mark
+    # the first loss block is the top ladder block; its lowest loss cutoff
+    # reaches loss_mark iff it starts at or below the level of the first
+    # positive-mass loss at or beyond loss_mark
     i = bisect_left(model.losses, loss_mark)
     while i < len(model.losses) and model.masses[i] == 0.0:
         i += 1
     if i >= len(model.losses):
         return False
-    wealth_mark = utility(
-        contract.wealth - contract.premium - consumer_payment(contract, model.losses[i])
-    )
-    j0 = levels.index(wealth_mark)
-    if j0 < 1:
-        return False
-    prefix = _dp_prefix_tables(levels, masses, n_eff - 1, upper=False)
-    pref = _prefix_masses(masses)
-    feasible = max(
-        prefix[n_eff - 1][c - 1] + levels[c] * (pref[length] - pref[c])
-        for c in range(1, j0 + 1)
-    )
-    return bool(np.isclose(feasible, best, rtol=1e-12, atol=1e-12))
+    j0 = ladder.levels.index(act.values[i])
+    return any(1 <= s <= j0 for s in top_block_starts(ladder, n, "lower"))
 
 
 def has_kink(contract: InsuranceContract) -> bool:

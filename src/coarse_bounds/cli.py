@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -59,17 +58,6 @@ def _emit(text: str, out_path):
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("COARSE_BOUNDS_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as err:
-        raise CoarseBoundsError(f"COARSE_BOUNDS_THREADS must be an integer, got {raw!r}") from err
-    if cap < 1:
-        raise CoarseBoundsError("COARSE_BOUNDS_THREADS must be at least 1")
-    return cap
 
 
 def cmd_bounds(args) -> int:
@@ -379,7 +367,6 @@ def run(argv) -> int:
         parser.print_usage()
         return EXIT_USAGE
     try:
-        _thread_cap()
         if hasattr(args, "capacity") and isinstance(args.capacity, str):
             if any(n < 1 for n in _parse_capacities(args.capacity)):
                 raise CoarseBoundsError("capacities must be at least 1")

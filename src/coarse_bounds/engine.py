@@ -10,10 +10,17 @@ mirror image: blocks contribute their highest level times mass, and the sum
 is minimized: the cheapest ``N``-valued act dominating the original. The
 two problems are exchanged by negating the ladder.
 
-Both are solved exactly by dynamic programming over ladder suffixes in
-``O(N * L^2)``. When several cutoff vectors are optimal the lexicographically
-smallest one is returned; ``enumerate_optima`` recovers the full optimum set
-by exhaustive search for instances below a size guard.
+Both are solved exactly by one dynamic program over ladder suffixes in
+``O(N * L^2)``, which records its choice at every state; ``enumerate_optima``
+recovers the full optimum set by exhaustive search for instances below a
+size guard.
+
+Tie policy: the canonical cutoff vector compares candidate values exactly.
+At every state it closes the block when closing is optimal and otherwise
+takes the smallest optimal block end, which yields the lexicographically
+smallest optimal vector, shorter vectors first. Set queries
+(:func:`top_block_starts`) count a candidate as optimal when it lies within
+``TIE_TOL`` (relative and absolute) of the optimum.
 
 Cutoff convention: a cutoff at index ``j`` starts a new block at level ``j``
 (cut levels belong to the upper block). A vector of ``B - 1`` strictly
@@ -40,6 +47,10 @@ MAX_ORACLE_VECTORS = 2_000_000
 
 # Ladders at least this long use the vectorized DP fill.
 _NUMPY_DP_THRESHOLD = 40
+
+# Relative and absolute tolerance under which set queries count a candidate
+# value as tied with the optimum.
+TIE_TOL = 1e-12
 
 
 def _check_kind(kind: str) -> bool:
@@ -178,93 +189,53 @@ def _coarse_raw(levels, pref, lo, hi, cuts, upper: bool) -> float:
     return total
 
 
-def _dp_tables(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):
-    """Suffix tables V[b][j] = best value partitioning levels[j..hi] into at
-    most b blocks. Index j is stored at offset j - lo."""
+def _fill(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):
+    """Suffix DP over levels[lo..hi] for capacities 1..n_blocks.
+
+    ``values[b][j - lo]`` is the best value of partitioning levels[j..hi]
+    into at most b blocks. ``choices[b][j - lo]`` is -1 when closing one
+    block over [j..hi] is optimal, otherwise the smallest optimal end ``e``
+    of the block starting at j. Row 0 of both is None.
+    """
     length = hi - lo + 1
     if length >= _NUMPY_DP_THRESHOLD:
-        return _dp_tables_numpy(levels, pref, lo, hi, n_blocks, upper)
+        lvl = np.asarray(levels[lo : hi + 1], dtype=float)
+        pre = np.asarray(pref[lo : hi + 2], dtype=float)
+        # cellmat[j, e] = value of block [j..e] (offsets from lo)
+        cellmat = pre[None, 1:] - pre[:-1, None]
+        cellmat *= lvl[None, :] if upper else lvl[:, None]
+        idx = np.arange(length)
+        cellmat[idx[:, None] > idx[None, :]] = inf if upper else -inf
+        pick = np.argmin if upper else np.argmax
+        stop = cellmat[:, -1].copy()
+        values, choices = [None, stop], [None, np.full(length, -1)]
+        for _ in range(2, n_blocks + 1):
+            cand = cellmat[:, :-1] + values[-1][None, 1:]
+            arg = pick(cand, axis=1)  # first occurrence: the smallest end
+            best = cand[idx, arg]
+            close = (stop <= best) if upper else (stop >= best)
+            values.append(np.where(close, stop, best))
+            choices.append(np.where(close, -1, arg + lo))
+        return values, choices
     stop = [_cell(levels, pref, j, hi, upper) for j in range(lo, hi + 1)]
-    tables = [None, stop]
+    values, choices = [None, stop], [None, [-1] * length]
     for b in range(2, n_blocks + 1):
-        prev = tables[b - 1]
-        row = list(stop)
+        prev = values[b - 1]
+        row, choice = list(stop), [-1] * length
         for j in range(lo, hi):
             off = j - lo
-            best = row[off]
+            best, arg = row[off], -1
             for e in range(j, hi):
                 cand = (
                     levels[e if upper else j] * (pref[e + 1] - pref[j])
                     + prev[e + 1 - lo]
                 )
                 if (cand < best) if upper else (cand > best):
-                    best = cand
-            row[off] = best
-        tables.append(row)
-    return tables
-
-
-def _dp_tables_numpy(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):
-    lvl = np.asarray(levels[lo : hi + 1], dtype=float)
-    pre = np.asarray(pref[lo : hi + 2], dtype=float)
-    length = hi - lo + 1
-    # cellmat[j, e] = value of block [j..e] (raw indices offset by lo)
-    span = pre[None, 1:] - pre[:-1, None]
-    rep = lvl[None, :] if upper else lvl[:, None]
-    cellmat = rep * span
-    valid = np.tril(np.ones((length, length), dtype=bool)).T
-    bad = inf if upper else -inf
-    cellmat = np.where(valid, cellmat, bad)
-    reduce_ = np.minimum if upper else np.maximum
-    stop = cellmat[:, -1].copy()
-    tables = [None, stop]
-    for _ in range(2, n_blocks + 1):
-        prev = tables[-1]
-        cand = cellmat[:, :-1] + prev[None, 1:]
-        row = reduce_(stop, (cand.min if upper else cand.max)(axis=1))
-        tables.append(row)
-    return [t if t is None else list(map(float, t)) for t in tables]
-
-
-def _dp_prefix_tables(levels, masses, n_blocks: int, upper: bool):
-    """Prefix tables P[b][j] = best value partitioning levels[0..j] into at
-    most b blocks. Mirrors the suffix tables used by the solver."""
-    length = len(levels)
-    pref = _prefix_masses(masses)
-    start = [_cell(levels, pref, 0, j, upper) for j in range(length)]
-    tables = [None, start]
-    if length >= _NUMPY_DP_THRESHOLD:
-        lvl = np.asarray(levels, dtype=float)
-        pre = np.asarray(pref, dtype=float)
-        span = pre[None, 1:] - pre[:-1, None]  # span[s, j] = mass of [s..j]
-        rep = lvl[None, :] if upper else lvl[:, None]
-        cellmat = rep * span
-        valid = np.tril(np.ones((length, length), dtype=bool)).T
-        bad = inf if upper else -inf
-        cellmat = np.where(valid, cellmat, bad)
-        reduce_ = np.minimum if upper else np.maximum
-        start_arr = np.asarray(start)
-        tables = [None, start_arr]
-        for _ in range(2, n_blocks + 1):
-            prev = tables[-1]
-            cand = cellmat[1:, :] + prev[:-1, None]  # block [s..j] after prefix [0..s-1]
-            row = reduce_(start_arr, (cand.min if upper else cand.max)(axis=0))
-            tables.append(row)
-        return [t if t is None else list(map(float, t)) for t in tables]
-    for b in range(2, n_blocks + 1):
-        prev = tables[b - 1]
-        row = list(start)
-        for j in range(length):
-            best = row[j]
-            for s in range(1, j + 1):
-                cand = (
-                    levels[j if upper else s] * (pref[j + 1] - pref[s]) + prev[s - 1]
-                )
-                if (cand < best) if upper else (cand > best):
-                    best = cand
-            row[j] = best
-        tables.append(row)
-    return tables
+                    best, arg = cand, e
+            row[off], choice[off] = best, arg
+        values.append(row)
+        choices.append(choice)
+    return values, choices
 
 
 def _dp_solve(levels, masses, n: int, upper: bool, lo: int = 0, hi=None):
@@ -272,33 +243,48 @@ def _dp_solve(levels, masses, n: int, upper: bool, lo: int = 0, hi=None):
     levels[lo..hi] under capacity n."""
     if hi is None:
         hi = len(levels) - 1
-    pref = _prefix_masses(masses)
-    length = hi - lo + 1
-    n_eff = min(n, length)
-    tables = _dp_tables(levels, pref, lo, hi, n_eff, upper)
-    value = tables[n_eff][0]
-    # Greedy reconstruction: at each state prefer closing the final block
-    # (shorter vectors sort first), otherwise the smallest feasible cut.
+    n_eff = min(n, hi - lo + 1)
+    values, choices = _fill(levels, _prefix_masses(masses), lo, hi, n_eff, upper)
     cuts = []
     j, b = lo, n_eff
-    while True:
-        target = tables[b][j - lo]
-        if _cell(levels, pref, j, hi, upper) == target:
-            break
-        found = False
-        for e in range(j, hi):
-            cand = (
-                levels[e if upper else j] * (pref[e + 1] - pref[j])
-                + tables[b - 1][e + 1 - lo]
-            )
-            if cand == target:
-                cuts.append(e + 1)
-                j, b = e + 1, b - 1
-                found = True
-                break
-        if not found:  # pragma: no cover - DP and reconstruction share arithmetic
-            raise AssertionError("DP reconstruction failed to match its own table")
-    return value, tuple(cuts)
+    while (e := int(choices[b][j - lo])) >= 0:
+        cuts.append(e + 1)
+        j, b = e + 1, b - 1
+    return float(values[n_eff][0]), tuple(cuts)
+
+
+def capacity_values(ladder: ValueLadder, n_max, kind: str) -> tuple:
+    """Optimal bound values W(1..n_max) of a ladder, read from one DP fill."""
+    upper = _check_kind(kind)
+    n_max = _check_capacity(n_max)
+    length = len(ladder)
+    pref = _prefix_masses(ladder.level_masses)
+    values, _ = _fill(ladder.levels, pref, 0, length - 1, min(n_max, length), upper)
+    return tuple(float(values[min(n, length)][0]) for n in range(1, n_max + 1))
+
+
+def top_block_starts(ladder: ValueLadder, n, kind: str) -> list:
+    """Ascending level indices at which some optimal partition at capacity
+    ``n`` starts its top block; 0 stands for the one-block partition.
+
+    The top block of this problem is the first block of the opposite-kind
+    problem on the negated, reversed ladder, so the starts are read off as
+    that problem's optimal first-block ends. Candidates within ``TIE_TOL``
+    of the optimum count as optimal.
+    """
+    upper = not _check_kind(kind)
+    n_eff = min(_check_capacity(n), len(ladder))
+    last = len(ladder) - 1
+    levels = [-v for v in reversed(ladder.levels)]
+    pref = _prefix_masses(ladder.level_masses[::-1])
+    values, _ = _fill(levels, pref, 0, last, n_eff, upper)
+    best = float(values[n_eff][0])
+    tol = TIE_TOL + TIE_TOL * abs(best)
+    ends = {last: float(values[1][0])}
+    if n_eff > 1:
+        for e in range(last):
+            ends[e] = _cell(levels, pref, 0, e, upper) + float(values[n_eff - 1][e + 1])
+    return sorted(last - e for e, v in ends.items() if abs(v - best) <= tol)
 
 
 def _bound_from_cuts(ladder: ValueLadder, cuts, value: float, n: int, kind: str) -> BoundResult:

@@ -419,14 +419,6 @@ def audit_near_constant_split(f: DiscreteAct, data: Dataset, rule: SmoothRule,
 audit_A3 = audit_near_constant_split
 
 
-def sampling_errors(f: DiscreteAct, true_belief: Belief, datasets) -> ErrorDistribution:
-    """Empirical-mean errors of ``f`` across datasets, against the true mean."""
-    check_aligned(f, true_belief)
-    true_mean = sum(v * m for v, m in zip(f.values, true_belief.masses))
-    errs = [empirical_expectation(f, d) - true_mean for d in datasets]
-    return ErrorDistribution(errors=tuple(errs))
-
-
 def coarsening_sosd_bootstrap(f: DiscreteAct, v1: float, v2: float, data: Dataset,
                               b: int, seed: int,
                               true_belief: Belief | None = None, **sosd_kwargs) -> bool:

@@ -21,11 +21,13 @@ from .acts import ValueLadder
 from .engine import (
     LOWER,
     UPPER,
+    _cell,
     _check_kind,
     _coarse_raw,
     _dp_solve,
     _enumerate_raw,
     _prefix_masses,
+    capacity_values,
 )
 from .errors import AlignmentError, PreconditionError
 
@@ -136,10 +138,7 @@ def capacity_profile(ladder: ValueLadder, n_max: int, kind: str) -> CapacityProf
     upper = _check_kind(kind)
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    values = tuple(
-        _dp_solve(ladder.levels, ladder.level_masses, n, upper)[0]
-        for n in range(1, n_max + 1)
-    )
+    values = capacity_values(ladder, n_max, kind)
     inc = [b - a for a, b in zip(values, values[1:])]
     if upper:
         monotone = all(d <= 1e-12 for d in inc)
@@ -159,20 +158,9 @@ def submodularity_gap(ladder: ValueLadder, interval, split: int, kind: str) -> f
         raise ValueError("split must be interior to the interval")
     pref = _prefix_masses(ladder.level_masses)
     lvl = ladder.levels
-    parts = _cell_pair(lvl, pref, lo, split, hi, upper)
-    whole = _cell_single(lvl, pref, lo, hi, upper)
+    parts = _cell(lvl, pref, lo, split - 1, upper) + _cell(lvl, pref, split, hi, upper)
+    whole = _cell(lvl, pref, lo, hi, upper)
     return parts - whole if not upper else whole - parts
-
-
-def _cell_single(levels, pref, lo, hi, upper):
-    rep = levels[hi] if upper else levels[lo]
-    return rep * (pref[hi + 1] - pref[lo])
-
-
-def _cell_pair(levels, pref, lo, split, hi, upper):
-    return _cell_single(levels, pref, lo, split - 1, upper) + _cell_single(
-        levels, pref, split, hi, upper
-    )
 
 
 def submodular_delta_holds(ladder: ValueLadder, outer, inner, split: int, kind: str = LOWER,

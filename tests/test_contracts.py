@@ -149,6 +149,18 @@ class TestRecklessBait:
             assert max(res.schedule[:-1]) < res.schedule[-1]
         assert done >= 15
 
+    def test_capacity_one_bait(self):
+        # at N=1 the one perceived block starts at the lowest output
+        rng = np.random.default_rng(41)
+        schedule = self.strictly_increasing_schedule(rng)
+        bound_ = bait_feasibility_bound(self.PROB30, schedule, 1, epsilon=0.05)
+        assert bound_ > 0
+        res = reckless_bait(self.PROB30, schedule, 1, epsilon=0.05, delta=bound_)
+        assert res.effort_unchanged
+        assert res.perceived_value_gap <= 1e-12
+        assert res.principal_gain > 0
+        assert res.region[0] == 1
+
     def test_excessive_delta_rejected(self):
         rng = np.random.default_rng(37)
         schedule = self.strictly_increasing_schedule(rng)

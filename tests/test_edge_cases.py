@@ -88,12 +88,3 @@ class TestCliErrors:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"states": [0, 1], "values": [1.0]}))
         assert run(["bounds", "--in", str(path), "--N", "2"]) == 1
-
-    def test_thread_cap_env_validated(self, tmp_path, capsys, monkeypatch):
-        act = {"states": [0, 1], "values": [1.0, 2.0], "masses": [0.5, 0.5]}
-        path = tmp_path / "act.json"
-        path.write_text(json.dumps(act))
-        monkeypatch.setenv("COARSE_BOUNDS_THREADS", "zero")
-        assert run(["bounds", "--in", str(path), "--N", "1"]) == 1
-        monkeypatch.setenv("COARSE_BOUNDS_THREADS", "4")
-        assert run(["bounds", "--in", str(path), "--N", "1"]) == 0

@@ -1,7 +1,11 @@
 """Partition-engine tests: ladder construction, DP bounds vs the exhaustive
 oracle, pull-back, perceived distributions, and structural invariants."""
 
+import json
 import math
+import random
+from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from coarse_bounds.engine import (
     pull_back,
     siminf,
     simsup,
+    top_block_starts,
 )
 from coarse_bounds.errors import (
     AlignmentError,
@@ -36,6 +41,18 @@ from coarse_bounds.errors import (
 from util import dyadic_ladder, float_ladder
 
 UNIFORM4 = ValueLadder([1.0, 2.0, 3.0, 4.0], [0.25] * 4)
+GOLDEN = Path(__file__).parent / "data" / "golden_bounds.json"
+
+
+def golden_ladder(length: int) -> ValueLadder:
+    """Seeded float ladder whose bounds are stored in ``GOLDEN``."""
+    rng = random.Random(length)
+    levels = [x - 5.0 for x in accumulate(rng.uniform(0.01, 1.0) for _ in range(length))]
+    w = [rng.uniform(0.1, 1.0) for _ in range(length)]
+    total = sum(w)
+    masses = [x / total for x in w]
+    masses[masses.index(max(masses))] += 1.0 - sum(masses)
+    return ValueLadder(levels, masses)
 
 
 class TestBuildLadder:
@@ -67,6 +84,13 @@ class TestBuildLadder:
         act = DiscreteAct(["a", "b"], [1.0, 2.0])
         with pytest.raises(AlignmentError):
             build_ladder(act, Belief([1.0]))
+
+    @pytest.mark.parametrize("size", [100_000, 300_000])
+    def test_large_uniform_belief_accepted(self, size):
+        # the plain float sum of [1/size] * size drifts past MASS_TOL
+        masses = [1 / size] * size
+        assert len(Belief(masses)) == size
+        assert len(ValueLadder(range(size), masses)) == size
 
     def test_bad_belief_rejected(self):
         with pytest.raises(ValueError):
@@ -129,6 +153,38 @@ class TestBounds:
         # cuts at 1 -> 0*(1/3) + 1*(2/3); cuts at 2 -> 0*(2/3) + 10*(1/3)
         assert res.value == pytest.approx(10 / 3, rel=1e-15)
         assert res.cutoffs.cuts == (2,)
+
+
+class TestGoldenBounds:
+    """Values and cutoffs captured from the engine before its DP fill
+    recorded choices (commit 5f978c8); both fill branches must keep them."""
+
+    def test_matches_captured_outputs(self):
+        cases = json.loads(GOLDEN.read_text())
+        assert len(cases) == 40
+        ladders = {}
+        for case in cases:
+            lad = ladders.setdefault(case["length"], golden_ladder(case["length"]))
+            res = bound(lad, case["n"], case["kind"])
+            assert res.value == case["value"], case
+            assert res.cutoffs.cuts == tuple(case["cuts"]), case
+
+
+class TestTopBlockStarts:
+    def test_dyadic_oracle_parity(self):
+        rng = np.random.default_rng(77)
+        for _ in range(300):
+            lad = dyadic_ladder(rng)
+            n = int(rng.integers(1, 6))
+            for kind in ("lower", "upper"):
+                optima = brute_force_bound(lad, n, kind).optima
+                expected = sorted({o[-1] if o else 0 for o in optima})
+                assert top_block_starts(lad, n, kind) == expected
+
+    def test_uniform4_ties(self):
+        # N=3 optima (1,2), (1,3), (2,3): top blocks start at 2 or 3
+        assert top_block_starts(UNIFORM4, 3, "lower") == [2, 3]
+        assert top_block_starts(UNIFORM4, 1, "upper") == [0]
 
 
 class TestCellAndCoarseValue:

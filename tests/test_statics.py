@@ -4,8 +4,9 @@ lattice property suites, all quantified over full optimum sets."""
 import numpy as np
 import pytest
 
+import coarse_bounds.engine as engine
 from coarse_bounds.acts import ValueLadder
-from coarse_bounds.engine import siminf
+from coarse_bounds.engine import bound, siminf
 from coarse_bounds.errors import AlignmentError, PreconditionError
 from coarse_bounds.statics import (
     capacity_profile,
@@ -25,7 +26,7 @@ from coarse_bounds.statics import (
     weakly_sandwiched,
 )
 
-from util import dyadic_ladder
+from util import dyadic_ladder, float_ladder
 
 UNIFORM4 = ValueLadder([1.0, 2.0, 3.0, 4.0], [0.25] * 4)
 UNIFORM8 = ValueLadder([float(i) for i in range(1, 9)], [0.125] * 8)
@@ -111,6 +112,16 @@ class TestCapacityProfile:
     def test_rows(self):
         rows = capacity_profile(UNIFORM4, 3, "lower").rows()
         assert rows == [(1, 1.0, None), (2, 2.0, 1.0), (3, 2.25, 0.25)]
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_one_fill_matches_separate_bounds(self, offset):
+        length = engine._NUMPY_DP_THRESHOLD + offset
+        rng = np.random.default_rng(length)
+        lad = float_ladder(rng, max_levels=length, min_levels=length)
+        for kind in ("lower", "upper"):
+            prof = capacity_profile(lad, 8, kind)
+            for n in range(1, 9):
+                assert prof.values[n - 1] == bound(lad, n, kind).value
 
 
 class TestSubmodularity:
