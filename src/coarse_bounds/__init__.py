@@ -63,9 +63,9 @@ from .learning import (
     Dataset,
     ErrorDistribution,
     SmoothRule,
-    audit_A1,
-    audit_A2,
-    audit_A3,
+    audit_coarsening_preserves_ce,
+    audit_mixture_preserves_ce,
+    audit_near_constant_split,
     bootstrap_errors,
     coarsen_act,
     draw_sample,

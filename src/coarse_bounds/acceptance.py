@@ -362,7 +362,7 @@ def criterion_learning(seed: int = 0, n_fixtures: int = 200, k: int = 200,
         v1, v2 = payoffs[0], payoffs[1]
         if ln.coarsening_sosd_bootstrap(act, v1, v2, data, b, boot_seed, true_belief=belief):
             sosd_pass += 1
-        report = ln.audit_A1(act, data, rule, b, boot_seed, true_belief=belief)
+        report = ln.audit_coarsening_preserves_ce(act, data, rule, b, boot_seed, true_belief=belief)
         if report.precondition_met:
             audit_checked += 1
             if report.violations:
@@ -374,11 +374,11 @@ def criterion_learning(seed: int = 0, n_fixtures: int = 200, k: int = 200,
                 for j, v in enumerate(act.values)
             ]
             g = DiscreteAct(act.state_ids, g_values)
-            a2 = ln.audit_A2(act, g, data, rule, b, boot_seed)
+            a2 = ln.audit_mixture_preserves_ce(act, g, data, rule, b, boot_seed)
             if a2.precondition_met and a2.violations:
                 a2_failed += 1
-            a3 = ln.audit_A3(act, data, rule, b, boot_seed, v1, v2,
-                             true_belief=belief)
+            a3 = ln.audit_near_constant_split(act, data, rule, b, boot_seed, v1, v2,
+                                              true_belief=belief)
             if a3.precondition_met and a3.violations:
                 a3_failed += 1
     rate = sosd_pass / n_fixtures

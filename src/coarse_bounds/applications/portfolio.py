@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..acts import Belief, DiscreteAct, build_ladder
 from ..engine import attitude_kind, bound
@@ -157,6 +156,9 @@ def solve_savings(problem: PortfolioProblem, capacity=None,
                   tol: float = 1e-9) -> SavingsSolution:
     """Maximize the two-period objective over (safe, risky) holdings by
     direct search from several deterministic starting points."""
+    # imported here: scipy.optimize takes most of the package's import time
+    from scipy.optimize import minimize
+
     w = problem.endowment
     neg = lambda z: -savings_objective(problem, z[0], z[1], capacity)
     best = None

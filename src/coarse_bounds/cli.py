@@ -19,7 +19,7 @@ from .engine import bound, perceived_distribution
 from .errors import BracketingError, CoarseBoundsError, ConvergenceError
 from .learning import (
     SmoothRule,
-    audit_A1,
+    audit_coarsening_preserves_ce,
     bootstrap_errors,
     draw_sample,
     empirical_expectation,
@@ -129,7 +129,7 @@ def cmd_learn(args) -> int:
     data = draw_sample(belief, act.state_ids, int(fixture["K"]), seed)
     b = int(fixture["B"])
     errors = bootstrap_errors(act, data, b, seed)
-    audit = audit_A1(act, data, rule, b, seed, true_belief=belief)
+    audit = audit_coarsening_preserves_ce(act, data, rule, b, seed, true_belief=belief)
     report = {
         "empirical_mean": empirical_expectation(act, data),
         "has_certain_equivalent": has_certain_equivalent(act, data, rule, b, seed),

@@ -10,10 +10,19 @@ mirror image: blocks contribute their highest level times mass, and the sum
 is minimized: the cheapest ``N``-valued act dominating the original. The
 two problems are exchanged by negating the ladder.
 
-Both are solved exactly by one dynamic program over ladder suffixes in
-``O(N * L^2)``, which records its choice at every state; ``enumerate_optima``
-recovers the full optimum set by exhaustive search for instances below a
-size guard.
+Both are solved exactly by one dynamic program over ladder suffixes, which
+records its choice at every state. Each capacity layer picks, for every
+block start, the best block end, in one of three size-selected branches
+with identical candidate arithmetic: a pure-Python scan below
+``_NUMPY_DP_THRESHOLD`` levels and a dense numpy L x L candidate matrix
+below ``_MONOTONE_DP_THRESHOLD`` both search every end, in ``O(N * L^2)``;
+longer ladders use a divide-and-conquer search in ``O(N * L log L)`` time
+and ``O(L)`` memory per layer. That search relies on the smallest optimal
+block end being nondecreasing in the block start, which follows from the
+submodularity (Monge property) of the cell function; it holds exactly in
+real arithmetic, and the parity tests check that the rounded candidates
+pick the same ends as the dense branch. ``enumerate_optima`` recovers the
+full optimum set by exhaustive search for instances below a size guard.
 
 Tie policy: the canonical cutoff vector compares candidate values exactly.
 At every state it closes the block when closing is optimal and otherwise
@@ -30,6 +39,7 @@ ascending cutoffs in ``[1, L - 1]`` describes a partition into ``B`` blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from math import comb, inf
 
@@ -45,8 +55,10 @@ UPPER = "upper"
 MAX_ORACLE_LEVELS = 22
 MAX_ORACLE_VECTORS = 2_000_000
 
-# Ladders at least this long use the vectorized DP fill.
+# Ladders at least this long use the dense numpy DP fill, and from the
+# second threshold on the monotone search, which never builds an L x L matrix.
 _NUMPY_DP_THRESHOLD = 40
+_MONOTONE_DP_THRESHOLD = 512
 
 # Relative and absolute tolerance under which set queries count a candidate
 # value as tied with the optimum.
@@ -189,6 +201,62 @@ def _coarse_raw(levels, pref, lo, hi, cuts, upper: bool) -> float:
     return total
 
 
+def _dense_search(cellmat, idx, upper: bool, prev):
+    """Best value and smallest optimal end over every block end ``e <= L - 2``
+    of every row, read from the full candidate matrix."""
+    cand = cellmat[:, :-1] + prev[None, 1:]
+    arg = (np.argmin if upper else np.argmax)(cand, axis=1)  # first occurrence
+    return cand[idx, arg], arg
+
+
+def _bisection(rows: int) -> list:
+    """Rows 0..rows-1 by bisection depth: per depth, the middle rows and, for
+    each, the rows solved before it that bound it on the left and right, as
+    indices into a choice array padded by one sentinel at either end."""
+    depths = []
+    lo, hi = np.array([0]), np.array([rows - 1])
+    left_ref, right_ref = np.array([0]), np.array([rows + 1])
+    while lo.size:
+        mid = (lo + hi) // 2
+        depths.append((mid, left_ref, right_ref))
+        left, right = lo < mid, mid < hi
+        lo = np.concatenate((lo[left], mid[right] + 1))
+        hi = np.concatenate((mid[left] - 1, hi[right]))
+        left_ref = np.concatenate((left_ref[left], mid[right] + 1))
+        right_ref = np.concatenate((mid[left] + 1, right_ref[right]))
+    return depths
+
+
+def _monotone_search(lvl, pre, upper: bool, depths, prev):
+    """Same result as :func:`_dense_search` in O(L log L) time and O(L) memory.
+
+    The cell function is submodular (Monge), so the smallest optimal end is
+    nondecreasing in the block start. Rows are solved by bisection depth
+    (``depths`` from :func:`_bisection`): each row searches only the ends
+    between the choices of the rows that bound it, and all rows at one depth
+    are searched in one pass. The last row has no end below ``L - 1``; it
+    keeps the infinite sentinel.
+    """
+    last = len(lvl) - 1
+    best = np.full(last + 1, inf if upper else -inf)
+    padded = np.zeros(last + 2, dtype=np.intp)
+    padded[-1] = last - 1
+    reduce = np.minimum.reduceat if upper else np.maximum.reduceat
+    pre_end, prev_end = pre[1:], prev[1:]
+    for mid, left_ref, right_ref in depths:
+        start = np.maximum(mid, padded[left_ref])
+        count = padded[right_ref] - start + 1
+        offsets = np.cumsum(count) - count
+        ends = np.arange(offsets[-1] + count[-1]) + np.repeat(start - offsets, count)
+        rep = lvl[ends] if upper else np.repeat(lvl[mid], count)
+        cand = (pre_end[ends] - np.repeat(pre[mid], count)) * rep + prev_end[ends]
+        hits = np.flatnonzero(cand == np.repeat(reduce(cand, offsets), count))
+        first = hits[np.searchsorted(hits, offsets)]
+        best[mid] = cand[first]
+        padded[mid + 1] = ends[first]
+    return best, padded[1:]
+
+
 def _fill(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):
     """Suffix DP over levels[lo..hi] for capacities 1..n_blocks.
 
@@ -196,23 +264,30 @@ def _fill(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):
     into at most b blocks. ``choices[b][j - lo]`` is -1 when closing one
     block over [j..hi] is optimal, otherwise the smallest optimal end ``e``
     of the block starting at j. Row 0 of both is None.
+
+    Three branches share the candidate arithmetic exactly: a pure-Python
+    scan for short ladders, a dense numpy matrix from
+    ``_NUMPY_DP_THRESHOLD`` levels, and the monotone search from
+    ``_MONOTONE_DP_THRESHOLD`` levels.
     """
     length = hi - lo + 1
     if length >= _NUMPY_DP_THRESHOLD:
         lvl = np.asarray(levels[lo : hi + 1], dtype=float)
         pre = np.asarray(pref[lo : hi + 2], dtype=float)
-        # cellmat[j, e] = value of block [j..e] (offsets from lo)
-        cellmat = pre[None, 1:] - pre[:-1, None]
-        cellmat *= lvl[None, :] if upper else lvl[:, None]
-        idx = np.arange(length)
-        cellmat[idx[:, None] > idx[None, :]] = inf if upper else -inf
-        pick = np.argmin if upper else np.argmax
-        stop = cellmat[:, -1].copy()
+        if length >= _MONOTONE_DP_THRESHOLD:
+            stop = (pre[-1] - pre[:-1]) * (lvl[-1] if upper else lvl)
+            search = partial(_monotone_search, lvl, pre, upper, _bisection(length - 1))
+        else:
+            # cellmat[j, e] = value of block [j..e] (offsets from lo)
+            cellmat = pre[None, 1:] - pre[:-1, None]
+            cellmat *= lvl[None, :] if upper else lvl[:, None]
+            idx = np.arange(length)
+            cellmat[idx[:, None] > idx[None, :]] = inf if upper else -inf
+            stop = cellmat[:, -1].copy()
+            search = partial(_dense_search, cellmat, idx, upper)
         values, choices = [None, stop], [None, np.full(length, -1)]
         for _ in range(2, n_blocks + 1):
-            cand = cellmat[:, :-1] + values[-1][None, 1:]
-            arg = pick(cand, axis=1)  # first occurrence: the smallest end
-            best = cand[idx, arg]
+            best, arg = search(values[-1])
             close = (stop <= best) if upper else (stop >= best)
             values.append(np.where(close, stop, best))
             choices.append(np.where(close, -1, arg + lo))

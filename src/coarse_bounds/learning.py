@@ -351,10 +351,6 @@ def audit_coarsening_preserves_ce(f: DiscreteAct, data: Dataset, rule: SmoothRul
     return AuditReport(True, tuple(checks), tuple(violations))
 
 
-# Backwards-friendly operation name used by the CLI and the test suites.
-audit_A1 = audit_coarsening_preserves_ce
-
-
 def audit_mixture_preserves_ce(f: DiscreteAct, g: DiscreteAct, data: Dataset,
                                rule: SmoothRule, b: int, seed: int,
                                alphas=(0.25, 0.5, 0.75)) -> AuditReport:
@@ -380,9 +376,6 @@ def audit_mixture_preserves_ce(f: DiscreteAct, g: DiscreteAct, data: Dataset,
         if not has_certain_equivalent(mixed, data, rule, b, seed):
             violations.append(alpha)
     return AuditReport(True, tuple(checks), tuple(violations))
-
-
-audit_A2 = audit_mixture_preserves_ce
 
 
 def audit_near_constant_split(f: DiscreteAct, data: Dataset, rule: SmoothRule,
@@ -414,9 +407,6 @@ def audit_near_constant_split(f: DiscreteAct, data: Dataset, rule: SmoothRule,
     split = DiscreteAct(f.state_ids, split_values)
     ok = has_certain_equivalent(split, data, rule, b, seed)
     return AuditReport(True, ((v1, v2, eta),), () if ok else ((v1, v2, eta),))
-
-
-audit_A3 = audit_near_constant_split
 
 
 def coarsening_sosd_bootstrap(f: DiscreteAct, v1: float, v2: float, data: Dataset,

@@ -231,3 +231,15 @@ class TestDeterminism:
             assert res.returncode == 0
             outs.append(target.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_optimize_out(self):
+        # scipy.optimize takes most of the import time; only solve_savings needs it
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, coarse_bounds.cli; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"

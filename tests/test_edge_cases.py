@@ -16,25 +16,71 @@ from coarse_bounds.partitions import common_refinement, partition_path
 from test_partitions import check_path, random_partition
 
 
-class TestDpPathParity:
-    """The pure-Python and vectorized DP fills share arithmetic exactly."""
+MONO = engine._MONOTONE_DP_THRESHOLD
+# (_NUMPY_DP_THRESHOLD, _MONOTONE_DP_THRESHOLD) that force each fill branch
+BRANCHES = {"python": (10**9, 10**9), "dense": (2, 10**9), "monotone": (2, 2)}
 
-    @pytest.mark.parametrize("length", [39, 40, 41, 64])
+
+def parity_ladder(length: int, shape: str) -> ValueLadder:
+    """Float ladder; ``tied`` has equally spaced levels and uniform 1/L
+    masses, ``zero-mass`` sets about a third of the masses to 0."""
+    if shape == "tied":
+        return ValueLadder([float(i) for i in range(length)], [1 / length] * length)
+    rng = np.random.default_rng(length)
+    levels = np.cumsum(rng.uniform(0.01, 1.0, size=length)).tolist()
+    w = rng.uniform(0.1, 1.0, size=length)
+    if shape == "zero-mass":
+        w[rng.random(length) < 0.3] = 0.0
+    masses = (w / w.sum()).tolist()
+    masses[int(np.argmax(masses))] += 1.0 - sum(masses)
+    return ValueLadder(levels, masses)
+
+
+def solve_with(branch, monkeypatch, *args):
+    numpy_at, monotone_at = BRANCHES[branch]
+    monkeypatch.setattr(engine, "_NUMPY_DP_THRESHOLD", numpy_at)
+    monkeypatch.setattr(engine, "_MONOTONE_DP_THRESHOLD", monotone_at)
+    try:
+        return engine._dp_solve(*args)
+    finally:
+        monkeypatch.undo()
+
+
+class TestDpPathParity:
+    """The pure-Python, dense numpy and monotone numpy DP fills share
+    arithmetic exactly: each case solves with two of them and compares the
+    values and cutoffs with ``==``."""
+
+    @staticmethod
+    def check(lad, monkeypatch):
+        # each length is compared with the branch the next threshold down selects
+        branches = ("monotone", "dense") if len(lad) >= MONO - 1 else ("dense", "python")
+        for n in (1, 3, 6, 32):
+            for upper in (False, True):
+                fast, slow = (
+                    solve_with(b, monkeypatch, lad.levels, lad.level_masses, n, upper)
+                    for b in branches
+                )
+                assert fast == slow, (n, upper)
+
+    @pytest.mark.parametrize("length", [39, 40, 41, 64, MONO - 1, MONO, MONO + 1, 2 * MONO])
     def test_bitwise_identical_values_and_cuts(self, length, monkeypatch):
-        rng = np.random.default_rng(length)
-        levels = np.cumsum(rng.uniform(0.01, 1.0, size=length)).tolist()
-        w = rng.uniform(0.1, 1.0, size=length)
-        masses = (w / w.sum()).tolist()
-        masses[int(np.argmax(masses))] += 1.0 - sum(masses)
-        lad = ValueLadder(levels, masses)
-        for n in (1, 3, 6):
-            for kind in ("lower", "upper"):
-                fast = bound(lad, n, kind)
-                monkeypatch.setattr(engine, "_NUMPY_DP_THRESHOLD", 10_000)
-                slow = bound(lad, n, kind)
-                monkeypatch.undo()
-                assert fast.value == slow.value
-                assert fast.cutoffs.cuts == slow.cutoffs.cuts
+        self.check(parity_ladder(length, "float"), monkeypatch)
+
+    @pytest.mark.parametrize("shape", ["tied", "zero-mass"])
+    @pytest.mark.parametrize("length", [64, MONO])
+    def test_ties_and_zero_masses(self, shape, length, monkeypatch):
+        self.check(parity_ladder(length, shape), monkeypatch)
+
+    def test_interval(self, monkeypatch):
+        lad = parity_ladder(2 * MONO, "float")
+        lo, hi = 100, 100 + MONO + 50
+        for n in (3, 32):
+            for upper in (False, True):
+                args = (lad.levels, lad.level_masses, n, upper, lo, hi)
+                fast = solve_with("monotone", monkeypatch, *args)
+                assert fast == solve_with("dense", monkeypatch, *args), (n, upper)
+                assert all(lo < c <= hi for c in fast[1])
 
 
 class TestZeroMassLevels:

@@ -4,6 +4,7 @@ oracle, pull-back, perceived distributions, and structural invariants."""
 import json
 import math
 import random
+import tracemalloc
 from itertools import accumulate
 from pathlib import Path
 
@@ -157,17 +158,33 @@ class TestBounds:
 
 class TestGoldenBounds:
     """Values and cutoffs captured from the engine before its DP fill
-    recorded choices (commit 5f978c8); both fill branches must keep them."""
+    recorded choices (commit 5f978c8; L <= 300) and before it had a
+    monotone search (commit 803233f; L = 512, 1000); all three fill branches
+    must keep them."""
 
     def test_matches_captured_outputs(self):
         cases = json.loads(GOLDEN.read_text())
-        assert len(cases) == 40
+        assert len(cases) == 56
         ladders = {}
         for case in cases:
             lad = ladders.setdefault(case["length"], golden_ladder(case["length"]))
             res = bound(lad, case["n"], case["kind"])
             assert res.value == case["value"], case
             assert res.cutoffs.cuts == tuple(case["cuts"]), case
+
+
+class TestLongLadderMemory:
+    def test_no_square_matrix(self):
+        # one 4096 x 4096 float64 candidate matrix alone would take 134 MB
+        lad = golden_ladder(4096)
+        tracemalloc.start()
+        try:
+            for kind in ("lower", "upper"):
+                bound(lad, 8, kind)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestTopBlockStarts:

@@ -10,9 +10,9 @@ from coarse_bounds.errors import AlignmentError
 from coarse_bounds.learning import (
     Dataset,
     SmoothRule,
-    audit_A1,
-    audit_A2,
-    audit_A3,
+    audit_coarsening_preserves_ce,
+    audit_mixture_preserves_ce,
+    audit_near_constant_split,
     bootstrap_errors,
     coarsen_act,
     coarsening_sosd_bootstrap,
@@ -201,14 +201,16 @@ class TestAudits:
     def test_constant_act_vacuous_pass(self):
         const = DiscreteAct(STATES, [2.0] * 4)
         data = draw_sample(BELIEF, STATES, 50, seed=41)
-        report = audit_A1(const, data, RULE, 400, 14, true_belief=BELIEF)
+        report = audit_coarsening_preserves_ce(const, data, RULE, 400, 14, true_belief=BELIEF)
         assert report.precondition_met and report.passed
         assert report.checks == ()
 
     def test_precondition_unmet_skips(self):
         wild = DiscreteAct(STATES, [0.0, 100.0, 0.0, 100.0])
         data = draw_sample(BELIEF, STATES, 10, seed=42)
-        report = audit_A1(wild, data, SmoothRule(1.0, 1e-9), 2000, 15, true_belief=BELIEF)
+        report = audit_coarsening_preserves_ce(
+            wild, data, SmoothRule(1.0, 1e-9), 2000, 15, true_belief=BELIEF
+        )
         assert not report.precondition_met
         assert not report.passed
 
@@ -219,7 +221,9 @@ class TestAudits:
             gaps = rng.uniform(0.02, 0.05, size=4)
             act = DiscreteAct(STATES, (1.0 + np.cumsum(gaps)).tolist())
             data = draw_sample(BELIEF, STATES, 200, seed=1000 + i)
-            report = audit_A1(act, data, RULE, 2000, 2000 + i, true_belief=BELIEF)
+            report = audit_coarsening_preserves_ce(
+                act, data, RULE, 2000, 2000 + i, true_belief=BELIEF
+            )
             if report.precondition_met:
                 checked += 1
                 assert report.violations == ()
@@ -229,7 +233,7 @@ class TestAudits:
         data = draw_sample(BELIEF, STATES, 200, seed=44)
         patch = ACT.values[-1]
         g = DiscreteAct(STATES, [patch, ACT.values[1], patch, ACT.values[3]])
-        report = audit_A2(ACT, g, data, RULE, 2000, 16)
+        report = audit_mixture_preserves_ce(ACT, g, data, RULE, 2000, 16)
         assert report.precondition_met
         assert report.violations == ()
 
@@ -237,12 +241,12 @@ class TestAudits:
         data = draw_sample(BELIEF, STATES, 50, seed=45)
         g = DiscreteAct(STATES, [9.0, ACT.values[1], 8.0, ACT.values[3]])
         with pytest.raises(Exception):
-            audit_A2(ACT, g, data, RULE, 200, 17)
+            audit_mixture_preserves_ce(ACT, g, data, RULE, 200, 17)
 
     def test_a3_near_constant_split(self):
         data = draw_sample(BELIEF, STATES, 200, seed=46)
         v1, v2 = sorted(value_cells(ACT))[:2]
-        report = audit_A3(ACT, data, RULE, 2000, 18, v1, v2, true_belief=BELIEF)
+        report = audit_near_constant_split(ACT, data, RULE, 2000, 18, v1, v2, true_belief=BELIEF)
         assert report.precondition_met
         assert report.violations == ()
 
