@@ -17,7 +17,6 @@ from .engine import (
     brute_force_bound,
     cell_value,
     coarse_value,
-    enumerate_optima,
     perceived_distribution,
     pull_back,
     siminf,

@@ -63,12 +63,11 @@ class CriterionResult:
 # shared random instance generators
 # ---------------------------------------------------------------------------
 
-def dyadic_ladder(rng: np.random.Generator, max_levels: int = 12,
-                  denom_bits: int = 10) -> ValueLadder:
-    """Masses k/2^denom_bits and small integer levels: exact float sums."""
+def dyadic_ladder(rng: np.random.Generator, max_levels: int = 12) -> ValueLadder:
+    """Masses k/2^10 and small integer levels: exact float sums."""
     length = int(rng.integers(1, max_levels + 1))
     levels = sorted(rng.choice(np.arange(-16, 17), size=length, replace=False).tolist())
-    denom = 1 << denom_bits
+    denom = 1 << 10
     cuts = sorted(rng.choice(np.arange(1, denom), size=length - 1, replace=False).tolist())
     edges = [0, *cuts, denom]
     masses = [(edges[i + 1] - edges[i]) / denom for i in range(length)]
@@ -88,10 +87,9 @@ def float_ladder(rng: np.random.Generator, max_levels: int = 12,
     return ValueLadder(levels.tolist(), masses.tolist())
 
 
-def random_act_belief(rng: np.random.Generator, max_states: int = 8,
-                      value_span=(-5.0, 5.0)):
+def random_act_belief(rng: np.random.Generator, max_states: int = 8):
     k = int(rng.integers(2, max_states + 1))
-    values = rng.uniform(*value_span, size=k).tolist()
+    values = rng.uniform(-5.0, 5.0, size=k).tolist()
     w = rng.uniform(0.05, 1.0, size=k)
     masses = w / w.sum()
     idx = int(np.argmax(masses))
@@ -766,11 +764,11 @@ def criterion_preferences(seed: int = 0, n_checks: int = 10_000) -> CriterionRes
     return CriterionResult(9, "preference suite", not issues, detail)
 
 
-def find_uncertainty_aversion_failure(seed: int = 0, max_tries: int = 5_000):
+def find_uncertainty_aversion_failure(seed: int = 0):
     """Search for comonotone acts with equal cautious values whose mixture is
     strictly worse: the classic uncertainty-aversion violation."""
     rng = np.random.default_rng(seed + 10)
-    for _ in range(max_tries):
+    for _ in range(5_000):
         k = int(rng.integers(3, 7))
         states = tuple(range(k))
         w = rng.uniform(0.1, 1.0, size=k)

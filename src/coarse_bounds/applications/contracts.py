@@ -170,14 +170,14 @@ def _top_block_start(problem: ContractingProblem, schedule, effort, n: int) -> f
 
 
 def bait_feasibility_bound(problem: ContractingProblem, schedule, n: int,
-                           epsilon: float, refine_steps: int = 40) -> float:
+                           epsilon: float) -> float:
     """Largest verified wage reduction on the bait region.
 
     Starts from the monotonicity bound (the wage gap at the region's left
-    edge) and bisects down until every bait clause verifies; the perceived
-    upper bound is constant in delta on the optimal partition while every
-    competing partition only gets cheaper, so the feasible set is an
-    interval at zero.
+    edge) and bisects down, in 40 steps, until every bait clause verifies;
+    the perceived upper bound is constant in delta on the optimal partition
+    while every competing partition only gets cheaper, so the feasible set
+    is an interval at zero.
     """
     schedule = _check_schedule(problem, schedule)
     if any(b < a for a, b in zip(schedule, schedule[1:])):
@@ -209,7 +209,7 @@ def bait_feasibility_bound(problem: ContractingProblem, schedule, n: int,
     if verifies(mono):
         return mono
     lo, hi = 0.0, mono
-    for _ in range(refine_steps):
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
         if mid > 0 and verifies(mid):
             lo = mid

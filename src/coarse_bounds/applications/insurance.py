@@ -90,10 +90,6 @@ class LossModel:
         raw = w * np.asarray(self.masses)
         return LossModel(self.losses, (raw / raw.sum()).tolist())
 
-    def grid_step(self) -> float:
-        steps = np.diff(self.losses)
-        return float(steps.min())
-
 
 def consumer_payment(contract: InsuranceContract, loss: float) -> float:
     """Out-of-pocket payment at a realized loss, excluding the premium."""
@@ -159,7 +155,7 @@ def sensitivity(contract: InsuranceContract, model: LossModel, utility, n: int,
     """Finite-difference derivative of the plan value in one parameter.
 
     ``side="central"`` requires the parameter to be interior at step ``h``;
-    one-sided differences are available at boundaries.
+    ``side="backward"`` serves the upper boundary (full coverage).
     """
     x0 = _parameter_value(contract, parameter)
     if x0 is None:
@@ -174,8 +170,6 @@ def sensitivity(contract: InsuranceContract, model: LossModel, utility, n: int,
             raise PreconditionError(
                 f"{parameter} at {x0} is not interior for step {h}"
             ) from err
-    if side == "forward":
-        return (val(x0 + h) - val(x0)) / h
     if side == "backward":
         return (val(x0) - val(x0 - h)) / h
     raise ValueError(f"unknown side {side!r}")

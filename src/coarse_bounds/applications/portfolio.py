@@ -82,23 +82,23 @@ def allocation_objective(problem: PortfolioProblem, x: float, alpha: float,
     )
 
 
-def solve_allocation(problem: PortfolioProblem, x: float, capacity=None,
-                     grid_step: float = 1e-3, tol: float = 1e-6) -> float:
+def solve_allocation(problem: PortfolioProblem, x: float, capacity=None) -> float:
     """Optimal risky share in [0, 1] for fixed savings ``x``.
 
-    Grid search at ``grid_step`` followed by golden-section refinement to
-    ``tol``; ties resolve to the smallest share.
+    Grid search at step 1e-3 followed by golden-section refinement to 1e-6;
+    ties resolve to the smallest share.
     """
     if x <= 0:
         raise ValueError("savings must be positive")
     obj = lambda a: allocation_objective(problem, x, a, capacity)
-    grid = np.arange(0.0, 1.0 + 0.5 * grid_step, grid_step)
+    step = 1e-3
+    grid = np.arange(0.0, 1.0 + 0.5 * step, step)
     grid[-1] = 1.0
     vals = [obj(a) for a in grid]
     i_best = int(np.argmax(vals))
     lo = grid[max(0, i_best - 1)]
     hi = grid[min(len(grid) - 1, i_best + 1)]
-    refined = _golden_max(obj, lo, hi, tol)
+    refined = _golden_max(obj, lo, hi, 1e-6)
     candidates = [(float(grid[i_best]), vals[i_best]), refined]
     best_val = max(v for _, v in candidates)
     return min(a for a, v in candidates if v >= best_val - 1e-15)
@@ -152,8 +152,7 @@ class SavingsSolution:
 
 
 def solve_savings(problem: PortfolioProblem, capacity=None,
-                  restarts=((0.2, 0.2), (0.4, 0.1), (0.1, 0.4), (0.3, 0.3)),
-                  tol: float = 1e-9) -> SavingsSolution:
+                  restarts=((0.2, 0.2), (0.4, 0.1), (0.1, 0.4), (0.3, 0.3))) -> SavingsSolution:
     """Maximize the two-period objective over (safe, risky) holdings by
     direct search from several deterministic starting points."""
     # imported here: scipy.optimize takes most of the package's import time
@@ -166,7 +165,7 @@ def solve_savings(problem: PortfolioProblem, capacity=None,
         start = np.array([frac_b * w, frac_s * w])
         res = minimize(
             neg, start, method="Nelder-Mead",
-            options={"xatol": tol, "fatol": tol, "maxiter": 4000},
+            options={"xatol": 1e-9, "fatol": 1e-9, "maxiter": 4000},
         )
         if best is None or res.fun < best.fun:
             best = res
@@ -189,16 +188,14 @@ def solve_savings(problem: PortfolioProblem, capacity=None,
                            kkt_residual=residual)
 
 
-def equilibrium_price(problem: PortfolioProblem, capacity=None,
-                      h0: float = 1e-2, tol: float = 1e-7,
-                      max_halvings: int = 40) -> float:
+def equilibrium_price(problem: PortfolioProblem, capacity=None) -> float:
     """Zero-net-supply price of the risky asset.
 
     The safe-asset first-order condition pins the safe return at 1/beta, and
     the price equals the marginal perceived value of an infinitesimal risky
     position at the per-period endowment, in units of first-period marginal
-    utility. Computed as a one-sided difference quotient with the step
-    halved until successive estimates agree within ``tol``.
+    utility. Computed as a one-sided difference quotient from step 1e-2,
+    halved up to 40 times until successive estimates agree within 1e-7.
     """
     n = problem.capacity if capacity is None else capacity
     w, beta, u = problem.endowment, problem.beta, problem.utility
@@ -212,12 +209,12 @@ def equilibrium_price(problem: PortfolioProblem, capacity=None,
             raise PreconditionError("endowment too small for the return grid")
         return beta * (v - u(w)) / (h * marg)
 
-    h = h0
+    h = 1e-2
     prev = estimate(h)
-    for _ in range(max_halvings):
+    for _ in range(40):
         h *= 0.5
         cur = estimate(h)
-        if abs(cur - prev) < tol:
+        if abs(cur - prev) < 1e-7:
             return cur
         prev = cur
     raise ConvergenceError("difference quotient failed to converge")

@@ -48,7 +48,10 @@ EXIT_NUMERIC = 2
 def _parse_capacities(text: str) -> list:
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
+        capacities = list(range(int(lo), int(hi) + 1))
+        if not capacities:
+            raise CoarseBoundsError(f"capacity range {text} is empty")
+        return capacities
     return [int(text)]
 
 
@@ -374,7 +377,7 @@ def run(argv) -> int:
     except (BracketingError, ConvergenceError, ArithmeticError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CoarseBoundsError, FileNotFoundError, KeyError, ValueError) as err:
+    except (CoarseBoundsError, OSError, KeyError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

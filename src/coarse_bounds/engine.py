@@ -21,8 +21,9 @@ and ``O(L)`` memory per layer. That search relies on the smallest optimal
 block end being nondecreasing in the block start, which follows from the
 submodularity (Monge property) of the cell function; it holds exactly in
 real arithmetic, and the parity tests check that the rounded candidates
-pick the same ends as the dense branch. ``enumerate_optima`` recovers the
-full optimum set by exhaustive search for instances below a size guard.
+pick the same ends as the dense branch. :func:`brute_force_bound` is an
+independent exhaustive oracle that also returns the full optimum set, for
+instances below a size guard.
 
 Tie policy: the canonical cutoff vector compares candidate values exactly.
 At every state it closes the block when closing is optimal and otherwise
@@ -398,10 +399,6 @@ def simsup(ladder: ValueLadder, n) -> BoundResult:
     return bound(ladder, n, UPPER)
 
 
-def _enumeration_size(length: int, n: int) -> int:
-    return sum(comb(length - 1, b) for b in range(min(n, length)))
-
-
 def enumerate_cut_vectors(length: int, n: int):
     """All ascending cutoff vectors describing at most ``n`` blocks."""
     for b in range(min(n, length)):
@@ -441,11 +438,6 @@ def brute_force_bound(ladder: ValueLadder, n, kind: str) -> OracleResult:
         bound=_bound_from_cuts(ladder, optima[0], value, n, kind),
         optima=tuple(optima),
     )
-
-
-def enumerate_optima(ladder: ValueLadder, n, kind: str) -> tuple:
-    """Every optimal cutoff vector, lexicographically sorted."""
-    return brute_force_bound(ladder, n, kind).optima
 
 
 def pull_back(result: BoundResult, act: DiscreteAct, belief: Belief) -> PullBackResult:

@@ -17,11 +17,12 @@ concrete samples.
 Randomness discipline: every operation takes an explicit seed and drives a
 counter-based Philox generator; replicate draws are materialized in one
 vectorized pass, so results are bit-identical for a fixed seed regardless of
-evaluation order. Bootstrap resampling is *balanced* by default (each
-observation appears exactly ``B`` times across the ``B`` replicates), which
-pins the mean of every act's error distribution at zero up to rounding and
-makes error distributions of different acts directly mean-comparable; plain
-multinomial resampling is available via ``method="iid"``.
+evaluation order. Bootstrap resampling is *balanced* (each observation
+appears exactly ``B`` times across the ``B`` replicates), which pins the mean
+of every act's error distribution at zero up to rounding and makes error
+distributions of different acts directly mean-comparable. Fresh-dataset
+count batches are balanced the same way: their pooled state counts match the
+true masses up to largest-remainder rounding.
 """
 
 from __future__ import annotations
@@ -66,9 +67,10 @@ class ErrorDistribution:
     def mean(self) -> float:
         return float(np.mean(self.errors))
 
-    def quantiles(self, qs=(0.05, 0.25, 0.5, 0.75, 0.95)) -> list:
+    def quantiles(self) -> list:
+        """(q, error quantile) rows at q = 5%, 25%, 50%, 75% and 95%."""
         arr = np.asarray(self.errors)
-        return [(q, float(np.quantile(arr, q))) for q in qs]
+        return [(q, float(np.quantile(arr, q))) for q in (0.05, 0.25, 0.5, 0.75, 0.95)]
 
 
 @dataclass(frozen=True)
@@ -106,55 +108,29 @@ def draw_sample(true_belief: Belief, act_or_states, k: int, seed: int) -> Datase
     return Dataset(draws=tuple(states[i] for i in idx), seed=int(seed))
 
 
-def draw_sample_batch(true_belief: Belief, states, k: int, n_datasets: int, seed: int,
-                      balanced: bool = True) -> list:
-    """Independent datasets in one pass. With ``balanced=True`` the pooled
-    state counts match ``n_datasets * k * mass`` exactly (largest-remainder
-    rounding), so pooled empirical means equal true means by construction."""
-    states = tuple(states)
-    rng = _rng(seed)
-    total = n_datasets * k
-    if balanced:
-        ideal = np.asarray(true_belief.masses) * total
-        counts = np.floor(ideal).astype(int)
-        rem = total - counts.sum()
-        order = np.argsort(-(ideal - counts))
-        counts[order[:rem]] += 1
-        pool = np.repeat(np.arange(len(states)), counts)
-        rng.shuffle(pool)
-    else:
-        pool = rng.choice(len(states), size=total, p=true_belief.masses)
-    pool = pool.reshape(n_datasets, k)
-    return [
-        Dataset(draws=tuple(states[i] for i in row), seed=int(seed)) for row in pool
-    ]
+def state_count_batch(true_belief: Belief, k: int, s: int, seed: int) -> np.ndarray:
+    """State-count matrix (s datasets x states) of size-``k`` datasets drawn
+    in one pass from a balanced pool.
 
-
-def state_count_batch(true_belief: Belief, k: int, s: int, seed: int,
-                      balanced: bool = True) -> np.ndarray:
-    """State-count matrix (s datasets x states) drawn in one pass.
-
-    With ``balanced=True`` the pooled counts match ``s * k * mass`` up to
-    largest-remainder rounding, so pooled empirical means are pinned to true
-    means; choose masses with ``s * k * mass`` integral for exactness.
+    The pooled counts match ``s * k * mass`` up to largest-remainder
+    rounding, so pooled empirical means are pinned to true means; choose
+    masses with ``s * k * mass`` integral for exactness.
     """
     rng = _rng(seed)
     n_states = len(true_belief)
     total = s * k
-    if balanced:
-        ideal = np.asarray(true_belief.masses) * total
-        counts = np.floor(ideal).astype(int)
-        rem = total - counts.sum()
-        order = np.argsort(-(ideal - counts))
-        counts[order[:rem]] += 1
-        pool = np.repeat(np.arange(n_states), counts)
-        rng.shuffle(pool)
-        pool = pool.reshape(s, k)
-        out = np.zeros((s, n_states), dtype=float)
-        rows = np.repeat(np.arange(s), k)
-        np.add.at(out, (rows, pool.ravel()), 1.0)
-        return out
-    return rng.multinomial(k, np.asarray(true_belief.masses), size=s).astype(float)
+    ideal = np.asarray(true_belief.masses) * total
+    counts = np.floor(ideal).astype(int)
+    rem = total - counts.sum()
+    order = np.argsort(-(ideal - counts))
+    counts[order[:rem]] += 1
+    pool = np.repeat(np.arange(n_states), counts)
+    rng.shuffle(pool)
+    pool = pool.reshape(s, k)
+    out = np.zeros((s, n_states), dtype=float)
+    rows = np.repeat(np.arange(s), k)
+    np.add.at(out, (rows, pool.ravel()), 1.0)
+    return out
 
 
 def sampling_errors_from_counts(f: DiscreteAct, counts: np.ndarray,
@@ -166,17 +142,6 @@ def sampling_errors_from_counts(f: DiscreteAct, counts: np.ndarray,
     true_mean = float(np.dot(vals, true_belief.masses))
     errs = counts @ vals / k - true_mean
     return ErrorDistribution(errors=tuple(errs.tolist()))
-
-
-def empirical_distribution(data: Dataset, states) -> np.ndarray:
-    states = tuple(states)
-    index = {s: i for i, s in enumerate(states)}
-    counts = np.zeros(len(states))
-    for d in data.draws:
-        if d not in index:
-            raise AlignmentError(f"draw {d!r} is not a known state")
-        counts[index[d]] += 1
-    return counts / data.K
 
 
 def empirical_expectation(f: DiscreteAct, data: Dataset) -> float:
@@ -244,24 +209,18 @@ def coarsen_act(f: DiscreteAct, v1: float, v2: float, mode: str,
 
 
 @lru_cache(maxsize=4)
-def _resample_indices(k: int, b: int, seed: int, method: str):
-    """Resample index matrix (b x k); depends only on sizes and seed, so two
-    acts bootstrapped from the same dataset shape share it exactly."""
-    rng = _rng(seed)
-    if method == "balanced":
-        idx = np.tile(np.arange(k), b)
-        rng.shuffle(idx)
-        idx = idx.reshape(b, k)
-    elif method == "iid":
-        idx = rng.integers(0, k, size=(b, k))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+def _resample_indices(k: int, b: int, seed: int):
+    """Balanced resample index matrix (b x k); depends only on sizes and
+    seed, so two acts bootstrapped from the same dataset shape share it
+    exactly."""
+    idx = np.tile(np.arange(k), b)
+    _rng(seed).shuffle(idx)
+    idx = idx.reshape(b, k)
     idx.setflags(write=False)
     return idx
 
 
-def bootstrap_errors(f: DiscreteAct, data: Dataset, b: int, seed: int,
-                     method: str = "balanced") -> ErrorDistribution:
+def bootstrap_errors(f: DiscreteAct, data: Dataset, b: int, seed: int) -> ErrorDistribution:
     """B replicates of (resampled mean - empirical mean).
 
     Replicates resample the K observations with replacement. The balanced
@@ -274,15 +233,15 @@ def bootstrap_errors(f: DiscreteAct, data: Dataset, b: int, seed: int,
     values = dict(zip(f.state_ids, f.values))
     obs = np.asarray([values[d] for d in data.draws], dtype=float)
     base = obs.mean()
-    idx = _resample_indices(data.K, b, int(seed), method)
+    idx = _resample_indices(data.K, b, int(seed))
     means = obs[idx].mean(axis=1)
     return ErrorDistribution(errors=tuple((means - base).tolist()))
 
 
-def perceived_score(f: DiscreteAct, data: Dataset, rule: SmoothRule, b: int, seed: int,
-                    method: str = "balanced") -> float:
+def perceived_score(f: DiscreteAct, data: Dataset, rule: SmoothRule, b: int,
+                    seed: int) -> float:
     """E over the bootstrap of phi(estimated mean of f)."""
-    errors = bootstrap_errors(f, data, b, seed, method=method)
+    errors = bootstrap_errors(f, data, b, seed)
     base = empirical_expectation(f, data)
     return float(np.mean(rule.phi(base + np.asarray(errors.errors))))
 
@@ -352,10 +311,10 @@ def audit_coarsening_preserves_ce(f: DiscreteAct, data: Dataset, rule: SmoothRul
 
 
 def audit_mixture_preserves_ce(f: DiscreteAct, g: DiscreteAct, data: Dataset,
-                               rule: SmoothRule, b: int, seed: int,
-                               alphas=(0.25, 0.5, 0.75)) -> AuditReport:
-    """Mixtures of a CE act with a CE act that equals it off a constant patch
-    keep a certain equivalent (the patch value must be drawn from f's range)."""
+                               rule: SmoothRule, b: int, seed: int) -> AuditReport:
+    """Mixtures (weights 1/4, 1/2, 3/4) of a CE act with a CE act that equals
+    it off a constant patch keep a certain equivalent (the patch value must
+    be drawn from f's range)."""
     if g.state_ids != f.state_ids:
         raise AlignmentError("acts must share states")
     patch = {b_ for a_, b_ in zip(f.values, g.values) if a_ != b_}
@@ -367,7 +326,7 @@ def audit_mixture_preserves_ce(f: DiscreteAct, g: DiscreteAct, data: Dataset,
     ):
         return AuditReport(False, (), ())
     checks, violations = [], []
-    for alpha in alphas:
+    for alpha in (0.25, 0.5, 0.75):
         mixed = DiscreteAct(
             f.state_ids,
             [alpha * a + (1 - alpha) * c for a, c in zip(f.values, g.values)],
@@ -380,10 +339,10 @@ def audit_mixture_preserves_ce(f: DiscreteAct, g: DiscreteAct, data: Dataset,
 
 def audit_near_constant_split(f: DiscreteAct, data: Dataset, rule: SmoothRule,
                               b: int, seed: int, v1: float, v2: float,
-                              eta: float = 1e-3,
                               true_belief: Belief | None = None) -> AuditReport:
     """After merging two cells, a near-constant binary re-split of the merged
-    cell with matched empirical mean still has a certain equivalent."""
+    cell (spread ``1e-3``) with matched empirical mean still has a certain
+    equivalent."""
     if not has_certain_equivalent(f, data, rule, b, seed):
         return AuditReport(False, (), ())
     merged = coarsen_act(f, v1, v2, "empirical_mean", true_belief=true_belief, data=data)
@@ -398,6 +357,7 @@ def audit_near_constant_split(f: DiscreteAct, data: Dataset, rule: SmoothRule,
     if k1 + k2 == 0:
         raise PreconditionError("merged cell has no empirical mass")
     # opposite nudges keeping the empirical conditional mean fixed
+    eta = 1e-3
     d1 = eta if k1 == 0 else eta * k2 / (k1 + k2)
     d2 = -eta if k2 == 0 else -eta * k1 / (k1 + k2)
     split_values = [
@@ -411,10 +371,10 @@ def audit_near_constant_split(f: DiscreteAct, data: Dataset, rule: SmoothRule,
 
 def coarsening_sosd_bootstrap(f: DiscreteAct, v1: float, v2: float, data: Dataset,
                               b: int, seed: int,
-                              true_belief: Belief | None = None, **sosd_kwargs) -> bool:
+                              true_belief: Belief | None = None) -> bool:
     """Bootstrap errors of the empirical-mean merge strictly dominate the
     original act's errors in the second-order sense (coupled replicates)."""
     merged = coarsen_act(f, v1, v2, "empirical_mean", true_belief=true_belief, data=data)
     g_f = bootstrap_errors(f, data, b, seed)
     g_m = bootstrap_errors(merged, data, b, seed)
-    return sosd_strict(g_m, g_f, **sosd_kwargs)
+    return sosd_strict(g_m, g_f)

@@ -107,11 +107,6 @@ def simple_bounds_compare(f: DiscreteAct, g: DiscreteAct, belief: Belief, n) -> 
     return PreferenceVerdict(verdict, provenance)
 
 
-def weakly_prefers(f: DiscreteAct, g: DiscreteAct, belief: Belief, n) -> bool:
-    v = simple_bounds_compare(f, g, belief, n).verdict
-    return v in (Verdict.STRICTLY_PREFERS_F, Verdict.INDIFFERENT)
-
-
 def mix(f: DiscreteAct, g: DiscreteAct, alpha: float) -> DiscreteAct:
     """Statewise convex combination alpha*f + (1-alpha)*g."""
     _check_same_states(f, g)
@@ -126,8 +121,10 @@ def mix(f: DiscreteAct, g: DiscreteAct, alpha: float) -> DiscreteAct:
 def are_comonotone(f: DiscreteAct, g: DiscreteAct, belief: Belief | None = None) -> bool:
     """No state pair is ranked oppositely by f and g.
 
-    Restricted to positive-mass states when a belief is supplied. Uses the
-    quadratic pairwise check on small state sets and a sort otherwise.
+    Restricted to positive-mass states when a belief is supplied. Sorted
+    by (f, g), the pairs must have nondecreasing g values: ties in f are
+    then in g order, and a drop in g between distinct f values is an
+    opposite ranking. O(k log k) and exact at every size.
     """
     _check_same_states(f, g)
     if belief is not None:
@@ -140,23 +137,5 @@ def are_comonotone(f: DiscreteAct, g: DiscreteAct, belief: Belief | None = None)
         ]
     else:
         pairs = list(zip(f.values, g.values))
-    if len(pairs) <= 1000:
-        for i in range(len(pairs)):
-            ai, bi = pairs[i]
-            for aj, bj in pairs[i + 1 :]:
-                if (ai - aj) * (bi - bj) < 0.0:
-                    return False
-        return True
     pairs.sort()
-    running_max = -float("inf")
-    prev_a = None
-    group_max = -float("inf")
-    for a, b in pairs:
-        if prev_a is not None and a > prev_a:
-            running_max = max(running_max, group_max)
-            group_max = -float("inf")
-        if b < running_max:
-            return False
-        group_max = max(group_max, b)
-        prev_a = a
-    return True
+    return all(b1 <= b2 for (_, b1), (_, b2) in zip(pairs, pairs[1:]))

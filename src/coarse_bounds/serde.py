@@ -10,6 +10,9 @@ from .engine import BoundResult, PerceivedDistribution
 
 def act_from_record(record: dict) -> tuple:
     """Parse {states, values, masses} into an act and a belief."""
+    for key in ("states", "values", "masses"):
+        if not isinstance(record[key], list):
+            raise ValueError(f"{key!r} must be a list")
     act = DiscreteAct(record["states"], record["values"])
     belief = Belief(record["masses"])
     if len(act) != len(belief):
@@ -44,12 +47,8 @@ def perceived_to_record(dist: PerceivedDistribution) -> dict:
     return {"support": list(dist.support), "masses": list(dist.masses)}
 
 
-def dump_json(obj, path=None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return text
+def dump_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def format_number(x) -> str:

@@ -95,25 +95,30 @@ def integrated_cdf(samples, points) -> np.ndarray:
     return (pts * idx - cum[idx]) / len(s)
 
 
-def sosd_strict(f_samples, h_samples, *, gap_tol: float = 1e-6, mean_tol: float = 1e-6) -> bool:
+# Band of sosd_strict: integrated-cdf gaps and mean differences within it
+# count as zero.
+SOSD_TOL = 1e-6
+
+
+def sosd_strict(f_samples, h_samples) -> bool:
     """True iff the first empirical distribution strictly second-order
     stochastically dominates the second.
 
     Checked through integrated cdfs on the merged support: the gap must never
-    exceed ``gap_tol`` in the wrong direction, must exceed it somewhere in
-    the right direction, and the means must agree within ``mean_tol``.
+    exceed ``SOSD_TOL`` in the wrong direction, must exceed it somewhere in
+    the right direction, and the means must agree within ``SOSD_TOL``.
     """
     f = np.asarray(list(getattr(f_samples, "errors", f_samples)), dtype=float)
     h = np.asarray(list(getattr(h_samples, "errors", h_samples)), dtype=float)
     if f.size == 0 or h.size == 0:
         raise ValueError("distributions must be non-empty")
-    if abs(f.mean() - h.mean()) > mean_tol:
+    if abs(f.mean() - h.mean()) > SOSD_TOL:
         return False
     grid = np.unique(np.concatenate([f, h]))
     gap = integrated_cdf(f, grid) - integrated_cdf(h, grid)
-    if np.any(gap > gap_tol):
+    if np.any(gap > SOSD_TOL):
         return False
-    return bool(np.any(gap < -gap_tol))
+    return bool(np.any(gap < -SOSD_TOL))
 
 
 def mlr_shift(masses, weights) -> DistributionShift:
@@ -163,16 +168,15 @@ def submodularity_gap(ladder: ValueLadder, interval, split: int, kind: str) -> f
     return parts - whole if not upper else whole - parts
 
 
-def submodular_delta_holds(ladder: ValueLadder, outer, inner, split: int, kind: str = LOWER,
-                           tol: float = 1e-12) -> bool:
+def submodular_delta_holds(ladder: ValueLadder, outer, inner, split: int,
+                           kind: str = LOWER) -> bool:
     """Splitting gains weakly more on the wider interval (submodularity)."""
     gain_outer = submodularity_gap(ladder, outer, split, kind)
     gain_inner = submodularity_gap(ladder, inner, split, kind)
-    return gain_outer >= gain_inner - tol
+    return gain_outer >= gain_inner - 1e-12
 
 
-def supermodular_coarse_holds(ladder: ValueLadder, cuts_a, cuts_b, kind: str = LOWER,
-                              tol: float = 1e-12) -> bool:
+def supermodular_coarse_holds(ladder: ValueLadder, cuts_a, cuts_b, kind: str = LOWER) -> bool:
     """V(join) + V(meet) >= V(a) + V(b) for same-length cutoff vectors (the
     inequality reverses for the upper kind, whose coarse value is minimized)."""
     upper = _check_kind(kind)
@@ -186,7 +190,7 @@ def supermodular_coarse_holds(ladder: ValueLadder, cuts_a, cuts_b, kind: str = L
     val = lambda cuts: _coarse_raw(ladder.levels, pref, 0, hi, cuts, upper)
     lhs = val(join) + val(meet)
     rhs = val(cuts_a) + val(cuts_b)
-    return (lhs <= rhs + tol) if upper else (lhs >= rhs - tol)
+    return (lhs <= rhs + 1e-12) if upper else (lhs >= rhs - 1e-12)
 
 
 def optimum_set(ladder: ValueLadder, n: int, kind: str, interval=None) -> tuple:
@@ -256,7 +260,7 @@ def sso_monotone_in_interval(ladder: ValueLadder, n: int, i_low, i_high,
 
 
 def nested_marginal_returns(ladder: ValueLadder, n: int, s, s_prime,
-                            kind: str = LOWER, tol: float = 1e-9) -> bool:
+                            kind: str = LOWER) -> bool:
     """Marginal value of one more block is larger on the wider interval:
     W(n+1, s') - W(n, s') >= W(n+1, s) - W(n, s).
 
@@ -278,7 +282,7 @@ def nested_marginal_returns(ladder: ValueLadder, n: int, s, s_prime,
     w_n1_s = restricted_value(ladder, n + 1, kind, s)
     lhs = w_n1_sp - w_n_sp
     rhs = w_n1_s - w_n_s
-    return (lhs <= rhs + tol) if kind == UPPER else (lhs >= rhs - tol)
+    return (lhs <= rhs + 1e-9) if kind == UPPER else (lhs >= rhs - 1e-9)
 
 
 def mlr_cutoff_monotonicity(ladder: ValueLadder, shift: DistributionShift, n: int,
@@ -293,8 +297,7 @@ def mlr_cutoff_monotonicity(ladder: ValueLadder, shift: DistributionShift, n: in
 
 
 def increasing_differences_holds(ladder: ValueLadder, lo: int, hi_small: int, hi_big: int,
-                                 cuts_hi, cuts_lo, kind: str = LOWER,
-                                 tol: float = 1e-9) -> bool:
+                                 cuts_hi, cuts_lo, kind: str = LOWER) -> bool:
     """Coarse-value differences in the cutoff vector grow with the interval:
     V([lo, hi_big], C'') - V([lo, hi_big], C') >= same difference on [lo, hi_small],
     for vectors with the last cutoff of C'' at or above that of C'."""
@@ -310,4 +313,4 @@ def increasing_differences_holds(ladder: ValueLadder, lo: int, hi_small: int, hi
     val = lambda h, c: _coarse_raw(ladder.levels, pref, lo, h, c, upper)
     lhs = val(hi_big, cuts_hi) - val(hi_big, cuts_lo)
     rhs = val(hi_small, cuts_hi) - val(hi_small, cuts_lo)
-    return (lhs <= rhs + tol) if upper else (lhs >= rhs - tol)
+    return (lhs <= rhs + 1e-9) if upper else (lhs >= rhs - 1e-9)

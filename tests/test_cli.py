@@ -16,6 +16,23 @@ ACT_RECORD = {
     "masses": [0.25, 0.25, 0.25, 0.25],
 }
 
+# Smallest valid fixtures of the application subcommands.
+APP_FIXTURES = {
+    "insurance": {
+        "contract": {"premium": 0.05, "deductible": 0.3, "coverage": 0.75, "wealth": 2.0},
+        "grid": {"max_loss": 1.0, "n": 20},
+    },
+    "portfolio": {
+        "endowment": 1.0, "safe_return": 1.02, "beta": 1 / 1.02,
+        "risky_returns": [0.8, 1.1, 1.4], "risky_masses": [0.3, 0.4, 0.3],
+    },
+    "contract": {
+        "outputs": [0.5, 0.75, 1.0], "effort_costs": {"low": 0.0, "high": 0.3},
+        "output_masses": [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]],
+        "wage_grid": [0.1, 0.2, 0.3, 0.4], "schedule": [0.1, 0.2, 0.4],
+    },
+}
+
 
 @pytest.fixture
 def act_file(tmp_path):
@@ -199,6 +216,33 @@ class TestExitCodes:
 
     def test_no_subcommand(self, capsys):
         assert run([]) == 1
+
+    @pytest.mark.parametrize("command", [
+        "bounds", "compare", "perceive", "sweep-capacity", "statics",
+        "insurance", "portfolio", "contract",
+    ])
+    def test_reversed_capacity_range(self, command, act_file, tmp_path, capsys):
+        infile, extra = act_file, []
+        if command == "compare":
+            extra = ["--in2", act_file]
+        elif command in APP_FIXTURES:
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(APP_FIXTURES[command]))
+            infile = str(path)
+        assert run([command, "--in", infile, "--N", "3..1", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: capacity range 3..1 is empty\n"
+
+    def test_values_not_a_list(self, tmp_path, capsys):
+        path = tmp_path / "act.json"
+        path.write_text(json.dumps(dict(ACT_RECORD, values=5)))
+        assert run(["bounds", "--in", str(path), "--N", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_input_is_a_directory(self, tmp_path, capsys):
+        assert run(["bounds", "--in", str(tmp_path), "--N", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestDeterminism:

@@ -131,18 +131,33 @@ class TestComonotone:
         assert are_comonotone(f, g, Belief([0.5, 0.5, 0.0]))
 
     def test_sort_based_path_matches_quadratic(self):
+        # small-integer values tie often; k = 1500 has over 10^6 state pairs
         rng = np.random.default_rng(9)
-        for _ in range(50):
-            k = int(rng.integers(2, 9))
-            f = DiscreteAct(range(k), rng.integers(-3, 4, size=k).astype(float).tolist())
-            g = DiscreteAct(range(k), rng.integers(-3, 4, size=k).astype(float).tolist())
-            quad = are_comonotone(f, g)
-            direct = all(
-                (a1 - a2) * (b1 - b2) >= 0
-                for a1, b1 in zip(f.values, g.values)
-                for a2, b2 in zip(f.values, g.values)
-            )
-            assert quad == direct
+
+        def pairwise(f_vals, g_vals, masses):
+            a, b = f_vals[masses > 0], g_vals[masses > 0]
+            return not np.any(np.subtract.outer(a, a) * np.subtract.outer(b, b) < 0)
+
+        cases = [(int(rng.integers(2, 9)), 4) for _ in range(50)]
+        cases += [(1500, 4)] * 10 + [(1500, 60)] * 10
+        outcomes = set()
+        for k, span in cases:
+            f_vals = rng.integers(-span, span + 1, size=k).astype(float)
+            g_vals = rng.integers(-span, span + 1, size=k).astype(float)
+            if k > 8 and rng.random() < 0.5:
+                # a monotone image of f with one entry nudged by -1, 0 or 1
+                g_vals = f_vals // 3
+                g_vals[rng.integers(0, k)] += rng.integers(-1, 2)
+            f = DiscreteAct(range(k), f_vals.tolist())
+            g = DiscreteAct(range(k), g_vals.tolist())
+            assert are_comonotone(f, g) == pairwise(f_vals, g_vals, np.ones(k))
+            masses = rng.uniform(0.0, 1.0, size=k) * (rng.random(k) < 0.7)
+            masses[0] = 1.0
+            belief = Belief((masses / masses.sum()).tolist())
+            expected = pairwise(f_vals, g_vals, np.asarray(belief.masses))
+            assert are_comonotone(f, g, belief) == expected
+            outcomes.add((k > 8, expected))
+        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 class TestCompare:
