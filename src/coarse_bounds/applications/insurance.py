@@ -18,9 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..acts import Belief, DiscreteAct, build_ladder
-from ..engine import attitude_kind, blocks_from_cuts, bound, top_block_starts
+from ..engine import attitude_kind, blocks_from_cuts, bound, optimum_set, top_block_starts
 from ..errors import BracketingError, PreconditionError
-from ..statics import optimum_set
 
 
 @dataclass(frozen=True)
@@ -72,6 +71,8 @@ class LossModel:
     @classmethod
     def from_density(cls, density, max_loss: float, n: int) -> "LossModel":
         """Midpoint discretization of a positive density on [0, max_loss]."""
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"loss grid size must be a positive integer, got {n!r}")
         step = max_loss / n
         losses = [(i + 0.5) * step for i in range(n)]
         weights = [density(x) for x in losses]
@@ -325,9 +326,8 @@ def kink_avoidance(contract: InsuranceContract, model: LossModel, utility, n: in
 
     The grid point nearest the deductible stands in for the kink state; with
     cutoffs living on the grid this is the within-one-grid-cell exclusion
-    zone around the kink. Quantifies over the full optimum set (exhaustive
-    oracle; instances must respect the oracle size guard). Vacuously true
-    for kink-free plans.
+    zone around the kink. Quantifies over the full optimum set. Vacuously
+    true for kink-free plans.
     """
     if not has_kink(contract):
         return True

@@ -21,16 +21,20 @@ and ``O(L)`` memory per layer. That search relies on the smallest optimal
 block end being nondecreasing in the block start, which follows from the
 submodularity (Monge property) of the cell function; it holds exactly in
 real arithmetic, and the parity tests check that the rounded candidates
-pick the same ends as the dense branch. :func:`brute_force_bound` is an
-independent exhaustive oracle that also returns the full optimum set, for
-instances below a size guard.
+pick the same ends as the dense branch.
+
+Every optimal cutoff vector is a path through the fill's suffix values:
+:func:`optimum_set` lists them all and :func:`top_block_starts` reads where
+their top blocks start. :func:`brute_force_bound` is an independent
+exhaustive oracle, kept only as a reference for those queries and the DP,
+for instances below a size guard.
 
 Tie policy: the canonical cutoff vector compares candidate values exactly.
 At every state it closes the block when closing is optimal and otherwise
 takes the smallest optimal block end, which yields the lexicographically
-smallest optimal vector, shorter vectors first. Set queries
-(:func:`top_block_starts`) count a candidate as optimal when it lies within
-``TIE_TOL`` (relative and absolute) of the optimum.
+smallest optimal vector, shorter vectors first. Every set query reads the
+DP and counts a candidate as optimal when it lies within ``TIE_TOL``
+(relative and absolute) of the optimum.
 
 Cutoff convention: a cutoff at index ``j`` starts a new block at level ``j``
 (cut levels belong to the upper block). A vector of ``B - 1`` strictly
@@ -40,7 +44,7 @@ ascending cutoffs in ``[1, L - 1]`` describes a partition into ``B`` blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 from math import comb, inf
 
@@ -339,28 +343,77 @@ def capacity_values(ladder: ValueLadder, n_max, kind: str) -> tuple:
     return tuple(float(values[min(n, length)][0]) for n in range(1, n_max + 1))
 
 
+def _optimal_moves(ladder: ValueLadder, n, kind: str, interval):
+    """Start state and move function of the optimum DAG of one DP fill.
+
+    A state (j, b) asks for the best partition of levels[j..hi] into at most
+    b blocks. ``moves(j, b)`` lists its optimal moves: -1 when closing one
+    block over [j..hi] is optimal, then every optimal end ``e`` of the block
+    starting at j, ascending, which leads to state (e + 1, b - 1). A move is
+    optimal when its candidate value lies within ``TIE_TOL`` of the state's
+    suffix value. Every optimal cutoff vector is one path from the start
+    state to a close.
+    """
+    upper = _check_kind(kind)
+    lo, hi = (0, len(ladder) - 1) if interval is None else interval
+    if not 0 <= lo <= hi < len(ladder):
+        raise ValueError(f"invalid interval {interval!r} for {len(ladder)} levels")
+    n_eff = min(_check_capacity(n), hi - lo + 1)
+    levels, pref = ladder.levels, _prefix_masses(ladder.level_masses)
+    values, _ = _fill(levels, pref, lo, hi, n_eff, upper)
+
+    @cache
+    def moves(j: int, b: int) -> tuple:
+        best = float(values[b][j - lo])
+        cands = [(-1, _cell(levels, pref, j, hi, upper))] + [
+            (e, _cell(levels, pref, j, e, upper) + float(values[b - 1][e + 1 - lo]))
+            for e in range(j, hi if b > 1 else j)
+        ]
+        return tuple(m for m, v in cands if abs(v - best) <= TIE_TOL + TIE_TOL * abs(best))
+
+    return (lo, n_eff), moves
+
+
+def optimum_set(ladder: ValueLadder, n, kind: str, interval=None) -> tuple:
+    """Every optimal cutoff vector of the problem on levels[lo..hi] (the whole
+    ladder when ``interval`` is None), sorted, in global level indices.
+
+    The vectors are the paths of the optimum DAG, walked depth first with
+    the close move before the block ends. Their number is counted over the
+    DAG before any is listed; above ``MAX_ORACLE_VECTORS`` the query raises
+    :class:`OracleTooLargeError`.
+    """
+    start, moves = _optimal_moves(ladder, n, kind, interval)
+
+    @cache
+    def count(j: int, b: int) -> int:
+        return sum(1 if m < 0 else count(m + 1, b - 1) for m in moves(j, b))
+
+    if count(*start) > MAX_ORACLE_VECTORS:
+        raise OracleTooLargeError("too many optimal cutoff vectors to list")
+
+    def walk(j: int, b: int, cuts: tuple):
+        for m in moves(j, b):
+            yield from [cuts] if m < 0 else walk(m + 1, b - 1, cuts + (m + 1,))
+
+    return tuple(walk(*start, ()))
+
+
 def top_block_starts(ladder: ValueLadder, n, kind: str) -> list:
     """Ascending level indices at which some optimal partition at capacity
     ``n`` starts its top block; 0 stands for the one-block partition.
 
-    The top block of this problem is the first block of the opposite-kind
-    problem on the negated, reversed ladder, so the starts are read off as
-    that problem's optimal first-block ends. Candidates within ``TIE_TOL``
-    of the optimum count as optimal.
+    These are the states of the optimum DAG that close, gathered over the
+    reachable states, so no optimal vector is listed and no size guard
+    applies.
     """
-    upper = not _check_kind(kind)
-    n_eff = min(_check_capacity(n), len(ladder))
-    last = len(ladder) - 1
-    levels = [-v for v in reversed(ladder.levels)]
-    pref = _prefix_masses(ladder.level_masses[::-1])
-    values, _ = _fill(levels, pref, 0, last, n_eff, upper)
-    best = float(values[n_eff][0])
-    tol = TIE_TOL + TIE_TOL * abs(best)
-    ends = {last: float(values[1][0])}
-    if n_eff > 1:
-        for e in range(last):
-            ends[e] = _cell(levels, pref, 0, e, upper) + float(values[n_eff - 1][e + 1])
-    return sorted(last - e for e, v in ends.items() if abs(v - best) <= tol)
+    start, moves = _optimal_moves(ladder, n, kind, None)
+
+    @cache
+    def starts(j: int, b: int) -> frozenset:
+        return frozenset().union(*({j} if m < 0 else starts(m + 1, b - 1) for m in moves(j, b)))
+
+    return sorted(starts(*start))
 
 
 def _bound_from_cuts(ladder: ValueLadder, cuts, value: float, n: int, kind: str) -> BoundResult:
@@ -405,12 +458,10 @@ def enumerate_cut_vectors(length: int, n: int):
         yield from combinations(range(1, length), b)
 
 
-def _enumerate_raw(levels, masses, n: int, upper: bool, lo: int = 0, hi=None):
-    """Exhaustive optimum over levels[lo..hi]: returns (value, optima) where
-    optima holds every optimal cutoff vector (global indices), sorted."""
-    if hi is None:
-        hi = len(levels) - 1
-    length = hi - lo + 1
+def _enumerate_raw(levels, masses, n: int, upper: bool):
+    """Exhaustive optimum over all levels: returns (value, optima) where
+    optima holds every optimal cutoff vector, sorted."""
+    length = len(levels)
     if length > MAX_ORACLE_LEVELS:
         raise OracleTooLargeError(f"{length} levels exceed the oracle guard")
     if comb(length - 1, min(n, length) - 1) > MAX_ORACLE_VECTORS:
@@ -418,9 +469,8 @@ def _enumerate_raw(levels, masses, n: int, upper: bool, lo: int = 0, hi=None):
     pref = _prefix_masses(masses)
     best = None
     optima = []
-    for rel_cuts in enumerate_cut_vectors(length, n):
-        cuts = tuple(c + lo for c in rel_cuts)
-        val = _coarse_raw(levels, pref, lo, hi, cuts, upper)
+    for cuts in enumerate_cut_vectors(length, n):
+        val = _coarse_raw(levels, pref, 0, length - 1, cuts, upper)
         if best is None or ((val < best) if upper else (val > best)):
             best = val
             optima = [cuts]

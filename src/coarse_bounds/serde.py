@@ -10,11 +10,16 @@ from .engine import BoundResult, PerceivedDistribution
 
 def act_from_record(record: dict) -> tuple:
     """Parse {states, values, masses} into an act and a belief."""
+    if not isinstance(record, dict):
+        raise ValueError("an act record must be a JSON object")
     for key in ("states", "values", "masses"):
         if not isinstance(record[key], list):
             raise ValueError(f"{key!r} must be a list")
-    act = DiscreteAct(record["states"], record["values"])
-    belief = Belief(record["masses"])
+    try:
+        act = DiscreteAct(record["states"], record["values"])
+        belief = Belief(record["masses"])
+    except TypeError as err:
+        raise ValueError(f"malformed act record: {err}") from None
     if len(act) != len(belief):
         raise ValueError("values and masses must have the same length")
     return act, belief

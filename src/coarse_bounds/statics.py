@@ -7,8 +7,8 @@ optimal cutoffs sandwiched across adjacent capacities, strong-set-order
 monotonicity of optimum sets in the underlying interval, higher marginal
 returns to capacity on wider intervals, and upward cutoff shifts under
 monotone-likelihood-ratio improvements of the belief. Each check here
-quantifies over the *full* optimum sets produced by the exhaustive oracle,
-never the canonical selection alone.
+quantifies over the *full* optimum sets that ``engine.optimum_set`` reads
+off the DP, never the canonical selection alone.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from .engine import (
     _check_kind,
     _coarse_raw,
     _dp_solve,
-    _enumerate_raw,
     _prefix_masses,
     capacity_values,
+    optimum_set,
 )
 from .errors import AlignmentError, PreconditionError
 
@@ -193,15 +193,6 @@ def supermodular_coarse_holds(ladder: ValueLadder, cuts_a, cuts_b, kind: str = L
     return (lhs <= rhs + 1e-12) if upper else (lhs >= rhs - 1e-12)
 
 
-def optimum_set(ladder: ValueLadder, n: int, kind: str, interval=None) -> tuple:
-    """Every optimal cutoff vector of the (possibly interval-restricted)
-    problem, via exhaustive enumeration."""
-    upper = _check_kind(kind)
-    lo, hi = (0, len(ladder) - 1) if interval is None else interval
-    _, optima = _enumerate_raw(ladder.levels, ladder.level_masses, n, upper, lo, hi)
-    return tuple(optima)
-
-
 def restricted_value(ladder: ValueLadder, n: int, kind: str, interval) -> float:
     upper = _check_kind(kind)
     lo, hi = interval
@@ -222,28 +213,25 @@ def sandwich_check(ladder: ValueLadder, n: int, kind: str = LOWER) -> bool:
     ``n + 1``. Vacuously true when the ladder fits within ``n`` levels."""
     if len(ladder) <= n:
         return True
-    opt_n = optimum_set(ladder, n, kind)
-    opt_n1 = optimum_set(ladder, n + 1, kind)
-    for coarse in opt_n:
-        if len(coarse) != n - 1:
-            continue  # degenerate optimum using fewer blocks
-        if not any(
-            len(fine) == n and weakly_sandwiched(coarse, fine) for fine in opt_n1
-        ):
-            return False
-    return True
+    opt_n1 = [fine for fine in optimum_set(ladder, n + 1, kind) if len(fine) == n]
+    return all(
+        any(weakly_sandwiched(coarse, fine) for fine in opt_n1)
+        for coarse in optimum_set(ladder, n, kind)
+        if len(coarse) == n - 1  # skip degenerate optima using fewer blocks
+    )
 
 
-def _sso_sets(high: tuple, low: tuple, high_valid, low_valid) -> bool:
-    for ch in high:
-        for cl in low:
-            if len(ch) != len(cl):
-                return False
-            join = tuple(max(a, b) for a, b in zip(ch, cl))
-            meet = tuple(min(a, b) for a, b in zip(ch, cl))
-            if join not in high_valid or meet not in low_valid:
-                return False
-    return True
+def _sso_sets(high: tuple, low: tuple) -> bool:
+    """Every join of a high and a low vector lies in ``high``, every meet in
+    ``low``: the strong set order ``high >= low``."""
+    high_valid, low_valid = set(high), set(low)
+    return all(
+        len(ch) == len(cl)
+        and tuple(map(max, ch, cl)) in high_valid
+        and tuple(map(min, ch, cl)) in low_valid
+        for ch in high
+        for cl in low
+    )
 
 
 def sso_monotone_in_interval(ladder: ValueLadder, n: int, i_low, i_high,
@@ -254,9 +242,7 @@ def sso_monotone_in_interval(ladder: ValueLadder, n: int, i_low, i_high,
     lo2, hi2 = i_high
     if lo2 < lo1 or hi2 < hi1:
         raise PreconditionError("intervals must be ordered in the strong set order")
-    opt_low = optimum_set(ladder, n, kind, i_low)
-    opt_high = optimum_set(ladder, n, kind, i_high)
-    return _sso_sets(opt_high, opt_low, set(opt_high), set(opt_low))
+    return _sso_sets(optimum_set(ladder, n, kind, i_high), optimum_set(ladder, n, kind, i_low))
 
 
 def nested_marginal_returns(ladder: ValueLadder, n: int, s, s_prime,
@@ -290,10 +276,9 @@ def mlr_cutoff_monotonicity(ladder: ValueLadder, shift: DistributionShift, n: in
     """Optimal cutoffs shift up (strong set order) under an MLR improvement."""
     if len(shift.base) != len(ladder):
         raise AlignmentError("shift does not align with the ladder")
-    upper = _check_kind(kind)
-    _, opt_base = _enumerate_raw(ladder.levels, shift.base, n, upper)
-    _, opt_shift = _enumerate_raw(ladder.levels, shift.shifted, n, upper)
-    return _sso_sets(tuple(opt_shift), tuple(opt_base), set(opt_shift), set(opt_base))
+    opt_base = optimum_set(ValueLadder(ladder.levels, shift.base), n, kind)
+    opt_shift = optimum_set(ValueLadder(ladder.levels, shift.shifted), n, kind)
+    return _sso_sets(opt_shift, opt_base)
 
 
 def increasing_differences_holds(ladder: ValueLadder, lo: int, hi_small: int, hi_big: int,

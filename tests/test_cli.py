@@ -240,6 +240,27 @@ class TestExitCodes:
         assert run(["bounds", "--in", str(path), "--N", "2"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("record", [
+        [1, 2],
+        dict(ACT_RECORD, values=[1.0, None, 3.0, 4.0]),
+    ], ids=["not-an-object", "null-value"])
+    def test_malformed_act_record(self, record, tmp_path, capsys):
+        path = tmp_path / "act.json"
+        path.write_text(json.dumps(record))
+        assert run(["bounds", "--in", str(path), "--N", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_insurance_grid(self, n, tmp_path, capsys):
+        path = tmp_path / "insurance.json"
+        path.write_text(json.dumps(dict(APP_FIXTURES["insurance"], grid={"n": n})))
+        assert run(["insurance", "--in", str(path), "--N", "2"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: loss grid size must be a positive integer, got {n}\n"
+        )
+
     def test_input_is_a_directory(self, tmp_path, capsys):
         assert run(["bounds", "--in", str(tmp_path), "--N", "2"]) == 1
         assert capsys.readouterr().err.startswith("error: ")

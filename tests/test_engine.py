@@ -21,12 +21,15 @@ from coarse_bounds.acts import (
     negate_ladder,
 )
 from coarse_bounds.engine import (
+    TIE_TOL,
     CutoffVector,
     blocks_from_cuts,
     bound,
     brute_force_bound,
     cell_value,
     coarse_value,
+    enumerate_cut_vectors,
+    optimum_set,
     perceived_distribution,
     pull_back,
     siminf,
@@ -38,6 +41,7 @@ from coarse_bounds.errors import (
     InvalidCapacityError,
     OracleTooLargeError,
 )
+from coarse_bounds.statics import restricted_value
 
 from util import dyadic_ladder, float_ladder
 
@@ -202,6 +206,94 @@ class TestTopBlockStarts:
         # N=3 optima (1,2), (1,3), (2,3): top blocks start at 2 or 3
         assert top_block_starts(UNIFORM4, 3, "lower") == [2, 3]
         assert top_block_starts(UNIFORM4, 1, "upper") == [0]
+
+
+def zero_mass_ladder(rng: np.random.Generator) -> ValueLadder:
+    """Dyadic ladder with about a third of its masses zero."""
+    length = int(rng.integers(2, 13))
+    levels = sorted(rng.choice(np.arange(-16, 17), size=length, replace=False).tolist())
+    weights = rng.integers(1, 9, size=length) * (rng.random(length) > 0.35)
+    denom = 1 << int(weights.sum()).bit_length()
+    weights[int(rng.integers(length))] += denom - weights.sum()
+    return ValueLadder([float(v) for v in levels], (weights / denom).tolist())
+
+
+class TestOptimumSet:
+    def test_dyadic_oracle_parity(self):
+        rng = np.random.default_rng(601)
+        for _ in range(300):
+            lad = dyadic_ladder(rng, max_levels=16)
+            n = int(rng.integers(1, 7))
+            for kind in ("lower", "upper"):
+                assert optimum_set(lad, n, kind) == brute_force_bound(lad, n, kind).optima
+
+    def test_float_oracle_parity(self):
+        rng = np.random.default_rng(602)
+        for _ in range(300):
+            lad = float_ladder(rng)
+            n = int(rng.integers(1, 7))
+            for kind in ("lower", "upper"):
+                assert optimum_set(lad, n, kind) == brute_force_bound(lad, n, kind).optima
+
+    def test_zero_mass_oracle_parity(self):
+        rng = np.random.default_rng(603)
+        for _ in range(300):
+            lad = zero_mass_ladder(rng)
+            n = int(rng.integers(1, 7))
+            for kind in ("lower", "upper"):
+                assert optimum_set(lad, n, kind) == brute_force_bound(lad, n, kind).optima
+
+    def test_interval_matches_exhaustive_loop(self):
+        rng = np.random.default_rng(604)
+        for _ in range(200):
+            lad = dyadic_ladder(rng)
+            n = int(rng.integers(1, 6))
+            lo = int(rng.integers(len(lad)))
+            hi = int(rng.integers(lo, len(lad)))
+            for kind in ("lower", "upper"):
+                values = {}
+                for rel in enumerate_cut_vectors(hi - lo + 1, n):
+                    cuts = tuple(c + lo for c in rel)
+                    edges = [lo, *cuts, hi + 1]
+                    values[cuts] = sum(
+                        cell_value((a, b - 1), lad, kind) for a, b in zip(edges, edges[1:])
+                    )
+                best = (min if kind == "upper" else max)(values.values())
+                expected = tuple(sorted(c for c, v in values.items() if v == best))
+                assert optimum_set(lad, n, kind, (lo, hi)) == expected
+
+    @pytest.mark.parametrize("interval", [(2, 1), (0, 4), (-1, 2)])
+    def test_invalid_interval_rejected(self, interval):
+        with pytest.raises(ValueError, match="invalid interval"):
+            optimum_set(UNIFORM4, 2, "lower", interval)
+
+    def test_all_vectors_optimal_and_guard(self):
+        # all mass on level 0: every partition has lower value 0
+        def point_mass(length):
+            return ValueLadder([float(i) for i in range(length)], [1.0] + [0.0] * (length - 1))
+
+        lad = point_mass(20)
+        opt = optimum_set(lad, 4, "lower")
+        assert len(opt) == 1160
+        assert opt == brute_force_bound(lad, 4, "lower").optima
+        with pytest.raises(OracleTooLargeError):
+            optimum_set(point_mass(60), 6, "lower")
+
+    def test_top_block_starts_list_no_optima(self):
+        # 847,660,528 optimal vectors; each top-block start is checked against
+        # the best partition of the levels below it
+        length, n = 150, 40
+        lad = ValueLadder([float(i) for i in range(1, length + 1)], [1.0 / length] * length)
+        with pytest.raises(OracleTooLargeError):
+            optimum_set(lad, n, "lower")
+        best = bound(lad, n, "lower").value
+        top = [cell_value((0, length - 1), lad, "lower")] + [
+            cell_value((s, length - 1), lad, "lower")
+            + restricted_value(lad, n - 1, "lower", (0, s - 1))
+            for s in range(1, length)
+        ]
+        expected = [s for s, v in enumerate(top) if abs(v - best) <= TIE_TOL * (1 + abs(best))]
+        assert top_block_starts(lad, n, "lower") == expected == [146, 147]
 
 
 class TestCellAndCoarseValue:

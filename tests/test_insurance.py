@@ -253,6 +253,19 @@ class TestKinkAvoidance:
             contract = InsuranceContract(0.05, d, c, None, 2.0)
             assert kink_avoidance(contract, self.SMALL, U, n)
 
+    @pytest.mark.parametrize("tilt", [None, 1.5])
+    def test_full_200_point_grid(self, tilt):
+        # the grid of the other insurance checks, beyond any exhaustive oracle
+        model = LossModel.uniform(1.0, 200)
+        model = model if tilt is None else model.tilted(tilt)
+        rng = np.random.default_rng(66)
+        for _ in range(10):
+            d = float(rng.uniform(0.2, 0.6))
+            c = float(rng.uniform(0.5, 1.0))
+            contract = InsuranceContract(0.05, d, c, None, 2.0)
+            for n in (2, 3, 4):
+                assert kink_avoidance(contract, model, U, n)
+
 
 class TestRecordedObservations:
     def test_coverage_vs_deductible_overreaction_crossover(self, capsys):
@@ -287,6 +300,11 @@ class TestLossModel:
         tilted = MODEL.tilted(2.0)
         ratios = np.asarray(tilted.masses) / np.asarray(MODEL.masses)
         assert np.all(np.diff(ratios) > 0)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_grid_rejected(self, n):
+        with pytest.raises(ValueError, match="loss grid size"):
+            LossModel.uniform(1.0, n)
 
     def test_validation(self):
         with pytest.raises(ValueError):
