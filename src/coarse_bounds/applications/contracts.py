@@ -13,10 +13,11 @@ discrete jump at the top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from .. import preferences
 from ..acts import Belief, DiscreteAct, build_ladder
-from ..engine import attitude_kind, bound, pull_back, top_block_starts
+from ..engine import bound, pull_back, top_block_starts
 from ..errors import InfeasibleConstructionError, PreconditionError
 
 
@@ -34,6 +35,7 @@ class ContractingProblem:
     agent_utility: object
     principal_utility: object
     wage_grid: tuple
+    _beliefs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         outputs = tuple(float(o) for o in self.outputs)
@@ -42,8 +44,7 @@ class ContractingProblem:
             raise ValueError("outputs must be strictly ascending")
         if len(self.output_masses) != len(self.efforts):
             raise ValueError("one output distribution per effort is required")
-        for masses in self.output_masses:
-            Belief(masses)
+        object.__setattr__(self, "_beliefs", tuple(Belief(m) for m in self.output_masses))
         wages = tuple(float(x) for x in self.wage_grid)
         object.__setattr__(self, "wage_grid", wages)
         if any(b <= a for a, b in zip(wages, wages[1:])):
@@ -58,7 +59,7 @@ class ContractingProblem:
                 raise ValueError("principal utility must be decreasing in the wage")
 
     def belief(self, effort) -> Belief:
-        return Belief(self.output_masses[self.efforts.index(effort)])
+        return self._beliefs[self.efforts.index(effort)]
 
 
 def _check_schedule(problem: ContractingProblem, schedule) -> tuple:
@@ -79,8 +80,7 @@ def utility_act(problem: ContractingProblem, schedule, effort) -> DiscreteAct:
 def agent_value(problem: ContractingProblem, schedule, effort, n: int,
                 attitude: str) -> float:
     act = utility_act(problem, schedule, effort)
-    ladder = build_ladder(act, problem.belief(effort))
-    return bound(ladder, n, attitude_kind(attitude)).value
+    return preferences.value(act, problem.belief(effort), n, attitude)
 
 
 def principal_value(problem: ContractingProblem, schedule, effort) -> float:
@@ -169,6 +169,66 @@ def _top_block_start(problem: ContractingProblem, schedule, effort, n: int) -> f
     )
 
 
+def _reckless_effort(problem: ContractingProblem, schedule, n: int):
+    if any(b < a for a, b in zip(schedule, schedule[1:])):
+        raise PreconditionError("schedule must be non-decreasing in output")
+    return best_response_effort(problem, schedule, "reckless", n)
+
+
+def _bait_shaver(problem: ContractingProblem, schedule, effort, n: int, epsilon: float):
+    """The bait region of a schedule and a function that shaves ``delta`` off
+    the wages there.
+
+    The region holds the outputs strictly inside the top perceived block,
+    below an ``epsilon`` collar under the highest output. It, the perceived
+    value and the principal's value of the unshaved schedule are computed
+    once; a shave only builds and verifies the modified schedule.
+    """
+    t_start = _top_block_start(problem, schedule, effort, n)
+    top = problem.outputs[-1]
+    region = tuple(
+        i for i, o in enumerate(problem.outputs) if t_start < o < top - epsilon
+    )
+    if not region:
+        raise InfeasibleConstructionError(
+            "bait region (top block interior below the cap) is empty"
+        )
+    before = agent_value(problem, schedule, effort, n, "reckless")
+    principal_before = principal_value(problem, schedule, effort)
+
+    def shave(delta: float) -> BaitResult:
+        modified = list(schedule)
+        for i in region:
+            modified[i] = schedule[i] - delta
+        modified = tuple(modified)
+        if any(b < a for a, b in zip(modified, modified[1:])):
+            raise InfeasibleConstructionError("monotonicity binds: delta too large")
+        after = agent_value(problem, modified, effort, n, "reckless")
+        gap = abs(after - before)
+        if gap > 1e-12:
+            raise InfeasibleConstructionError(
+                "perceived upper bound moved: delta too large"
+            )
+        new_effort = best_response_effort(problem, modified, "reckless", n)
+        if new_effort != effort:
+            raise InfeasibleConstructionError("induced effort changed")
+        gain = principal_value(problem, modified, effort) - principal_before
+        if gain <= 0:
+            raise InfeasibleConstructionError("bait region carries no probability mass")
+        interior_max = max(modified[:-1])
+        return BaitResult(
+            schedule=modified,
+            induced_effort=new_effort,
+            effort_unchanged=True,
+            perceived_value_gap=gap,
+            principal_gain=gain,
+            has_top_jump=interior_max < modified[-1],
+            region=region,
+        )
+
+    return region, shave
+
+
 def bait_feasibility_bound(problem: ContractingProblem, schedule, n: int,
                            epsilon: float) -> float:
     """Largest verified wage reduction on the bait region.
@@ -177,23 +237,15 @@ def bait_feasibility_bound(problem: ContractingProblem, schedule, n: int,
     edge) and bisects down, in 40 steps, until every bait clause verifies;
     the perceived upper bound is constant in delta on the optimal partition
     while every competing partition only gets cheaper, so the feasible set
-    is an interval at zero.
+    is an interval at zero. The effort, region and unshaved values are
+    computed once per call; each probe only shaves and verifies.
     """
     schedule = _check_schedule(problem, schedule)
-    if any(b < a for a, b in zip(schedule, schedule[1:])):
-        raise PreconditionError("schedule must be non-decreasing in output")
-    effort = best_response_effort(problem, schedule, "reckless", n)
-    t_start = _top_block_start(problem, schedule, effort, n)
-    top = problem.outputs[-1]
-    region = [
-        i for i, o in enumerate(problem.outputs) if t_start < o < top - epsilon
-    ]
-    if not region:
-        raise InfeasibleConstructionError(
-            "bait region (top block interior below the cap) is empty"
-        )
+    effort = _reckless_effort(problem, schedule, n)
+    region, shave = _bait_shaver(problem, schedule, effort, n, epsilon)
+    # the region lies strictly above the top block's first output, so first >= 1
     first = region[0]
-    mono = schedule[0] if first == 0 else schedule[first] - schedule[first - 1]
+    mono = schedule[first] - schedule[first - 1]
     if mono <= 0:
         raise InfeasibleConstructionError(
             "monotonicity binds immediately: no wage gap at the region edge"
@@ -201,8 +253,8 @@ def bait_feasibility_bound(problem: ContractingProblem, schedule, n: int,
 
     def verifies(delta: float) -> bool:
         try:
-            reckless_bait(problem, schedule, n, epsilon, delta)
-        except (InfeasibleConstructionError, PreconditionError):
+            shave(delta)
+        except InfeasibleConstructionError:
             return False
         return True
 
@@ -246,46 +298,8 @@ def reckless_bait(problem: ContractingProblem, schedule, n: int, epsilon: float,
     schedule = _check_schedule(problem, schedule)
     if delta < 0:
         raise ValueError("delta must be non-negative")
-    if any(b < a for a, b in zip(schedule, schedule[1:])):
-        raise PreconditionError("schedule must be non-decreasing in output")
-    effort = best_response_effort(problem, schedule, "reckless", n)
+    effort = _reckless_effort(problem, schedule, n)
     if delta == 0:
         return BaitResult(schedule, effort, True, 0.0, 0.0, False, ())
-    t_start = _top_block_start(problem, schedule, effort, n)
-    top = problem.outputs[-1]
-    region = tuple(
-        i for i, o in enumerate(problem.outputs) if t_start < o < top - epsilon
-    )
-    if not region:
-        raise InfeasibleConstructionError("bait region is empty")
-    modified = list(schedule)
-    for i in region:
-        modified[i] = schedule[i] - delta
-    modified = tuple(modified)
-    if any(b < a for a, b in zip(modified, modified[1:])):
-        raise InfeasibleConstructionError("monotonicity binds: delta too large")
-    before = agent_value(problem, schedule, effort, n, "reckless")
-    after = agent_value(problem, modified, effort, n, "reckless")
-    gap = abs(after - before)
-    if gap > 1e-12:
-        raise InfeasibleConstructionError(
-            "perceived upper bound moved: delta too large"
-        )
-    new_effort = best_response_effort(problem, modified, "reckless", n)
-    if new_effort != effort:
-        raise InfeasibleConstructionError("induced effort changed")
-    gain = principal_value(problem, modified, effort) - principal_value(
-        problem, schedule, effort
-    )
-    if gain <= 0:
-        raise InfeasibleConstructionError("bait region carries no probability mass")
-    interior_max = max(modified[:-1])
-    return BaitResult(
-        schedule=modified,
-        induced_effort=new_effort,
-        effort_unchanged=True,
-        perceived_value_gap=gap,
-        principal_gain=gain,
-        has_top_jump=interior_max < modified[-1],
-        region=region,
-    )
+    _, shave = _bait_shaver(problem, schedule, effort, n, epsilon)
+    return shave(delta)

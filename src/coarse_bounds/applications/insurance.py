@@ -13,10 +13,11 @@ no-cutoff-at-the-kink property of optimal partitions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .. import preferences
 from ..acts import Belief, DiscreteAct, build_ladder
 from ..engine import attitude_kind, blocks_from_cuts, bound, optimum_set, top_block_starts
 from ..errors import BracketingError, PreconditionError
@@ -47,22 +48,19 @@ class LossModel:
 
     losses: tuple
     masses: tuple
+    belief: Belief = field(init=False, repr=False, compare=False)
 
     def __init__(self, losses, masses):
         losses = tuple(float(x) for x in losses)
         masses = tuple(float(m) for m in masses)
         if any(b <= a for a, b in zip(losses, losses[1:])):
             raise ValueError("loss grid must be strictly ascending")
-        Belief(masses)  # validates masses
+        object.__setattr__(self, "belief", Belief(masses))
         object.__setattr__(self, "losses", losses)
         object.__setattr__(self, "masses", masses)
 
     def __len__(self):
         return len(self.losses)
-
-    @property
-    def belief(self) -> Belief:
-        return Belief(self.masses)
 
     @property
     def max_loss(self) -> float:
@@ -121,33 +119,12 @@ def plan_value(contract: InsuranceContract, model: LossModel, utility, n: int,
                attitude: str = "cautious") -> float:
     """Perceived plan value: the capacity-``n`` bound of utility of wealth."""
     act = utility_act(contract, model, utility)
-    ladder = build_ladder(act, model.belief)
-    return bound(ladder, n, attitude_kind(attitude)).value
+    return preferences.value(act, model.belief, n, attitude)
 
 
 def expected_value(contract: InsuranceContract, model: LossModel, utility) -> float:
     act = utility_act(contract, model, utility)
     return sum(v * m for v, m in zip(act.values, model.masses))
-
-
-def _with_parameter(contract: InsuranceContract, parameter: str, value: float) -> InsuranceContract:
-    if parameter == "deductible":
-        return replace(contract, deductible=value)
-    if parameter == "coverage":
-        return replace(contract, coverage=value)
-    if parameter == "cap":
-        if contract.cap is None:
-            raise PreconditionError("contract has no out-of-pocket cap")
-        return replace(contract, cap=value)
-    raise ValueError(f"unknown parameter {parameter!r}")
-
-
-def _parameter_value(contract: InsuranceContract, parameter: str) -> float:
-    return {
-        "deductible": contract.deductible,
-        "coverage": contract.coverage,
-        "cap": contract.cap,
-    }[parameter]
 
 
 def sensitivity(contract: InsuranceContract, model: LossModel, utility, n: int,
@@ -157,12 +134,15 @@ def sensitivity(contract: InsuranceContract, model: LossModel, utility, n: int,
 
     ``side="central"`` requires the parameter to be interior at step ``h``;
     ``side="backward"`` serves the upper boundary (full coverage).
+    ``parameter`` is ``"deductible"``, ``"coverage"`` or ``"cap"``.
     """
-    x0 = _parameter_value(contract, parameter)
+    if parameter not in ("deductible", "coverage", "cap"):
+        raise ValueError(f"unknown parameter {parameter!r}")
+    x0 = getattr(contract, parameter)
     if x0 is None:
         raise PreconditionError("parameter is absent from the contract")
     val = lambda x: plan_value(
-        _with_parameter(contract, parameter, x), model, utility, n, attitude
+        replace(contract, **{parameter: x}), model, utility, n, attitude
     )
     if side == "central":
         try:
@@ -218,24 +198,21 @@ def wtp(contract: InsuranceContract, model: LossModel, utility, n: int,
     return 0.5 * (lo + hi)
 
 
-def loss_block_cutoffs(contract: InsuranceContract, model: LossModel, utility,
-                       cuts, n: int) -> tuple:
-    """Interior loss-space cutoffs (each block's highest loss) induced by a
-    cutoff vector over the wealth ladder."""
-    act = utility_act(contract, model, utility)
-    ladder = build_ladder(act, model.belief)
-    level_losses: dict = {}
-    value_of = dict(zip(act.state_ids, act.values))
-    for x, m in zip(model.losses, model.masses):
+def _losses_by_level(act: DiscreteAct, ladder, model: LossModel) -> list:
+    """The positive-mass losses at each level of the act's ladder."""
+    losses_at: dict = {}
+    for x, v, m in zip(model.losses, act.values, model.masses):
         if m > 0:
-            level_losses.setdefault(value_of[x], []).append(x)
+            losses_at.setdefault(v, []).append(x)
+    return [losses_at[lv] for lv in ladder.levels]
+
+
+def loss_block_cutoffs(losses_by_level: list, cuts) -> tuple:
+    """Interior loss-space cutoffs (each block's highest loss) induced by a
+    cutoff vector over the wealth ladder, given the losses at each level."""
     spans = []
-    for blo, bhi in blocks_from_cuts(tuple(cuts), len(ladder)):
-        losses = [
-            x
-            for lv in ladder.levels[blo : bhi + 1]
-            for x in level_losses[lv]
-        ]
+    for blo, bhi in blocks_from_cuts(tuple(cuts), len(losses_by_level)):
+        losses = [x for at_level in losses_by_level[blo : bhi + 1] for x in at_level]
         spans.append((min(losses), max(losses)))
     spans.sort()
     return tuple(hi for _, hi in spans[:-1])
@@ -247,7 +224,7 @@ def plan_cutoffs(contract: InsuranceContract, model: LossModel, utility, n: int,
     act = utility_act(contract, model, utility)
     ladder = build_ladder(act, model.belief)
     res = bound(ladder, n, attitude_kind(attitude))
-    return loss_block_cutoffs(contract, model, utility, res.cutoffs.cuts, n)
+    return loss_block_cutoffs(_losses_by_level(act, ladder, model), res.cutoffs.cuts)
 
 
 @dataclass(frozen=True)
@@ -333,9 +310,10 @@ def kink_avoidance(contract: InsuranceContract, model: LossModel, utility, n: in
         return True
     act = utility_act(contract, model, utility)
     ladder = build_ladder(act, model.belief)
+    by_level = _losses_by_level(act, ladder, model)
     d = contract.deductible
     kink_point = min(model.losses, key=lambda x: abs(x - d))
-    for cuts in optimum_set(ladder, n, "lower"):
-        if kink_point in loss_block_cutoffs(contract, model, utility, cuts, n):
-            return False
-    return True
+    return not any(
+        kink_point in loss_block_cutoffs(by_level, cuts)
+        for cuts in optimum_set(ladder, n, "lower")
+    )

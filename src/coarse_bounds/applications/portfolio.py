@@ -9,12 +9,12 @@ grid size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..acts import Belief, DiscreteAct, build_ladder
-from ..engine import attitude_kind, bound
+from .. import preferences
+from ..acts import Belief, DiscreteAct
 from ..errors import ConvergenceError, PreconditionError
 from .crra import CRRAUtility
 
@@ -33,12 +33,13 @@ class PortfolioProblem:
     utility: CRRAUtility
     capacity: int
     attitude: str = "cautious"
+    belief: Belief = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         returns = tuple(float(r) for r in self.risky_returns)
         object.__setattr__(self, "risky_returns", returns)
         object.__setattr__(self, "risky_masses", tuple(float(m) for m in self.risky_masses))
-        Belief(self.risky_masses)
+        object.__setattr__(self, "belief", Belief(self.risky_masses))
         if any(b <= a for a, b in zip(returns, returns[1:])):
             raise ValueError("risky returns must be strictly ascending")
         if not returns[0] < self.safe_return < returns[-1]:
@@ -69,8 +70,7 @@ def perceived_return_value(problem: PortfolioProblem, payoff, capacity=None) -> 
             return NEG_INF
         values.append(problem.utility(x))
     act = DiscreteAct(problem.risky_returns, values)
-    ladder = build_ladder(act, Belief(problem.risky_masses))
-    return bound(ladder, n, attitude_kind(problem.attitude)).value
+    return preferences.value(act, problem.belief, n, problem.attitude)
 
 
 def allocation_objective(problem: PortfolioProblem, x: float, alpha: float,

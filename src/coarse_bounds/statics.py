@@ -21,12 +21,11 @@ from .acts import ValueLadder
 from .engine import (
     LOWER,
     UPPER,
-    _cell,
     _check_kind,
-    _coarse_raw,
     _dp_solve,
-    _prefix_masses,
     capacity_values,
+    cell_value,
+    coarse_value,
     optimum_set,
 )
 from .errors import AlignmentError, PreconditionError
@@ -161,10 +160,8 @@ def submodularity_gap(ladder: ValueLadder, interval, split: int, kind: str) -> f
     lo, hi = interval
     if not (lo < split <= hi):
         raise ValueError("split must be interior to the interval")
-    pref = _prefix_masses(ladder.level_masses)
-    lvl = ladder.levels
-    parts = _cell(lvl, pref, lo, split - 1, upper) + _cell(lvl, pref, split, hi, upper)
-    whole = _cell(lvl, pref, lo, hi, upper)
+    parts = cell_value((lo, split - 1), ladder, kind) + cell_value((split, hi), ladder, kind)
+    whole = cell_value((lo, hi), ladder, kind)
     return parts - whole if not upper else whole - parts
 
 
@@ -185,17 +182,18 @@ def supermodular_coarse_holds(ladder: ValueLadder, cuts_a, cuts_b, kind: str = L
         raise AlignmentError("cutoff vectors must have equal length")
     join = tuple(max(a, b) for a, b in zip(cuts_a, cuts_b))
     meet = tuple(min(a, b) for a, b in zip(cuts_a, cuts_b))
-    pref = _prefix_masses(ladder.level_masses)
-    hi = len(ladder) - 1
-    val = lambda cuts: _coarse_raw(ladder.levels, pref, 0, hi, cuts, upper)
+    val = lambda cuts: coarse_value(cuts, ladder, kind)
     lhs = val(join) + val(meet)
     rhs = val(cuts_a) + val(cuts_b)
     return (lhs <= rhs + 1e-12) if upper else (lhs >= rhs - 1e-12)
 
 
 def restricted_value(ladder: ValueLadder, n: int, kind: str, interval) -> float:
+    """Optimal bound value of the problem on levels[lo..hi]."""
     upper = _check_kind(kind)
     lo, hi = interval
+    if not 0 <= lo <= hi < len(ladder):
+        raise ValueError(f"invalid interval {interval!r} for {len(ladder)} levels")
     return _dp_solve(ladder.levels, ladder.level_masses, n, upper, lo, hi)[0]
 
 
@@ -294,8 +292,14 @@ def increasing_differences_holds(ladder: ValueLadder, lo: int, hi_small: int, hi
         raise PreconditionError("last cutoff of the high vector must be >=")
     if hi_small > hi_big:
         raise PreconditionError("hi_small must not exceed hi_big")
-    pref = _prefix_masses(ladder.level_masses)
-    val = lambda h, c: _coarse_raw(ladder.levels, pref, lo, h, c, upper)
+
+    def val(h: int, cuts: tuple) -> float:
+        edges = [lo, *cuts, h + 1]
+        total = 0.0
+        for start, end in zip(edges, edges[1:]):
+            total += cell_value((start, end - 1), ladder, kind)
+        return total
+
     lhs = val(hi_big, cuts_hi) - val(hi_big, cuts_lo)
     rhs = val(hi_small, cuts_hi) - val(hi_small, cuts_lo)
     return (lhs <= rhs + 1e-9) if upper else (lhs >= rhs - 1e-9)

@@ -4,6 +4,8 @@ agents, and the bait construction against reckless agents."""
 import numpy as np
 import pytest
 
+from coarse_bounds.acts import build_ladder
+from coarse_bounds.engine import top_block_starts
 from coarse_bounds.errors import InfeasibleConstructionError, PreconditionError
 from coarse_bounds.applications.contracts import (
     ContractingProblem,
@@ -13,6 +15,7 @@ from coarse_bounds.applications.contracts import (
     principal_value,
     reckless_bait,
     simplify_contract,
+    utility_act,
 )
 
 
@@ -172,6 +175,85 @@ class TestRecklessBait:
         schedule = [1.0] * 29 + [0.5]
         with pytest.raises(PreconditionError):
             reckless_bait(self.PROB30, schedule, 3, epsilon=0.05, delta=0.01)
+
+
+def bisection_bait_bound(problem, schedule, n, epsilon):
+    """Reference feasibility bound: the same bisection, but every probe is a
+    full ``reckless_bait`` call that redoes the whole setup."""
+    schedule = tuple(float(x) for x in schedule)
+    if any(b < a for a, b in zip(schedule, schedule[1:])):
+        raise PreconditionError("schedule must be non-decreasing in output")
+    effort = best_response_effort(problem, schedule, "reckless", n)
+    act = utility_act(problem, schedule, effort)
+    belief = problem.belief(effort)
+    ladder = build_ladder(act, belief)
+    if len(ladder) <= n:
+        raise PreconditionError("schedule is already within the agent's capacity")
+    top_level = ladder.levels[top_block_starts(ladder, n, "upper")[-1]]
+    t_start = min(
+        o for o, u, m in zip(problem.outputs, act.values, belief.masses)
+        if m > 0 and u >= top_level
+    )
+    top = problem.outputs[-1]
+    region = [i for i, o in enumerate(problem.outputs) if t_start < o < top - epsilon]
+    if not region:
+        raise InfeasibleConstructionError("bait region is empty")
+    first = region[0]
+    mono = schedule[0] if first == 0 else schedule[first] - schedule[first - 1]
+    if mono <= 0:
+        raise InfeasibleConstructionError("no wage gap at the region edge")
+
+    def verifies(delta):
+        try:
+            reckless_bait(problem, schedule, n, epsilon, delta)
+        except (InfeasibleConstructionError, PreconditionError):
+            return False
+        return True
+
+    if verifies(mono):
+        return mono
+    lo, hi = 0.0, mono
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if mid > 0 and verifies(mid):
+            lo = mid
+        else:
+            hi = mid
+    if lo <= 0:
+        raise InfeasibleConstructionError("no positive delta")
+    return lo
+
+
+class TestBaitParity:
+    """The one-setup bisection returns exactly what per-probe full
+    constructions return, or fails with the same error type."""
+
+    def outcome(self, search, problem, schedule, n):
+        try:
+            return search(problem, schedule, n, 0.05)
+        except (InfeasibleConstructionError, PreconditionError) as err:
+            return type(err)
+
+    def test_matches_per_probe_bisection(self):
+        rng = np.random.default_rng(8)
+        outcomes = []
+        for i in range(40):
+            prob = make_problem(
+                n_outputs=30,
+                mid_cost=float(rng.uniform(0.1, 0.25)),
+                high_cost=float(rng.uniform(0.3, 0.5)),
+            )
+            base = np.sort(rng.uniform(0.1, 2.5, size=30))
+            if i % 5 == 4:  # four distinct wages: the setup checks fail
+                schedule = np.sort(rng.choice(prob.wage_grid[::15], size=30)).tolist()
+            else:
+                schedule = (base + np.linspace(0.0, 0.3, 30)).tolist()
+            n = 1 + i % 4
+            got = self.outcome(bait_feasibility_bound, prob, schedule, n)
+            assert got == self.outcome(bisection_bait_bound, prob, schedule, n)
+            outcomes.append(got)
+        assert sum(isinstance(o, float) for o in outcomes) >= 30
+        assert {InfeasibleConstructionError, PreconditionError} <= set(outcomes)
 
 
 class TestValidation:

@@ -158,6 +158,23 @@ class TestSensitivity:
             assert s <= prev + 1e-9
             prev = s
 
+    @pytest.mark.parametrize("parameter", ["premium", "wealth", "loss"])
+    def test_unknown_parameter_rejected(self, parameter):
+        with pytest.raises(ValueError, match="unknown parameter"):
+            sensitivity(BASE, MODEL, U, 3, parameter, 0.01)
+
+    def test_absent_cap_rejected(self):
+        with pytest.raises(PreconditionError):
+            sensitivity(BASE, MODEL, U, 3, "cap", 0.01)
+
+    def test_cap_sensitivity(self):
+        capped = InsuranceContract(0.05, 0.3, 0.7, 0.4, 2.0)
+        h = 0.01
+        slope = sensitivity(capped, MODEL, U, 3, "cap", h)
+        up = plan_value(InsuranceContract(0.05, 0.3, 0.7, 0.4 + h, 2.0), MODEL, U, 3)
+        down = plan_value(InsuranceContract(0.05, 0.3, 0.7, 0.4 - h, 2.0), MODEL, U, 3)
+        assert slope == (up - down) / (2.0 * h)
+
 
 class TestWtp:
     def test_zero_improvement(self):

@@ -299,6 +299,11 @@ class TestRestrictedProblems:
     def test_restricted_value_matches_full_when_whole(self):
         assert restricted_value(UNIFORM8, 3, "lower", (0, 7)) == siminf(UNIFORM8, 3).value
 
+    @pytest.mark.parametrize("interval", [(-1, 2), (2, 1), (0, 9), (0, 4)])
+    def test_restricted_value_rejects_invalid_interval(self, interval):
+        with pytest.raises(ValueError, match="invalid interval"):
+            restricted_value(UNIFORM4, 2, "lower", interval)
+
     def test_optimum_set_guard_and_contents(self):
         opt = optimum_set(UNIFORM4, 2, "lower")
         assert opt == ((2,),)
