@@ -8,7 +8,7 @@ seed produce byte-identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .statics import (
     sandwich_check,
     sso_monotone_in_interval,
     submodular_delta_holds,
+    submodularity_gap,
     supermodular_coarse_holds,
 )
 from .applications.crra import CRRAUtility
@@ -63,6 +64,24 @@ class CriterionResult:
 # shared random instance generators
 # ---------------------------------------------------------------------------
 
+# Both mass helpers normalise uniform(low, 1) weights and move the rounding
+# residue onto the largest mass. They differ only in whose sum the residue is
+# taken against, Python's or numpy's, and each seeded instance depends on it.
+
+def _list_masses(rng: np.random.Generator, size: int, low: float) -> list:
+    w = rng.uniform(low, 1.0, size=size)
+    masses = (w / w.sum()).tolist()
+    masses[int(np.argmax(masses))] += 1.0 - sum(masses)
+    return masses
+
+
+def _array_masses(rng: np.random.Generator, size: int, low: float) -> list:
+    w = rng.uniform(low, 1.0, size=size)
+    masses = w / w.sum()
+    masses[int(np.argmax(masses))] += 1.0 - masses.sum()
+    return masses.tolist()
+
+
 def dyadic_ladder(rng: np.random.Generator, max_levels: int = 12) -> ValueLadder:
     """Masses k/2^10 and small integer levels: exact float sums."""
     length = int(rng.integers(1, max_levels + 1))
@@ -80,21 +99,13 @@ def float_ladder(rng: np.random.Generator, max_levels: int = 12,
     levels = np.sort(rng.uniform(-10.0, 10.0, size=length))
     while np.any(np.diff(levels) < 1e-6):
         levels = np.sort(rng.uniform(-10.0, 10.0, size=length))
-    w = rng.uniform(0.05, 1.0, size=length)
-    masses = w / w.sum()
-    idx = int(np.argmax(masses))
-    masses[idx] += 1.0 - masses.sum()
-    return ValueLadder(levels.tolist(), masses.tolist())
+    return ValueLadder(levels.tolist(), _array_masses(rng, length, 0.05))
 
 
 def random_act_belief(rng: np.random.Generator, max_states: int = 8):
     k = int(rng.integers(2, max_states + 1))
     values = rng.uniform(-5.0, 5.0, size=k).tolist()
-    w = rng.uniform(0.05, 1.0, size=k)
-    masses = w / w.sum()
-    idx = int(np.argmax(masses))
-    masses[idx] += 1.0 - masses.sum()
-    return DiscreteAct(range(k), values), Belief(masses.tolist())
+    return DiscreteAct(range(k), values), Belief(_array_masses(rng, k, 0.05))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +201,6 @@ def criterion_lattice_suite(seed: int = 0, n_instances: int = 1_000) -> Criterio
             note("submodularity")
         strict = (lo_o, hi_o) != (lo_i, hi_i)
         if strict:
-            from .statics import submodularity_gap
             gap_o = submodularity_gap(lad, (lo_o, hi_o), split, "lower")
             gap_i = submodularity_gap(lad, (lo_i, hi_i), split, "lower")
             if not gap_o > gap_i:
@@ -334,13 +344,8 @@ def _learning_fixture(rng: np.random.Generator):
     states = tuple(range(k_states))
     gaps = rng.uniform(0.02, 0.05, size=k_states)
     values = 1.0 + np.cumsum(gaps)
-    w = rng.uniform(0.4, 1.0, size=k_states)
-    masses = w / w.sum()
-    idx = int(np.argmax(masses))
-    masses[idx] += 1.0 - masses.sum()
     act = DiscreteAct(states, values.tolist())
-    belief = Belief(masses.tolist())
-    return act, belief
+    return act, Belief(_array_masses(rng, k_states, 0.4))
 
 
 def criterion_learning(seed: int = 0, n_fixtures: int = 200, k: int = 200,
@@ -527,15 +532,14 @@ def criterion_portfolio(seed: int = 0) -> CriterionResult:
     issues = []
     rng = np.random.default_rng(seed + 7)
     grid = np.linspace(0.7, 1.6, 40)
-    w = rng.uniform(0.5, 1.0, size=40)
-    masses = (w / w.sum()).tolist()
-    masses[int(np.argmax(masses))] += 1.0 - sum(masses)
+    masses = _list_masses(rng, 40, 0.5)
+    base = pf.PortfolioProblem(
+        endowment=1.0, safe_return=1.02, risky_returns=grid.tolist(),
+        risky_masses=masses, beta=1 / 1.02, utility=CRRAUtility(2.0),
+        capacity=3, attitude="cautious",
+    )
     for gamma in (1.0, 2.0, 3.0):
-        prob = pf.PortfolioProblem(
-            endowment=1.0, safe_return=1.02, risky_returns=grid.tolist(),
-            risky_masses=masses, beta=1 / 1.02, utility=CRRAUtility(gamma),
-            capacity=3, attitude="cautious",
-        )
+        prob = replace(base, utility=CRRAUtility(gamma))
         for x in (0.3, 0.5):
             a_n = pf.solve_allocation(prob, x)
             a_inf = pf.solve_allocation(prob, x, capacity=prob.grid_size)
@@ -545,23 +549,14 @@ def criterion_portfolio(seed: int = 0) -> CriterionResult:
         s_inf = pf.solve_savings(prob, capacity=prob.grid_size)
         if s_n.total < s_inf.total - 1e-6:
             issues.append(f"savings gamma={gamma}: {s_n.total} < {s_inf.total}")
-    prob = pf.PortfolioProblem(
-        endowment=1.0, safe_return=1.02, risky_returns=grid.tolist(),
-        risky_masses=masses, beta=1 / 1.02, utility=CRRAUtility(2.0),
-        capacity=3, attitude="cautious",
-    )
-    closed_form = prob.beta * float(np.dot(grid, masses))
-    caps = (1, 2, 3, 5, 10, 20, prob.grid_size)
-    prices = [pf.equilibrium_price(prob, capacity=n) for n in caps]
+    closed_form = base.beta * float(np.dot(grid, masses))
+    caps = (1, 2, 3, 5, 10, 20, base.grid_size)
+    prices = [pf.equilibrium_price(base, capacity=n) for n in caps]
     if any(b < a - 1e-9 for a, b in zip(prices, prices[1:])):
         issues.append(f"cautious prices not increasing: {prices}")
     if abs(prices[-1] - closed_form) > 1e-6:
         issues.append(f"price at full capacity {prices[-1]} vs closed form {closed_form}")
-    reckless = pf.PortfolioProblem(
-        endowment=1.0, safe_return=1.02, risky_returns=grid.tolist(),
-        risky_masses=masses, beta=1 / 1.02, utility=CRRAUtility(2.0),
-        capacity=3, attitude="reckless",
-    )
+    reckless = replace(base, attitude="reckless")
     prices_r = [pf.equilibrium_price(reckless, capacity=n) for n in caps]
     if any(b > a + 1e-9 for a, b in zip(prices_r, prices_r[1:])):
         issues.append(f"reckless prices not decreasing: {prices_r}")
@@ -665,10 +660,7 @@ def criterion_preferences(seed: int = 0, n_checks: int = 10_000) -> CriterionRes
         states = tuple(range(k))
         f_vals = np.sort(rng.uniform(-4.0, 4.0, size=k))
         g_vals = np.sort(rng.uniform(-4.0, 4.0, size=k))
-        w = rng.uniform(0.1, 1.0, size=k)
-        masses = (w / w.sum()).tolist()
-        masses[int(np.argmax(masses))] += 1.0 - sum(masses)
-        belief = Belief(masses)
+        belief = Belief(_list_masses(rng, k, 0.1))
         f = DiscreteAct(states, f_vals.tolist())
         n = int(rng.integers(1, 4))
         vf = value(f, belief, n, Attitude.CAUTIOUS)
@@ -688,10 +680,7 @@ def criterion_preferences(seed: int = 0, n_checks: int = 10_000) -> CriterionRes
         k = int(rng.integers(3, 7))
         n = int(rng.integers(1, 4))
         states = tuple(range(k))
-        w = rng.uniform(0.1, 1.0, size=k)
-        masses = (w / w.sum()).tolist()
-        masses[int(np.argmax(masses))] += 1.0 - sum(masses)
-        belief = Belief(masses)
+        belief = Belief(_list_masses(rng, k, 0.1))
         groups = rng.integers(0, n, size=k)
         base_vals = rng.uniform(-3.0, 3.0, size=n)
         m_act = DiscreteAct(states, [float(base_vals[g]) for g in groups])
@@ -719,10 +708,7 @@ def criterion_preferences(seed: int = 0, n_checks: int = 10_000) -> CriterionRes
         k = int(rng.integers(3, 7))
         n = int(rng.integers(1, 4))
         states = tuple(range(k))
-        w = rng.uniform(0.1, 1.0, size=k)
-        masses = (w / w.sum()).tolist()
-        masses[int(np.argmax(masses))] += 1.0 - sum(masses)
-        belief = Belief(masses)
+        belief = Belief(_list_masses(rng, k, 0.1))
         groups = rng.integers(0, n, size=k)
         vals = [rng.uniform(-3.0, 3.0, size=n) for _ in range(3)]
         f, g, h = (
@@ -771,10 +757,7 @@ def find_uncertainty_aversion_failure(seed: int = 0):
     for _ in range(5_000):
         k = int(rng.integers(3, 7))
         states = tuple(range(k))
-        w = rng.uniform(0.1, 1.0, size=k)
-        masses = (w / w.sum()).tolist()
-        masses[int(np.argmax(masses))] += 1.0 - sum(masses)
-        belief = Belief(masses)
+        belief = Belief(_list_masses(rng, k, 0.1))
         n = int(rng.integers(2, 4))
         f = DiscreteAct(states, np.sort(rng.uniform(-4.0, 4.0, size=k)).tolist())
         g0 = DiscreteAct(states, np.sort(rng.uniform(-4.0, 4.0, size=k)).tolist())

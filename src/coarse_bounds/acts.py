@@ -11,11 +11,22 @@ that share a value (or carry no mass) are collapsed before any optimization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, isfinite
+from math import fsum, inf, isfinite
 
 from .errors import AlignmentError, DegenerateBeliefError
 
 MASS_TOL = 1e-12
+
+
+def _check_masses(masses: tuple, sign_error: str, sum_error: str) -> None:
+    """Raise ``ValueError(sign_error)`` unless every mass is finite and
+    non-negative, and ``ValueError(sum_error)`` unless the masses sum to 1
+    within ``MASS_TOL``; ``{total!r}`` in ``sum_error`` names their sum."""
+    if not all(0.0 <= m < inf for m in masses):
+        raise ValueError(sign_error)
+    total = fsum(masses)
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValueError(sum_error.format(total=total))
 
 
 @dataclass(frozen=True)
@@ -55,12 +66,12 @@ class Belief:
         masses = tuple(float(m) for m in masses)
         if len(masses) == 0:
             raise DegenerateBeliefError("a belief needs at least one state")
-        if any(m < 0 or not isfinite(m) for m in masses):
-            raise ValueError("belief masses must be finite and non-negative")
         if all(m == 0.0 for m in masses):
             raise DegenerateBeliefError("belief puts no mass on any state")
-        if abs(fsum(masses) - 1.0) > MASS_TOL:
-            raise ValueError(f"belief masses sum to {fsum(masses)!r}, not 1")
+        _check_masses(
+            masses, "belief masses must be finite and non-negative",
+            "belief masses sum to {total!r}, not 1",
+        )
         object.__setattr__(self, "masses", masses)
 
     def __len__(self):
@@ -81,12 +92,14 @@ class ValueLadder:
             raise AlignmentError("levels and masses must align")
         if len(levels) == 0:
             raise DegenerateBeliefError("a ladder needs at least one level")
-        if any(b <= a for a, b in zip(levels, levels[1:])):
+        # a NaN level fails every comparison, so these two checks reject it
+        if not all(a < b for a, b in zip(levels, levels[1:])):
             raise ValueError("ladder levels must be strictly ascending")
-        if any(m < 0 for m in level_masses):
-            raise ValueError("ladder masses must be non-negative")
-        if abs(fsum(level_masses) - 1.0) > MASS_TOL:
-            raise ValueError("ladder masses must sum to 1")
+        if not -inf < levels[0] <= levels[-1] < inf:
+            raise ValueError("ladder levels must be finite")
+        _check_masses(
+            level_masses, "ladder masses must be non-negative", "ladder masses must sum to 1"
+        )
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "level_masses", level_masses)
 

@@ -8,7 +8,6 @@ timestamps or timings are written.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -31,6 +30,7 @@ from .serde import (
     bound_to_record,
     dump_json,
     load_act,
+    load_record,
     perceived_to_record,
     write_csv,
 )
@@ -124,8 +124,7 @@ def cmd_statics(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        fixture = json.load(fh)
+    fixture = load_record(args.infile)
     act, belief = act_from_record(fixture)
     rule = SmoothRule(gamma=fixture["gamma"], k=fixture["k"])
     seed = int(fixture.get("seed", args.seed))
@@ -164,10 +163,12 @@ def _contract(record: dict) -> ins.InsuranceContract:
 
 
 def cmd_insurance(args) -> int:
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        fixture = json.load(fh)
-    contract = _contract(fixture["contract"])
-    grid_spec = dict(fixture.get("grid", {}))
+    fixture = load_record(args.infile)
+    contract_record, grid_spec = fixture["contract"], fixture.get("grid", {})
+    if not (isinstance(contract_record, dict) and isinstance(grid_spec, dict)):
+        raise CoarseBoundsError("'contract' and 'grid' must be JSON objects")
+    contract = _contract(contract_record)
+    grid_spec = dict(grid_spec)
     if args.grid:
         grid_spec["n"] = args.grid
     model = _loss_model(grid_spec)
@@ -231,8 +232,7 @@ def emit_figure_data(kind: str, contract, model, utility, n, target_deductible=N
 
 
 def cmd_portfolio(args) -> int:
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        fixture = json.load(fh)
+    fixture = load_record(args.infile)
     problem = pf.PortfolioProblem(
         endowment=fixture["endowment"], safe_return=fixture["safe_return"],
         risky_returns=fixture["risky_returns"], risky_masses=fixture["risky_masses"],
@@ -249,8 +249,7 @@ def cmd_portfolio(args) -> int:
 
 
 def cmd_contract(args) -> int:
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        fixture = json.load(fh)
+    fixture = load_record(args.infile)
     costs = {str(k): float(v) for k, v in fixture["effort_costs"].items()}
     efforts = tuple(costs)
     problem = ct.ContractingProblem(

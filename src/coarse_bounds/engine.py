@@ -318,29 +318,40 @@ def _fill(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):
     return values, choices
 
 
-def _dp_solve(levels, masses, n: int, upper: bool, lo: int = 0, hi=None):
-    """Optimal value and lexicographically smallest optimal cutoff vector for
-    levels[lo..hi] under capacity n."""
-    if hi is None:
-        hi = len(levels) - 1
-    n_eff = min(n, hi - lo + 1)
-    values, choices = _fill(levels, _prefix_masses(masses), lo, hi, n_eff, upper)
+def _solve(ladder: ValueLadder, n, kind: str, interval):
+    """The checked setup and DP fill behind every engine query.
+
+    Checks the kind, the interval (the whole ladder when None) and the
+    capacity, then fills levels[lo..hi] up to the capacity clamped to the
+    interval length. Returns ``(n, upper, lo, hi, pref, values, choices)``.
+    """
+    upper = _check_kind(kind)
+    lo, hi = (0, len(ladder) - 1) if interval is None else interval
+    if not 0 <= lo <= hi < len(ladder):
+        raise ValueError(f"invalid interval {interval!r} for {len(ladder)} levels")
+    n = _check_capacity(n)
+    pref = _prefix_masses(ladder.level_masses)
+    values, choices = _fill(ladder.levels, pref, lo, hi, min(n, hi - lo + 1), upper)
+    return n, upper, lo, hi, pref, values, choices
+
+
+def _dp_solve(ladder: ValueLadder, n, kind: str):
+    """Optimal value and lexicographically smallest optimal cutoff vector."""
+    *_, values, choices = _solve(ladder, n, kind, None)
     cuts = []
-    j, b = lo, n_eff
-    while (e := int(choices[b][j - lo])) >= 0:
+    j, b = 0, len(values) - 1
+    while (e := int(choices[b][j])) >= 0:
         cuts.append(e + 1)
         j, b = e + 1, b - 1
-    return float(values[n_eff][0]), tuple(cuts)
+    return float(values[-1][0]), tuple(cuts)
 
 
-def capacity_values(ladder: ValueLadder, n_max, kind: str) -> tuple:
-    """Optimal bound values W(1..n_max) of a ladder, read from one DP fill."""
-    upper = _check_kind(kind)
-    n_max = _check_capacity(n_max)
-    length = len(ladder)
-    pref = _prefix_masses(ladder.level_masses)
-    values, _ = _fill(ladder.levels, pref, 0, length - 1, min(n_max, length), upper)
-    return tuple(float(values[min(n, length)][0]) for n in range(1, n_max + 1))
+def capacity_values(ladder: ValueLadder, n_max, kind: str, interval=None) -> tuple:
+    """Optimal bound values W(1..n_max) of the problem on levels[lo..hi] (the
+    whole ladder when ``interval`` is None), read from one DP fill."""
+    n_max, *_, values, _ = _solve(ladder, n_max, kind, interval)
+    row = tuple(float(values[n][0]) for n in range(1, len(values)))
+    return row + row[-1:] * (n_max - len(row))
 
 
 def _optimal_moves(ladder: ValueLadder, n, kind: str, interval):
@@ -354,13 +365,8 @@ def _optimal_moves(ladder: ValueLadder, n, kind: str, interval):
     suffix value. Every optimal cutoff vector is one path from the start
     state to a close.
     """
-    upper = _check_kind(kind)
-    lo, hi = (0, len(ladder) - 1) if interval is None else interval
-    if not 0 <= lo <= hi < len(ladder):
-        raise ValueError(f"invalid interval {interval!r} for {len(ladder)} levels")
-    n_eff = min(_check_capacity(n), hi - lo + 1)
-    levels, pref = ladder.levels, _prefix_masses(ladder.level_masses)
-    values, _ = _fill(levels, pref, lo, hi, n_eff, upper)
+    _, upper, lo, hi, pref, values, _ = _solve(ladder, n, kind, interval)
+    levels = ladder.levels
 
     @cache
     def moves(j: int, b: int) -> tuple:
@@ -371,7 +377,7 @@ def _optimal_moves(ladder: ValueLadder, n, kind: str, interval):
         ]
         return tuple(m for m, v in cands if abs(v - best) <= TIE_TOL + TIE_TOL * abs(best))
 
-    return (lo, n_eff), moves
+    return (lo, len(values) - 1), moves
 
 
 def optimum_set(ladder: ValueLadder, n, kind: str, interval=None) -> tuple:
@@ -433,10 +439,8 @@ def _bound_from_cuts(ladder: ValueLadder, cuts, value: float, n: int, kind: str)
 
 def bound(ladder: ValueLadder, n, kind: str) -> BoundResult:
     """Optimal lower or upper bound of a ladder at capacity ``n``."""
-    upper = _check_kind(kind)
-    n = _check_capacity(n)
-    value, cuts = _dp_solve(ladder.levels, ladder.level_masses, n, upper)
-    return _bound_from_cuts(ladder, cuts, value, n, kind)
+    value, cuts = _dp_solve(ladder, n, kind)
+    return _bound_from_cuts(ladder, cuts, value, int(n), kind)
 
 
 def siminf(ladder: ValueLadder, n) -> BoundResult:

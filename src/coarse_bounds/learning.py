@@ -144,13 +144,18 @@ def sampling_errors_from_counts(f: DiscreteAct, counts: np.ndarray,
     return ErrorDistribution(errors=tuple(errs.tolist()))
 
 
-def empirical_expectation(f: DiscreteAct, data: Dataset) -> float:
-    """Sample mean of the act over the draws."""
+def _draw_values(f: DiscreteAct, data: Dataset) -> list:
+    """The act's payoff at each draw, in draw order."""
     values = dict(zip(f.state_ids, f.values))
     try:
-        return sum(values[d] for d in data.draws) / data.K
+        return [values[d] for d in data.draws]
     except KeyError as err:
         raise AlignmentError(f"draw {err.args[0]!r} is not a state of the act") from err
+
+
+def empirical_expectation(f: DiscreteAct, data: Dataset) -> float:
+    """Sample mean of the act over the draws."""
+    return sum(_draw_values(f, data)) / data.K
 
 
 def value_cells(f: DiscreteAct) -> dict:
@@ -230,8 +235,7 @@ def bootstrap_errors(f: DiscreteAct, data: Dataset, b: int, seed: int) -> ErrorD
     """
     if b < 1:
         raise ValueError("replicate count must be at least 1")
-    values = dict(zip(f.state_ids, f.values))
-    obs = np.asarray([values[d] for d in data.draws], dtype=float)
+    obs = np.asarray(_draw_values(f, data), dtype=float)
     base = obs.mean()
     idx = _resample_indices(data.K, b, int(seed))
     means = obs[idx].mean(axis=1)

@@ -33,9 +33,17 @@ def act_to_record(act: DiscreteAct, belief: Belief) -> dict:
     }
 
 
-def load_act(path: str) -> tuple:
+def load_record(path: str) -> dict:
+    """The JSON object a fixture file holds; any other JSON value is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return act_from_record(json.load(fh))
+        record = json.load(fh)
+    if not isinstance(record, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    return record
+
+
+def load_act(path: str) -> tuple:
+    return act_from_record(load_record(path))
 
 
 def bound_to_record(result: BoundResult) -> dict:

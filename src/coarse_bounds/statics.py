@@ -21,8 +21,6 @@ from .acts import ValueLadder
 from .engine import (
     LOWER,
     UPPER,
-    _check_kind,
-    _dp_solve,
     capacity_values,
     cell_value,
     coarse_value,
@@ -139,12 +137,11 @@ def mlr_shift(masses, weights) -> DistributionShift:
 
 def capacity_profile(ladder: ValueLadder, n_max: int, kind: str) -> CapacityProfile:
     """W(N) for N = 1..n_max, with monotonicity and concavity flags."""
-    upper = _check_kind(kind)
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     values = capacity_values(ladder, n_max, kind)
     inc = [b - a for a, b in zip(values, values[1:])]
-    if upper:
+    if kind == UPPER:
         monotone = all(d <= 1e-12 for d in inc)
         concave = all(b >= a - 1e-12 for a, b in zip(inc, inc[1:]))
     else:
@@ -156,13 +153,12 @@ def capacity_profile(ladder: ValueLadder, n_max: int, kind: str) -> CapacityProf
 def submodularity_gap(ladder: ValueLadder, interval, split: int, kind: str) -> float:
     """Gain from splitting ``interval`` at ``split``: v(lo..split-1) +
     v(split..hi) - v(lo..hi). Non-negative for the lower kind."""
-    upper = _check_kind(kind)
     lo, hi = interval
     if not (lo < split <= hi):
         raise ValueError("split must be interior to the interval")
     parts = cell_value((lo, split - 1), ladder, kind) + cell_value((split, hi), ladder, kind)
     whole = cell_value((lo, hi), ladder, kind)
-    return parts - whole if not upper else whole - parts
+    return whole - parts if kind == UPPER else parts - whole
 
 
 def submodular_delta_holds(ladder: ValueLadder, outer, inner, split: int,
@@ -176,7 +172,6 @@ def submodular_delta_holds(ladder: ValueLadder, outer, inner, split: int,
 def supermodular_coarse_holds(ladder: ValueLadder, cuts_a, cuts_b, kind: str = LOWER) -> bool:
     """V(join) + V(meet) >= V(a) + V(b) for same-length cutoff vectors (the
     inequality reverses for the upper kind, whose coarse value is minimized)."""
-    upper = _check_kind(kind)
     cuts_a, cuts_b = tuple(cuts_a), tuple(cuts_b)
     if len(cuts_a) != len(cuts_b):
         raise AlignmentError("cutoff vectors must have equal length")
@@ -185,16 +180,12 @@ def supermodular_coarse_holds(ladder: ValueLadder, cuts_a, cuts_b, kind: str = L
     val = lambda cuts: coarse_value(cuts, ladder, kind)
     lhs = val(join) + val(meet)
     rhs = val(cuts_a) + val(cuts_b)
-    return (lhs <= rhs + 1e-12) if upper else (lhs >= rhs - 1e-12)
+    return (lhs <= rhs + 1e-12) if kind == UPPER else (lhs >= rhs - 1e-12)
 
 
 def restricted_value(ladder: ValueLadder, n: int, kind: str, interval) -> float:
     """Optimal bound value of the problem on levels[lo..hi]."""
-    upper = _check_kind(kind)
-    lo, hi = interval
-    if not 0 <= lo <= hi < len(ladder):
-        raise ValueError(f"invalid interval {interval!r} for {len(ladder)} levels")
-    return _dp_solve(ladder.levels, ladder.level_masses, n, upper, lo, hi)[0]
+    return capacity_values(ladder, n, kind, interval)[-1]
 
 
 def weakly_sandwiched(coarse: tuple, fine: tuple) -> bool:
@@ -260,10 +251,8 @@ def nested_marginal_returns(ladder: ValueLadder, n: int, s, s_prime,
         weakly_sandwiched(c, f) for c in opt_coarse for f in opt_fine
     ):
         raise PreconditionError("no sandwiched selections across the two problems")
-    w_n_sp = restricted_value(ladder, n, kind, s_prime)
-    w_n1_sp = restricted_value(ladder, n + 1, kind, s_prime)
-    w_n_s = restricted_value(ladder, n, kind, s)
-    w_n1_s = restricted_value(ladder, n + 1, kind, s)
+    *_, w_n_sp, w_n1_sp = capacity_values(ladder, n + 1, kind, s_prime)
+    *_, w_n_s, w_n1_s = capacity_values(ladder, n + 1, kind, s)
     lhs = w_n1_sp - w_n_sp
     rhs = w_n1_s - w_n_s
     return (lhs <= rhs + 1e-9) if kind == UPPER else (lhs >= rhs - 1e-9)
@@ -284,7 +273,6 @@ def increasing_differences_holds(ladder: ValueLadder, lo: int, hi_small: int, hi
     """Coarse-value differences in the cutoff vector grow with the interval:
     V([lo, hi_big], C'') - V([lo, hi_big], C') >= same difference on [lo, hi_small],
     for vectors with the last cutoff of C'' at or above that of C'."""
-    upper = _check_kind(kind)
     cuts_hi, cuts_lo = tuple(cuts_hi), tuple(cuts_lo)
     if len(cuts_hi) != len(cuts_lo):
         raise AlignmentError("cutoff vectors must have equal length")
@@ -302,4 +290,4 @@ def increasing_differences_holds(ladder: ValueLadder, lo: int, hi_small: int, hi
 
     lhs = val(hi_big, cuts_hi) - val(hi_big, cuts_lo)
     rhs = val(hi_small, cuts_hi) - val(hi_small, cuts_lo)
-    return (lhs <= rhs + 1e-9) if upper else (lhs >= rhs - 1e-9)
+    return (lhs <= rhs + 1e-9) if kind == UPPER else (lhs >= rhs - 1e-9)

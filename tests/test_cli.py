@@ -261,6 +261,23 @@ class TestExitCodes:
             f"error: loss grid size must be a positive integer, got {n}\n"
         )
 
+    @pytest.mark.parametrize("command, fixture", [
+        ("insurance", [1, 2]),
+        ("portfolio", [1, 2]),
+        ("contract", [1, 2]),
+        ("learn", [1, 2]),
+        ("insurance", dict(APP_FIXTURES["insurance"], contract=[0.05, 0.3])),
+        ("insurance", dict(APP_FIXTURES["insurance"], grid=[["n", 20]])),
+    ], ids=["insurance", "portfolio", "contract", "learn", "contract-record", "grid-record"])
+    def test_fixture_not_an_object(self, command, fixture, tmp_path, capsys):
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(fixture))
+        extra = [] if command == "learn" else ["--N", "2"]
+        assert run([command, "--in", str(path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_input_is_a_directory(self, tmp_path, capsys):
         assert run(["bounds", "--in", str(tmp_path), "--N", "2"]) == 1
         assert capsys.readouterr().err.startswith("error: ")

@@ -36,12 +36,12 @@ def parity_ladder(length: int, shape: str) -> ValueLadder:
     return ValueLadder(levels, masses)
 
 
-def solve_with(branch, monkeypatch, *args):
+def solve_with(branch, monkeypatch, query, *args):
     numpy_at, monotone_at = BRANCHES[branch]
     monkeypatch.setattr(engine, "_NUMPY_DP_THRESHOLD", numpy_at)
     monkeypatch.setattr(engine, "_MONOTONE_DP_THRESHOLD", monotone_at)
     try:
-        return engine._dp_solve(*args)
+        return query(*args)
     finally:
         monkeypatch.undo()
 
@@ -49,19 +49,19 @@ def solve_with(branch, monkeypatch, *args):
 class TestDpPathParity:
     """The pure-Python, dense numpy and monotone numpy DP fills share
     arithmetic exactly: each case solves with two of them and compares the
-    values and cutoffs with ``==``."""
+    values and cutoffs (or the capacity values) with ``==``."""
 
     @staticmethod
     def check(lad, monkeypatch):
         # each length is compared with the branch the next threshold down selects
         branches = ("monotone", "dense") if len(lad) >= MONO - 1 else ("dense", "python")
         for n in (1, 3, 6, 32):
-            for upper in (False, True):
+            for kind in (engine.LOWER, engine.UPPER):
                 fast, slow = (
-                    solve_with(b, monkeypatch, lad.levels, lad.level_masses, n, upper)
+                    solve_with(b, monkeypatch, engine._dp_solve, lad, n, kind)
                     for b in branches
                 )
-                assert fast == slow, (n, upper)
+                assert fast == slow, (n, kind)
 
     @pytest.mark.parametrize("length", [39, 40, 41, 64, MONO - 1, MONO, MONO + 1, 2 * MONO])
     def test_bitwise_identical_values_and_cuts(self, length, monkeypatch):
@@ -76,11 +76,10 @@ class TestDpPathParity:
         lad = parity_ladder(2 * MONO, "float")
         lo, hi = 100, 100 + MONO + 50
         for n in (3, 32):
-            for upper in (False, True):
-                args = (lad.levels, lad.level_masses, n, upper, lo, hi)
+            for kind in (engine.LOWER, engine.UPPER):
+                args = (engine.capacity_values, lad, n, kind, (lo, hi))
                 fast = solve_with("monotone", monkeypatch, *args)
-                assert fast == solve_with("dense", monkeypatch, *args), (n, upper)
-                assert all(lo < c <= hi for c in fast[1])
+                assert fast == solve_with("dense", monkeypatch, *args), (n, kind)
 
 
 class TestZeroMassLevels:

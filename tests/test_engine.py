@@ -26,6 +26,7 @@ from coarse_bounds.engine import (
     blocks_from_cuts,
     bound,
     brute_force_bound,
+    capacity_values,
     cell_value,
     coarse_value,
     enumerate_cut_vectors,
@@ -96,6 +97,29 @@ class TestBuildLadder:
         masses = [1 / size] * size
         assert len(Belief(masses)) == size
         assert len(ValueLadder(range(size), masses)) == size
+
+    @pytest.mark.parametrize("levels, masses", [
+        ([1.0, 2.0], [math.nan, 1.0]),
+        ([math.nan], [1.0]),
+        ([1.0, math.nan, 3.0], [0.25, 0.5, 0.25]),
+        ([1.0, math.inf], [0.5, 0.5]),
+        ([-math.inf], [1.0]),
+    ], ids=["nan-mass", "lone-nan-level", "inner-nan-level", "inf-level", "-inf-level"])
+    def test_non_finite_ladder_rejected(self, levels, masses):
+        with pytest.raises(ValueError):
+            ValueLadder(levels, masses)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ValueLadder([2.0, 1.0], [0.5, 0.5]), "ladder levels must be strictly ascending"),
+        (lambda: ValueLadder([1.0, 2.0], [-0.5, 1.5]), "ladder masses must be non-negative"),
+        (lambda: ValueLadder([1.0, 2.0], [0.5, 0.25]), "ladder masses must sum to 1"),
+        (lambda: Belief([0.5, math.nan]), "belief masses must be finite and non-negative"),
+        (lambda: Belief([0.5, 0.25]), "belief masses sum to 0.75, not 1"),
+    ])
+    def test_rejection_messages(self, make, message):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
 
     def test_bad_belief_rejected(self):
         with pytest.raises(ValueError):
@@ -261,6 +285,25 @@ class TestOptimumSet:
                 best = (min if kind == "upper" else max)(values.values())
                 expected = tuple(sorted(c for c, v in values.items() if v == best))
                 assert optimum_set(lad, n, kind, (lo, hi)) == expected
+
+    def test_interval_capacity_values_match_exhaustive_loop(self):
+        rng = np.random.default_rng(605)
+        for _ in range(100):
+            lad = dyadic_ladder(rng)
+            n = int(rng.integers(1, 6))
+            lo = int(rng.integers(len(lad)))
+            hi = int(rng.integers(lo, len(lad)))
+            for kind in ("lower", "upper"):
+                expected = []
+                for b in range(1, n + 1):
+                    values = []
+                    for rel in enumerate_cut_vectors(hi - lo + 1, b):
+                        edges = [lo, *(c + lo for c in rel), hi + 1]
+                        values.append(sum(
+                            cell_value((x, y - 1), lad, kind) for x, y in zip(edges, edges[1:])
+                        ))
+                    expected.append((min if kind == "upper" else max)(values))
+                assert capacity_values(lad, n, kind, (lo, hi)) == tuple(expected)
 
     @pytest.mark.parametrize("interval", [(2, 1), (0, 4), (-1, 2)])
     def test_invalid_interval_rejected(self, interval):

@@ -1,4 +1,5 @@
-"""Source hygiene: no function in the package takes a setting it never reads."""
+"""Source hygiene: no function in the package takes a setting it never reads,
+and no module imports a private name of another."""
 
 import ast
 from pathlib import Path
@@ -40,6 +41,52 @@ def test_every_parameter_is_read():
         for line, name, param in unread_parameters(path)
     ]
     assert unread == []
+
+
+def private_imports(path: Path) -> list:
+    """(line, module, name) for every underscore name that ``path`` imports
+    from a module of the package: relative imports and ``coarse_bounds``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = "." * node.level + (node.module or "")
+        if node.level == 0 and module.split(".")[0] != "coarse_bounds":
+            continue
+        found += [(node.lineno, module, a.name) for a in node.names if a.name.startswith("_")]
+    return found
+
+
+def test_no_private_cross_module_imports():
+    paths = sorted(SRC.rglob("*.py"))
+    assert paths
+    imported = [
+        f"{path.relative_to(SRC)}:{line} {module} {name}"
+        for path in paths
+        for line, module, name in private_imports(path)
+    ]
+    assert imported == []
+
+
+def test_scan_flags_a_private_import(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "from math import _private_c\n"
+        "from .engine import _fill, bound\n"
+        "from ..acts import ValueLadder, _check_masses as check\n"
+        "from coarse_bounds.engine import _dp_solve\n"
+        "from . import _helpers\n"
+        "def f():\n"
+        "    from .statics import _sso_sets\n"
+    )
+    assert private_imports(path) == [
+        (3, ".engine", "_fill"),
+        (4, "..acts", "_check_masses"),
+        (5, "coarse_bounds.engine", "_dp_solve"),
+        (6, ".", "_helpers"),
+        (8, ".statics", "_sso_sets"),
+    ]
 
 
 def test_scan_flags_an_unread_parameter(tmp_path):

@@ -135,6 +135,10 @@ class TestBootstrapErrors:
         e2 = bootstrap_errors(ACT, data, 500, seed=6)
         assert e1.errors == e2.errors
 
+    def test_unknown_draw(self):
+        with pytest.raises(AlignmentError, match="draw 'z' is not a state"):
+            bootstrap_errors(ACT, Dataset(draws=("a", "z"), seed=0), 10, seed=0)
+
 
 class TestSmoothRule:
     def test_validation(self):

@@ -7,7 +7,7 @@ import pytest
 import coarse_bounds.engine as engine
 from coarse_bounds.acts import ValueLadder
 from coarse_bounds.engine import bound, siminf
-from coarse_bounds.errors import AlignmentError, PreconditionError
+from coarse_bounds.errors import AlignmentError, InvalidCapacityError, PreconditionError
 from coarse_bounds.statics import (
     capacity_profile,
     fosd_leq,
@@ -231,6 +231,16 @@ class TestNestedMarginalReturns:
         with pytest.raises(PreconditionError):
             nested_marginal_returns(UNIFORM8, 3, (0, 7), (2, 5))
 
+    def test_one_value_fill_per_interval(self, monkeypatch):
+        # one fill per optimum set, then W(n) and W(n + 1) of each interval
+        # come from one fill
+        fills = []
+        fill = engine._fill
+        monkeypatch.setattr(engine, "_fill", lambda *args: fills.append(args[2:]) or fill(*args))
+        assert nested_marginal_returns(UNIFORM8, 3, (2, 5), (0, 7))
+        assert sorted(fills) == [(0, 7, 3, False), (0, 7, 4, False),
+                                 (2, 5, 4, False), (2, 5, 4, False)]
+
     def test_random_filtered(self):
         rng = np.random.default_rng(16)
         checked = 0
@@ -303,6 +313,11 @@ class TestRestrictedProblems:
     def test_restricted_value_rejects_invalid_interval(self, interval):
         with pytest.raises(ValueError, match="invalid interval"):
             restricted_value(UNIFORM4, 2, "lower", interval)
+
+    @pytest.mark.parametrize("n", [0, -1, -3, 2.5, True])
+    def test_restricted_value_rejects_invalid_capacity(self, n):
+        with pytest.raises(InvalidCapacityError):
+            restricted_value(UNIFORM4, n, "lower", (0, 3))
 
     def test_optimum_set_guard_and_contents(self):
         opt = optimum_set(UNIFORM4, 2, "lower")
