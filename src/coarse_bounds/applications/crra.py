@@ -13,7 +13,7 @@ class CRRAUtility:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError("relative risk aversion must be non-negative")
 
     def __call__(self, x: float) -> float:

@@ -34,11 +34,11 @@ class InsuranceContract:
     wealth: float
 
     def __post_init__(self):
-        if self.deductible < 0:
+        if not self.deductible >= 0:
             raise ValueError("deductible must be non-negative")
         if not 0.0 <= self.coverage <= 1.0:
             raise ValueError("coverage rate must lie in [0, 1]")
-        if self.cap is not None and self.cap < 0:
+        if self.cap is not None and not self.cap >= 0:
             raise ValueError("out-of-pocket cap must be non-negative")
 
 
@@ -162,8 +162,10 @@ def wtp(contract: InsuranceContract, model: LossModel, utility, n: int,
     """Premium increase making the agent indifferent to an improved plan.
 
     ``improvement`` is ``"lower_deductible"`` or ``"lower_cap"``; ``delta``
-    is the reduction. Solved by bisection to ``tol``.
+    is the reduction. Solved by bisection to ``tol``, a positive finite number.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     if delta < 0:
         raise ValueError("delta must be non-negative")
     if improvement == "lower_deductible":
@@ -288,14 +290,14 @@ def _exists_selection_first_block_reaching(contract, model, utility, n, loss_mar
 
 
 def has_kink(contract: InsuranceContract) -> bool:
-    """Distinct payment slopes just below and above the deductible."""
+    """Distinct payment slopes just below (1) and above (1 - coverage) a
+    positive deductible; a cap at or below the deductible flattens the
+    schedule before it."""
     if contract.deductible <= 0:
         return False
-    below = 1.0
-    above = 1.0 - contract.coverage
     if contract.cap is not None and contract.cap <= contract.deductible:
-        return False  # cap flattens the schedule before the deductible
-    return below != above
+        return False
+    return 1.0 - contract.coverage != 1.0
 
 
 def kink_avoidance(contract: InsuranceContract, model: LossModel, utility, n: int) -> bool:

@@ -9,7 +9,7 @@ grid size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,17 +46,14 @@ class PortfolioProblem:
             raise PreconditionError(
                 "safe return must lie strictly inside the risky support"
             )
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError("discount factor must be non-negative")
-        if self.endowment <= 0:
+        if not self.endowment > 0:
             raise ValueError("endowment must be positive")
 
     @property
     def grid_size(self) -> int:
         return len(self.risky_returns)
-
-    def unconstrained(self) -> "PortfolioProblem":
-        return replace(self, capacity=self.grid_size)
 
 
 def perceived_return_value(problem: PortfolioProblem, payoff, capacity=None) -> float:
@@ -132,9 +129,8 @@ def savings_objective(problem: PortfolioProblem, b: float, s: float,
         return NEG_INF
     if problem.beta == 0.0:
         return problem.utility(cons)
+    # an infeasible payoff's -inf value carries through the positive beta
     inner = perceived_return_value(problem, lambda r: rb * b + r * s, capacity)
-    if inner == NEG_INF:
-        return NEG_INF
     return problem.utility(cons) + problem.beta * inner
 
 
@@ -151,39 +147,32 @@ class SavingsSolution:
         return self.safe + self.risky
 
 
-def solve_savings(problem: PortfolioProblem, capacity=None,
-                  restarts=((0.2, 0.2), (0.4, 0.1), (0.1, 0.4), (0.3, 0.3))) -> SavingsSolution:
-    """Maximize the two-period objective over (safe, risky) holdings by
-    direct search from several deterministic starting points."""
-    # imported here: scipy.optimize takes most of the package's import time
-    from scipy.optimize import minimize
+def solve_savings(problem: PortfolioProblem, capacity=None) -> SavingsSolution:
+    """Maximize the two-period objective over (safe, risky) holdings.
 
+    CRRA utility is homogeneous: at total savings t the portfolio payoff's
+    utility act is t^(1-gamma) times its value at t = 1 (shifted by log t
+    when gamma = 1), and so is its perceived value. The optimal risky share
+    therefore does not depend on t. It is found by a golden-section search
+    at unit savings, and total savings by a second one at that share, each
+    to 1e-9.
+    """
     w = problem.endowment
-    neg = lambda z: -savings_objective(problem, z[0], z[1], capacity)
-    best = None
-    for frac_b, frac_s in restarts:
-        start = np.array([frac_b * w, frac_s * w])
-        res = minimize(
-            neg, start, method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-9, "maxiter": 4000},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    b, s = float(best.x[0]), float(best.x[1])
-    b, s = max(b, 0.0), max(s, 0.0)
+    unit = lambda a: allocation_objective(problem, 1.0, a, capacity)
+    share, _ = _golden_max(unit, 0.0, 1.0, 1e-9)
+    at_share = lambda t: savings_objective(problem, (1.0 - share) * t, share * t, capacity)
+    total, _ = _golden_max(at_share, 0.0, w, 1e-9)
+    b, s = (1.0 - share) * total, share * total
     value = savings_objective(problem, b, s, capacity)
     h = 1e-6 * max(1.0, w)
-    grad = []
+    slopes = []
     for db, ds in ((h, 0.0), (0.0, h)):
         up = savings_objective(problem, b + db, s + ds, capacity)
         dn = savings_objective(problem, b - db, s - ds, capacity)
-        if up == NEG_INF or dn == NEG_INF:
-            grad.append(float("nan"))
-        else:
-            grad.append((up - dn) / (2.0 * h))
+        if up != NEG_INF and dn != NEG_INF:
+            slopes.append(abs(up - dn) / (2.0 * h))
     boundary = b < 1e-7 or s < 1e-7 or (w - b - s) < 1e-7
-    finite = [abs(g) for g in grad if not np.isnan(g)]
-    residual = max(finite) if finite else float("nan")
+    residual = max(slopes) if slopes else float("nan")
     return SavingsSolution(safe=b, risky=s, value=value, boundary=boundary,
                            kkt_residual=residual)
 
@@ -197,14 +186,13 @@ def equilibrium_price(problem: PortfolioProblem, capacity=None) -> float:
     utility. Computed as a one-sided difference quotient from step 1e-2,
     halved up to 40 times until successive estimates agree within 1e-7.
     """
-    n = problem.capacity if capacity is None else capacity
     w, beta, u = problem.endowment, problem.beta, problem.utility
     if beta <= 0:
         raise PreconditionError("equilibrium pricing needs a positive discount factor")
     marg = u.marginal(w)
 
     def estimate(h: float) -> float:
-        v = perceived_return_value(problem, lambda r: w + h * r, n)
+        v = perceived_return_value(problem, lambda r: w + h * r, capacity)
         if v == NEG_INF:
             raise PreconditionError("endowment too small for the return grid")
         return beta * (v - u(w)) / (h * marg)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from numbers import Real
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .preferences import simple_bounds_compare
 from .serde import (
     act_from_record,
     bound_to_record,
+    check_shape,
     dump_json,
     load_act,
     load_record,
@@ -124,7 +126,7 @@ def cmd_statics(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    fixture = load_record(args.infile)
+    fixture = load_record(args.infile, dict.fromkeys(("gamma", "k", "K", "B", "seed"), Real))
     act, belief = act_from_record(fixture)
     rule = SmoothRule(gamma=fixture["gamma"], k=fixture["k"])
     seed = int(fixture.get("seed", args.seed))
@@ -163,12 +165,13 @@ def _contract(record: dict) -> ins.InsuranceContract:
 
 
 def cmd_insurance(args) -> int:
-    fixture = load_record(args.infile)
-    contract_record, grid_spec = fixture["contract"], fixture.get("grid", {})
-    if not (isinstance(contract_record, dict) and isinstance(grid_spec, dict)):
-        raise CoarseBoundsError("'contract' and 'grid' must be JSON objects")
-    contract = _contract(contract_record)
-    grid_spec = dict(grid_spec)
+    fixture = load_record(args.infile, {
+        "contract": {**dict.fromkeys(("premium", "deductible", "coverage", "wealth"), Real),
+                     "cap": (Real, type(None))},
+        "grid": {"max_loss": Real, "tilt": Real}, "gamma": Real, "target_deductible": Real,
+    })
+    contract = _contract(fixture["contract"])
+    grid_spec = dict(fixture.get("grid", {}))
     if args.grid:
         grid_spec["n"] = args.grid
     model = _loss_model(grid_spec)
@@ -206,15 +209,12 @@ def emit_figure_data(kind: str, contract, model, utility, n, target_deductible=N
     cuts = ins.plan_cutoffs(contract, model, utility, n)
     edges = [*cuts, model.max_loss]
 
-    def overlay(contract_, edges_):
-        def at(loss):
-            for e in edges_:
-                if loss <= e:
-                    return contract_.wealth - contract_.premium - ins.consumer_payment(contract_, e)
-            return contract_.wealth - contract_.premium - ins.consumer_payment(contract_, model.max_loss)
-        return at
+    def bound_at(loss):
+        # the wealth at the highest loss of the block holding ``loss``; the
+        # last edge is the top loss, so every grid loss has one
+        edge = next(e for e in edges if loss <= e)
+        return contract.wealth - contract.premium - ins.consumer_payment(contract, edge)
 
-    bound_at = overlay(contract, edges)
     if kind == "siminf_overlay":
         rows = [(x, wealth[x], bound_at(x)) for x in model.losses]
         return write_csv(rows, ("loss", "plan_wealth", "siminf_value"))
@@ -232,7 +232,10 @@ def emit_figure_data(kind: str, contract, model, utility, n, target_deductible=N
 
 
 def cmd_portfolio(args) -> int:
-    fixture = load_record(args.infile)
+    fixture = load_record(args.infile, {
+        **dict.fromkeys(("endowment", "safe_return", "beta", "gamma", "savings"), Real),
+        "risky_returns": [Real], "risky_masses": [Real],
+    })
     problem = pf.PortfolioProblem(
         endowment=fixture["endowment"], safe_return=fixture["safe_return"],
         risky_returns=fixture["risky_returns"], risky_masses=fixture["risky_masses"],
@@ -249,7 +252,11 @@ def cmd_portfolio(args) -> int:
 
 
 def cmd_contract(args) -> int:
-    fixture = load_record(args.infile)
+    fixture = load_record(args.infile, {
+        **dict.fromkeys(("outputs", "wage_grid", "schedule"), [Real]),
+        "effort_costs": dict, "output_masses": [[Real]],
+    })
+    check_shape(list(fixture["effort_costs"].values()), [Real], "'effort_costs'")
     costs = {str(k): float(v) for k, v in fixture["effort_costs"].items()}
     efforts = tuple(costs)
     problem = ct.ContractingProblem(

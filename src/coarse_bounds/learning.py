@@ -81,9 +81,9 @@ class SmoothRule:
     k: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        if self.k < 0:
+        if not self.k >= 0:
             raise ValueError("k must be non-negative")
 
     def phi(self, x):

@@ -33,17 +33,35 @@ def act_to_record(act: DiscreteAct, belief: Belief) -> dict:
     }
 
 
-def load_record(path: str) -> dict:
-    """The JSON object a fixture file holds; any other JSON value is a ValueError."""
+def check_shape(value, shape, name: str) -> None:
+    """Raise ValueError unless a parsed JSON ``value`` has ``shape``: a dict
+    of field shapes (each checked only where the field is present), a
+    one-element list holding the shape of every item, or a type or tuple of
+    types for ``isinstance``."""
+    if not isinstance(value, type(shape) if isinstance(shape, (dict, list)) else shape):
+        raise ValueError(f"{name} has the wrong type ({type(value).__name__})")
+    if isinstance(shape, dict):
+        for key, field in shape.items():
+            if key in value:
+                check_shape(value[key], field, repr(key))
+    elif isinstance(shape, list):
+        for item in value:
+            check_shape(item, shape[0], f"an item of {name}")
+
+
+def load_record(path: str, fields: dict) -> dict:
+    """The JSON object a fixture file holds, its present ``fields`` checked
+    by ``check_shape``; any other JSON value is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         record = json.load(fh)
     if not isinstance(record, dict):
         raise ValueError(f"{path} must hold a JSON object")
+    check_shape(record, fields, path)
     return record
 
 
 def load_act(path: str) -> tuple:
-    return act_from_record(load_record(path))
+    return act_from_record(load_record(path, {}))
 
 
 def bound_to_record(result: BoundResult) -> dict:

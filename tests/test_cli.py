@@ -278,6 +278,32 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, fixture", [
+        ("insurance", dict(APP_FIXTURES["insurance"],
+                           contract=dict(APP_FIXTURES["insurance"]["contract"], premium="x"))),
+        ("portfolio", dict(APP_FIXTURES["portfolio"], savings="a")),
+        ("contract", dict(APP_FIXTURES["contract"], effort_costs=[1, 2])),
+        ("learn", dict(ACT_RECORD, gamma="g", k=1e-5, K=50, B=100)),
+    ], ids=["insurance-premium", "portfolio-savings", "contract-effort-costs", "learn-gamma"])
+    def test_wrongly_typed_field(self, command, fixture, tmp_path, capsys):
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(fixture))
+        extra = [] if command == "learn" else ["--N", "2"]
+        assert run([command, "--in", str(path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_learn_rejects_nan_gamma(self, tmp_path, capsys):
+        # Python's json reads NaN, so the rule's own check has to catch it
+        path = tmp_path / "learn.json"
+        path.write_text(json.dumps(dict(ACT_RECORD, gamma=float("nan"), k=1e-5, K=50, B=100)))
+        assert "NaN" in path.read_text()
+        assert run(["learn", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gamma must be positive\n"
+
     def test_input_is_a_directory(self, tmp_path, capsys):
         assert run(["bounds", "--in", str(tmp_path), "--N", "2"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -325,3 +351,23 @@ class TestStartup:
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"
+
+    def test_runtime_loads_no_scipy(self):
+        # the runtime is numpy only: every module (bar the entry point that
+        # runs the CLI on import), then a savings solve
+        script = (
+            "import importlib, pkgutil, sys\n"
+            "import coarse_bounds\n"
+            "for mod in pkgutil.walk_packages(coarse_bounds.__path__, 'coarse_bounds.'):\n"
+            "    if mod.name != 'coarse_bounds.__main__':\n"
+            "        importlib.import_module(mod.name)\n"
+            "from coarse_bounds.applications.crra import CRRAUtility\n"
+            "from coarse_bounds.applications.portfolio import PortfolioProblem, solve_savings\n"
+            "problem = PortfolioProblem(1.0, 1.02, (0.8, 1.1, 1.4), (0.3, 0.4, 0.3),\n"
+            "                           0.95, CRRAUtility(2.0), 2)\n"
+            "assert solve_savings(problem).total > 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"

@@ -60,6 +60,14 @@ class TestConsumerPayment:
         with pytest.raises(ValueError):
             consumer_payment(BASE, -0.1)
 
+    @pytest.mark.parametrize("deductible, cap, message", [
+        (float("nan"), None, "deductible must be non-negative"),
+        (0.3, float("nan"), "out-of-pocket cap must be non-negative"),
+    ])
+    def test_nan_contract_rejected(self, deductible, cap, message):
+        with pytest.raises(ValueError, match=message):
+            InsuranceContract(0.05, deductible, 0.7, cap, 2.0)
+
 
 class TestPlanAct:
     def test_full_insurance_constant(self):
@@ -198,6 +206,13 @@ class TestWtp:
     def test_needs_cap_for_cap_improvement(self):
         with pytest.raises(PreconditionError):
             wtp(BASE, MODEL, U, 3, "lower_cap", 0.1)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_tol_must_be_positive_finite(self, tol):
+        # at 0 or below the bisection never stops; nan or inf skips it
+        full = InsuranceContract(0.05, 0.3, 1.0, None, 2.0)
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            wtp(full, MODEL, U, 3, "lower_deductible", 0.1, tol=tol)
 
 
 class TestDominatedPair:

@@ -147,6 +147,14 @@ class TestSmoothRule:
         with pytest.raises(ValueError):
             SmoothRule(gamma=1.0, k=-0.1)
 
+    @pytest.mark.parametrize("gamma, k, message", [
+        (float("nan"), 0.1, "gamma must be positive"),
+        (1.0, float("nan"), "k must be non-negative"),
+    ])
+    def test_nan_rejected(self, gamma, k, message):
+        with pytest.raises(ValueError, match=message):
+            SmoothRule(gamma=gamma, k=k)
+
     def test_phi_concave_increasing(self):
         rule = SmoothRule(gamma=2.0, k=0.0)
         xs = np.linspace(-1, 3, 50)

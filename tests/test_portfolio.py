@@ -10,6 +10,7 @@ from coarse_bounds.applications.portfolio import (
     PortfolioProblem,
     allocation_objective,
     equilibrium_price,
+    savings_objective,
     solve_allocation,
     solve_savings,
 )
@@ -28,10 +29,47 @@ def make_problem(gamma=2.0, capacity=3, attitude="cautious", seed=3, n_grid=40):
     )
 
 
+MAKE_PROBLEM_CASES = [
+    (gamma, attitude, capacity)
+    for gamma in (1.0, 2.0, 3.0)
+    for attitude in ("cautious", "reckless")
+    for capacity in (3, 40)
+]
+
+
+def nelder_mead_savings(problem, capacity=None):
+    """Reference: the four-restart Nelder-Mead over (safe, risky) holdings
+    that solve_savings ran before its homogeneity split; (total, value)."""
+    from scipy.optimize import minimize
+
+    w = problem.endowment
+    neg = lambda z: -savings_objective(problem, z[0], z[1], capacity)
+    best = min(
+        (minimize(neg, np.array([fb * w, fs * w]), method="Nelder-Mead",
+                  options={"xatol": 1e-9, "fatol": 1e-9, "maxiter": 4000})
+         for fb, fs in ((0.2, 0.2), (0.4, 0.1), (0.1, 0.4), (0.3, 0.3))),
+        key=lambda res: res.fun,
+    )
+    b, s = max(float(best.x[0]), 0.0), max(float(best.x[1]), 0.0)
+    return b + s, savings_objective(problem, b, s, capacity)
+
+
 class TestProblemValidation:
     def test_safe_return_must_be_interior(self):
         with pytest.raises(PreconditionError):
             PortfolioProblem(1.0, 1.7, (0.8, 1.2), (0.5, 0.5), 0.9, CRRAUtility(2.0), 2)
+
+    @pytest.mark.parametrize("endowment, beta, message", [
+        (float("nan"), 0.9, "endowment must be positive"),
+        (1.0, float("nan"), "discount factor must be non-negative"),
+    ])
+    def test_nan_rejected(self, endowment, beta, message):
+        with pytest.raises(ValueError, match=message):
+            PortfolioProblem(endowment, 1.0, (0.8, 1.2), (0.5, 0.5), beta, CRRAUtility(2.0), 2)
+
+    def test_nan_risk_aversion_rejected(self):
+        with pytest.raises(ValueError, match="relative risk aversion must be non-negative"):
+            CRRAUtility(float("nan"))
 
     def test_masses_validated(self):
         with pytest.raises(ValueError):
@@ -104,11 +142,23 @@ class TestSavings:
             s_inf = solve_savings(prob, capacity=prob.grid_size)
             assert s_n.total >= s_inf.total - 1e-6
 
-    def test_stable_across_restarts(self):
-        prob = make_problem(gamma=2.0)
-        sol_a = solve_savings(prob)
-        sol_b = solve_savings(prob, restarts=((0.25, 0.25), (0.15, 0.35)))
-        assert sol_a.total == pytest.approx(sol_b.total, abs=1e-5)
+    @pytest.mark.parametrize("gamma, attitude, capacity", MAKE_PROBLEM_CASES)
+    def test_matches_nelder_mead_reference(self, gamma, attitude, capacity):
+        prob = make_problem(gamma=gamma, capacity=capacity, attitude=attitude)
+        sol = solve_savings(prob)
+        total, value = nelder_mead_savings(prob)
+        assert sol.total == pytest.approx(total, abs=1e-6)
+        assert sol.value >= value - 1e-9
+
+    @pytest.mark.parametrize("gamma, attitude, capacity", MAKE_PROBLEM_CASES)
+    def test_share_independent_of_savings(self, gamma, attitude, capacity):
+        # CRRA homogeneity: the savings share is the allocation share at any x
+        prob = make_problem(gamma=gamma, capacity=capacity, attitude=attitude)
+        sol = solve_savings(prob)
+        for x in (0.3, 1.0):
+            assert sol.risky / sol.total == pytest.approx(
+                solve_allocation(prob, x, capacity), abs=1e-6
+            )
 
     def test_interior_solution_kkt(self):
         prob = make_problem(gamma=3.0)
