@@ -201,8 +201,8 @@ def criterion_lattice_suite(seed: int = 0, n_instances: int = 1_000) -> Criterio
             note("submodularity")
         strict = (lo_o, hi_o) != (lo_i, hi_i)
         if strict:
-            gap_o = submodularity_gap(lad, (lo_o, hi_o), split, "lower")
-            gap_i = submodularity_gap(lad, (lo_i, hi_i), split, "lower")
+            gap_o = submodularity_gap(lad, (lo_o, hi_o), split)
+            gap_i = submodularity_gap(lad, (lo_i, hi_i), split)
             if not gap_o > gap_i:
                 note("submodularity-strict")
 
@@ -540,24 +540,25 @@ def criterion_portfolio(seed: int = 0) -> CriterionResult:
     )
     for gamma in (1.0, 2.0, 3.0):
         prob = replace(base, utility=CRRAUtility(gamma))
+        full = replace(prob, capacity=prob.grid_size)
         for x in (0.3, 0.5):
             a_n = pf.solve_allocation(prob, x)
-            a_inf = pf.solve_allocation(prob, x, capacity=prob.grid_size)
+            a_inf = pf.solve_allocation(full, x)
             if a_n > a_inf + 1e-6:
                 issues.append(f"allocation gamma={gamma} x={x}: {a_n} > {a_inf}")
         s_n = pf.solve_savings(prob)
-        s_inf = pf.solve_savings(prob, capacity=prob.grid_size)
+        s_inf = pf.solve_savings(full)
         if s_n.total < s_inf.total - 1e-6:
             issues.append(f"savings gamma={gamma}: {s_n.total} < {s_inf.total}")
     closed_form = base.beta * float(np.dot(grid, masses))
     caps = (1, 2, 3, 5, 10, 20, base.grid_size)
-    prices = [pf.equilibrium_price(base, capacity=n) for n in caps]
+    prices = [pf.equilibrium_price(replace(base, capacity=n)) for n in caps]
     if any(b < a - 1e-9 for a, b in zip(prices, prices[1:])):
         issues.append(f"cautious prices not increasing: {prices}")
     if abs(prices[-1] - closed_form) > 1e-6:
         issues.append(f"price at full capacity {prices[-1]} vs closed form {closed_form}")
     reckless = replace(base, attitude="reckless")
-    prices_r = [pf.equilibrium_price(reckless, capacity=n) for n in caps]
+    prices_r = [pf.equilibrium_price(replace(reckless, capacity=n)) for n in caps]
     if any(b > a + 1e-9 for a, b in zip(prices_r, prices_r[1:])):
         issues.append(f"reckless prices not decreasing: {prices_r}")
     detail = f"{len(issues)} issues" + (f": {issues[:3]}" if issues else "")

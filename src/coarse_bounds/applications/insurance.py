@@ -19,7 +19,7 @@ import numpy as np
 
 from .. import preferences
 from ..acts import Belief, DiscreteAct, build_ladder
-from ..engine import attitude_kind, blocks_from_cuts, bound, optimum_set, top_block_starts
+from ..engine import blocks_from_cuts, bound, optimum_set, top_block_starts
 from ..errors import BracketingError, PreconditionError
 
 
@@ -69,7 +69,7 @@ class LossModel:
     @classmethod
     def from_density(cls, density, max_loss: float, n: int) -> "LossModel":
         """Midpoint discretization of a positive density on [0, max_loss]."""
-        if not isinstance(n, (int, np.integer)) or n < 1:
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
             raise ValueError(f"loss grid size must be a positive integer, got {n!r}")
         step = max_loss / n
         losses = [(i + 0.5) * step for i in range(n)]
@@ -128,9 +128,8 @@ def expected_value(contract: InsuranceContract, model: LossModel, utility) -> fl
 
 
 def sensitivity(contract: InsuranceContract, model: LossModel, utility, n: int,
-                parameter: str, h: float, attitude: str = "cautious",
-                side: str = "central") -> float:
-    """Finite-difference derivative of the plan value in one parameter.
+                parameter: str, h: float, side: str = "central") -> float:
+    """Finite-difference derivative of the cautious plan value in one parameter.
 
     ``side="central"`` requires the parameter to be interior at step ``h``;
     ``side="backward"`` serves the upper boundary (full coverage).
@@ -142,7 +141,7 @@ def sensitivity(contract: InsuranceContract, model: LossModel, utility, n: int,
     if x0 is None:
         raise PreconditionError("parameter is absent from the contract")
     val = lambda x: plan_value(
-        replace(contract, **{parameter: x}), model, utility, n, attitude
+        replace(contract, **{parameter: x}), model, utility, n
     )
     if side == "central":
         try:
@@ -157,9 +156,8 @@ def sensitivity(contract: InsuranceContract, model: LossModel, utility, n: int,
 
 
 def wtp(contract: InsuranceContract, model: LossModel, utility, n: int,
-        improvement: str, delta: float, attitude: str = "cautious",
-        tol: float = 1e-8) -> float:
-    """Premium increase making the agent indifferent to an improved plan.
+        improvement: str, delta: float, tol: float = 1e-8) -> float:
+    """Premium increase making a cautious agent indifferent to an improved plan.
 
     ``improvement`` is ``"lower_deductible"`` or ``"lower_cap"``; ``delta``
     is the reduction. Solved by bisection to ``tol``, a positive finite number.
@@ -176,9 +174,9 @@ def wtp(contract: InsuranceContract, model: LossModel, utility, n: int,
         improved = replace(contract, cap=contract.cap - delta)
     else:
         raise ValueError(f"unknown improvement {improvement!r}")
-    base_value = plan_value(contract, model, utility, n, attitude)
+    base_value = plan_value(contract, model, utility, n)
     gain = lambda dp: plan_value(
-        replace(improved, premium=improved.premium + dp), model, utility, n, attitude
+        replace(improved, premium=improved.premium + dp), model, utility, n
     ) - base_value
     lo, hi = 0.0, max(delta, 1e-6)
     if gain(lo) < 0:
@@ -220,12 +218,11 @@ def loss_block_cutoffs(losses_by_level: list, cuts) -> tuple:
     return tuple(hi for _, hi in spans[:-1])
 
 
-def plan_cutoffs(contract: InsuranceContract, model: LossModel, utility, n: int,
-                 attitude: str = "cautious") -> tuple:
-    """Loss-space cutoffs of the canonical optimal bound."""
+def plan_cutoffs(contract: InsuranceContract, model: LossModel, utility, n: int) -> tuple:
+    """Loss-space cutoffs of the canonical optimal lower bound."""
     act = utility_act(contract, model, utility)
     ladder = build_ladder(act, model.belief)
-    res = bound(ladder, n, attitude_kind(attitude))
+    res = bound(ladder, n, "lower")
     return loss_block_cutoffs(_losses_by_level(act, ladder, model), res.cutoffs.cuts)
 
 
@@ -248,8 +245,10 @@ def dominated_pair(base: InsuranceContract, target_deductible: float,
     plan weakly dominated (wealth coincides above d', is strictly lower
     below). A cautious capacity-``n`` agent is indifferent precisely when
     some optimal lower-bound partition of the base plan has its lowest
-    cutoff at or above d'.
+    cutoff at or above d'. ``tol`` is a non-negative finite number.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be a non-negative finite number, got {tol!r}")
     if base.cap is not None:
         raise PreconditionError("dominated-pair construction needs capless plans")
     d_hi = base.deductible

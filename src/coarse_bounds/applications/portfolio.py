@@ -2,9 +2,9 @@
 
 The agent splits wealth between consumption, a safe asset, and a risky asset
 whose return distribution lives on a finite grid. Continuation values use
-the perceived (coarse-bound) valuation of the second-period utility act; the
-unconstrained benchmark is the same code path with capacity equal to the
-grid size.
+the perceived (coarse-bound) valuation of the second-period utility act at the
+problem's capacity; the unconstrained benchmark is the same code path on
+``replace(problem, capacity=problem.grid_size)``.
 """
 
 from __future__ import annotations
@@ -56,10 +56,9 @@ class PortfolioProblem:
         return len(self.risky_returns)
 
 
-def perceived_return_value(problem: PortfolioProblem, payoff, capacity=None) -> float:
+def perceived_return_value(problem: PortfolioProblem, payoff) -> float:
     """Perceived value of the act r -> payoff(r); -inf when any second-period
     wealth is non-positive."""
-    n = problem.capacity if capacity is None else capacity
     values = []
     for r in problem.risky_returns:
         x = payoff(r)
@@ -67,19 +66,16 @@ def perceived_return_value(problem: PortfolioProblem, payoff, capacity=None) -> 
             return NEG_INF
         values.append(problem.utility(x))
     act = DiscreteAct(problem.risky_returns, values)
-    return preferences.value(act, problem.belief, n, problem.attitude)
+    return preferences.value(act, problem.belief, problem.capacity, problem.attitude)
 
 
-def allocation_objective(problem: PortfolioProblem, x: float, alpha: float,
-                         capacity=None) -> float:
+def allocation_objective(problem: PortfolioProblem, x: float, alpha: float) -> float:
     """Perceived second-period utility when fraction alpha of savings x is risky."""
     rb = problem.safe_return
-    return perceived_return_value(
-        problem, lambda r: (1.0 - alpha) * x * rb + alpha * x * r, capacity
-    )
+    return perceived_return_value(problem, lambda r: (1.0 - alpha) * x * rb + alpha * x * r)
 
 
-def solve_allocation(problem: PortfolioProblem, x: float, capacity=None) -> float:
+def solve_allocation(problem: PortfolioProblem, x: float) -> float:
     """Optimal risky share in [0, 1] for fixed savings ``x``.
 
     Grid search at step 1e-3 followed by golden-section refinement to 1e-6;
@@ -87,7 +83,7 @@ def solve_allocation(problem: PortfolioProblem, x: float, capacity=None) -> floa
     """
     if x <= 0:
         raise ValueError("savings must be positive")
-    obj = lambda a: allocation_objective(problem, x, a, capacity)
+    obj = lambda a: allocation_objective(problem, x, a)
     step = 1e-3
     grid = np.arange(0.0, 1.0 + 0.5 * step, step)
     grid[-1] = 1.0
@@ -120,8 +116,7 @@ def _golden_max(obj, lo: float, hi: float, tol: float):
     return mid, obj(mid)
 
 
-def savings_objective(problem: PortfolioProblem, b: float, s: float,
-                      capacity=None) -> float:
+def savings_objective(problem: PortfolioProblem, b: float, s: float) -> float:
     """u(consumption) + beta * perceived utility of the portfolio payoff."""
     w, rb = problem.endowment, problem.safe_return
     cons = w - b - s
@@ -130,7 +125,7 @@ def savings_objective(problem: PortfolioProblem, b: float, s: float,
     if problem.beta == 0.0:
         return problem.utility(cons)
     # an infeasible payoff's -inf value carries through the positive beta
-    inner = perceived_return_value(problem, lambda r: rb * b + r * s, capacity)
+    inner = perceived_return_value(problem, lambda r: rb * b + r * s)
     return problem.utility(cons) + problem.beta * inner
 
 
@@ -147,7 +142,7 @@ class SavingsSolution:
         return self.safe + self.risky
 
 
-def solve_savings(problem: PortfolioProblem, capacity=None) -> SavingsSolution:
+def solve_savings(problem: PortfolioProblem) -> SavingsSolution:
     """Maximize the two-period objective over (safe, risky) holdings.
 
     CRRA utility is homogeneous: at total savings t the portfolio payoff's
@@ -158,17 +153,17 @@ def solve_savings(problem: PortfolioProblem, capacity=None) -> SavingsSolution:
     to 1e-9.
     """
     w = problem.endowment
-    unit = lambda a: allocation_objective(problem, 1.0, a, capacity)
+    unit = lambda a: allocation_objective(problem, 1.0, a)
     share, _ = _golden_max(unit, 0.0, 1.0, 1e-9)
-    at_share = lambda t: savings_objective(problem, (1.0 - share) * t, share * t, capacity)
+    at_share = lambda t: savings_objective(problem, (1.0 - share) * t, share * t)
     total, _ = _golden_max(at_share, 0.0, w, 1e-9)
     b, s = (1.0 - share) * total, share * total
-    value = savings_objective(problem, b, s, capacity)
+    value = savings_objective(problem, b, s)
     h = 1e-6 * max(1.0, w)
     slopes = []
     for db, ds in ((h, 0.0), (0.0, h)):
-        up = savings_objective(problem, b + db, s + ds, capacity)
-        dn = savings_objective(problem, b - db, s - ds, capacity)
+        up = savings_objective(problem, b + db, s + ds)
+        dn = savings_objective(problem, b - db, s - ds)
         if up != NEG_INF and dn != NEG_INF:
             slopes.append(abs(up - dn) / (2.0 * h))
     boundary = b < 1e-7 or s < 1e-7 or (w - b - s) < 1e-7
@@ -177,7 +172,7 @@ def solve_savings(problem: PortfolioProblem, capacity=None) -> SavingsSolution:
                            kkt_residual=residual)
 
 
-def equilibrium_price(problem: PortfolioProblem, capacity=None) -> float:
+def equilibrium_price(problem: PortfolioProblem) -> float:
     """Zero-net-supply price of the risky asset.
 
     The safe-asset first-order condition pins the safe return at 1/beta, and
@@ -192,7 +187,7 @@ def equilibrium_price(problem: PortfolioProblem, capacity=None) -> float:
     marg = u.marginal(w)
 
     def estimate(h: float) -> float:
-        v = perceived_return_value(problem, lambda r: w + h * r, capacity)
+        v = perceived_return_value(problem, lambda r: w + h * r)
         if v == NEG_INF:
             raise PreconditionError("endowment too small for the return grid")
         return beta * (v - u(w)) / (h * marg)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from numbers import Real
 
 import numpy as np
@@ -172,7 +173,7 @@ def cmd_insurance(args) -> int:
     })
     contract = _contract(fixture["contract"])
     grid_spec = dict(fixture.get("grid", {}))
-    if args.grid:
+    if args.grid is not None:
         grid_spec["n"] = args.grid
     model = _loss_model(grid_spec)
     utility = CRRAUtility(fixture.get("gamma", 2.0))
@@ -236,17 +237,18 @@ def cmd_portfolio(args) -> int:
         **dict.fromkeys(("endowment", "safe_return", "beta", "gamma", "savings"), Real),
         "risky_returns": [Real], "risky_masses": [Real],
     })
+    capacities = _parse_capacities(args.capacity)
     problem = pf.PortfolioProblem(
         endowment=fixture["endowment"], safe_return=fixture["safe_return"],
         risky_returns=fixture["risky_returns"], risky_masses=fixture["risky_masses"],
         beta=fixture["beta"], utility=CRRAUtility(fixture.get("gamma", 2.0)),
-        capacity=max(_parse_capacities(args.capacity)), attitude=args.attitude,
+        capacity=capacities[0], attitude=args.attitude,
     )
     rows = []
-    for n in _parse_capacities(args.capacity):
-        alpha = pf.solve_allocation(problem, fixture.get("savings", 0.5), capacity=n)
-        price = pf.equilibrium_price(problem, capacity=n)
-        rows.append((n, args.attitude, alpha, price))
+    for n in capacities:
+        at_n = replace(problem, capacity=n)
+        alpha = pf.solve_allocation(at_n, fixture.get("savings", 0.5))
+        rows.append((n, args.attitude, alpha, pf.equilibrium_price(at_n)))
     _emit(write_csv(rows, ("N", "attitude", "risky_share", "price")), args.out)
     return EXIT_OK
 

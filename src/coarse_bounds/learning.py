@@ -199,8 +199,7 @@ def coarsen_act(f: DiscreteAct, v1: float, v2: float, mode: str,
     elif mode == "empirical_mean":
         if data is None:
             raise PreconditionError("empirical_mean mode needs a dataset")
-        values = dict(zip(f.state_ids, f.values))
-        hits = [values[d] for d in data.draws if d in merged]
+        hits = [v for v in _draw_values(f, data) if v in (v1, v2)]
         if hits:
             mean = sum(hits) / len(hits)
         else:
@@ -352,9 +351,8 @@ def audit_near_constant_split(f: DiscreteAct, data: Dataset, rule: SmoothRule,
     merged = coarsen_act(f, v1, v2, "empirical_mean", true_belief=true_belief, data=data)
     cells = value_cells(f)
     part1, part2 = set(cells[v1]), set(cells[v2])
-    values = dict(zip(f.state_ids, f.values))
-    k1 = sum(1 for d in data.draws if values.get(d) == v1)
-    k2 = sum(1 for d in data.draws if values.get(d) == v2)
+    draws = _draw_values(f, data)
+    k1, k2 = draws.count(v1), draws.count(v2)
     mean_val = next(
         mv for s, mv in zip(merged.state_ids, merged.values) if s in part1
     )

@@ -150,22 +150,20 @@ def capacity_profile(ladder: ValueLadder, n_max: int, kind: str) -> CapacityProf
     return CapacityProfile(kind=kind, values=values, monotone=monotone, concave=concave)
 
 
-def submodularity_gap(ladder: ValueLadder, interval, split: int, kind: str) -> float:
-    """Gain from splitting ``interval`` at ``split``: v(lo..split-1) +
-    v(split..hi) - v(lo..hi). Non-negative for the lower kind."""
+def submodularity_gap(ladder: ValueLadder, interval, split: int) -> float:
+    """Gain of the lower bound from splitting ``interval`` at ``split``:
+    v(lo..split-1) + v(split..hi) - v(lo..hi), which is non-negative."""
     lo, hi = interval
     if not (lo < split <= hi):
         raise ValueError("split must be interior to the interval")
-    parts = cell_value((lo, split - 1), ladder, kind) + cell_value((split, hi), ladder, kind)
-    whole = cell_value((lo, hi), ladder, kind)
-    return whole - parts if kind == UPPER else parts - whole
+    parts = cell_value((lo, split - 1), ladder, LOWER) + cell_value((split, hi), ladder, LOWER)
+    return parts - cell_value((lo, hi), ladder, LOWER)
 
 
-def submodular_delta_holds(ladder: ValueLadder, outer, inner, split: int,
-                           kind: str = LOWER) -> bool:
+def submodular_delta_holds(ladder: ValueLadder, outer, inner, split: int) -> bool:
     """Splitting gains weakly more on the wider interval (submodularity)."""
-    gain_outer = submodularity_gap(ladder, outer, split, kind)
-    gain_inner = submodularity_gap(ladder, inner, split, kind)
+    gain_outer = submodularity_gap(ladder, outer, split)
+    gain_inner = submodularity_gap(ladder, inner, split)
     return gain_outer >= gain_inner - 1e-12
 
 
@@ -223,20 +221,18 @@ def _sso_sets(high: tuple, low: tuple) -> bool:
     )
 
 
-def sso_monotone_in_interval(ladder: ValueLadder, n: int, i_low, i_high,
-                             kind: str = LOWER) -> bool:
-    """Optimum sets of interval-restricted problems are ordered in the strong
-    set order when the intervals are."""
+def sso_monotone_in_interval(ladder: ValueLadder, n: int, i_low, i_high) -> bool:
+    """Optimum sets of interval-restricted lower-bound problems are ordered
+    in the strong set order when the intervals are."""
     lo1, hi1 = i_low
     lo2, hi2 = i_high
     if lo2 < lo1 or hi2 < hi1:
         raise PreconditionError("intervals must be ordered in the strong set order")
-    return _sso_sets(optimum_set(ladder, n, kind, i_high), optimum_set(ladder, n, kind, i_low))
+    return _sso_sets(optimum_set(ladder, n, LOWER, i_high), optimum_set(ladder, n, LOWER, i_low))
 
 
-def nested_marginal_returns(ladder: ValueLadder, n: int, s, s_prime,
-                            kind: str = LOWER) -> bool:
-    """Marginal value of one more block is larger on the wider interval:
+def nested_marginal_returns(ladder: ValueLadder, n: int, s, s_prime) -> bool:
+    """Marginal lower-bound value of one more block is larger on the wider interval:
     W(n+1, s') - W(n, s') >= W(n+1, s) - W(n, s).
 
     Requires a weakly sandwiched pair of selections from the optimum sets of
@@ -245,32 +241,32 @@ def nested_marginal_returns(ladder: ValueLadder, n: int, s, s_prime,
     (lo, hi), (lo_p, hi_p) = s, s_prime
     if lo_p > lo or hi_p < hi:
         raise PreconditionError("s must be contained in s_prime")
-    opt_coarse = [c for c in optimum_set(ladder, n, kind, s_prime) if len(c) == n - 1]
-    opt_fine = [c for c in optimum_set(ladder, n + 1, kind, s) if len(c) == n]
+    opt_coarse = [c for c in optimum_set(ladder, n, LOWER, s_prime) if len(c) == n - 1]
+    opt_fine = [c for c in optimum_set(ladder, n + 1, LOWER, s) if len(c) == n]
     if not any(
         weakly_sandwiched(c, f) for c in opt_coarse for f in opt_fine
     ):
         raise PreconditionError("no sandwiched selections across the two problems")
-    *_, w_n_sp, w_n1_sp = capacity_values(ladder, n + 1, kind, s_prime)
-    *_, w_n_s, w_n1_s = capacity_values(ladder, n + 1, kind, s)
+    *_, w_n_sp, w_n1_sp = capacity_values(ladder, n + 1, LOWER, s_prime)
+    *_, w_n_s, w_n1_s = capacity_values(ladder, n + 1, LOWER, s)
     lhs = w_n1_sp - w_n_sp
     rhs = w_n1_s - w_n_s
-    return (lhs <= rhs + 1e-9) if kind == UPPER else (lhs >= rhs - 1e-9)
+    return lhs >= rhs - 1e-9
 
 
-def mlr_cutoff_monotonicity(ladder: ValueLadder, shift: DistributionShift, n: int,
-                            kind: str = LOWER) -> bool:
-    """Optimal cutoffs shift up (strong set order) under an MLR improvement."""
+def mlr_cutoff_monotonicity(ladder: ValueLadder, shift: DistributionShift, n: int) -> bool:
+    """Optimal lower-bound cutoffs shift up (strong set order) under an MLR
+    improvement."""
     if len(shift.base) != len(ladder):
         raise AlignmentError("shift does not align with the ladder")
-    opt_base = optimum_set(ValueLadder(ladder.levels, shift.base), n, kind)
-    opt_shift = optimum_set(ValueLadder(ladder.levels, shift.shifted), n, kind)
+    opt_base = optimum_set(ValueLadder(ladder.levels, shift.base), n, LOWER)
+    opt_shift = optimum_set(ValueLadder(ladder.levels, shift.shifted), n, LOWER)
     return _sso_sets(opt_shift, opt_base)
 
 
 def increasing_differences_holds(ladder: ValueLadder, lo: int, hi_small: int, hi_big: int,
-                                 cuts_hi, cuts_lo, kind: str = LOWER) -> bool:
-    """Coarse-value differences in the cutoff vector grow with the interval:
+                                 cuts_hi, cuts_lo) -> bool:
+    """Lower-bound coarse-value differences in the cutoff vector grow with the interval:
     V([lo, hi_big], C'') - V([lo, hi_big], C') >= same difference on [lo, hi_small],
     for vectors with the last cutoff of C'' at or above that of C'."""
     cuts_hi, cuts_lo = tuple(cuts_hi), tuple(cuts_lo)
@@ -285,9 +281,9 @@ def increasing_differences_holds(ladder: ValueLadder, lo: int, hi_small: int, hi
         edges = [lo, *cuts, h + 1]
         total = 0.0
         for start, end in zip(edges, edges[1:]):
-            total += cell_value((start, end - 1), ladder, kind)
+            total += cell_value((start, end - 1), ladder, LOWER)
         return total
 
     lhs = val(hi_big, cuts_hi) - val(hi_big, cuts_lo)
     rhs = val(hi_small, cuts_hi) - val(hi_small, cuts_lo)
-    return (lhs <= rhs + 1e-9) if kind == UPPER else (lhs >= rhs - 1e-9)
+    return lhs >= rhs - 1e-9

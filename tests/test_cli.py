@@ -252,7 +252,7 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("n", [0, -3, True])
     def test_empty_insurance_grid(self, n, tmp_path, capsys):
         path = tmp_path / "insurance.json"
         path.write_text(json.dumps(dict(APP_FIXTURES["insurance"], grid={"n": n})))
@@ -260,6 +260,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: loss grid size must be a positive integer, got {n}\n"
         )
+
+    def test_zero_grid_option(self, tmp_path, capsys):
+        # --grid 0 overrides the fixture's grid like any other size
+        path = tmp_path / "insurance.json"
+        path.write_text(json.dumps(APP_FIXTURES["insurance"]))
+        assert run(["insurance", "--in", str(path), "--N", "2", "--grid", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: loss grid size must be a positive integer, got 0\n"
+
+    def test_dominated_negative_tol(self, tmp_path, capsys):
+        path = tmp_path / "insurance.json"
+        path.write_text(json.dumps(APP_FIXTURES["insurance"]))
+        args = ["insurance", "--in", str(path), "--N", "2", "--dominated", "0.1", "--tol", "-1"]
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tol must be a non-negative finite number, got -1.0\n"
 
     @pytest.mark.parametrize("command, fixture", [
         ("insurance", [1, 2]),
@@ -343,7 +361,7 @@ class TestDeterminism:
 
 class TestStartup:
     def test_cli_import_leaves_scipy_optimize_out(self):
-        # scipy.optimize takes most of the import time; only solve_savings needs it
+        # scipy.optimize takes most of the import time; no runtime module needs it
         res = subprocess.run(
             [sys.executable, "-c",
              "import sys, coarse_bounds.cli; print('scipy.optimize' in sys.modules)"],

@@ -1,10 +1,12 @@
-"""Source hygiene: no function in the package takes a setting it never reads,
-and no module imports a private name of another."""
+"""Source hygiene: no function in the package takes a setting it never reads
+or a default that no caller overrides, and no module imports a private name
+of another."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "coarse_bounds"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "coarse_bounds"
 
 
 def unread_parameters(path: Path) -> list:
@@ -101,3 +103,110 @@ def test_scan_flags_an_unread_parameter(tmp_path):
         "        return 0\n"
     )
     assert unread_parameters(path) == [(1, "f", "b"), (1, "f", "args"), (6, "m", "x")]
+
+
+def defaulted_parameters(path: Path) -> list:
+    """(line, function, parameter, position) for every parameter with a
+    default of every ``def`` in ``path``. ``position`` is the index of the
+    positional argument that sets it at a call, counted past ``self`` or
+    ``cls`` for methods, and None for keyword-only parameters."""
+    found = []
+
+    def visit(node, in_class: bool):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, isinstance(child, ast.ClassDef))
+                continue
+            args = child.args
+            positional = args.posonlyargs + args.args
+            skip = in_class and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list
+            )
+            first = len(positional) - len(args.defaults)
+            found.extend(
+                (child.lineno, child.name, p.arg, i - skip)
+                for i, p in enumerate(positional) if i >= first
+            )
+            found.extend(
+                (child.lineno, child.name, p.arg, None)
+                for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            )
+            visit(child, False)
+
+    visit(ast.parse(path.read_text()), False)
+    return found
+
+
+def calls_by_name(paths) -> dict:
+    """Callee name -> every call ``name(...)`` or ``obj.name(...)`` in ``paths``."""
+    calls: dict = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def sets_parameter(call: ast.Call, parameter: str, position) -> bool:
+    """True iff ``call`` passes ``parameter``; a ``*`` or ``**`` argument
+    might, so it counts."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if position is not None and len(call.args) > position:
+        return True
+    return any(k.arg in (parameter, None) for k in call.keywords)
+
+
+def unset_defaults(paths, caller_paths) -> list:
+    """(path, line, function, parameter) for every defaulted parameter of a
+    function in ``paths`` that no call in ``caller_paths`` with the same
+    callee name passes."""
+    calls = calls_by_name(caller_paths)
+    return [
+        (path, line, name, parameter)
+        for path in paths
+        for line, name, parameter, position in defaulted_parameters(path)
+        if not any(sets_parameter(c, parameter, position) for c in calls.get(name, ()))
+    ]
+
+
+def test_every_default_is_set_by_a_caller():
+    paths = sorted(SRC.rglob("*.py"))
+    assert paths
+    unset = [
+        f"{path.relative_to(SRC)}:{line} {name}({parameter})"
+        for path, line, name, parameter in unset_defaults(
+            paths, paths + sorted(TESTS.rglob("*.py"))
+        )
+    ]
+    assert unset == []
+
+
+def test_scan_flags_an_unset_default(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    return a + b + c + d + e\n"
+        "class K:\n"
+        "    def m(self, x=0, y=0):\n"
+        "        return x + y\n"
+        "    @staticmethod\n"
+        "    def s(x=0):\n"
+        "        return x\n"
+        "def g(v=0):\n"
+        "    return v\n"
+    )
+    caller = tmp_path / "caller.py"
+    caller.write_text(
+        "f(0, 1, e=5)\n"
+        "K().m(1)\n"
+        "K.s(2)\n"
+        "g(*[1])\n"
+    )
+    assert unset_defaults([src], [src, caller]) == [
+        (src, 1, "f", "c"),
+        (src, 1, "f", "d"),
+        (src, 4, "m", "y"),
+    ]

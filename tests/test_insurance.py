@@ -261,6 +261,14 @@ class TestDominatedPair:
         with pytest.raises(PreconditionError):
             dominated_pair(capped, 0.15, MODEL, U, 3)
 
+    @pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf")])
+    def test_tol_must_be_non_negative_finite(self, tol):
+        # below 0 equal values read as not indifferent; nan does the same and
+        # inf makes every pair indifferent
+        base = InsuranceContract(0.05, 0.35, 0.6, None, 2.0)
+        with pytest.raises(ValueError, match="tol must be a non-negative finite number"):
+            dominated_pair(base, 0.15, MODEL, U, 3, tol=tol)
+
 
 class TestKinkAvoidance:
     SMALL = LossModel.from_density(lambda x: 1.0 + 0.5 * x, 1.0, 20)
@@ -333,7 +341,7 @@ class TestLossModel:
         ratios = np.asarray(tilted.masses) / np.asarray(MODEL.masses)
         assert np.all(np.diff(ratios) > 0)
 
-    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("n", [0, -3, True])
     def test_empty_grid_rejected(self, n):
         with pytest.raises(ValueError, match="loss grid size"):
             LossModel.uniform(1.0, n)

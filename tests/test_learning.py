@@ -109,6 +109,11 @@ class TestCoarsenAct:
         with pytest.raises(ValueError):
             coarsen_act(ACT, 1.0, 9.9, "true_mean", true_belief=BELIEF)
 
+    def test_unknown_draw(self):
+        data = Dataset(draws=("a", "z"), seed=0)
+        with pytest.raises(AlignmentError, match="draw 'z' is not a state"):
+            coarsen_act(ACT, 1.0, 1.04, "empirical_mean", data=data)
+
 
 class TestBootstrapErrors:
     def test_constant_act_zero_errors(self):

@@ -1,6 +1,8 @@
 """Portfolio tests: allocation, savings, and equilibrium prices for
 capacity-limited versus unconstrained agents."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -37,13 +39,13 @@ MAKE_PROBLEM_CASES = [
 ]
 
 
-def nelder_mead_savings(problem, capacity=None):
+def nelder_mead_savings(problem):
     """Reference: the four-restart Nelder-Mead over (safe, risky) holdings
     that solve_savings ran before its homogeneity split; (total, value)."""
     from scipy.optimize import minimize
 
     w = problem.endowment
-    neg = lambda z: -savings_objective(problem, z[0], z[1], capacity)
+    neg = lambda z: -savings_objective(problem, z[0], z[1])
     best = min(
         (minimize(neg, np.array([fb * w, fs * w]), method="Nelder-Mead",
                   options={"xatol": 1e-9, "fatol": 1e-9, "maxiter": 4000})
@@ -51,7 +53,7 @@ def nelder_mead_savings(problem, capacity=None):
         key=lambda res: res.fun,
     )
     b, s = max(float(best.x[0]), 0.0), max(float(best.x[1]), 0.0)
-    return b + s, savings_objective(problem, b, s, capacity)
+    return b + s, savings_objective(problem, b, s)
 
 
 class TestProblemValidation:
@@ -90,13 +92,13 @@ class TestAllocation:
             prob = make_problem(gamma=gamma)
             for x in (0.3, 0.6):
                 a_n = solve_allocation(prob, x)
-                a_inf = solve_allocation(prob, x, capacity=prob.grid_size)
+                a_inf = solve_allocation(replace(prob, capacity=prob.grid_size), x)
                 assert a_n <= a_inf + 1e-6
 
     def test_reckless_mirror_documented_observation(self):
         prob = make_problem(gamma=3.0, attitude="reckless")
         a_n = solve_allocation(prob, 0.5)
-        a_inf = solve_allocation(prob, 0.5, capacity=prob.grid_size)
+        a_inf = solve_allocation(replace(prob, capacity=prob.grid_size), 0.5)
         # exploratory: a reckless constrained agent leans at least as risky
         assert a_n >= a_inf - 1e-6
 
@@ -116,7 +118,7 @@ class TestAllocation:
         )
         ladder = build_ladder(act, Belief(prob.risky_masses))
         assert val == bound(ladder, prob.capacity, "lower").value
-        assert allocation_objective(prob, x, alpha, capacity=prob.grid_size) >= val - 1e-12
+        assert allocation_objective(replace(prob, capacity=prob.grid_size), x, alpha) >= val - 1e-12
 
     def test_savings_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -139,7 +141,7 @@ class TestSavings:
         for gamma in (1.0, 2.0, 3.0):
             prob = make_problem(gamma=gamma)
             s_n = solve_savings(prob)
-            s_inf = solve_savings(prob, capacity=prob.grid_size)
+            s_inf = solve_savings(replace(prob, capacity=prob.grid_size))
             assert s_n.total >= s_inf.total - 1e-6
 
     @pytest.mark.parametrize("gamma, attitude, capacity", MAKE_PROBLEM_CASES)
@@ -157,7 +159,7 @@ class TestSavings:
         sol = solve_savings(prob)
         for x in (0.3, 1.0):
             assert sol.risky / sol.total == pytest.approx(
-                solve_allocation(prob, x, capacity), abs=1e-6
+                solve_allocation(prob, x), abs=1e-6
             )
 
     def test_interior_solution_kkt(self):
@@ -173,18 +175,18 @@ class TestEquilibriumPrice:
         expected = prob.beta * float(
             np.dot(prob.risky_returns, prob.risky_masses)
         )
-        price = equilibrium_price(prob, capacity=prob.grid_size)
+        price = equilibrium_price(replace(prob, capacity=prob.grid_size))
         assert price == pytest.approx(expected, abs=1e-6)
 
     def test_cautious_price_increasing_in_capacity(self):
         prob = make_problem(gamma=2.0)
-        prices = [equilibrium_price(prob, capacity=n) for n in (1, 2, 3, 5, 10, 40)]
+        prices = [equilibrium_price(replace(prob, capacity=n)) for n in (1, 2, 3, 5, 10, 40)]
         assert all(b >= a - 1e-9 for a, b in zip(prices, prices[1:]))
         assert prices[0] == pytest.approx(prob.beta * prob.risky_returns[0], abs=1e-6)
 
     def test_reckless_price_decreasing_in_capacity(self):
         prob = make_problem(gamma=2.0, attitude="reckless")
-        prices = [equilibrium_price(prob, capacity=n) for n in (1, 2, 3, 5, 10, 40)]
+        prices = [equilibrium_price(replace(prob, capacity=n)) for n in (1, 2, 3, 5, 10, 40)]
         assert all(b <= a + 1e-9 for a, b in zip(prices, prices[1:]))
         assert prices[0] == pytest.approx(prob.beta * prob.risky_returns[-1], abs=1e-6)
 

@@ -127,9 +127,7 @@ class TestCapacityProfile:
 class TestSubmodularity:
     def test_wider_interval_gains_more(self):
         # splitting gains more on a wider interval
-        assert submodularity_gap(UNIFORM4, (0, 3), 2, "lower") >= submodularity_gap(
-            UNIFORM4, (1, 3), 2, "lower"
-        )
+        assert submodularity_gap(UNIFORM4, (0, 3), 2) >= submodularity_gap(UNIFORM4, (1, 3), 2)
 
     def test_random_nested(self):
         rng = np.random.default_rng(12)
@@ -144,13 +142,13 @@ class TestSubmodularity:
             split = int(rng.integers(lo_i + 1, hi_i + 1))
             assert submodular_delta_holds(lad, (lo_o, hi_o), (lo_i, hi_i), split)
             if (lo_o, hi_o) != (lo_i, hi_i):
-                assert submodularity_gap(lad, (lo_o, hi_o), split, "lower") > (
-                    submodularity_gap(lad, (lo_i, hi_i), split, "lower")
+                assert submodularity_gap(lad, (lo_o, hi_o), split) > (
+                    submodularity_gap(lad, (lo_i, hi_i), split)
                 )
 
     def test_split_must_be_interior(self):
         with pytest.raises(ValueError):
-            submodularity_gap(UNIFORM4, (1, 3), 1, "lower")
+            submodularity_gap(UNIFORM4, (1, 3), 1)
 
 
 class TestSupermodularCoarseValue:
