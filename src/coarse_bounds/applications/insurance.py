@@ -53,8 +53,11 @@ class LossModel:
     def __init__(self, losses, masses):
         losses = tuple(float(x) for x in losses)
         masses = tuple(float(m) for m in masses)
-        if any(b <= a for a, b in zip(losses, losses[1:])):
+        # a NaN loss fails every comparison, so these two checks reject it
+        if not all(a < b for a, b in zip(losses, losses[1:])):
             raise ValueError("loss grid must be strictly ascending")
+        if losses and not -np.inf < losses[0] <= losses[-1] < np.inf:
+            raise ValueError("loss grid must be finite")
         object.__setattr__(self, "belief", Belief(masses))
         object.__setattr__(self, "losses", losses)
         object.__setattr__(self, "masses", masses)
@@ -71,6 +74,8 @@ class LossModel:
         """Midpoint discretization of a positive density on [0, max_loss]."""
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
             raise ValueError(f"loss grid size must be a positive integer, got {n!r}")
+        if not 0.0 < max_loss < np.inf:
+            raise ValueError(f"loss grid max_loss must be positive and finite, got {max_loss!r}")
         step = max_loss / n
         losses = [(i + 0.5) * step for i in range(n)]
         weights = [density(x) for x in losses]

@@ -15,10 +15,14 @@ import numpy as np
 
 from .. import preferences
 from ..acts import Belief, DiscreteAct
+from ..engine import attitude_kind, bound_values
 from ..errors import ConvergenceError, PreconditionError
 from .crra import CRRAUtility
 
 NEG_INF = float("-inf")
+
+# solve_allocation builds and values its share grid this many shares at a time.
+_GRID_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ def solve_allocation(problem: PortfolioProblem, x: float) -> float:
     step = 1e-3
     grid = np.arange(0.0, 1.0 + 0.5 * step, step)
     grid[-1] = 1.0
-    vals = [obj(a) for a in grid]
+    vals = _grid_values(problem, x, grid)
     i_best = int(np.argmax(vals))
     lo = grid[max(0, i_best - 1)]
     hi = grid[min(len(grid) - 1, i_best + 1)]
@@ -95,6 +99,49 @@ def solve_allocation(problem: PortfolioProblem, x: float) -> float:
     candidates = [(float(grid[i_best]), vals[i_best]), refined]
     best_val = max(v for _, v in candidates)
     return min(a for a, v in candidates if v >= best_val - 1e-15)
+
+
+def _grid_values(problem: PortfolioProblem, x: float, shares) -> list:
+    """``allocation_objective(problem, x, a)`` for every share ``a``, bit for bit.
+
+    When a share's wealth is positive in every state and its utilities are
+    finite and strictly ascending on the positive-mass returns, those
+    utilities and masses are its ladder as they are, so its row goes to one
+    batched ``bound_values`` call. Wealth is the objective's expression in
+    numpy, the same IEEE operations. Utility stays the scalar call on each
+    element, because numpy's array power and log round differently on some
+    inputs. Every other share (zero share, non-positive wealth, levels
+    merged by rounding) takes ``allocation_objective`` itself, after the
+    rows before it are valued, so its -inf or its error is unchanged.
+    """
+    returns = np.array(problem.risky_returns)
+    live = np.array(problem.belief.masses) > 0.0
+    masses = [m for m in problem.belief.masses if m > 0.0]
+    skipped = [np.nan] * len(returns)
+    vals, rows = [], []
+
+    def value_rows():
+        if rows:
+            kind = attitude_kind(problem.attitude)
+            vals.extend(bound_values(rows, masses, problem.capacity, kind).tolist())
+            rows.clear()
+
+    for start in range(0, len(shares), _GRID_BLOCK):
+        block = shares[start : start + _GRID_BLOCK]
+        wealth = ((1.0 - block[:, None]) * x) * problem.safe_return + (block[:, None] * x) * returns
+        utils = np.array([
+            list(map(problem.utility, row)) if row.min() > 0 else skipped for row in wealth
+        ])
+        levels = utils[:, live]
+        batched = np.isfinite(utils).all(axis=1) & (levels[:, :-1] < levels[:, 1:]).all(axis=1)
+        for alpha, row, ok in zip(block, levels, batched):
+            if ok:
+                rows.append(row)
+                continue
+            value_rows()
+            vals.append(allocation_objective(problem, x, alpha))
+        value_rows()
+    return vals
 
 
 def _golden_max(obj, lo: float, hi: float, tol: float):

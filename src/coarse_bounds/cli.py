@@ -58,6 +58,14 @@ def _parse_capacities(text: str) -> list:
     return [int(text)]
 
 
+def _one_capacity(text: str) -> int:
+    """The capacity of a command that uses only one: a range of several is an error."""
+    capacities = _parse_capacities(text)
+    if len(capacities) > 1:
+        raise CoarseBoundsError(f"this command takes one capacity, not the range {text}")
+    return capacities[0]
+
+
 def _emit(text: str, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -83,7 +91,7 @@ def cmd_compare(args) -> int:
     act_g, belief_g = load_act(args.infile2)
     if belief_g.masses != belief.masses:
         raise CoarseBoundsError("the two acts must share one belief")
-    verdict = simple_bounds_compare(act_f, act_g, belief, _parse_capacities(args.capacity)[0])
+    verdict = simple_bounds_compare(act_f, act_g, belief, _one_capacity(args.capacity))
     _emit(dump_json(verdict.to_json()), args.out)
     return EXIT_OK
 
@@ -91,7 +99,7 @@ def cmd_compare(args) -> int:
 def cmd_perceive(args) -> int:
     act, belief = load_act(args.infile)
     ladder = build_ladder(act, belief)
-    dist = perceived_distribution(ladder, _parse_capacities(args.capacity)[0], args.attitude)
+    dist = perceived_distribution(ladder, _one_capacity(args.capacity), args.attitude)
     _emit(dump_json(perceived_to_record(dist)), args.out)
     return EXIT_OK
 
@@ -99,8 +107,12 @@ def cmd_perceive(args) -> int:
 def cmd_sweep_capacity(args) -> int:
     act, belief = load_act(args.infile)
     ladder = build_ladder(act, belief)
-    n_max = max(_parse_capacities(args.capacity))
-    profile = capacity_profile(ladder, n_max, args.kind)
+    capacities = _parse_capacities(args.capacity)
+    if len(capacities) > 1 and capacities[0] != 1:
+        raise CoarseBoundsError(
+            f"sweep-capacity profiles capacities 1..N; a range must start at 1, got {args.capacity}"
+        )
+    profile = capacity_profile(ladder, capacities[-1], args.kind)
     text = write_csv(profile.rows(), ("N", "W", "increment"))
     _emit(text, args.out)
     return EXIT_OK
@@ -109,7 +121,7 @@ def cmd_sweep_capacity(args) -> int:
 def cmd_statics(args) -> int:
     act, belief = load_act(args.infile)
     ladder = build_ladder(act, belief)
-    n = _parse_capacities(args.capacity)[0]
+    n = _one_capacity(args.capacity)
     lam = 0.8
     weights = np.exp(lam * np.arange(len(ladder))).tolist()
     profile = capacity_profile(ladder, max(2, n), "lower")
@@ -177,10 +189,9 @@ def cmd_insurance(args) -> int:
         grid_spec["n"] = args.grid
     model = _loss_model(grid_spec)
     utility = CRRAUtility(fixture.get("gamma", 2.0))
-    capacities = _parse_capacities(args.capacity)
     if args.dominated is not None:
         pair = ins.dominated_pair(contract, float(args.dominated), model, utility,
-                                  capacities[0], tol=args.tol)
+                                  _one_capacity(args.capacity), tol=args.tol)
         _emit(dump_json({
             "indifferent": pair.indifferent,
             "lowest_cutoff_ok": pair.lowest_cutoff_ok,
@@ -191,13 +202,13 @@ def cmd_insurance(args) -> int:
         }), args.out)
         return EXIT_OK
     if args.figure:
-        text = emit_figure_data(args.figure, contract, model, utility, capacities[0],
-                                fixture.get("target_deductible"))
+        text = emit_figure_data(args.figure, contract, model, utility,
+                                _one_capacity(args.capacity), fixture.get("target_deductible"))
         _emit(text, args.out)
         return EXIT_OK
     rows = [
         (n, args.attitude, ins.plan_value(contract, model, utility, n, args.attitude))
-        for n in capacities
+        for n in _parse_capacities(args.capacity)
     ]
     _emit(write_csv(rows, ("N", "attitude", "value")), args.out)
     return EXIT_OK
@@ -270,7 +281,7 @@ def cmd_contract(args) -> int:
         wage_grid=tuple(fixture["wage_grid"]),
     )
     schedule = fixture["schedule"]
-    n = _parse_capacities(args.capacity)[0]
+    n = _one_capacity(args.capacity)
     result = ct.simplify_contract(problem, schedule, n)
     report = {
         "induced_effort": result.induced_effort,

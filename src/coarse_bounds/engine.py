@@ -21,7 +21,9 @@ and ``O(L)`` memory per layer. That search relies on the smallest optimal
 block end being nondecreasing in the block start, which follows from the
 submodularity (Monge property) of the cell function; it holds exactly in
 real arithmetic, and the parity tests check that the rounded candidates
-pick the same ends as the dense branch.
+pick the same ends as the dense branch. :func:`bound_values` runs the dense
+branch's candidate arithmetic across many ladders that share one mass
+vector, for callers that value a family of acts.
 
 Every optimal cutoff vector is a path through the fill's suffix values:
 :func:`optimum_set` lists them all and :func:`top_block_starts` reads where
@@ -64,6 +66,10 @@ MAX_ORACLE_VECTORS = 2_000_000
 # second threshold on the monotone search, which never builds an L x L matrix.
 _NUMPY_DP_THRESHOLD = 40
 _MONOTONE_DP_THRESHOLD = 512
+
+# bound_values fills its rows in blocks whose two candidate arrays together
+# stay within this many bytes.
+_BATCH_BYTES = 1 << 18
 
 # Relative and absolute tolerance under which set queries count a candidate
 # value as tied with the optimum.
@@ -441,6 +447,70 @@ def bound(ladder: ValueLadder, n, kind: str) -> BoundResult:
     """Optimal lower or upper bound of a ladder at capacity ``n``."""
     value, cuts = _dp_solve(ladder, n, kind)
     return _bound_from_cuts(ladder, cuts, value, int(n), kind)
+
+
+def bound_values(levels, masses, n, kind: str) -> np.ndarray:
+    """Bound values of many ladders that share one mass vector.
+
+    ``levels`` is an (M, L) array of M >= 1 rows of strictly ascending finite
+    levels. Entry i of the result is
+    ``bound(ValueLadder(levels[i], masses), n, kind).value``, bit for bit,
+    and bad rows, masses, capacities and kinds raise what those calls raise.
+
+    Below ``_MONOTONE_DP_THRESHOLD`` levels the rows are filled together, a
+    block of rows at a time, with the candidate arithmetic of the dense
+    branch of :func:`_fill`: each capacity layer is one reduction over the
+    block-end axis of an (L - 1) x rows x L candidate array, and the last
+    layer solves only the block that starts at level 0. The ends run in
+    descending order because the reduction keeps the later of two equal
+    candidates: so it keeps the smallest end, as the dense branch's
+    first-occurrence argmax does, which matters only for the sign of a zero.
+    Longer rows are solved one at a time by :func:`bound`, which builds no
+    L x L array.
+    """
+    rows = np.asarray(levels, dtype=float)
+    if rows.ndim != 2 or not len(rows):
+        raise ValueError(f"levels must be an (M, L) array with M >= 1, got shape {rows.shape}")
+    # the first row's ladder checks the masses; the other rows get its level checks
+    ladder = ValueLadder(rows[0], masses)
+    if not (rows[:, :-1] < rows[:, 1:]).all():
+        raise ValueError("ladder levels must be strictly ascending")
+    if not np.isfinite(rows[:, [0, -1]]).all():
+        raise ValueError("ladder levels must be finite")
+    upper = _check_kind(kind)
+    n = _check_capacity(n)
+    length = rows.shape[1]
+    if length >= _MONOTONE_DP_THRESHOLD:
+        return np.array([bound(ValueLadder(row, masses), n, kind).value for row in rows])
+    reduce = np.min if upper else np.max
+
+    def pick(stop, cand):
+        best = reduce(cand, axis=0)
+        return np.where((stop <= best) if upper else (stop >= best), stop, best)
+
+    pre = np.asarray(_prefix_masses(ladder.level_masses))
+    n_blocks = min(n, length)
+    # block ends below the top level, descending; width[k, j] is the mass of
+    # levels j..ends[k], and blocks with j > ends[k] do not exist
+    ends = np.arange(length - 2, -1, -1)
+    width = pre[ends + 1, None] - pre[None, :-1]
+    missing = (np.arange(length)[None, :] > ends[:, None])[:, None, :]
+    to_top = pre[-1] - pre[:-1]
+    step = max(1, _BATCH_BYTES // (16 * length * max(1, length - 1)))
+    out = np.empty(len(rows))
+    for start in range(0, len(rows), step):
+        lvl = rows[start : start + step]
+        stop = to_top * (lvl[:, -1:] if upper else lvl)
+        value = stop
+        if n_blocks > 1:
+            cells = width[:, None, :] * (lvl.T[ends, :, None] if upper else lvl)
+            np.copyto(cells, inf if upper else -inf, where=missing)
+            cand = np.empty_like(cells)
+            for _ in range(2, n_blocks):
+                value = pick(stop, np.add(cells, value.T[ends + 1, :, None], out=cand))
+            value = pick(stop[:, :1], cells[:, :, :1] + value.T[ends + 1, :, None])
+        out[start : start + step] = value[:, 0]
+    return out
 
 
 def siminf(ladder: ValueLadder, n) -> BoundResult:

@@ -33,6 +33,60 @@ APP_FIXTURES = {
     },
 }
 
+# The README portfolio fixture and a 40-return one, with the stdout of
+# ``portfolio --N 1..6`` for each attitude, captured before the share grid
+# was valued in batches.
+PORTFOLIO_PINS = {
+    "readme": {
+        "endowment": 1.0, "safe_return": 1.02, "beta": 0.9803921568627451,
+        "risky_returns": [0.8, 0.95, 1.1, 1.25, 1.4],
+        "risky_masses": [0.2, 0.25, 0.25, 0.2, 0.1], "gamma": 2.0, "savings": 0.5,
+    },
+    "forty-returns": {
+        "endowment": 1.0, "safe_return": 1.02, "beta": 0.95,
+        "risky_returns": [round(0.7 + 0.025 * i, 3) for i in range(40)],
+        "risky_masses": [(i % 7 + 1) / 155 for i in range(40)], "gamma": 3.0, "savings": 0.6,
+    },
+}
+PORTFOLIO_STDOUT = {
+    ("readme", "cautious"): (
+        "N,attitude,risky_share,price\n"
+        "1,cautious,0,0.784313630777201\n"
+        "2,cautious,0,0.946078362176195\n"
+        "3,cautious,0,0.990196002770544\n"
+        "4,cautious,0.503631922743682,1.02696070041252\n"
+        "5,cautious,0.634884078888422,1.04166658061063\n"
+        "6,cautious,0.634884078888422,1.04166658061063\n"
+    ),
+    ("readme", "reckless"): (
+        "N,attitude,risky_share,price\n"
+        "1,reckless,1,1.37254895069454\n"
+        "2,reckless,1,1.16666661365432\n"
+        "3,reckless,1,1.10049009997644\n"
+        "4,reckless,0.819442612136681,1.07107833815355\n"
+        "5,reckless,0.634884078888422,1.04166658061063\n"
+        "6,reckless,0.634884078888422,1.04166658061063\n"
+    ),
+    ("forty-returns", "cautious"): (
+        "N,attitude,risky_share,price\n"
+        "1,cautious,0,0.66499994656624\n"
+        "2,cautious,0,0.910467686626362\n"
+        "3,cautious,0.1389332087415,0.993056388542755\n"
+        "4,cautious,0.322502178984133,1.03427412097517\n"
+        "5,cautious,0.480579300273696,1.06032250645512\n"
+        "6,cautious,0.578413928419109,1.07610476428817\n"
+    ),
+    ("forty-returns", "reckless"): (
+        "N,attitude,risky_share,price\n"
+        "1,reckless,1,1.59124991245335\n"
+        "2,reckless,1,1.34670154700871\n"
+        "3,reckless,1,1.26518538003438\n"
+        "4,reckless,1,1.23515312567179\n"
+        "5,reckless,1,1.20512087269162\n"
+        "6,reckless,1,1.18366926144517\n"
+    ),
+}
+
 
 @pytest.fixture
 def act_file(tmp_path):
@@ -183,6 +237,14 @@ class TestSubcommands:
         prices = [float(l.split(",")[3]) for l in lines[1:]]
         assert prices == sorted(prices)
 
+    @pytest.mark.parametrize("fixture", sorted(PORTFOLIO_PINS))
+    @pytest.mark.parametrize("attitude", ["cautious", "reckless"])
+    def test_portfolio_pinned_output(self, fixture, attitude, tmp_path, capsys):
+        path = tmp_path / "pf.json"
+        path.write_text(json.dumps(PORTFOLIO_PINS[fixture]))
+        args = ["portfolio", "--in", str(path), "--N", "1..6", "--attitude", attitude]
+        assert invoke(args, capsys) == (0, PORTFOLIO_STDOUT[fixture, attitude])
+
     def test_contract(self, tmp_path, capsys):
         n = 12
         fixture = {
@@ -233,6 +295,49 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: capacity range 3..1 is empty\n"
+
+    @pytest.mark.parametrize("command, extra", [
+        ("compare", ["--in2", "ACT"]),
+        ("perceive", []),
+        ("statics", []),
+        ("contract", []),
+        ("insurance", ["--dominated", "0.15"]),
+        ("insurance", ["--figure", "siminf_overlay"]),
+    ], ids=["compare", "perceive", "statics", "contract", "insurance-dominated",
+            "insurance-figure"])
+    def test_one_capacity_commands_reject_a_range(self, command, extra, act_file, tmp_path,
+                                                  capsys):
+        infile = act_file
+        if command in APP_FIXTURES:
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(APP_FIXTURES[command]))
+            infile = str(path)
+        extra = [act_file if arg == "ACT" else arg for arg in extra]
+        assert run([command, "--in", infile, "--N", "2..3", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: this command takes one capacity, not the range 2..3\n"
+
+    def test_sweep_capacity_range_starts_at_one(self, act_file, capsys):
+        assert run(["sweep-capacity", "--in", act_file, "--N", "3..4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: sweep-capacity profiles capacities 1..N; a range must start at 1, got 3..4\n"
+        )
+        # a single value is the largest capacity of the profile
+        code, out = invoke(["sweep-capacity", "--in", act_file, "--N", "3"], capsys)
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()] == ["N", "1", "2", "3"]
+
+    def test_nan_max_loss(self, tmp_path, capsys):
+        # Python's json reads NaN; the loss grid rejects it before any plan is valued
+        path = tmp_path / "insurance.json"
+        path.write_text(json.dumps(dict(APP_FIXTURES["insurance"], grid={"max_loss": float("nan")})))
+        assert run(["insurance", "--in", str(path), "--N", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: loss grid max_loss must be positive and finite, got nan\n"
 
     def test_values_not_a_list(self, tmp_path, capsys):
         path = tmp_path / "act.json"

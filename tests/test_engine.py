@@ -20,11 +20,13 @@ from coarse_bounds.acts import (
     build_ladder,
     negate_ladder,
 )
+from coarse_bounds import engine
 from coarse_bounds.engine import (
     TIE_TOL,
     CutoffVector,
     blocks_from_cuts,
     bound,
+    bound_values,
     brute_force_bound,
     capacity_values,
     cell_value,
@@ -213,6 +215,106 @@ class TestLongLadderMemory:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+def batch_rows(length: int, rows: str, seed: int):
+    """(distinct rows, masses) sharing one mass vector: 7 sorted float rows
+    with positive masses, or 7 integer-level rows with masses k/2^10, some 0."""
+    rng = np.random.default_rng(seed)
+    if rows == "float":
+        levels = np.sort(rng.uniform(-10.0, 10.0, size=(7, length)), axis=1)
+        w = rng.uniform(0.05, 1.0, size=length)
+        masses = (w / w.sum()).tolist()
+        masses[int(np.argmax(masses))] += 1.0 - math.fsum(masses)
+        return levels, masses
+    levels = np.sort(
+        [rng.choice(np.arange(-2 * length, 2 * length + 1), size=length, replace=False)
+         for _ in range(7)], axis=1,
+    ).astype(float)
+    cuts = np.sort(rng.integers(0, 1025, size=length - 1))
+    masses = (np.diff(np.concatenate(([0], cuts, [1024]))) / 1024).tolist()
+    return levels, masses
+
+
+def raised(call):
+    """(type, message) of the error ``call`` raises, or None."""
+    try:
+        call()
+    except Exception as err:  # any error: the caller compares type and message
+        return type(err), str(err)
+    return None
+
+
+class TestBoundValues:
+    """``bound_values`` equals ``bound(ValueLadder(row, masses), n, kind).value``
+    bit for bit in every fill branch, at 1 row, one block of rows and one
+    block plus one, and raises what those calls raise."""
+
+    @pytest.mark.parametrize("rows", ["float", "dyadic"])
+    @pytest.mark.parametrize("length", [1, 2, 5, 39, 40, 41, 120, 511, 512])
+    def test_matches_bound(self, length, rows):
+        distinct, masses = batch_rows(length, rows, seed=length)
+        per_block = max(1, engine._BATCH_BYTES // (16 * length * max(1, length - 1)))
+        # the rows repeat the distinct ones, so the reference solves only those
+        pick = np.arange(per_block + 1) % len(distinct)
+        caps = {1, 2, 3, length // 2 + 1, length - 1, length, length + 2}
+        if length > 200:  # full capacity there takes seconds per row
+            caps = {1, 2, 3, 8}
+        for kind in ("lower", "upper"):
+            for n in sorted(c for c in caps if c >= 1):
+                ref = [
+                    bound(ValueLadder(row, masses), n, kind).value.hex()
+                    for row in distinct.tolist()
+                ]
+                for count in (1, per_block, per_block + 1):
+                    got = bound_values(distinct[pick[:count]], masses, n, kind)
+                    assert [v.hex() for v in got.tolist()] == [ref[i] for i in pick[:count]], (
+                        kind, n, count,
+                    )
+
+    @pytest.mark.parametrize("kind", ["lower", "upper"])
+    def test_signed_zero_ties(self, kind):
+        # a -0.0 and a 0.0 candidate tie; the smallest block end must win, as in bound
+        for levels, masses in [
+            ([-1.0, -0.0, 1.0], [0.0, 0.5, 0.5]),
+            ([-1.0, 0.0, 1.0], [0.5, 0.5, 0.0]),
+            ([-2.0, -0.0, 3.0], [0.5, 0.5, 0.0]),
+        ]:
+            for n in (1, 2, 3):
+                want = bound(ValueLadder(levels, masses), n, kind).value
+                assert bound_values([levels], masses, n, kind)[0].hex() == want.hex()
+
+    @pytest.mark.parametrize("rows, masses, n, kind", [
+        ([[1.0, 2.0], [2.0, 1.0]], [0.5, 0.5], 2, "lower"),
+        ([[2.0, 1.0], [1.0, 2.0]], [0.5, 0.5], 2, "lower"),
+        ([[1.0, 2.0], [1.0, 1.0]], [0.5, 0.5], 2, "lower"),
+        ([[1.0, 2.0], [1.0, math.nan]], [0.5, 0.5], 2, "lower"),
+        ([[1.0, 2.0], [1.0, math.inf]], [0.5, 0.5], 2, "lower"),
+        ([[1.0], [math.nan]], [1.0], 2, "lower"),
+        ([[1.0], [-math.inf]], [1.0], 2, "upper"),
+        ([[1.0, 2.0]], [0.5, math.nan], 2, "lower"),
+        ([[1.0, 2.0]], [-0.5, 1.5], 2, "lower"),
+        ([[1.0, 2.0]], [0.5, 0.25], 2, "lower"),
+        ([[1.0, 2.0]], [1.0], 2, "lower"),
+        ([[]], [], 2, "lower"),
+        ([[1.0, 2.0]], [0.5, 0.5], 0, "lower"),
+        ([[1.0, 2.0]], [0.5, 0.5], 2.5, "upper"),
+        ([[1.0, 2.0]], [0.5, 0.5], True, "lower"),
+        ([[1.0, 2.0]], [0.5, 0.5], 2, "middle"),
+    ], ids=[
+        "descending", "descending-first", "tied", "nan-level", "inf-level", "lone-nan",
+        "lone-minus-inf", "nan-mass", "negative-mass", "mass-sum", "misaligned", "empty",
+        "zero-capacity", "fractional-capacity", "bool-capacity", "bad-kind",
+    ])
+    def test_rejects_what_bound_rejects(self, rows, masses, n, kind):
+        want = raised(lambda: [bound(ValueLadder(row, masses), n, kind) for row in rows])
+        assert want is not None
+        assert raised(lambda: bound_values(rows, masses, n, kind)) == want
+
+    @pytest.mark.parametrize("rows", [[1.0, 2.0], np.empty((0, 2))], ids=["one-dimensional", "no-rows"])
+    def test_rows_must_form_a_matrix(self, rows):
+        with pytest.raises(ValueError, match="levels must be an"):
+            bound_values(rows, [0.5, 0.5], 2, "lower")
 
 
 class TestTopBlockStarts:

@@ -341,6 +341,23 @@ class TestLossModel:
         ratios = np.asarray(tilted.masses) / np.asarray(MODEL.masses)
         assert np.all(np.diff(ratios) > 0)
 
+    @pytest.mark.parametrize("losses, message", [
+        ((0.1, float("nan"), 0.3), "loss grid must be strictly ascending"),
+        ((float("nan"),), "loss grid must be finite"),
+        ((0.1, float("inf")), "loss grid must be finite"),
+        ((0.2, 0.1, 0.3), "loss grid must be strictly ascending"),
+    ], ids=["inner-nan", "lone-nan", "inf", "descending"])
+    def test_bad_losses_rejected(self, losses, message):
+        with pytest.raises(ValueError) as err:
+            LossModel(losses, [1 / len(losses)] * len(losses))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("max_loss", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_max_loss_rejected(self, max_loss):
+        with pytest.raises(ValueError) as err:
+            LossModel.uniform(max_loss, 3)
+        assert str(err.value) == f"loss grid max_loss must be positive and finite, got {max_loss!r}"
+
     @pytest.mark.parametrize("n", [0, -3, True])
     def test_empty_grid_rejected(self, n):
         with pytest.raises(ValueError, match="loss grid size"):

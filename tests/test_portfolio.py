@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from coarse_bounds.errors import PreconditionError
+from coarse_bounds.applications import portfolio
 from coarse_bounds.applications.crra import CRRAUtility
 from coarse_bounds.applications.portfolio import (
     PortfolioProblem,
@@ -37,6 +38,23 @@ MAKE_PROBLEM_CASES = [
     for attitude in ("cautious", "reckless")
     for capacity in (3, 40)
 ]
+
+
+def per_call_solve_allocation(problem, x):
+    """Reference: solve_allocation as it was before its share grid was
+    batched, with one allocation_objective call per grid share."""
+    obj = lambda a: allocation_objective(problem, x, a)
+    step = 1e-3
+    grid = np.arange(0.0, 1.0 + 0.5 * step, step)
+    grid[-1] = 1.0
+    vals = [obj(a) for a in grid]
+    i_best = int(np.argmax(vals))
+    lo = grid[max(0, i_best - 1)]
+    hi = grid[min(len(grid) - 1, i_best + 1)]
+    refined = portfolio._golden_max(obj, lo, hi, 1e-6)
+    candidates = [(float(grid[i_best]), vals[i_best]), refined]
+    best_val = max(v for _, v in candidates)
+    return min(a for a, v in candidates if v >= best_val - 1e-15)
 
 
 def nelder_mead_savings(problem):
@@ -123,6 +141,41 @@ class TestAllocation:
     def test_savings_must_be_positive(self):
         with pytest.raises(ValueError):
             solve_allocation(make_problem(), 0.0)
+
+
+class TestAllocationMatchesPerCallReference:
+    """solve_allocation values its grid in batches; the share it returns
+    equals the per-call reference's with ``==``. Each (gamma, attitude)
+    case covers every capacity, and each capacity meets both savings levels
+    across the two attitudes."""
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("attitude", ["cautious", "reckless"])
+    def test_capacities(self, gamma, attitude):
+        prob = make_problem(gamma=gamma, attitude=attitude)
+        for i, capacity in enumerate((1, 2, 3, 8, 40)):
+            x = (0.3, 1.0)[(i + (attitude == "reckless")) % 2]
+            at_n = replace(prob, capacity=capacity)
+            assert solve_allocation(at_n, x) == per_call_solve_allocation(at_n, x), (capacity, x)
+
+    @pytest.mark.parametrize("attitude", ["cautious", "reckless"])
+    def test_zero_mass_return_state(self, attitude):
+        prob = make_problem(gamma=2.0, attitude=attitude)
+        masses = list(prob.risky_masses)
+        masses[0] += masses[17]
+        masses[17] = 0.0
+        prob = replace(prob, risky_masses=masses)
+        for capacity, x in ((3, 0.3), (8, 1.0)):
+            at_n = replace(prob, capacity=capacity)
+            assert solve_allocation(at_n, x) == per_call_solve_allocation(at_n, x)
+
+    def test_degenerate_two_returns(self):
+        prob = PortfolioProblem(
+            endowment=1.0, safe_return=1.0, risky_returns=(0.999999, 1.0 + 1e-9),
+            risky_masses=(0.5, 0.5), beta=0.95, utility=CRRAUtility(2.0), capacity=2,
+        )
+        for x in (0.3, 1.0):
+            assert solve_allocation(prob, x) == per_call_solve_allocation(prob, x)
 
 
 class TestSavings:
