@@ -139,11 +139,3 @@ def negate_ladder(ladder: ValueLadder) -> ValueLadder:
     return ValueLadder(
         [-v for v in reversed(ladder.levels)], tuple(reversed(ladder.level_masses))
     )
-
-
-def distinct_positive_mass_values(act: DiscreteAct, belief: Belief) -> tuple:
-    """Ascending distinct payoffs among positive-mass states."""
-    check_aligned(act, belief)
-    return tuple(
-        sorted({v for v, m in zip(act.values, belief.masses) if m > 0.0})
-    )

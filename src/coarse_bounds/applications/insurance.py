@@ -127,11 +127,6 @@ def plan_value(contract: InsuranceContract, model: LossModel, utility, n: int,
     return preferences.value(act, model.belief, n, attitude)
 
 
-def expected_value(contract: InsuranceContract, model: LossModel, utility) -> float:
-    act = utility_act(contract, model, utility)
-    return sum(v * m for v, m in zip(act.values, model.masses))
-
-
 def sensitivity(contract: InsuranceContract, model: LossModel, utility, n: int,
                 parameter: str, h: float, side: str = "central") -> float:
     """Finite-difference derivative of the cautious plan value in one parameter.

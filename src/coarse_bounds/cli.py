@@ -49,13 +49,15 @@ EXIT_NUMERIC = 2
 
 
 def _parse_capacities(text: str) -> list:
-    if ".." in text:
-        lo, hi = text.split("..")
-        capacities = list(range(int(lo), int(hi) + 1))
-        if not capacities:
-            raise CoarseBoundsError(f"capacity range {text} is empty")
-        return capacities
-    return [int(text)]
+    """The capacities ``--N`` names: one integer ``N`` or a range ``a..b``."""
+    try:
+        lo, hi = map(int, text.split("..") if ".." in text else (text, text))
+    except ValueError:
+        raise CoarseBoundsError(f"--N takes an integer N or a range a..b, got {text!r}") from None
+    capacities = list(range(lo, hi + 1))
+    if not capacities:
+        raise CoarseBoundsError(f"capacity range {text} is empty")
+    return capacities
 
 
 def _one_capacity(text: str) -> int:
@@ -112,6 +114,8 @@ def cmd_sweep_capacity(args) -> int:
         raise CoarseBoundsError(
             f"sweep-capacity profiles capacities 1..N; a range must start at 1, got {args.capacity}"
         )
+    if capacities[-1] < 2:
+        raise CoarseBoundsError(f"sweep-capacity takes --N as N >= 2 or 1..N, got {args.capacity}")
     profile = capacity_profile(ladder, capacities[-1], args.kind)
     text = write_csv(profile.rows(), ("N", "W", "increment"))
     _emit(text, args.out)
@@ -140,6 +144,9 @@ def cmd_statics(args) -> int:
 
 def cmd_learn(args) -> int:
     fixture = load_record(args.infile, dict.fromkeys(("gamma", "k", "K", "B", "seed"), Real))
+    for key in ("K", "B", "seed"):
+        if isinstance(fixture.get(key), float) and not fixture[key].is_integer():
+            raise ValueError(f"{key!r} must be a whole number, got {fixture[key]}")
     act, belief = act_from_record(fixture)
     rule = SmoothRule(gamma=fixture["gamma"], k=fixture["k"])
     seed = int(fixture.get("seed", args.seed))
@@ -158,8 +165,7 @@ def cmd_learn(args) -> int:
     }
     _emit(dump_json(report), args.out)
     if args.quantiles_out:
-        rows = errors.quantiles()
-        write_csv(rows, ("quantile", "error"), args.quantiles_out)
+        _emit(write_csv(errors.quantiles(), ("quantile", "error")), args.quantiles_out)
     return EXIT_OK
 
 

@@ -108,12 +108,6 @@ class CutoffVector:
     def __iter__(self):
         return iter(self.cuts)
 
-    def validate(self, num_levels: int, capacity: int) -> None:
-        if len(self.cuts) > capacity - 1:
-            raise ValueError(f"{len(self.cuts)} cutoffs exceed capacity {capacity}")
-        if self.cuts and (self.cuts[0] < 1 or self.cuts[-1] > num_levels - 1):
-            raise ValueError("cutoff indices must lie in [1, num_levels - 1]")
-
 
 @dataclass(frozen=True)
 class BoundResult:

@@ -20,9 +20,7 @@ vectorized pass, so results are bit-identical for a fixed seed regardless of
 evaluation order. Bootstrap resampling is *balanced* (each observation
 appears exactly ``B`` times across the ``B`` replicates), which pins the mean
 of every act's error distribution at zero up to rounding and makes error
-distributions of different acts directly mean-comparable. Fresh-dataset
-count batches are balanced the same way: their pooled state counts match the
-true masses up to largest-remainder rounding.
+distributions of different acts directly mean-comparable.
 """
 
 from __future__ import annotations
@@ -59,10 +57,6 @@ class ErrorDistribution:
     """Bootstrap (or sampling) replicates of the estimation error of a mean."""
 
     errors: tuple
-
-    @property
-    def B(self) -> int:
-        return len(self.errors)
 
     def mean(self) -> float:
         return float(np.mean(self.errors))
@@ -106,42 +100,6 @@ def draw_sample(true_belief: Belief, act_or_states, k: int, seed: int) -> Datase
     rng = _rng(seed)
     idx = rng.choice(len(states), size=k, p=true_belief.masses)
     return Dataset(draws=tuple(states[i] for i in idx), seed=int(seed))
-
-
-def state_count_batch(true_belief: Belief, k: int, s: int, seed: int) -> np.ndarray:
-    """State-count matrix (s datasets x states) of size-``k`` datasets drawn
-    in one pass from a balanced pool.
-
-    The pooled counts match ``s * k * mass`` up to largest-remainder
-    rounding, so pooled empirical means are pinned to true means; choose
-    masses with ``s * k * mass`` integral for exactness.
-    """
-    rng = _rng(seed)
-    n_states = len(true_belief)
-    total = s * k
-    ideal = np.asarray(true_belief.masses) * total
-    counts = np.floor(ideal).astype(int)
-    rem = total - counts.sum()
-    order = np.argsort(-(ideal - counts))
-    counts[order[:rem]] += 1
-    pool = np.repeat(np.arange(n_states), counts)
-    rng.shuffle(pool)
-    pool = pool.reshape(s, k)
-    out = np.zeros((s, n_states), dtype=float)
-    rows = np.repeat(np.arange(s), k)
-    np.add.at(out, (rows, pool.ravel()), 1.0)
-    return out
-
-
-def sampling_errors_from_counts(f: DiscreteAct, counts: np.ndarray,
-                                true_belief: Belief) -> ErrorDistribution:
-    """Empirical-mean errors of ``f`` for each count row, against the true mean."""
-    check_aligned(f, true_belief)
-    vals = np.asarray(f.values)
-    k = counts[0].sum()
-    true_mean = float(np.dot(vals, true_belief.masses))
-    errs = counts @ vals / k - true_mean
-    return ErrorDistribution(errors=tuple(errs.tolist()))
 
 
 def _draw_values(f: DiscreteAct, data: Dataset) -> list:

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from .errors import AlignmentError
 
-Partition = frozenset
-
 
 def _canon(partition) -> frozenset:
     cells = [frozenset(cell) for cell in partition]
@@ -139,20 +137,3 @@ def _merge_split_steps(current, target) -> list:
     first = frozenset([*rest, a, b | piece, host - piece])
     second = frozenset([*rest, a | b, piece, host - piece])
     return [first, second]
-
-
-def step_differences(p, q) -> int:
-    """Number of cells of ``p`` not present in ``q``."""
-    return len(frozenset(p) - frozenset(q))
-
-
-def is_coarsening_of(partition, pieces) -> bool:
-    """True when every cell is a union of the given refinement pieces."""
-    for cell in partition:
-        rest = set(cell)
-        for piece in pieces:
-            if piece <= rest:
-                rest -= piece
-        if rest:
-            return False
-    return True

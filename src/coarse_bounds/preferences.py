@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .acts import Belief, DiscreteAct, build_ladder, distinct_positive_mass_values
+from .acts import Belief, DiscreteAct, build_ladder
 from .errors import AlignmentError
 from .engine import attitude_kind, bound
 
@@ -61,8 +61,9 @@ def value(f: DiscreteAct, belief: Belief, n, attitude) -> float:
 
 
 def is_well_understood(f: DiscreteAct, belief: Belief, n) -> bool:
-    """True iff f takes at most n distinct values on positive-mass states."""
-    return len(distinct_positive_mass_values(f, belief)) <= n
+    """True iff f takes at most n distinct values on positive-mass states,
+    the levels of its value ladder."""
+    return len(build_ladder(f, belief)) <= n
 
 
 def simple_bounds_compare(f: DiscreteAct, g: DiscreteAct, belief: Belief, n) -> PreferenceVerdict:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from numbers import Real
 
 from .acts import Belief, DiscreteAct
 from .engine import BoundResult, PerceivedDistribution
@@ -12,9 +13,7 @@ def act_from_record(record: dict) -> tuple:
     """Parse {states, values, masses} into an act and a belief."""
     if not isinstance(record, dict):
         raise ValueError("an act record must be a JSON object")
-    for key in ("states", "values", "masses"):
-        if not isinstance(record[key], list):
-            raise ValueError(f"{key!r} must be a list")
+    check_shape(record, {"states": list, "values": [Real], "masses": [Real]}, "an act record")
     try:
         act = DiscreteAct(record["states"], record["values"])
         belief = Belief(record["masses"])
@@ -25,20 +24,22 @@ def act_from_record(record: dict) -> tuple:
     return act, belief
 
 
-def act_to_record(act: DiscreteAct, belief: Belief) -> dict:
-    return {
-        "states": list(act.state_ids),
-        "values": list(act.values),
-        "masses": list(belief.masses),
-    }
+class _Fields(dict):
+    """A parsed JSON object; reading a field it lacks is a ValueError that
+    names the field."""
+
+    def __missing__(self, key):
+        raise ValueError(f"missing field {key!r}")
 
 
 def check_shape(value, shape, name: str) -> None:
     """Raise ValueError unless a parsed JSON ``value`` has ``shape``: a dict
     of field shapes (each checked only where the field is present), a
     one-element list holding the shape of every item, or a type or tuple of
-    types for ``isinstance``."""
-    if not isinstance(value, type(shape) if isinstance(shape, (dict, list)) else shape):
+    types for ``isinstance``. JSON ``true`` and ``false`` are no numbers, so
+    a boolean matches no shape."""
+    types = type(shape) if isinstance(shape, (dict, list)) else shape
+    if isinstance(value, bool) or not isinstance(value, types):
         raise ValueError(f"{name} has the wrong type ({type(value).__name__})")
     if isinstance(shape, dict):
         for key, field in shape.items():
@@ -51,9 +52,10 @@ def check_shape(value, shape, name: str) -> None:
 
 def load_record(path: str, fields: dict) -> dict:
     """The JSON object a fixture file holds, its present ``fields`` checked
-    by ``check_shape``; any other JSON value is a ValueError."""
+    by ``check_shape``; any other JSON value, and reading a field that one
+    of its objects lacks, is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
+        record = json.load(fh, object_hook=_Fields)
     if not isinstance(record, dict):
         raise ValueError(f"{path} must hold a JSON object")
     check_shape(record, fields, path)
@@ -93,14 +95,10 @@ def format_number(x) -> str:
     return f"{x:.15g}"
 
 
-def write_csv(rows, header, path=None) -> str:
+def write_csv(rows, header) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
             cell if isinstance(cell, str) else format_number(cell) for cell in row
         ))
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"

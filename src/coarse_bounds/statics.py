@@ -38,9 +38,6 @@ class CapacityProfile:
     monotone: bool
     concave: bool
 
-    def increments(self) -> tuple:
-        return tuple(b - a for a, b in zip(self.values, self.values[1:]))
-
     def rows(self) -> list:
         """(N, W(N), increment) rows; the first increment is None."""
         out = []
@@ -179,11 +176,6 @@ def supermodular_coarse_holds(ladder: ValueLadder, cuts_a, cuts_b, kind: str = L
     lhs = val(join) + val(meet)
     rhs = val(cuts_a) + val(cuts_b)
     return (lhs <= rhs + 1e-12) if kind == UPPER else (lhs >= rhs - 1e-12)
-
-
-def restricted_value(ladder: ValueLadder, n: int, kind: str, interval) -> float:
-    """Optimal bound value of the problem on levels[lo..hi]."""
-    return capacity_values(ladder, n, kind, interval)[-1]
 
 
 def weakly_sandwiched(coarse: tuple, fine: tuple) -> bool:

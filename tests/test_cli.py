@@ -8,13 +8,16 @@ import sys
 import pytest
 
 from coarse_bounds.cli import run
-from coarse_bounds.serde import act_from_record, act_to_record, format_number
+from coarse_bounds.serde import act_from_record, format_number
 
 ACT_RECORD = {
     "states": ["a", "b", "c", "d"],
     "values": [1.0, 2.0, 3.0, 4.0],
     "masses": [0.25, 0.25, 0.25, 0.25],
 }
+
+# A small valid fixture of the learn subcommand.
+LEARN_FIXTURE = dict(ACT_RECORD, gamma=1.0, k=1e-5, K=50, B=100, seed=3)
 
 # Smallest valid fixtures of the application subcommands.
 APP_FIXTURES = {
@@ -93,6 +96,14 @@ def act_file(tmp_path):
     path = tmp_path / "act.json"
     path.write_text(json.dumps(ACT_RECORD))
     return str(path)
+
+
+def act_to_record(act, belief) -> dict:
+    return {
+        "states": list(act.state_ids),
+        "values": list(act.values),
+        "masses": list(belief.masses),
+    }
 
 
 def invoke(args, capsys):
@@ -348,7 +359,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("record", [
         [1, 2],
         dict(ACT_RECORD, values=[1.0, None, 3.0, 4.0]),
-    ], ids=["not-an-object", "null-value"])
+        dict(ACT_RECORD, values=[True, 2.0, 3.0, 4.0]),
+        dict(ACT_RECORD, masses=[0.25, 0.25, 0.25, "0.25"]),
+    ], ids=["not-an-object", "null-value", "boolean-value", "string-mass"])
     def test_malformed_act_record(self, record, tmp_path, capsys):
         path = tmp_path / "act.json"
         path.write_text(json.dumps(record))
@@ -401,14 +414,27 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("command, fixture", [
+    @pytest.mark.parametrize("command, fixture, field", [
         ("insurance", dict(APP_FIXTURES["insurance"],
-                           contract=dict(APP_FIXTURES["insurance"]["contract"], premium="x"))),
-        ("portfolio", dict(APP_FIXTURES["portfolio"], savings="a")),
-        ("contract", dict(APP_FIXTURES["contract"], effort_costs=[1, 2])),
-        ("learn", dict(ACT_RECORD, gamma="g", k=1e-5, K=50, B=100)),
-    ], ids=["insurance-premium", "portfolio-savings", "contract-effort-costs", "learn-gamma"])
-    def test_wrongly_typed_field(self, command, fixture, tmp_path, capsys):
+                           contract=dict(APP_FIXTURES["insurance"]["contract"], premium="x")),
+         "premium"),
+        ("portfolio", dict(APP_FIXTURES["portfolio"], savings="a"), "savings"),
+        ("contract", dict(APP_FIXTURES["contract"], effort_costs=[1, 2]), "effort_costs"),
+        ("learn", dict(LEARN_FIXTURE, gamma="g"), "gamma"),
+        # JSON booleans are no numbers, and sizes and seeds are whole numbers
+        ("learn", dict(LEARN_FIXTURE, K=True), "K"),
+        ("learn", dict(LEARN_FIXTURE, B=2.9), "B"),
+        ("learn", dict(LEARN_FIXTURE, seed=1.5), "seed"),
+        ("learn", dict(LEARN_FIXTURE, K=float("inf")), "K"),
+        ("insurance", dict(APP_FIXTURES["insurance"], gamma=True), "gamma"),
+        ("portfolio", dict(APP_FIXTURES["portfolio"], risky_returns=[0.8, True, 1.4]),
+         "risky_returns"),
+        ("contract", dict(APP_FIXTURES["contract"], effort_costs={"low": False, "high": 0.3}),
+         "effort_costs"),
+    ], ids=["insurance-premium", "portfolio-savings", "contract-effort-costs", "learn-gamma",
+            "learn-K-bool", "learn-B-fraction", "learn-seed-fraction", "learn-K-inf",
+            "insurance-gamma-bool", "portfolio-return-bool", "contract-cost-bool"])
+    def test_wrongly_typed_field(self, command, fixture, field, tmp_path, capsys):
         path = tmp_path / "fixture.json"
         path.write_text(json.dumps(fixture))
         extra = [] if command == "learn" else ["--N", "2"]
@@ -416,6 +442,55 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert repr(field) in captured.err
+
+    def test_learn_takes_whole_floats(self, tmp_path, capsys):
+        # JSON does not tell 50 from 50.0; a whole-valued size runs as the integer
+        runs = []
+        for number in (int, float):
+            path = tmp_path / f"learn-{number.__name__}.json"
+            path.write_text(json.dumps(dict(LEARN_FIXTURE, K=number(50), B=number(100),
+                                            seed=number(3))))
+            runs.append(invoke(["learn", "--in", str(path)], capsys))
+        assert runs[0] == runs[1] and runs[0][0] == 0
+
+    @pytest.mark.parametrize("command, fixture, field", [
+        ("bounds", {"states": ["a", "b"], "values": [1.0, 2.0]}, "masses"),
+        ("learn", {k: v for k, v in LEARN_FIXTURE.items() if k != "B"}, "B"),
+        ("learn", {k: v for k, v in LEARN_FIXTURE.items() if k != "states"}, "states"),
+        ("insurance", dict(APP_FIXTURES["insurance"], contract={"premium": 0.05}), "deductible"),
+        ("portfolio", {k: v for k, v in APP_FIXTURES["portfolio"].items() if k != "beta"},
+         "beta"),
+        ("contract", {k: v for k, v in APP_FIXTURES["contract"].items() if k != "schedule"},
+         "schedule"),
+    ], ids=["act-masses", "learn-B", "learn-states", "insurance-deductible", "portfolio-beta",
+            "contract-schedule"])
+    def test_missing_field(self, command, fixture, field, tmp_path, capsys):
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(fixture))
+        extra = [] if command == "learn" else ["--N", "2"]
+        assert run([command, "--in", str(path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: missing field {field!r}\n"
+
+    @pytest.mark.parametrize("text", ["1..2..3", "3..", "..3", "x", "", "2.5"])
+    def test_malformed_capacity(self, text, act_file, capsys):
+        assert run(["bounds", "--in", act_file, "--N", text]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --N takes an integer N or a range a..b, got {text!r}\n"
+        )
+
+    @pytest.mark.parametrize("text", ["1", "1..1"])
+    def test_sweep_capacity_needs_two(self, text, act_file, capsys):
+        assert run(["sweep-capacity", "--in", act_file, "--N", text]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: sweep-capacity takes --N as N >= 2 or 1..N, got {text}\n"
+        )
 
     def test_learn_rejects_nan_gamma(self, tmp_path, capsys):
         # Python's json reads NaN, so the rule's own check has to catch it

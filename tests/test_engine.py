@@ -44,7 +44,6 @@ from coarse_bounds.errors import (
     InvalidCapacityError,
     OracleTooLargeError,
 )
-from coarse_bounds.statics import restricted_value
 
 from util import dyadic_ladder, float_ladder
 
@@ -434,7 +433,7 @@ class TestOptimumSet:
         best = bound(lad, n, "lower").value
         top = [cell_value((0, length - 1), lad, "lower")] + [
             cell_value((s, length - 1), lad, "lower")
-            + restricted_value(lad, n - 1, "lower", (0, s - 1))
+            + capacity_values(lad, n - 1, "lower", (0, s - 1))[-1]
             for s in range(1, length)
         ]
         expected = [s for s, v in enumerate(top) if abs(v - best) <= TIE_TOL * (1 + abs(best))]
@@ -673,12 +672,6 @@ class TestCutoffVector:
     def test_validation(self):
         with pytest.raises(ValueError):
             CutoffVector([2, 2])
-        cv = CutoffVector([1, 3])
-        cv.validate(num_levels=5, capacity=3)
-        with pytest.raises(ValueError):
-            cv.validate(num_levels=3, capacity=3)
-        with pytest.raises(ValueError):
-            cv.validate(num_levels=5, capacity=2)
 
     def test_blocks_from_cuts(self):
         assert blocks_from_cuts((2,), 4) == [(0, 1), (2, 3)]

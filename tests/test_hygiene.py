@@ -1,8 +1,9 @@
 """Source hygiene: no function in the package takes a setting it never reads
-or a default that no caller overrides, and no module imports a private name
-of another."""
+or a default that no caller overrides, no module imports a private name of
+another, and every public name has a caller in the package or an export."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -209,4 +210,109 @@ def test_scan_flags_an_unset_default(tmp_path):
         (src, 1, "f", "c"),
         (src, 1, "f", "d"),
         (src, 4, "m", "y"),
+    ]
+
+
+def public_definitions(path: Path) -> list:
+    """(node, qualified name) for every public module-level function, class
+    and alias (``name = other`` or ``name = module.attr``) of ``path``, and
+    every public method and property of its classes."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                found.append((node, node.name))
+            if isinstance(node, ast.ClassDef):
+                found.extend(
+                    (m, f"{node.name}.{m.name}")
+                    for m in node.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not m.name.startswith("_")
+                )
+        elif isinstance(node, ast.Assign) and isinstance(node.value, (ast.Name, ast.Attribute)):
+            found.extend(
+                (node, t.id) for t in node.targets
+                if isinstance(t, ast.Name) and not t.id.startswith("_")
+            )
+    return found
+
+
+def names_read(node) -> list:
+    """Every name that ``node``'s subtree reads, as ``name`` or ``obj.name``."""
+    return [
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    ]
+
+
+def unused_public_names(paths) -> list:
+    """(path, line, qualified name) for every public definition in ``paths``
+    that no module of ``paths`` reads outside the definition itself and no
+    ``__init__.py`` of ``paths`` imports."""
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    read = Counter(name for tree in trees.values() for name in names_read(tree))
+    exported = {
+        a.name
+        for path, tree in trees.items() if path.name == "__init__.py"
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    found = []
+    for path in paths:
+        for node, qualname in public_definitions(path):
+            name = qualname.rsplit(".", 1)[-1]
+            if name in exported:
+                continue
+            if read[name] - names_read(node).count(name) <= 0:
+                found.append((path, node.lineno, qualname))
+    return found
+
+
+def test_every_public_name_has_a_library_caller():
+    paths = sorted(SRC.rglob("*.py"))
+    assert paths
+    unused = [
+        f"{path.relative_to(SRC)}:{line} {name}"
+        for path, line, name in unused_public_names(paths)
+    ]
+    assert unused == []
+
+
+def test_scan_flags_an_unused_public_name(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .mod import exported\n")
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def exported():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def dead(n):\n"
+        "    return dead(n - 1) if n else 0\n"
+        "class K:\n"
+        "    def reached(self):\n"
+        "        return 2\n"
+        "    def dead_method(self):\n"
+        "        return self.reached()\n"
+        "    @property\n"
+        "    def dead_property(self):\n"
+        "        return 3\n"
+        "    def _private(self):\n"
+        "        return 4\n"
+        "Alias = frozenset\n"
+        "_private_alias = frozenset\n"
+        "LIMIT = 3\n"
+    )
+    sibling = tmp_path / "sibling.py"
+    sibling.write_text(
+        "from .mod import K, helper\n"
+        "def run(obj):\n"
+        "    return obj.reached(), helper(), K\n"
+    )
+    assert unused_public_names([tmp_path / "__init__.py", mod, sibling]) == [
+        (mod, 5, "dead"),
+        (mod, 10, "K.dead_method"),
+        (mod, 13, "K.dead_property"),
+        (mod, 17, "Alias"),
+        (sibling, 2, "run"),
     ]

@@ -13,7 +13,6 @@ from coarse_bounds.applications.insurance import (
     LossModel,
     consumer_payment,
     dominated_pair,
-    expected_value,
     has_kink,
     kink_avoidance,
     plan_act,
@@ -99,7 +98,9 @@ class TestPlanValue:
 
     def test_capacity_at_grid_size_is_expected_utility(self):
         v = plan_value(BASE, MODEL, U, len(MODEL))
-        assert v == pytest.approx(expected_value(BASE, MODEL, U), rel=1e-12)
+        act = utility_act(BASE, MODEL, U)
+        expected = sum(x * m for x, m in zip(act.values, MODEL.masses))
+        assert v == pytest.approx(expected, rel=1e-12)
 
     def test_matches_brute_force_on_small_grid(self):
         small = LossModel.uniform(1.0, 50)

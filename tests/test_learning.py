@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from coarse_bounds.acts import Belief, DiscreteAct
+from coarse_bounds.acts import Belief, DiscreteAct, check_aligned
 from coarse_bounds.errors import AlignmentError
 from coarse_bounds.learning import (
     Dataset,
+    ErrorDistribution,
     SmoothRule,
     audit_coarsening_preserves_ce,
     audit_mixture_preserves_ce,
@@ -19,9 +20,7 @@ from coarse_bounds.learning import (
     draw_sample,
     empirical_expectation,
     has_certain_equivalent,
-    sampling_errors_from_counts,
     smooth_decide,
-    state_count_batch,
     value_cells,
 )
 from coarse_bounds.preferences import Verdict
@@ -31,6 +30,45 @@ STATES = ("a", "b", "c", "d")
 BELIEF = Belief([0.3, 0.3, 0.2, 0.2])
 ACT = DiscreteAct(STATES, [1.0, 1.04, 1.07, 1.11])
 RULE = SmoothRule(gamma=1.0, k=1e-5)
+
+
+# The true-error Monte Carlo reference. Fresh-dataset count batches are
+# balanced the same way as the bootstrap: their pooled state counts match the
+# true masses up to largest-remainder rounding.
+def state_count_batch(true_belief: Belief, k: int, s: int, seed: int) -> np.ndarray:
+    """State-count matrix (s datasets x states) of size-``k`` datasets drawn
+    in one pass from a balanced pool.
+
+    The pooled counts match ``s * k * mass`` up to largest-remainder
+    rounding, so pooled empirical means are pinned to true means; choose
+    masses with ``s * k * mass`` integral for exactness.
+    """
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    n_states = len(true_belief)
+    total = s * k
+    ideal = np.asarray(true_belief.masses) * total
+    counts = np.floor(ideal).astype(int)
+    rem = total - counts.sum()
+    order = np.argsort(-(ideal - counts))
+    counts[order[:rem]] += 1
+    pool = np.repeat(np.arange(n_states), counts)
+    rng.shuffle(pool)
+    pool = pool.reshape(s, k)
+    out = np.zeros((s, n_states), dtype=float)
+    rows = np.repeat(np.arange(s), k)
+    np.add.at(out, (rows, pool.ravel()), 1.0)
+    return out
+
+
+def sampling_errors_from_counts(f: DiscreteAct, counts: np.ndarray,
+                                true_belief: Belief) -> ErrorDistribution:
+    """Empirical-mean errors of ``f`` for each count row, against the true mean."""
+    check_aligned(f, true_belief)
+    vals = np.asarray(f.values)
+    k = counts[0].sum()
+    true_mean = float(np.dot(vals, true_belief.masses))
+    errs = counts @ vals / k - true_mean
+    return ErrorDistribution(errors=tuple(errs.tolist()))
 
 
 class TestDrawSample:

@@ -4,12 +4,24 @@ import numpy as np
 import pytest
 
 from coarse_bounds.errors import AlignmentError
-from coarse_bounds.partitions import (
-    common_refinement,
-    is_coarsening_of,
-    partition_path,
-    step_differences,
-)
+from coarse_bounds.partitions import common_refinement, partition_path
+
+
+def step_differences(p, q) -> int:
+    """Number of cells of ``p`` not present in ``q``."""
+    return len(frozenset(p) - frozenset(q))
+
+
+def is_coarsening_of(partition, pieces) -> bool:
+    """True when every cell is a union of the given refinement pieces."""
+    for cell in partition:
+        rest = set(cell)
+        for piece in pieces:
+            if piece <= rest:
+                rest -= piece
+        if rest:
+            return False
+    return True
 
 
 def check_path(tau, tau_prime, path):

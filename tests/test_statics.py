@@ -6,7 +6,7 @@ import pytest
 
 import coarse_bounds.engine as engine
 from coarse_bounds.acts import ValueLadder
-from coarse_bounds.engine import bound, siminf
+from coarse_bounds.engine import bound, capacity_values, siminf
 from coarse_bounds.errors import AlignmentError, InvalidCapacityError, PreconditionError
 from coarse_bounds.statics import (
     capacity_profile,
@@ -16,7 +16,6 @@ from coarse_bounds.statics import (
     mlr_shift,
     nested_marginal_returns,
     optimum_set,
-    restricted_value,
     sandwich_check,
     sosd_strict,
     sso_monotone_in_interval,
@@ -91,7 +90,7 @@ class TestCapacityProfile:
         prof = capacity_profile(UNIFORM4, 4, "lower")
         assert prof.values == (1.0, 2.0, 2.25, 2.5)
         assert prof.monotone and prof.concave
-        assert prof.increments() == (1.0, 0.25, 0.25)
+        assert tuple(b - a for a, b in zip(prof.values, prof.values[1:])) == (1.0, 0.25, 0.25)
 
     def test_constant_ladder_flat(self):
         lad = ValueLadder([5.0], [1.0])
@@ -305,17 +304,17 @@ class TestIncreasingDifferences:
 
 class TestRestrictedProblems:
     def test_restricted_value_matches_full_when_whole(self):
-        assert restricted_value(UNIFORM8, 3, "lower", (0, 7)) == siminf(UNIFORM8, 3).value
+        assert capacity_values(UNIFORM8, 3, "lower", (0, 7))[-1] == siminf(UNIFORM8, 3).value
 
     @pytest.mark.parametrize("interval", [(-1, 2), (2, 1), (0, 9), (0, 4)])
     def test_restricted_value_rejects_invalid_interval(self, interval):
         with pytest.raises(ValueError, match="invalid interval"):
-            restricted_value(UNIFORM4, 2, "lower", interval)
+            capacity_values(UNIFORM4, 2, "lower", interval)
 
     @pytest.mark.parametrize("n", [0, -1, -3, 2.5, True])
     def test_restricted_value_rejects_invalid_capacity(self, n):
         with pytest.raises(InvalidCapacityError):
-            restricted_value(UNIFORM4, n, "lower", (0, 3))
+            capacity_values(UNIFORM4, n, "lower", (0, 3))
 
     def test_optimum_set_guard_and_contents(self):
         opt = optimum_set(UNIFORM4, 2, "lower")
