@@ -30,6 +30,7 @@ from .errors import (
     DegenerateBeliefError,
     InfeasibleConstructionError,
     InvalidCapacityError,
+    NonPositiveWealthError,
     OracleTooLargeError,
     PreconditionError,
 )

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import log
+from operator import le, truediv
+
+from ..errors import NonPositiveWealthError
 
 
 @dataclass(frozen=True)
@@ -18,12 +22,32 @@ class CRRAUtility:
 
     def __call__(self, x: float) -> float:
         if x <= 0:
-            raise ValueError(f"CRRA utility needs positive wealth, got {x!r}")
+            raise NonPositiveWealthError(f"CRRA utility needs positive wealth, got {x!r}")
         if self.gamma == 1.0:
             return log(x)
         return x ** (1.0 - self.gamma) / (1.0 - self.gamma)
 
+    def apply(self, xs) -> list:
+        """``[self(x) for x in xs]`` for a sequence ``xs``, bit for bit.
+
+        The same ``pow``, ``log`` and division run on each element, in state
+        order, as one pass of C-level calls with no Python call per element;
+        an ``OverflowError`` propagates and NaN passes through. Not numpy's
+        array power and log: they round differently on some inputs.
+        """
+        if any(map(le, xs, repeat(0))):
+            # the scalar calls raise at the first non-positive element, or at
+            # an overflow before it, with the scalar call's type and message
+            for x in xs:
+                self(x)
+        if self.gamma == 1.0:
+            return list(map(log, xs))
+        e = 1.0 - self.gamma
+        return list(map(truediv, map(pow, xs, repeat(e)), repeat(e)))
+
     def marginal(self, x: float) -> float:
         if x <= 0:
-            raise ValueError(f"CRRA marginal utility needs positive wealth, got {x!r}")
+            raise NonPositiveWealthError(
+                f"CRRA marginal utility needs positive wealth, got {x!r}"
+            )
         return x ** (-self.gamma)

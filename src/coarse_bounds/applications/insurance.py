@@ -117,7 +117,7 @@ def plan_act(contract: InsuranceContract, model: LossModel) -> DiscreteAct:
 
 def utility_act(contract: InsuranceContract, model: LossModel, utility) -> DiscreteAct:
     wealth = plan_act(contract, model)
-    return DiscreteAct(wealth.state_ids, [utility(x) for x in wealth.values])
+    return DiscreteAct(wealth.state_ids, utility.apply(wealth.values))
 
 
 def plan_value(contract: InsuranceContract, model: LossModel, utility, n: int,

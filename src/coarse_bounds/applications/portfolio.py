@@ -16,7 +16,7 @@ import numpy as np
 from .. import preferences
 from ..acts import Belief, DiscreteAct
 from ..engine import attitude_kind, bound_values
-from ..errors import ConvergenceError, PreconditionError
+from ..errors import ConvergenceError, NonPositiveWealthError, PreconditionError
 from .crra import CRRAUtility
 
 NEG_INF = float("-inf")
@@ -63,12 +63,11 @@ class PortfolioProblem:
 def perceived_return_value(problem: PortfolioProblem, payoff) -> float:
     """Perceived value of the act r -> payoff(r); -inf when any second-period
     wealth is non-positive."""
-    values = []
-    for r in problem.risky_returns:
-        x = payoff(r)
-        if x <= 0:
-            return NEG_INF
-        values.append(problem.utility(x))
+    wealth = [payoff(r) for r in problem.risky_returns]
+    try:
+        values = problem.utility.apply(wealth)
+    except NonPositiveWealthError:
+        return NEG_INF
     act = DiscreteAct(problem.risky_returns, values)
     return preferences.value(act, problem.belief, problem.capacity, problem.attitude)
 
@@ -108,17 +107,25 @@ def _grid_values(problem: PortfolioProblem, x: float, shares) -> list:
     finite and strictly ascending on the positive-mass returns, those
     utilities and masses are its ladder as they are, so its row goes to one
     batched ``bound_values`` call. Wealth is the objective's expression in
-    numpy, the same IEEE operations. Utility stays the scalar call on each
-    element, because numpy's array power and log round differently on some
-    inputs. Every other share (zero share, non-positive wealth, levels
-    merged by rounding) takes ``allocation_objective`` itself, after the
-    rows before it are valued, so its -inf or its error is unchanged.
+    numpy, the same IEEE operations, and each row's utilities are one
+    ``CRRAUtility.apply`` pass over its floats. Every other share (zero
+    share, non-positive wealth, levels merged by rounding, a power that
+    overflows) takes ``allocation_objective`` itself, after the rows before
+    it are valued, so its -inf or its error is unchanged.
     """
     returns = np.array(problem.risky_returns)
     live = np.array(problem.belief.masses) > 0.0
     masses = [m for m in problem.belief.masses if m > 0.0]
     skipped = [np.nan] * len(returns)
     vals, rows = [], []
+
+    def utilities(row):
+        try:
+            return problem.utility.apply(row)
+        except OverflowError:
+            # the objective's float64 wealth meets numpy's scalar power,
+            # which returns inf here, not this error
+            return skipped
 
     def value_rows():
         if rows:
@@ -129,8 +136,9 @@ def _grid_values(problem: PortfolioProblem, x: float, shares) -> list:
     for start in range(0, len(shares), _GRID_BLOCK):
         block = shares[start : start + _GRID_BLOCK]
         wealth = ((1.0 - block[:, None]) * x) * problem.safe_return + (block[:, None] * x) * returns
+        positive = wealth.min(axis=1) > 0
         utils = np.array([
-            list(map(problem.utility, row)) if row.min() > 0 else skipped for row in wealth
+            utilities(row) if ok else skipped for row, ok in zip(wealth.tolist(), positive)
         ])
         levels = utils[:, live]
         batched = np.isfinite(utils).all(axis=1) & (levels[:, :-1] < levels[:, 1:]).all(axis=1)

@@ -17,7 +17,12 @@ import numpy as np
 from . import acceptance
 from .acts import build_ladder
 from .engine import bound, perceived_distribution
-from .errors import BracketingError, CoarseBoundsError, ConvergenceError
+from .errors import (
+    BracketingError,
+    CoarseBoundsError,
+    ConvergenceError,
+    NonPositiveWealthError,
+)
 from .learning import (
     SmoothRule,
     audit_coarsening_preserves_ce,
@@ -399,7 +404,7 @@ def run(argv) -> int:
             if any(n < 1 for n in _parse_capacities(args.capacity)):
                 raise CoarseBoundsError("capacities must be at least 1")
         return COMMANDS[args.command](args)
-    except (BracketingError, ConvergenceError, ArithmeticError) as err:
+    except (BracketingError, ConvergenceError, NonPositiveWealthError, ArithmeticError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except (CoarseBoundsError, OSError, KeyError, ValueError) as err:

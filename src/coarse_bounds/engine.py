@@ -13,17 +13,18 @@ two problems are exchanged by negating the ladder.
 Both are solved exactly by one dynamic program over ladder suffixes, which
 records its choice at every state. Each capacity layer picks, for every
 block start, the best block end, in one of three size-selected branches
-with identical candidate arithmetic: a pure-Python scan below
-``_NUMPY_DP_THRESHOLD`` levels and a dense numpy L x L candidate matrix
-below ``_MONOTONE_DP_THRESHOLD`` both search every end, in ``O(N * L^2)``;
-longer ladders use a divide-and-conquer search in ``O(N * L log L)`` time
-and ``O(L)`` memory per layer. That search relies on the smallest optimal
-block end being nondecreasing in the block start, which follows from the
-submodularity (Monge property) of the cell function; it holds exactly in
-real arithmetic, and the parity tests check that the rounded candidates
-pick the same ends as the dense branch. :func:`bound_values` runs the dense
-branch's candidate arithmetic across many ladders that share one mass
-vector, for callers that value a family of acts.
+with identical candidate arithmetic. A pure-Python scan below
+``_NUMPY_DP_THRESHOLD`` (18) levels, where it is the faster, and a dense
+numpy L x L candidate matrix below ``_MONOTONE_DP_THRESHOLD`` (512) both
+search every end, in ``O(N * L^2)``. Longer ladders use a divide-and-conquer
+search in ``O(N * L log L)`` time and ``O(L)`` memory per layer. That search
+relies on the smallest optimal block end being nondecreasing in the block
+start, which follows from the submodularity (Monge property) of the cell
+function; it holds exactly in real arithmetic, and the parity tests check
+that the rounded candidates pick the same ends as the dense branch.
+:func:`bound_values` runs the dense branch's candidate arithmetic across
+many ladders that share one mass vector, for callers that value a family of
+acts.
 
 Every optimal cutoff vector is a path through the fill's suffix values:
 :func:`optimum_set` lists them all and :func:`top_block_starts` reads where
@@ -64,7 +65,9 @@ MAX_ORACLE_VECTORS = 2_000_000
 
 # Ladders at least this long use the dense numpy DP fill, and from the
 # second threshold on the monotone search, which never builds an L x L matrix.
-_NUMPY_DP_THRESHOLD = 40
+# In interleaved timings of ``bound`` the dense fill is as fast as the Python
+# scan from about 18 levels at N = 2 and from 15-17 levels at N = 3-8.
+_NUMPY_DP_THRESHOLD = 18
 _MONOTONE_DP_THRESHOLD = 512
 
 # bound_values fills its rows in blocks whose two candidate arrays together

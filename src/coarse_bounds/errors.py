@@ -25,6 +25,11 @@ class PreconditionError(CoarseBoundsError):
     """A documented precondition of an operation does not hold."""
 
 
+class NonPositiveWealthError(CoarseBoundsError, ValueError):
+    """A utility defined on positive wealth was evaluated at non-positive
+    wealth."""
+
+
 class BracketingError(CoarseBoundsError):
     """A root-finding bracket could not be established."""
 

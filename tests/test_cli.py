@@ -388,6 +388,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: loss grid size must be a positive integer, got 0\n"
 
+    @pytest.mark.parametrize("extra", [[], ["--dominated", "0.1"], ["--figure", "siminf_overlay"]],
+                             ids=["values", "dominated", "figure"])
+    def test_premium_above_wealth_is_a_numerical_failure(self, extra, tmp_path, capsys):
+        # the plan leaves wealth below zero, where CRRA utility is undefined
+        contract = dict(APP_FIXTURES["insurance"]["contract"], premium=2.5)
+        path = tmp_path / "insurance.json"
+        path.write_text(json.dumps(dict(APP_FIXTURES["insurance"], contract=contract)))
+        assert run(["insurance", "--in", str(path), "--N", "2", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: CRRA utility needs positive wealth, got -0.525\n"
+
     def test_dominated_negative_tol(self, tmp_path, capsys):
         path = tmp_path / "insurance.json"
         path.write_text(json.dumps(APP_FIXTURES["insurance"]))

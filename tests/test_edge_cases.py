@@ -16,6 +16,7 @@ from coarse_bounds.partitions import common_refinement, partition_path
 from test_partitions import check_path, random_partition
 
 
+NUMPY = engine._NUMPY_DP_THRESHOLD
 MONO = engine._MONOTONE_DP_THRESHOLD
 # (_NUMPY_DP_THRESHOLD, _MONOTONE_DP_THRESHOLD) that force each fill branch
 BRANCHES = {"python": (10**9, 10**9), "dense": (2, 10**9), "monotone": (2, 2)}
@@ -63,14 +64,28 @@ class TestDpPathParity:
                 )
                 assert fast == slow, (n, kind)
 
-    @pytest.mark.parametrize("length", [39, 40, 41, 64, MONO - 1, MONO, MONO + 1, 2 * MONO])
+    @pytest.mark.parametrize("length", [
+        NUMPY - 1, NUMPY, NUMPY + 1, 39, 40, 41, 64, MONO - 1, MONO, MONO + 1, 2 * MONO,
+    ])
     def test_bitwise_identical_values_and_cuts(self, length, monkeypatch):
         self.check(parity_ladder(length, "float"), monkeypatch)
 
     @pytest.mark.parametrize("shape", ["tied", "zero-mass"])
-    @pytest.mark.parametrize("length", [64, MONO])
+    @pytest.mark.parametrize("length", [NUMPY, 64, MONO])
     def test_ties_and_zero_masses(self, shape, length, monkeypatch):
         self.check(parity_ladder(length, shape), monkeypatch)
+
+    @pytest.mark.parametrize("shape", ["float", "tied", "zero-mass"])
+    @pytest.mark.parametrize("length", [NUMPY - 1, NUMPY, NUMPY + 1])
+    def test_optimum_sets_at_the_dense_threshold(self, shape, length, monkeypatch):
+        lad = parity_ladder(length, shape)
+        for n in (2, 3, 6):
+            for kind in (engine.LOWER, engine.UPPER):
+                for query in (engine.optimum_set, engine.top_block_starts):
+                    dense, python = (
+                        solve_with(b, monkeypatch, query, lad, n, kind) for b in ("dense", "python")
+                    )
+                    assert dense == python, (query.__name__, n, kind)
 
     def test_interval(self, monkeypatch):
         lad = parity_ladder(2 * MONO, "float")

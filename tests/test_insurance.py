@@ -4,7 +4,8 @@ capacity monotonicity, willingness to pay, dominated pairs, kink avoidance."""
 import numpy as np
 import pytest
 
-from coarse_bounds.acts import build_ladder
+from coarse_bounds import preferences
+from coarse_bounds.acts import DiscreteAct, build_ladder
 from coarse_bounds.engine import brute_force_bound
 from coarse_bounds.errors import PreconditionError
 from coarse_bounds.applications.crra import CRRAUtility
@@ -134,6 +135,38 @@ class TestPlanValue:
     def test_monotone_in_capacity(self):
         vals = [plan_value(BASE, MODEL, U, n) for n in range(1, 9)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def per_state_utility_act(contract, model, utility):
+    """Reference: utility_act with one scalar utility call per state, as it
+    was before ``CRRAUtility.apply``."""
+    wealth = plan_act(contract, model)
+    return DiscreteAct(wealth.state_ids, [utility(x) for x in wealth.values])
+
+
+class TestUtilityActMatchesPerStateReference:
+    """``utility_act`` and ``plan_value`` equal the per-state reference in
+    ``float.hex`` on capped, capless and full-coverage plans."""
+
+    PLANS = {
+        "capped": InsuranceContract(0.05, 0.2, 0.6, 0.45, 2.0),
+        "capless": BASE,
+        "full-coverage": InsuranceContract(0.08, 0.25, 1.0, None, 1.5),
+    }
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("plan", PLANS)
+    def test_acts_and_values(self, plan, gamma):
+        contract, u = self.PLANS[plan], CRRAUtility(gamma)
+        for model in (MODEL, LossModel.uniform(1.0, 200).tilted(1.5)):
+            act, ref = utility_act(contract, model, u), per_state_utility_act(contract, model, u)
+            assert act.state_ids == ref.state_ids
+            assert [v.hex() for v in act.values] == [v.hex() for v in ref.values]
+            for n in (1, 2, 3, 8):
+                for attitude in ("cautious", "reckless"):
+                    value = plan_value(contract, model, u, n, attitude)
+                    expected = preferences.value(ref, model.belief, n, attitude)
+                    assert value.hex() == expected.hex(), (n, attitude)
 
 
 class TestSensitivity:

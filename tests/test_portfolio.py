@@ -13,6 +13,7 @@ from coarse_bounds.applications.portfolio import (
     PortfolioProblem,
     allocation_objective,
     equilibrium_price,
+    perceived_return_value,
     savings_objective,
     solve_allocation,
     solve_savings,
@@ -138,9 +139,43 @@ class TestAllocation:
         assert val == bound(ladder, prob.capacity, "lower").value
         assert allocation_objective(replace(prob, capacity=prob.grid_size), x, alpha) >= val - 1e-12
 
+    def test_overflowing_utility_fails_as_the_objective_does(self):
+        # at savings 1e-200 the wealth^-2 of gamma = 3 overflows; such shares
+        # go to allocation_objective, whose float64 wealth gives an infinite
+        # utility that the act rejects
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="act values must be finite"):
+            solve_allocation(make_problem(gamma=3.0), 1e-200)
+
     def test_savings_must_be_positive(self):
         with pytest.raises(ValueError):
             solve_allocation(make_problem(), 0.0)
+
+
+class TestPerceivedReturnValue:
+    @pytest.mark.parametrize("payoff", [
+        lambda r: r - 1.0,
+        lambda r: r - 0.7,
+        lambda r: 1.6 - r,
+        lambda r: -0.0 * r,
+    ], ids=["negative-low-returns", "zero-first-state", "zero-last-state", "zero-everywhere"])
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0])
+    def test_non_positive_wealth_is_minus_infinity(self, payoff, gamma):
+        assert perceived_return_value(make_problem(gamma=gamma), payoff) == float("-inf")
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0])
+    def test_nan_wealth_is_rejected_as_before(self, gamma):
+        # NaN is not non-positive: its utility is NaN, which the act rejects
+        prob = make_problem(gamma=gamma)
+        payoff = lambda r: float("nan") if r > 1.0 else r
+        with pytest.raises(ValueError, match="act values must be finite"):
+            perceived_return_value(prob, payoff)
+
+    def test_overflow_before_a_non_positive_state_propagates(self):
+        # the per-state utility overflowed before it met the non-positive state
+        prob = make_problem(gamma=3.0)
+        with pytest.raises(OverflowError):
+            perceived_return_value(prob, lambda r: 1e-200 if r < 1.0 else -1.0)
+        assert perceived_return_value(prob, lambda r: -1.0 if r < 1.0 else 1e-200) == float("-inf")
 
 
 class TestAllocationMatchesPerCallReference:
