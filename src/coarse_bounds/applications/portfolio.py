@@ -9,6 +9,7 @@ problem's capacity; the unconstrained benchmark is the same code path on
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,8 +93,8 @@ def solve_allocation(problem: PortfolioProblem, x: float) -> float:
     grid[-1] = 1.0
     vals = _grid_values(problem, x, grid)
     i_best = int(np.argmax(vals))
-    lo = grid[max(0, i_best - 1)]
-    hi = grid[min(len(grid) - 1, i_best + 1)]
+    lo = float(grid[max(0, i_best - 1)])
+    hi = float(grid[min(len(grid) - 1, i_best + 1)])
     refined = _golden_max(obj, lo, hi, 1e-6)
     candidates = [(float(grid[i_best]), vals[i_best]), refined]
     best_val = max(v for _, v in candidates)
@@ -123,8 +124,7 @@ def _grid_values(problem: PortfolioProblem, x: float, shares) -> list:
         try:
             return problem.utility.apply(row)
         except OverflowError:
-            # the objective's float64 wealth meets numpy's scalar power,
-            # which returns inf here, not this error
+            # the objective raises the same error, after the rows before it
             return skipped
 
     def value_rows():
@@ -147,13 +147,13 @@ def _grid_values(problem: PortfolioProblem, x: float, shares) -> list:
                 rows.append(row)
                 continue
             value_rows()
-            vals.append(allocation_objective(problem, x, alpha))
+            vals.append(allocation_objective(problem, x, float(alpha)))
         value_rows()
     return vals
 
 
 def _golden_max(obj, lo: float, hi: float, tol: float):
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)

@@ -30,7 +30,10 @@ Every optimal cutoff vector is a path through the fill's suffix values:
 :func:`optimum_set` lists them all and :func:`top_block_starts` reads where
 their top blocks start. :func:`brute_force_bound` is an independent
 exhaustive oracle, kept only as a reference for those queries and the DP,
-for instances below a size guard.
+for instances below a size guard. It reads the vectors of
+:func:`enumerate_cut_vectors` from a cached block-edge table and sums each
+vector's cells in block order in one numpy pass per chunk of vectors, the
+same IEEE operations as :func:`coarse_value`; it reads no code of the fill.
 
 Tie policy: the canonical cutoff vector compares candidate values exactly.
 At every state it closes the block when closing is optimal and otherwise
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb, inf
 
 import numpy as np
@@ -62,6 +65,12 @@ UPPER = "upper"
 # Brute-force enumeration guards.
 MAX_ORACLE_LEVELS = 22
 MAX_ORACLE_VECTORS = 2_000_000
+
+# The oracle's block-edge tables are built and scanned this many rows at a
+# time; the tables kept for later calls take at most this many bytes in all.
+_EDGE_CHUNK_ROWS = 1 << 13
+_EDGE_CACHE_BYTES = 1 << 22
+_edge_tables: dict = {}
 
 # Ladders at least this long use the dense numpy DP fill, and from the
 # second threshold on the monotone search, which never builds an L x L matrix.
@@ -196,16 +205,13 @@ def coarse_value(cuts, ladder: ValueLadder, kind: str) -> float:
     upper = _check_kind(kind)
     cuts = cuts.cuts if isinstance(cuts, CutoffVector) else tuple(cuts)
     pref = _prefix_masses(ladder.level_masses)
-    return _coarse_raw(ladder.levels, pref, 0, len(ladder) - 1, cuts, upper)
-
-
-def _coarse_raw(levels, pref, lo, hi, cuts, upper: bool) -> float:
-    edges = [lo, *cuts, hi + 1]
+    length = len(ladder)
+    edges = [0, *cuts, length]
     total = 0.0
     for i in range(len(edges) - 1):
-        if not (lo <= edges[i] < edges[i + 1] <= hi + 1):
-            raise ValueError(f"cutoffs {cuts!r} invalid for range [{lo}, {hi}]")
-        total += _cell(levels, pref, edges[i], edges[i + 1] - 1, upper)
+        if not (0 <= edges[i] < edges[i + 1] <= length):
+            raise ValueError(f"cutoffs {cuts!r} invalid for range [0, {length - 1}]")
+        total += _cell(ladder.levels, pref, edges[i], edges[i + 1] - 1, upper)
     return total
 
 
@@ -276,14 +282,19 @@ def _fill(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):
     Three branches share the candidate arithmetic exactly: a pure-Python
     scan for short ladders, a dense numpy matrix from
     ``_NUMPY_DP_THRESHOLD`` levels, and the monotone search from
-    ``_MONOTONE_DP_THRESHOLD`` levels.
+    ``_MONOTONE_DP_THRESHOLD`` levels. Both numpy branches build their
+    search only when a second capacity layer runs.
     """
     length = hi - lo + 1
     if length >= _NUMPY_DP_THRESHOLD:
         lvl = np.asarray(levels[lo : hi + 1], dtype=float)
         pre = np.asarray(pref[lo : hi + 2], dtype=float)
+        # the blocks [j..hi]: the last column of the dense branch's matrix
+        stop = (pre[-1] - pre[:-1]) * (lvl[-1] if upper else lvl)
+        values, choices = [None, stop], [None, np.full(length, -1)]
+        if n_blocks == 1:
+            return values, choices
         if length >= _MONOTONE_DP_THRESHOLD:
-            stop = (pre[-1] - pre[:-1]) * (lvl[-1] if upper else lvl)
             search = partial(_monotone_search, lvl, pre, upper, _bisection(length - 1))
         else:
             # cellmat[j, e] = value of block [j..e] (offsets from lo)
@@ -291,9 +302,7 @@ def _fill(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):
             cellmat *= lvl[None, :] if upper else lvl[:, None]
             idx = np.arange(length)
             cellmat[idx[:, None] > idx[None, :]] = inf if upper else -inf
-            stop = cellmat[:, -1].copy()
             search = partial(_dense_search, cellmat, idx, upper)
-        values, choices = [None, stop], [None, np.full(length, -1)]
         for _ in range(2, n_blocks + 1):
             best, arg = search(values[-1])
             close = (stop <= best) if upper else (stop >= best)
@@ -427,14 +436,13 @@ def top_block_starts(ladder: ValueLadder, n, kind: str) -> list:
 
 def _bound_from_cuts(ladder: ValueLadder, cuts, value: float, n: int, kind: str) -> BoundResult:
     upper = kind == UPPER
-    bound_values = []
+    reps = []
     for blo, bhi in blocks_from_cuts(cuts, len(ladder)):
-        rep = ladder.levels[bhi if upper else blo]
-        bound_values.extend([rep] * (bhi - blo + 1))
+        reps.extend([ladder.levels[bhi if upper else blo]] * (bhi - blo + 1))
     return BoundResult(
         kind=kind,
         cutoffs=CutoffVector(cuts),
-        bound_values=tuple(bound_values),
+        bound_values=tuple(reps),
         value=value,
         exact=len(ladder) <= n,
     )
@@ -529,25 +537,100 @@ def enumerate_cut_vectors(length: int, n: int):
         yield from combinations(range(1, length), b)
 
 
+def _edge_chunks(length: int, width: int):
+    """The block-edge table of every cutoff vector of at most ``width``
+    blocks, in :func:`enumerate_cut_vectors` order, in chunks of
+    ``_EDGE_CHUNK_ROWS`` rows (the last may be shorter).
+
+    A vector's row holds its block edges ``0, c1, ..., length``, padded with
+    ``length`` to ``width + 1`` columns, in uint8, which the level guard
+    keeps in range. Each chunk comes with its cell indices:
+    ``index[k, r] = s * (length + 1) + e`` for block ``k`` of row ``r``,
+    ``[s, e)``, in the platform index type, which numpy gathers with several
+    times faster than with uint8.
+    """
+    vectors = enumerate_cut_vectors(length, width)
+    pending, count = [], 0
+    for b in range(width):
+        left = comb(length - 1, b)
+        while left:
+            rows = min(left, _EDGE_CHUNK_ROWS - count)
+            part = np.full((rows, width + 1), length, dtype=np.uint8)
+            part[:, 0] = 0
+            # read to the end of the slice, which holds rows vectors even when b = 0
+            part[:, 1 : b + 1] = np.fromiter(
+                chain.from_iterable(islice(vectors, rows)), np.uint8
+            ).reshape(rows, b)
+            pending.append(part)
+            count += rows
+            left -= rows
+            if count == _EDGE_CHUNK_ROWS or (b == width - 1 and not left):
+                edges = np.concatenate(pending)
+                cols = edges.T.astype(np.intp)
+                yield edges, cols[:-1] * (length + 1) + cols[1:]
+                pending, count = [], 0
+
+
+def _edge_table(length: int, width: int):
+    """The chunks of :func:`_edge_chunks`, cached when they fit.
+
+    A table of at most ``_EDGE_CACHE_BYTES`` is built once and kept, and the
+    oldest tables are dropped to keep the cache within that bound; a larger
+    table is built again, one chunk at a time, on every call.
+    """
+    key = (length, width)
+    if key in _edge_tables:
+        return _edge_tables[key]
+    rows = sum(comb(length - 1, b) for b in range(width))
+    size = rows * (width + 1 + width * np.dtype(np.intp).itemsize)
+    if size > _EDGE_CACHE_BYTES:
+        return _edge_chunks(length, width)
+    while _edge_cache_bytes() + size > _EDGE_CACHE_BYTES:
+        del _edge_tables[next(iter(_edge_tables))]
+    table = _edge_tables[key] = list(_edge_chunks(length, width))
+    return table
+
+
+def _edge_cache_bytes() -> int:
+    return sum(a.nbytes for table in _edge_tables.values() for chunk in table for a in chunk)
+
+
 def _enumerate_raw(levels, masses, n: int, upper: bool):
     """Exhaustive optimum over all levels: returns (value, optima) where
-    optima holds every optimal cutoff vector, sorted."""
+    optima holds every optimal cutoff vector, sorted.
+
+    Each row of the block-edge table is one cutoff vector. Its total adds
+    the cells of its blocks in block order, starting from 0.0, which is the
+    sum :func:`coarse_value` forms; a padded block ``[length, length)`` has
+    zero mass and adds an exact zero. As in a loop over the vectors, the
+    value is the first optimal total and every row that equals it is an
+    optimum.
+    """
     length = len(levels)
     if length > MAX_ORACLE_LEVELS:
         raise OracleTooLargeError(f"{length} levels exceed the oracle guard")
-    if comb(length - 1, min(n, length) - 1) > MAX_ORACLE_VECTORS:
+    width = min(n, length)
+    if comb(length - 1, width - 1) > MAX_ORACLE_VECTORS:
         raise OracleTooLargeError("too many cutoff vectors to enumerate")
-    pref = _prefix_masses(masses)
-    best = None
-    optima = []
-    for cuts in enumerate_cut_vectors(length, n):
-        val = _coarse_raw(levels, pref, 0, length - 1, cuts, upper)
-        if best is None or ((val < best) if upper else (val > best)):
-            best = val
-            optima = [cuts]
-        elif val == best:
-            optima.append(cuts)
-    return best, sorted(optima)
+    pre = np.array(_prefix_masses(masses))
+    # cells[s * (length + 1) + e] = value of the block [s, e): level[e - 1]
+    # or level[s] times its mass; the padded level meets only empty blocks
+    rep = np.array([levels[-1], *levels])[None, :] if upper else np.array([*levels, 0.0])[:, None]
+    best, optima = None, []
+    with np.errstate(all="ignore"):
+        cells = (rep * (pre[None, :] - pre[:, None])).ravel()
+        for edges, index in _edge_table(length, width):
+            blocks = cells.take(index)
+            total = 0.0 + blocks[0]
+            for cell in blocks[1:]:
+                total += cell
+            top = (np.min if upper else np.max)(total)
+            if best is None or ((top < best) if upper else (top > best)):
+                hits = np.flatnonzero(total == top)
+                best, optima = float(total[hits[0]]), edges[hits].tolist()
+            elif top == best:
+                optima += edges[total == best].tolist()
+    return best, sorted(tuple(row[1 : row.index(length)]) for row in optima)
 
 
 def brute_force_bound(ladder: ValueLadder, n, kind: str) -> OracleResult:

@@ -400,6 +400,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "numerical failure: CRRA utility needs positive wealth, got -0.525\n"
 
+    def test_overflowing_portfolio_utility_is_a_numerical_failure(self, tmp_path):
+        # at savings 1e-200 the wealth^-2 of gamma = 3 overflows the CRRA power;
+        # a fresh process shows that no numpy warning reaches stderr
+        path = tmp_path / "pf.json"
+        path.write_text(json.dumps(dict(PORTFOLIO_PINS["readme"], savings=1e-200, gamma=3.0)))
+        res = subprocess.run(
+            [sys.executable, "-m", "coarse_bounds", "portfolio", "--in", str(path), "--N", "2"],
+            capture_output=True, text=True,
+        )
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == "numerical failure: (34, 'Numerical result out of range')\n"
+
     def test_dominated_negative_tol(self, tmp_path, capsys):
         path = tmp_path / "insurance.json"
         path.write_text(json.dumps(APP_FIXTURES["insurance"]))

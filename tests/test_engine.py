@@ -23,6 +23,7 @@ from coarse_bounds.acts import (
 from coarse_bounds import engine
 from coarse_bounds.engine import (
     TIE_TOL,
+    BoundResult,
     CutoffVector,
     blocks_from_cuts,
     bound,
@@ -214,6 +215,18 @@ class TestLongLadderMemory:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_one_block_builds_no_square_matrix(self):
+        # one 511 x 511 float64 candidate matrix alone would take 2 MB
+        lad = golden_ladder(511)
+        tracemalloc.start()
+        try:
+            for kind in ("lower", "upper"):
+                bound(lad, 1, kind)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**10
 
 
 def batch_rows(length: int, rows: str, seed: int):
@@ -519,6 +532,126 @@ class TestOracleAgreement:
         lad = ValueLadder(list(range(30)), [1 / 30] * 30)
         with pytest.raises(OracleTooLargeError):
             brute_force_bound(lad, 3, "lower")
+
+
+def plain_oracle(ladder: ValueLadder, n: int, kind: str):
+    """The oracle's definition as a loop: ``coarse_value`` of every vector of
+    ``enumerate_cut_vectors``, keeping the first best value and exact ties."""
+    upper = kind == "upper"
+    best, optima = None, []
+    for cuts in enumerate_cut_vectors(len(ladder), n):
+        val = coarse_value(cuts, ladder, kind)
+        if best is None or ((val < best) if upper else (val > best)):
+            best, optima = val, [cuts]
+        elif val == best:
+            optima.append(cuts)
+    return best, tuple(sorted(optima))
+
+
+def exact_ladder(rng: np.random.Generator, length: int, low: int = -16) -> ValueLadder:
+    """``length`` distinct integer levels from ``low`` up and masses k/2^10,
+    some of them zero."""
+    levels = sorted(rng.choice(np.arange(low, low + 2 * length + 1), size=length, replace=False))
+    cuts = np.sort(rng.integers(0, 1025, size=length - 1))
+    masses = np.diff(np.concatenate(([0], cuts, [1024]))) / 1024
+    return ValueLadder([float(v) for v in levels], masses.tolist())
+
+
+def oracle_edge_ladders() -> list:
+    rng = np.random.default_rng(612)
+    point = ValueLadder([float(i) for i in range(10)], [1.0] + [0.0] * 9)
+    top_heavy = ValueLadder([float(i - 5) for i in range(10)], [0.0] * 9 + [1.0])
+    # all mass on the level 0.0: every empty-mass cell is a signed zero
+    zeros = ValueLadder([-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 0.0, 1.0, 0.0, 0.0])
+    huge = ValueLadder([-1.7e308, -1e308, -1.0, 0.0, 1e308, 1.7e308], [1 / 6] * 6)
+    near_max = ValueLadder([1.7e308 - i * 1e294 for i in range(8, 0, -1)], [0.125] * 8)
+    near_min = ValueLadder([-1.7e308 + i * 1e294 for i in range(8)], [0.125] * 8)
+    return (
+        [dyadic_ladder(rng, max_levels=10) for _ in range(4)]
+        + [zero_mass_ladder(rng) for _ in range(4)]
+        + [exact_ladder(rng, length, low=-length) for length in (6, 9)]
+        + [point, top_heavy, zeros, huge, near_max, near_min]
+    )
+
+
+class TestOraclePlainDefinition:
+    """``brute_force_bound`` equals the loop over the plain definition: the
+    value bit for bit, every optimal vector and the bound built on the first."""
+
+    @staticmethod
+    def check(lad: ValueLadder, n: int, kind: str):
+        value, optima = plain_oracle(lad, n, kind)
+        res = brute_force_bound(lad, n, kind)
+        assert res.bound.value.hex() == value.hex()
+        assert res.optima == optima
+        upper = kind == "upper"
+        reps = tuple(
+            lad.levels[hi if upper else lo]
+            for lo, hi in blocks_from_cuts(optima[0], len(lad))
+            for _ in range(lo, hi + 1)
+        )
+        assert res.bound == BoundResult(kind, CutoffVector(optima[0]), reps, value, len(lad) <= n)
+
+    @pytest.mark.parametrize("index", range(len(oracle_edge_ladders())))
+    def test_every_capacity(self, index):
+        lad = oracle_edge_ladders()[index]
+        for n in range(1, len(lad) + 1):
+            for kind in ("lower", "upper"):
+                self.check(lad, n, kind)
+
+    def test_point_mass_ladder(self):
+        # the ladder of test_all_vectors_optimal_and_guard: 1160 optima
+        lad = ValueLadder([float(i) for i in range(20)], [1.0] + [0.0] * 19)
+        for kind in ("lower", "upper"):
+            self.check(lad, 4, kind)
+        assert len(brute_force_bound(lad, 4, "lower").optima) == 1160
+
+    def test_chunk_boundaries(self, monkeypatch):
+        # 7-row chunks: the best total and its ties span many chunks
+        monkeypatch.setattr(engine, "_EDGE_CHUNK_ROWS", 7)
+        monkeypatch.setattr(engine, "_edge_tables", {})
+        for lad in oracle_edge_ladders():
+            for n in range(1, len(lad) + 1):
+                for kind in ("lower", "upper"):
+                    self.check(lad, n, kind)
+        self.check(ValueLadder([float(i) for i in range(20)], [1.0] + [0.0] * 19), 4, "lower")
+
+
+class TestOracleMemory:
+    def test_streamed_enumeration_stays_bounded(self, monkeypatch):
+        # 198,440 vectors in 25 chunks: the table with its cell indices takes
+        # 14.5 MB, more than the cache keeps, so it is streamed
+        monkeypatch.setattr(engine, "_edge_tables", {})
+        rng = np.random.default_rng(613)
+        lad = float_ladder(rng, max_levels=22, min_levels=22)
+        tracemalloc.start()
+        try:
+            brute_force_bound(lad, 8, "lower")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert engine._edge_tables == {}
+        exact = exact_ladder(rng, 22)
+        for kind in ("lower", "upper"):
+            assert brute_force_bound(exact, 8, kind).bound.value == bound(exact, 8, kind).value
+
+    def test_cache_keeps_its_byte_bound(self, monkeypatch):
+        # at 17 levels the tables of N = 7, 8, 9 take 0.95, 1.9 and 3.2 MB and
+        # that of N = 10 4.6 MB: caching N = 9 drops the older tables, and
+        # N = 10 is streamed
+        monkeypatch.setattr(engine, "_edge_tables", {})
+        lad = exact_ladder(np.random.default_rng(614), 17)
+        results = {}
+        for n in (7, 8, 9, 10):
+            results[n] = brute_force_bound(lad, n, "upper")
+            assert engine._edge_cache_bytes() <= engine._EDGE_CACHE_BYTES == 4 * 2**20
+        assert list(engine._edge_tables) == [(17, 9)]
+        monkeypatch.setattr(engine, "_EDGE_CACHE_BYTES", 0)
+        monkeypatch.setattr(engine, "_edge_tables", {})
+        for n, cached in results.items():
+            assert brute_force_bound(lad, n, "upper") == cached
+        assert engine._edge_tables == {}
 
 
 class TestStructuralInvariants:

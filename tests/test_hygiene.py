@@ -316,3 +316,55 @@ def test_scan_flags_an_unused_public_name(tmp_path):
         (mod, 17, "Alias"),
         (sibling, 2, "run"),
     ]
+
+
+# The exhaustive oracle is the reference for the DP fill: a reference that
+# shares the fill's code could share its bugs.
+DP_NAMES = frozenset({"_fill", "_solve", "_dense_search", "_monotone_search", "bound", "bound_values"})
+
+
+def reached_functions(path: Path, roots) -> dict:
+    """Every module-level function of ``path`` that ``roots`` reach through
+    the names their bodies read, mapped to the names it reads."""
+    functions = {
+        node.name: node
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    reached, todo = {}, list(roots)
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached[name] = set(names_read(functions[name]))
+        todo += [n for n in reached[name] if n in functions]
+    return reached
+
+
+def dp_references(path: Path, roots) -> list:
+    """(function, name) for every DP name read by a function that ``roots``
+    reach, where a function read by name is followed into its body."""
+    reached = reached_functions(path, roots)
+    return sorted((f, n) for f, reads in reached.items() for n in reads & DP_NAMES)
+
+
+def test_oracle_reads_no_dp_code():
+    path = SRC / "engine.py"
+    roots = ("brute_force_bound", "_enumerate_raw")
+    assert {"_enumerate_raw", "_edge_table", "_edge_chunks"} <= set(reached_functions(path, roots))
+    assert dp_references(path, roots) == []
+
+
+def test_scan_flags_a_dp_reference(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "def oracle(ladder):\n"
+        "    return helper(ladder), Result(bound=1)\n"
+        "def helper(ladder):\n"
+        "    return engine.bound_values(ladder) + inner()\n"
+        "def inner():\n"
+        "    return _fill\n"
+        "def unreached():\n"
+        "    return _solve()\n"
+    )
+    assert dp_references(path, ["oracle"]) == [("helper", "bound_values"), ("inner", "_fill")]

@@ -141,10 +141,12 @@ class TestAllocation:
 
     def test_overflowing_utility_fails_as_the_objective_does(self):
         # at savings 1e-200 the wealth^-2 of gamma = 3 overflows; such shares
-        # go to allocation_objective, whose float64 wealth gives an infinite
-        # utility that the act rejects
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="act values must be finite"):
+        # go to allocation_objective, whose float wealth makes pow raise
+        with pytest.raises(OverflowError) as raised:
             solve_allocation(make_problem(gamma=3.0), 1e-200)
+        with pytest.raises(OverflowError) as direct:
+            allocation_objective(make_problem(gamma=3.0), 1e-200, 0.001)
+        assert str(raised.value) == str(direct.value)
 
     def test_savings_must_be_positive(self):
         with pytest.raises(ValueError):
