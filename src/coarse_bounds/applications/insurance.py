@@ -12,6 +12,7 @@ no-cutoff-at-the-kink property of optimal partitions.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
@@ -34,6 +35,10 @@ class InsuranceContract:
     wealth: float
 
     def __post_init__(self):
+        for name in ("premium", "wealth"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.deductible >= 0:
             raise ValueError("deductible must be non-negative")
         if not 0.0 <= self.coverage <= 1.0:

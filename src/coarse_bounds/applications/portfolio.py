@@ -21,9 +21,20 @@ from ..errors import ConvergenceError, NonPositiveWealthError, PreconditionError
 from .crra import CRRAUtility
 
 NEG_INF = float("-inf")
+_TINY = float(np.finfo(float).tiny)
 
-# solve_allocation builds and values its share grid this many shares at a time.
+# _grid_values builds and values its shares this many at a time, and
+# _dominated_blocks builds their wealth so; a multiple of _PRUNE_BLOCK.
 _GRID_BLOCK = 64
+# _pruned_grid_values samples and bounds its share grid in blocks of this
+# many consecutive shares.
+_PRUNE_BLOCK = 16
+# Ulps by which an envelope's utilities are raised. pow and log err by under
+# 1 ulp and the division by 1 - gamma by half of one, so each computed
+# utility lies within 1.5 * 2^-52 of its exact value, relative. Exact
+# utility increases with wealth, so a share's utility exceeds its
+# envelope's by under 3 * 2^-52 of it: at most 6 ulps, and 8 leave room.
+_PAD_ULPS = 8
 
 
 @dataclass(frozen=True)
@@ -53,8 +64,8 @@ class PortfolioProblem:
             )
         if not self.beta >= 0:
             raise ValueError("discount factor must be non-negative")
-        if not self.endowment > 0:
-            raise ValueError("endowment must be positive")
+        if not 0 < self.endowment < math.inf:
+            raise ValueError(f"endowment must be positive and finite, got {self.endowment!r}")
 
     @property
     def grid_size(self) -> int:
@@ -85,13 +96,13 @@ def solve_allocation(problem: PortfolioProblem, x: float) -> float:
     Grid search at step 1e-3 followed by golden-section refinement to 1e-6;
     ties resolve to the smallest share.
     """
-    if x <= 0:
-        raise ValueError("savings must be positive")
+    if not 0 < x < math.inf:
+        raise ValueError(f"savings must be positive and finite, got {x!r}")
     obj = lambda a: allocation_objective(problem, x, a)
     step = 1e-3
     grid = np.arange(0.0, 1.0 + 0.5 * step, step)
     grid[-1] = 1.0
-    vals = _grid_values(problem, x, grid)
+    vals = _pruned_grid_values(problem, x, grid)
     i_best = int(np.argmax(vals))
     lo = float(grid[max(0, i_best - 1)])
     hi = float(grid[min(len(grid) - 1, i_best + 1)])
@@ -99,6 +110,98 @@ def solve_allocation(problem: PortfolioProblem, x: float) -> float:
     candidates = [(float(grid[i_best]), vals[i_best]), refined]
     best_val = max(v for _, v in candidates)
     return min(a for a, v in candidates if v >= best_val - 1e-15)
+
+
+def _pruned_grid_values(problem: PortfolioProblem, x: float, shares) -> list:
+    """``_grid_values(problem, x, shares)`` with -inf for the shares of every
+    block that :func:`_dominated_blocks` proves worse than a sampled share,
+    so the argmax and its value are the same.
+
+    The first share of each block of ``_PRUNE_BLOCK`` and the last share
+    are valued first, and their best value is the bar. The shares of the
+    blocks that are not skipped are then valued in grid order. A share that
+    could raise is never skipped and the samples are valued first, so when a
+    sample raises the whole grid is valued, in grid order, to raise the
+    grid's first error.
+    """
+    firsts = np.arange(0, len(shares), _PRUNE_BLOCK)
+    sampled = np.append(firsts[firsts < len(shares) - 1], len(shares) - 1)
+    try:
+        sample_vals = _grid_values(problem, x, shares[sampled])
+    except (ArithmeticError, ValueError):
+        # what a share's own wealth can raise; other errors do not depend on
+        # the share, and both passes value share 0 first
+        return _grid_values(problem, x, shares)
+    skip = _dominated_blocks(problem, x, shares, float(np.max(sample_vals)))
+    vals = np.full(len(shares), NEG_INF)
+    vals[sampled] = sample_vals
+    rest = ~np.repeat(skip, _PRUNE_BLOCK)[: len(shares)]
+    rest[sampled] = False
+    vals[rest] = _grid_values(problem, x, shares[rest])
+    return vals.tolist()
+
+
+def _dominated_blocks(problem: PortfolioProblem, x: float, shares, best: float):
+    """Which blocks of ``_PRUNE_BLOCK`` consecutive ``shares`` hold no share
+    whose ``allocation_objective`` reaches ``best``.
+
+    A block's envelope act pays, in each state, the largest wealth of its
+    shares (the wealth of :func:`_grid_values`, bit for bit) with its
+    utility raised by ``_PAD_ULPS``, so it pays at least every share's
+    utility. The bound DP is monotone in the levels (non-negative widths
+    times levels, sums, and maxima or minima), so the envelope's value is at
+    least the value of every share whose row is batched, bit for bit; a
+    share whose levels merge by rounding is covered by the 1e-12 margin. A
+    block may be skipped only when its envelope's levels are finite and
+    strictly ascending on the positive-mass returns, its smallest wealth
+    less 2^-49 of itself is a positive normal float with finite utilities
+    (so none of its shares is valued -inf or raises), and its bound lies
+    below ``best`` by the margin. Nothing is skipped unless ``best`` and
+    every bound are finite.
+    """
+    skip = np.zeros(-(-len(shares) // _PRUNE_BLOCK), dtype=bool)
+    if not math.isfinite(best):
+        return skip
+    returns = np.array(problem.risky_returns)
+    live = np.array(problem.belief.masses) > 0.0
+    masses = [m for m in problem.belief.masses if m > 0.0]
+    tops, floors = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        # _GRID_BLOCK shares at a time, a whole number of blocks
+        for start in range(0, len(shares), _GRID_BLOCK):
+            chunk = shares[start : start + _GRID_BLOCK, None]
+            wealth = ((1.0 - chunk) * x) * problem.safe_return + (chunk * x) * returns
+            firsts = np.arange(0, len(chunk), _PRUNE_BLOCK)
+            tops.append(np.maximum.reduceat(wealth, firsts))
+            floors.append(np.minimum.reduceat(wealth, firsts))
+        top = np.concatenate(tops)
+        floor = np.concatenate(floors) * (1.0 - 2.0**-49)
+    blocks = np.flatnonzero(np.isfinite(top).all(axis=1) & (floor >= _TINY).all(axis=1))
+
+    def utilities(rows):
+        out = np.full(rows.shape, np.nan)
+        for i, row in enumerate(rows):
+            try:
+                out[i] = problem.utility.apply(row.tolist())
+            except OverflowError:
+                pass  # left NaN, so the block is kept
+        return out
+
+    upper = utilities(top[blocks])
+    for _ in range(_PAD_ULPS):
+        upper = np.nextafter(upper, np.inf)
+    levels = upper[:, live]
+    ok = (
+        np.isfinite(upper).all(axis=1)
+        & np.isfinite(utilities(floor[blocks])).all(axis=1)
+        & (levels[:, :-1] < levels[:, 1:]).all(axis=1)
+    )
+    if not ok.any():
+        return skip
+    bounds = bound_values(levels[ok], masses, problem.capacity, attitude_kind(problem.attitude))
+    if np.isfinite(bounds).all():
+        skip[blocks[ok]] = bounds < best - 1e-12 * max(1.0, abs(best))
+    return skip
 
 
 def _grid_values(problem: PortfolioProblem, x: float, shares) -> list:

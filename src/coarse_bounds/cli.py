@@ -52,6 +52,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 
+# Size guards: the most resample indices (K * B) learn draws, and the most
+# points of an insurance loss grid.
+MAX_RESAMPLE_INDICES = 1 << 25
+MAX_LOSS_GRID = 10**6
+
 
 def _parse_capacities(text: str) -> list:
     """The capacities ``--N`` names: one integer ``N`` or a range ``a..b``."""
@@ -155,8 +160,12 @@ def cmd_learn(args) -> int:
     act, belief = act_from_record(fixture)
     rule = SmoothRule(gamma=fixture["gamma"], k=fixture["k"])
     seed = int(fixture.get("seed", args.seed))
-    data = draw_sample(belief, act.state_ids, int(fixture["K"]), seed)
-    b = int(fixture["B"])
+    k, b = int(fixture["K"]), int(fixture["B"])
+    if k >= 1 and b >= 1 and k * b > MAX_RESAMPLE_INDICES:
+        raise CoarseBoundsError(
+            f"K * B = {k * b} resample indices exceed the limit of {MAX_RESAMPLE_INDICES}"
+        )
+    data = draw_sample(belief, act.state_ids, k, seed)
     errors = bootstrap_errors(act, data, b, seed)
     audit = audit_coarsening_preserves_ce(act, data, rule, b, seed, true_belief=belief)
     report = {
@@ -175,7 +184,11 @@ def cmd_learn(args) -> int:
 
 
 def _loss_model(grid: dict) -> ins.LossModel:
-    model = ins.LossModel.uniform(grid.get("max_loss", 1.0), grid.get("n", 200))
+    n = grid.get("n", 200)
+    # other types and non-positive sizes are the loss model's to reject
+    if isinstance(n, int) and n > MAX_LOSS_GRID:
+        raise CoarseBoundsError(f"loss grid size {n} exceeds the limit of {MAX_LOSS_GRID}")
+    model = ins.LossModel.uniform(grid.get("max_loss", 1.0), n)
     if grid.get("tilt"):
         model = model.tilted(float(grid["tilt"]))
     return model

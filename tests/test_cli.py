@@ -4,6 +4,7 @@ and byte-determinism of repeated runs."""
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -525,6 +526,62 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: gamma must be positive\n"
+
+    @pytest.mark.parametrize("savings", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_non_finite_savings(self, savings, tmp_path):
+        # a fresh process shows that no numpy warning reaches stderr
+        path = tmp_path / "pf.json"
+        path.write_text(json.dumps(dict(APP_FIXTURES["portfolio"], savings=savings)))
+        res = subprocess.run(
+            [sys.executable, "-m", "coarse_bounds", "portfolio", "--in", str(path), "--N", "2"],
+            capture_output=True, text=True,
+        )
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == f"error: savings must be positive and finite, got {savings!r}\n"
+
+    def test_infinite_endowment(self, tmp_path, capsys):
+        path = tmp_path / "pf.json"
+        path.write_text(json.dumps(dict(APP_FIXTURES["portfolio"], endowment=float("inf"))))
+        assert run(["portfolio", "--in", str(path), "--N", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: endowment must be positive and finite, got inf\n"
+
+    @pytest.mark.parametrize("field, value", [
+        ("premium", float("inf")), ("wealth", float("inf")), ("wealth", float("nan")),
+    ], ids=["premium-inf", "wealth-inf", "wealth-nan"])
+    def test_non_finite_plan_terms(self, field, value, tmp_path, capsys):
+        contract = dict(APP_FIXTURES["insurance"]["contract"], **{field: value})
+        path = tmp_path / "insurance.json"
+        path.write_text(json.dumps(dict(APP_FIXTURES["insurance"], contract=contract)))
+        assert run(["insurance", "--in", str(path), "--N", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {field} must be finite, got {value!r}\n"
+
+    @pytest.mark.parametrize("command, fixture, extra, message", [
+        ("learn", dict(LEARN_FIXTURE, K=8192, B=4097), [],
+         "K * B = 33562624 resample indices exceed the limit of 33554432"),
+        ("insurance", dict(APP_FIXTURES["insurance"], grid={"n": 10**6 + 1}), ["--N", "2"],
+         "loss grid size 1000001 exceeds the limit of 1000000"),
+        ("insurance", APP_FIXTURES["insurance"], ["--N", "2", "--grid", str(10**9)],
+         "loss grid size 1000000000 exceeds the limit of 1000000"),
+    ], ids=["learn-resamples", "insurance-grid", "insurance-grid-option"])
+    def test_oversized_request_is_rejected_before_it_allocates(self, command, fixture, extra,
+                                                               message, tmp_path, capsys):
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(fixture))
+        tracemalloc.start()
+        try:
+            code = run([command, "--in", str(path), *extra])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert peak < 1 << 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_input_is_a_directory(self, tmp_path, capsys):
         assert run(["bounds", "--in", str(tmp_path), "--N", "2"]) == 1

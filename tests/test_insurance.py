@@ -68,6 +68,13 @@ class TestConsumerPayment:
         with pytest.raises(ValueError, match=message):
             InsuranceContract(0.05, deductible, 0.7, cap, 2.0)
 
+    @pytest.mark.parametrize("field", ["premium", "wealth"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_premium_or_wealth_rejected(self, field, value):
+        terms = dict(premium=0.05, deductible=0.3, coverage=0.7, cap=None, wealth=2.0)
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+            InsuranceContract(**dict(terms, **{field: value}))
+
 
 class TestPlanAct:
     def test_full_insurance_constant(self):

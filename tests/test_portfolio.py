@@ -82,6 +82,7 @@ class TestProblemValidation:
 
     @pytest.mark.parametrize("endowment, beta, message", [
         (float("nan"), 0.9, "endowment must be positive"),
+        (float("inf"), 0.9, "endowment must be positive and finite, got inf"),
         (1.0, float("nan"), "discount factor must be non-negative"),
     ])
     def test_nan_rejected(self, endowment, beta, message):
@@ -152,6 +153,11 @@ class TestAllocation:
         with pytest.raises(ValueError):
             solve_allocation(make_problem(), 0.0)
 
+    @pytest.mark.parametrize("x", [float("inf"), float("nan")])
+    def test_savings_must_be_finite(self, x):
+        with pytest.raises(ValueError, match=f"^savings must be positive and finite, got {x!r}$"):
+            solve_allocation(make_problem(), x)
+
 
 class TestPerceivedReturnValue:
     @pytest.mark.parametrize("payoff", [
@@ -213,6 +219,88 @@ class TestAllocationMatchesPerCallReference:
         )
         for x in (0.3, 1.0):
             assert solve_allocation(prob, x) == per_call_solve_allocation(prob, x)
+
+
+def full_grid_solve_allocation(problem, x):
+    """Reference: solve_allocation as it was before its grid was pruned,
+    with every one of the 1001 shares valued by ``_grid_values``."""
+    obj = lambda a: allocation_objective(problem, x, a)
+    grid = share_grid()
+    vals = portfolio._grid_values(problem, x, grid)
+    i_best = int(np.argmax(vals))
+    lo = float(grid[max(0, i_best - 1)])
+    hi = float(grid[min(len(grid) - 1, i_best + 1)])
+    refined = portfolio._golden_max(obj, lo, hi, 1e-6)
+    candidates = [(float(grid[i_best]), vals[i_best]), refined]
+    best_val = max(v for _, v in candidates)
+    return min(a for a, v in candidates if v >= best_val - 1e-15)
+
+
+def share_grid():
+    grid = np.arange(0.0, 1.0 + 0.5e-3, 1e-3)
+    grid[-1] = 1.0
+    return grid
+
+
+def random_problem(rng):
+    """A problem with 2-24 returns, some of them null states, a random
+    capacity among 1, 2, 3, 8 and the grid size, gamma among 0, 0.5, 1, 2,
+    3 and 7, and either attitude. One in eight has a non-positive lowest
+    return, so high shares leave no wealth in that state."""
+    size = int(rng.integers(2, 25))
+    returns = np.sort(rng.uniform(0.5, 1.8, size))
+    if rng.random() < 0.125:
+        returns[0] = -rng.uniform(0.0, 0.3)
+    masses = rng.uniform(0.1, 1.0, size) * (rng.random(size) > 0.2)
+    masses[int(rng.integers(size))] += 0.5
+    masses = (masses / masses.sum()).tolist()
+    masses[int(np.argmax(masses))] += 1.0 - sum(masses)
+    return PortfolioProblem(
+        endowment=1.0,
+        safe_return=float(rng.uniform(returns[0], returns[-1])),
+        risky_returns=returns.tolist(), risky_masses=masses, beta=0.95,
+        utility=CRRAUtility(float(rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, 7.0]))),
+        capacity=int(rng.choice([1, 2, 3, 8, size])),
+        attitude=str(rng.choice(["cautious", "reckless"])),
+    )
+
+
+class TestPrunedGrid:
+    """solve_allocation values exactly only the shares that a dominating
+    envelope act does not prove worse than the best sampled share."""
+
+    def test_random_problems_match_the_full_grid(self):
+        rng = np.random.default_rng(20240515)
+        for case in range(200):
+            prob = random_problem(rng)
+            x = float(10.0 ** rng.uniform(-3.0, np.log10(5.0)))
+            assert solve_allocation(prob, x) == full_grid_solve_allocation(prob, x), (case, prob, x)
+
+    def test_every_skipped_share_is_below_the_best_sample(self):
+        rng = np.random.default_rng(7)
+        grid = share_grid()
+        sampled = set(range(0, len(grid), portfolio._PRUNE_BLOCK)) | {len(grid) - 1}
+        checked = 0
+        for _ in range(6):
+            prob = random_problem(rng)
+            x = float(rng.uniform(0.1, 2.0))
+            vals = portfolio._pruned_grid_values(prob, x, grid)
+            best = max(vals[i] for i in sampled)
+            skipped = [i for i, v in enumerate(vals) if v == float("-inf") and i not in sampled]
+            for i in skipped:
+                assert allocation_objective(prob, x, float(grid[i])) < best, (prob, x, i)
+            checked += len(skipped)
+        assert checked > 0
+
+    def test_pruned_values_are_the_full_grid_values_where_kept(self):
+        prob = make_problem(gamma=2.0, capacity=3)
+        grid = share_grid()
+        pruned = portfolio._pruned_grid_values(prob, 0.5, grid)
+        full = portfolio._grid_values(prob, 0.5, grid)
+        kept = [i for i, v in enumerate(pruned) if v != float("-inf")]
+        assert len(kept) < len(grid) / 2
+        assert [pruned[i] for i in kept] == [full[i] for i in kept]
+        assert int(np.argmax(pruned)) == int(np.argmax(full))
 
 
 class TestSavings:
