@@ -2,7 +2,7 @@
 
 from .crra import CRRAUtility
 from .insurance import InsuranceContract, LossModel
-from .portfolio import PortfolioProblem
+from .portfolio import PortfolioProblem, allocation_objective
 from .contracts import ContractingProblem
 
 __all__ = [
@@ -10,5 +10,6 @@ __all__ = [
     "InsuranceContract",
     "LossModel",
     "PortfolioProblem",
+    "allocation_objective",
     "ContractingProblem",
 ]

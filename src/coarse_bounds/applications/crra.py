@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from math import log
+from math import inf, log
 from operator import le, truediv
 
 from ..errors import NonPositiveWealthError
@@ -17,8 +17,10 @@ class CRRAUtility:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma >= 0:
-            raise ValueError("relative risk aversion must be non-negative")
+        if not 0 <= self.gamma < inf:
+            raise ValueError(
+                f"relative risk aversion must be non-negative and finite, got gamma={self.gamma!r}"
+            )
 
     def __call__(self, x: float) -> float:
         if x <= 0:

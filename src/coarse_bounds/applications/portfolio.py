@@ -17,7 +17,7 @@ import numpy as np
 from .. import preferences
 from ..acts import Belief, DiscreteAct
 from ..engine import attitude_kind, bound_values
-from ..errors import ConvergenceError, NonPositiveWealthError, PreconditionError
+from ..errors import AlignmentError, ConvergenceError, NonPositiveWealthError, PreconditionError
 from .crra import CRRAUtility
 
 NEG_INF = float("-inf")
@@ -35,6 +35,14 @@ _PRUNE_BLOCK = 16
 # utility increases with wealth, so a share's utility exceeds its
 # envelope's by under 3 * 2^-52 of it: at most 6 ulps, and 8 leave room.
 _PAD_ULPS = 8
+# _golden_max values the points of this many steps ahead, over every
+# branch, in one call.
+_GOLDEN_DEPTH = 3
+# equilibrium_price values its difference quotients this many step sizes at
+# a time.
+_PRICE_CHUNK = 8
+# the share of a golden-section bracket that each interior point keeps
+_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,14 @@ class PortfolioProblem:
         object.__setattr__(self, "risky_returns", returns)
         object.__setattr__(self, "risky_masses", tuple(float(m) for m in self.risky_masses))
         object.__setattr__(self, "belief", Belief(self.risky_masses))
+        if len(self.risky_masses) != len(returns):
+            raise AlignmentError(
+                f"risky masses must match the risky returns: "
+                f"{len(self.risky_masses)} masses vs {len(returns)} returns"
+            )
+        bad = [r for r in returns if not math.isfinite(r)]
+        if bad:
+            raise ValueError(f"risky returns must be finite, got {bad[0]!r}")
         if any(b <= a for a, b in zip(returns, returns[1:])):
             raise ValueError("risky returns must be strictly ascending")
         if not returns[0] < self.safe_return < returns[-1]:
@@ -75,7 +91,12 @@ class PortfolioProblem:
 def perceived_return_value(problem: PortfolioProblem, payoff) -> float:
     """Perceived value of the act r -> payoff(r); -inf when any second-period
     wealth is non-positive."""
-    wealth = [payoff(r) for r in problem.risky_returns]
+    return _wealth_value(problem, [payoff(r) for r in problem.risky_returns])
+
+
+def _wealth_value(problem: PortfolioProblem, wealth: list) -> float:
+    """Perceived value of the act whose payoff in return state i is
+    ``wealth[i]``; -inf when any of it is non-positive."""
     try:
         values = problem.utility.apply(wealth)
     except NonPositiveWealthError:
@@ -98,7 +119,6 @@ def solve_allocation(problem: PortfolioProblem, x: float) -> float:
     """
     if not 0 < x < math.inf:
         raise ValueError(f"savings must be positive and finite, got {x!r}")
-    obj = lambda a: allocation_objective(problem, x, a)
     step = 1e-3
     grid = np.arange(0.0, 1.0 + 0.5 * step, step)
     grid[-1] = 1.0
@@ -106,7 +126,7 @@ def solve_allocation(problem: PortfolioProblem, x: float) -> float:
     i_best = int(np.argmax(vals))
     lo = float(grid[max(0, i_best - 1)])
     hi = float(grid[min(len(grid) - 1, i_best + 1)])
-    refined = _golden_max(obj, lo, hi, 1e-6)
+    refined = _golden_max(lambda shares: _grid_values(problem, x, shares), lo, hi, 1e-6)
     candidates = [(float(grid[i_best]), vals[i_best]), refined]
     best_val = max(v for _, v in candidates)
     return min(a for a, v in candidates if v >= best_val - 1e-15)
@@ -207,27 +227,43 @@ def _dominated_blocks(problem: PortfolioProblem, x: float, shares, best: float):
 def _grid_values(problem: PortfolioProblem, x: float, shares) -> list:
     """``allocation_objective(problem, x, a)`` for every share ``a``, bit for bit.
 
-    When a share's wealth is positive in every state and its utilities are
+    Wealth is the objective's expression in numpy, the same IEEE operations
+    (an overflow is inf, as in Python floats, and warns of nothing), and
+    :func:`_perceived_values` values it ``_GRID_BLOCK`` shares at a time.
+    """
+    shares = np.asarray(shares, dtype=float)
+    returns = np.array(problem.risky_returns)
+    vals = []
+    for start in range(0, len(shares), _GRID_BLOCK):
+        block = shares[start : start + _GRID_BLOCK, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            wealth = ((1.0 - block) * x) * problem.safe_return + (block * x) * returns
+        vals += _perceived_values(problem, wealth)
+    return vals
+
+
+def _perceived_values(problem: PortfolioProblem, wealth) -> list:
+    """``[_wealth_value(problem, row) for row in wealth.tolist()]``, bit for bit.
+
+    When a row's wealth is positive in every state and its utilities are
     finite and strictly ascending on the positive-mass returns, those
     utilities and masses are its ladder as they are, so its row goes to one
-    batched ``bound_values`` call. Wealth is the objective's expression in
-    numpy, the same IEEE operations, and each row's utilities are one
-    ``CRRAUtility.apply`` pass over its floats. Every other share (zero
-    share, non-positive wealth, levels merged by rounding, a power that
-    overflows) takes ``allocation_objective`` itself, after the rows before
-    it are valued, so its -inf or its error is unchanged.
+    batched ``bound_values`` call. Each row's utilities are one
+    ``CRRAUtility.apply`` pass over its floats. Every other row
+    (non-positive or NaN wealth, levels merged by rounding, a power that
+    overflows) takes ``_wealth_value`` itself, after the rows before it are
+    valued, so its -inf or its error is unchanged.
     """
-    returns = np.array(problem.risky_returns)
     live = np.array(problem.belief.masses) > 0.0
     masses = [m for m in problem.belief.masses if m > 0.0]
-    skipped = [np.nan] * len(returns)
+    skipped = [np.nan] * len(live)
     vals, rows = [], []
 
     def utilities(row):
         try:
             return problem.utility.apply(row)
         except OverflowError:
-            # the objective raises the same error, after the rows before it
+            # _wealth_value raises the same error, after the rows before it
             return skipped
 
     def value_rows():
@@ -236,42 +272,91 @@ def _grid_values(problem: PortfolioProblem, x: float, shares) -> list:
             vals.extend(bound_values(rows, masses, problem.capacity, kind).tolist())
             rows.clear()
 
-    for start in range(0, len(shares), _GRID_BLOCK):
-        block = shares[start : start + _GRID_BLOCK]
-        wealth = ((1.0 - block[:, None]) * x) * problem.safe_return + (block[:, None] * x) * returns
-        positive = wealth.min(axis=1) > 0
-        utils = np.array([
-            utilities(row) if ok else skipped for row, ok in zip(wealth.tolist(), positive)
-        ])
-        levels = utils[:, live]
-        batched = np.isfinite(utils).all(axis=1) & (levels[:, :-1] < levels[:, 1:]).all(axis=1)
-        for alpha, row, ok in zip(block, levels, batched):
-            if ok:
-                rows.append(row)
-                continue
-            value_rows()
-            vals.append(allocation_objective(problem, x, float(alpha)))
+    listed = wealth.tolist()
+    positive = wealth.min(axis=1) > 0
+    utils = np.array([utilities(row) if ok else skipped for row, ok in zip(listed, positive)])
+    levels = utils[:, live]
+    batched = np.isfinite(utils).all(axis=1) & (levels[:, :-1] < levels[:, 1:]).all(axis=1)
+    for row, level, ok in zip(listed, levels, batched):
+        if ok:
+            rows.append(level)
+            continue
         value_rows()
+        vals.append(_wealth_value(problem, row))
+    value_rows()
     return vals
 
 
-def _golden_max(obj, lo: float, hi: float, tol: float):
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
+def _look_ahead(values, points: dict):
+    """``at(key)``: the objective's value at ``points[key]``, with every
+    point valued in one ``values(list of points)`` call.
+
+    The caller may not reach every point, so when that call raises, each
+    point is valued alone when the caller asks for it: a point's error is
+    raised only if the caller reaches the point, and in the caller's order.
+    """
+    try:
+        return dict(zip(points, values(list(points.values())))).__getitem__
+    except Exception:  # whatever it was, the reached point's own call raises it again
+        return lambda key: values([points[key]])[0]
+
+
+def _golden_step(a: float, b: float, c: float, d: float, keep_left: bool, tol: float):
+    """One valuation of the golden-section walk on the bracket [a, b] with
+    interior points c < d: ``(bracket, point)``. While the bracket is wider
+    than ``tol``, the walk keeps [a, d] (``keep_left``, when c's value is
+    at least d's) or [c, b] and values one new interior point; then it
+    values the midpoint and stops, and the bracket is None.
+    """
+    if not b - a > tol:
+        return None, 0.5 * (a + b)
+    if keep_left:
+        b, d = d, c
+        c = b - _PHI * (b - a)
+        return (a, b, c, d), c
+    a, c = c, d
+    d = a + _PHI * (b - a)
+    return (a, b, c, d), d
+
+
+def _golden_max(values, lo: float, hi: float, tol: float):
+    """Golden-section search for the maximum of a unimodal objective on
+    [lo, hi], to a bracket of ``tol``: ``(midpoint, value)``.
+
+    ``values(points)`` is the objective at each of a list of points. Each
+    step compares the values at the two interior points and values one new
+    point on the side it keeps, so the points of the next ``_GOLDEN_DEPTH``
+    steps, 2^depth - 1 over all branches, follow from the bracket. They are
+    computed with the walk's own float expressions (:func:`_golden_step`)
+    and valued in one call (:func:`_look_ahead`), and the walk then takes
+    its comparisons against them. So the points it visits, their values,
+    its result and its errors are those of a walk that values one point at
+    a time.
+    """
     a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = obj(c), obj(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = obj(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = obj(d)
-    mid = 0.5 * (a + b)
-    return mid, obj(mid)
+    c = b - _PHI * (b - a)
+    d = a + _PHI * (b - a)
+    at = _look_ahead(values, {0: c, 1: d})
+    fc, fd = at(0), at(1)
+    bracket, keep_left = (a, b, c, d), fc >= fd
+    while True:
+        # the next valuations as a heap: node k leads to node 2k + 1 when
+        # the walk then keeps the left part, else to node 2k + 2
+        nodes = {0: _golden_step(*bracket, keep_left, tol)}
+        for k in range(2 ** (_GOLDEN_DEPTH - 1) - 1):
+            if k in nodes and nodes[k][0]:
+                for child, left in ((2 * k + 1, True), (2 * k + 2, False)):
+                    nodes[child] = _golden_step(*nodes[k][0], left, tol)
+        at = _look_ahead(values, {k: point for k, (_, point) in nodes.items()})
+        k = 0
+        while k in nodes:
+            bracket, point = nodes[k]
+            value = at(k)
+            if bracket is None:
+                return point, value
+            fc, fd = (value, fc) if keep_left else (fd, value)
+            keep_left = fc >= fd
+            k = 2 * k + (1 if keep_left else 2)
 
 
 def savings_objective(problem: PortfolioProblem, b: float, s: float) -> float:
@@ -285,6 +370,30 @@ def savings_objective(problem: PortfolioProblem, b: float, s: float) -> float:
     # an infeasible payoff's -inf value carries through the positive beta
     inner = perceived_return_value(problem, lambda r: rb * b + r * s)
     return problem.utility(cons) + problem.beta * inner
+
+
+def _savings_values(problem: PortfolioProblem, holdings: list) -> list:
+    """``savings_objective(problem, b, s)`` for every ``(b, s)`` of
+    ``holdings``, bit for bit: the payoffs ``rb * b + r * s`` that it values
+    are built in numpy, the same IEEE operations, and valued by one
+    :func:`_perceived_values` call. A holding that values no payoff takes
+    ``savings_objective`` itself.
+    """
+    w = problem.endowment
+    priced = [
+        not (w - b - s <= 0 or b < 0 or s < 0) and problem.beta != 0.0 for b, s in holdings
+    ]
+    inner = iter(())
+    if any(priced):
+        safe, risky = np.array([bs for bs, p in zip(holdings, priced) if p]).T[:, :, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            wealth = problem.safe_return * safe + np.array(problem.risky_returns) * risky
+        inner = iter(_perceived_values(problem, wealth))
+    return [
+        problem.utility(w - b - s) + problem.beta * next(inner) if p
+        else savings_objective(problem, b, s)
+        for (b, s), p in zip(holdings, priced)
+    ]
 
 
 @dataclass(frozen=True)
@@ -311,9 +420,10 @@ def solve_savings(problem: PortfolioProblem) -> SavingsSolution:
     to 1e-9.
     """
     w = problem.endowment
-    unit = lambda a: allocation_objective(problem, 1.0, a)
-    share, _ = _golden_max(unit, 0.0, 1.0, 1e-9)
-    at_share = lambda t: savings_objective(problem, (1.0 - share) * t, share * t)
+    share, _ = _golden_max(lambda shares: _grid_values(problem, 1.0, shares), 0.0, 1.0, 1e-9)
+    at_share = lambda totals: _savings_values(
+        problem, [((1.0 - share) * t, share * t) for t in totals]
+    )
     total, _ = _golden_max(at_share, 0.0, w, 1e-9)
     b, s = (1.0 - share) * total, share * total
     value = savings_objective(problem, b, s)
@@ -344,18 +454,27 @@ def equilibrium_price(problem: PortfolioProblem) -> float:
         raise PreconditionError("equilibrium pricing needs a positive discount factor")
     marg = u.marginal(w)
 
-    def estimate(h: float) -> float:
-        v = perceived_return_value(problem, lambda r: w + h * r)
+    def estimate(h: float, v: float) -> float:
         if v == NEG_INF:
             raise PreconditionError("endowment too small for the return grid")
         return beta * (v - u(w)) / (h * marg)
 
-    h = 1e-2
-    prev = estimate(h)
+    def act_values(steps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            wealth = w + np.array(steps)[:, None] * np.array(problem.risky_returns)
+        return _perceived_values(problem, wealth)
+
+    # the steps depend on no estimate, so they are valued _PRICE_CHUNK at a time
+    steps = [1e-2]
     for _ in range(40):
-        h *= 0.5
-        cur = estimate(h)
-        if abs(cur - prev) < 1e-7:
-            return cur
-        prev = cur
+        steps.append(steps[-1] * 0.5)
+    prev = None
+    for start in range(0, len(steps), _PRICE_CHUNK):
+        chunk = dict(enumerate(steps[start : start + _PRICE_CHUNK], start))
+        at = _look_ahead(act_values, chunk)
+        for k, h in chunk.items():
+            cur = estimate(h, at(k))
+            if prev is not None and abs(cur - prev) < 1e-7:
+                return cur
+            prev = cur
     raise ConvergenceError("difference quotient failed to converge")

@@ -12,7 +12,8 @@ two problems are exchanged by negating the ladder.
 
 Both are solved exactly by one dynamic program over ladder suffixes, which
 records its choice at every state. Each capacity layer picks, for every
-block start, the best block end, in one of three size-selected branches
+block start, the best block end (the top layer only for the first start,
+the one state a query reads there), in one of three size-selected branches
 with identical candidate arithmetic. A pure-Python scan below
 ``_NUMPY_DP_THRESHOLD`` (18) levels, where it is the faster, and a dense
 numpy L x L candidate matrix below ``_MONOTONE_DP_THRESHOLD`` (512) both
@@ -277,13 +278,16 @@ def _fill(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):
     ``values[b][j - lo]`` is the best value of partitioning levels[j..hi]
     into at most b blocks. ``choices[b][j - lo]`` is -1 when closing one
     block over [j..hi] is optimal, otherwise the smallest optimal end ``e``
-    of the block starting at j. Row 0 of both is None.
+    of the block starting at j. Row 0 of both is None. Every query reads
+    the top layer, b = n_blocks, only at its start j = lo, so that layer
+    holds only that entry.
 
     Three branches share the candidate arithmetic exactly: a pure-Python
     scan for short ladders, a dense numpy matrix from
     ``_NUMPY_DP_THRESHOLD`` levels, and the monotone search from
     ``_MONOTONE_DP_THRESHOLD`` levels. Both numpy branches build their
-    search only when a second capacity layer runs.
+    search only when a layer below the top runs, and solve the top layer's
+    one block start by a scan over every end, the dense branch's row 0.
     """
     length = hi - lo + 1
     if length >= _NUMPY_DP_THRESHOLD:
@@ -291,31 +295,41 @@ def _fill(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):
         pre = np.asarray(pref[lo : hi + 2], dtype=float)
         # the blocks [j..hi]: the last column of the dense branch's matrix
         stop = (pre[-1] - pre[:-1]) * (lvl[-1] if upper else lvl)
-        values, choices = [None, stop], [None, np.full(length, -1)]
         if n_blocks == 1:
-            return values, choices
-        if length >= _MONOTONE_DP_THRESHOLD:
-            search = partial(_monotone_search, lvl, pre, upper, _bisection(length - 1))
-        else:
-            # cellmat[j, e] = value of block [j..e] (offsets from lo)
-            cellmat = pre[None, 1:] - pre[:-1, None]
-            cellmat *= lvl[None, :] if upper else lvl[:, None]
-            idx = np.arange(length)
-            cellmat[idx[:, None] > idx[None, :]] = inf if upper else -inf
-            search = partial(_dense_search, cellmat, idx, upper)
-        for _ in range(2, n_blocks + 1):
-            best, arg = search(values[-1])
-            close = (stop <= best) if upper else (stop >= best)
-            values.append(np.where(close, stop, best))
-            choices.append(np.where(close, -1, arg + lo))
+            return [None, stop[:1]], [None, np.full(1, -1)]
+        values, choices = [None, stop], [None, np.full(length, -1)]
+        if n_blocks > 2:
+            if length >= _MONOTONE_DP_THRESHOLD:
+                search = partial(_monotone_search, lvl, pre, upper, _bisection(length - 1))
+            else:
+                # cellmat[j, e] = value of block [j..e] (offsets from lo)
+                cellmat = pre[None, 1:] - pre[:-1, None]
+                cellmat *= lvl[None, :] if upper else lvl[:, None]
+                idx = np.arange(length)
+                cellmat[idx[:, None] > idx[None, :]] = inf if upper else -inf
+                search = partial(_dense_search, cellmat, idx, upper)
+            for _ in range(3, n_blocks + 1):
+                best, arg = search(values[-1])
+                close = (stop <= best) if upper else (stop >= best)
+                values.append(np.where(close, stop, best))
+                choices.append(np.where(close, -1, arg + lo))
+        # row 0 of the dense matrix: the blocks [lo..e] for e <= hi - 1
+        cand = (pre[1:-1] - pre[0]) * (lvl[:-1] if upper else lvl[0]) + values[-1][1:]
+        arg = (np.argmin if upper else np.argmax)(cand)  # first occurrence
+        best = cand[arg : arg + 1]
+        close = (stop[:1] <= best) if upper else (stop[:1] >= best)
+        values.append(np.where(close, stop[:1], best))
+        choices.append(np.where(close, -1, arg + lo))
         return values, choices
-    stop = [_cell(levels, pref, j, hi, upper) for j in range(lo, hi + 1)]
-    values, choices = [None, stop], [None, [-1] * length]
+    starts = range(lo, hi + 1 if n_blocks > 1 else lo + 1)
+    stop = [_cell(levels, pref, j, hi, upper) for j in starts]
+    values, choices = [None, stop], [None, [-1] * len(stop)]
     for b in range(2, n_blocks + 1):
         prev = values[b - 1]
-        row, choice = list(stop), [-1] * length
-        for j in range(lo, hi):
-            off = j - lo
+        width = 1 if b == n_blocks else length
+        row, choice = stop[:width], [-1] * width
+        for off in range(min(width, length - 1)):
+            j = lo + off
             best, arg = row[off], -1
             for e in range(j, hi):
                 cand = (

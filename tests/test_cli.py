@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -559,6 +560,43 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {field} must be finite, got {value!r}\n"
 
+    @pytest.mark.parametrize("command, change, message", [
+        ("portfolio", {"risky_returns": [0.8, float("nan"), 1.4]},
+         "risky returns must be finite, got nan"),
+        ("portfolio", {"risky_returns": [0.8, 1.1, float("inf")]},
+         "risky returns must be finite, got inf"),
+        ("portfolio", {"risky_masses": [1.0]},
+         "risky masses must match the risky returns: 1 masses vs 3 returns"),
+        ("portfolio", {"gamma": float("inf")},
+         "relative risk aversion must be non-negative and finite, got gamma=inf"),
+        ("portfolio", {"gamma": 0.5, "savings": 1.5e308}, "act values must be finite"),
+        ("insurance", {"grid": {"max_loss": 1.0, "n": 20.5}},
+         "'n' must be a whole number, got 20.5"),
+        ("insurance", {"grid": {"max_loss": 1.0, "n": float("nan")}},
+         "'n' must be a whole number, got nan"),
+    ], ids=["returns-nan", "returns-inf", "masses-misaligned", "gamma-inf", "savings-overflow",
+            "grid-n-fraction", "grid-n-nan"])
+    def test_rejected_fixture_field(self, command, change, message, tmp_path, capsys):
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(dict(APP_FIXTURES[command], **change)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails the test
+            assert run([command, "--in", str(path), "--N", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_whole_valued_float_grid_size(self, tmp_path, capsys):
+        outputs = []
+        for n in (20, 20.0):
+            path = tmp_path / "fixture.json"
+            fixture = dict(APP_FIXTURES["insurance"], grid={"max_loss": 1.0, "n": n})
+            path.write_text(json.dumps(fixture))
+            assert run(["insurance", "--in", str(path), "--N", "2"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].err == ""
+
     @pytest.mark.parametrize("command, fixture, extra, message", [
         ("learn", dict(LEARN_FIXTURE, K=8192, B=4097), [],
          "K * B = 33562624 resample indices exceed the limit of 33554432"),
@@ -566,7 +604,9 @@ class TestExitCodes:
          "loss grid size 1000001 exceeds the limit of 1000000"),
         ("insurance", APP_FIXTURES["insurance"], ["--N", "2", "--grid", str(10**9)],
          "loss grid size 1000000000 exceeds the limit of 1000000"),
-    ], ids=["learn-resamples", "insurance-grid", "insurance-grid-option"])
+        ("insurance", dict(APP_FIXTURES["insurance"], grid={"n": 1e9}), ["--N", "2"],
+         "loss grid size 1000000000 exceeds the limit of 1000000"),
+    ], ids=["learn-resamples", "insurance-grid", "insurance-grid-option", "insurance-grid-float"])
     def test_oversized_request_is_rejected_before_it_allocates(self, command, fixture, extra,
                                                                message, tmp_path, capsys):
         path = tmp_path / "fixture.json"

@@ -97,6 +97,50 @@ class TestDpPathParity:
                 assert fast == solve_with("dense", monkeypatch, *args), (n, kind)
 
 
+class TestTopLayer:
+    """_fill solves its top layer only at the start ``lo``, the one entry that
+    every query reads. On every branch that entry equals row 0 of the same
+    layer filled in full, as the layer below the top of a fill one capacity
+    higher, and every layer below the top is unchanged."""
+
+    @staticmethod
+    def ladder(length: int, shape: str) -> ValueLadder:
+        if shape != "zero-top":
+            return parity_ladder(length, shape)
+        # no mass above the lowest levels, so closing the first block ties
+        # with cutting it at every later end
+        masses = [0.0] * length
+        masses[0] = 0.5
+        masses[(length - 1) // 2] += 0.5
+        return ValueLadder([float(i) for i in range(length)], masses)
+
+    @pytest.mark.parametrize("branch", list(BRANCHES))
+    @pytest.mark.parametrize("shape", ["float", "tied", "zero-mass", "zero-top"])
+    def test_top_layer_is_row_zero_of_the_full_layer(self, branch, shape, monkeypatch):
+        for length in (2, 5, 24, 41):
+            lad = self.ladder(length, shape)
+            pref = engine._prefix_masses(lad.level_masses)
+            for lo in (0, 1):
+                size = length - lo
+                for n in sorted({2, 3, size - 1, size, size + 2}):
+                    blocks = min(n, size)
+                    if blocks < 1:
+                        continue
+                    for upper in (False, True):
+                        top, full = (
+                            solve_with(branch, monkeypatch, engine._fill,
+                                       lad.levels, pref, lo, length - 1, b, upper)
+                            for b in (blocks, blocks + 1)
+                        )
+                        case = (length, lo, n, upper)
+                        assert (len(top[0][-1]), len(top[1][-1])) == (1, 1), case
+                        assert repr(float(top[0][-1][0])) == repr(float(full[0][blocks][0])), case
+                        assert int(top[1][-1][0]) == int(full[1][blocks][0]), case
+                        for b in range(1, blocks):
+                            assert list(map(repr, top[0][b])) == list(map(repr, full[0][b])), case
+                            assert list(top[1][b]) == list(full[1][b]), case
+
+
 class TestZeroMassLevels:
     def test_lexicographic_tie_break_across_lengths(self):
         # a zero-mass level can be merged for free: the canonical optimum is

@@ -1,12 +1,13 @@
 """Portfolio tests: allocation, savings, and equilibrium prices for
 capacity-limited versus unconstrained agents."""
 
-from dataclasses import replace
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
 
-from coarse_bounds.errors import PreconditionError
+from coarse_bounds.errors import AlignmentError, ConvergenceError, PreconditionError
 from coarse_bounds.applications import portfolio
 from coarse_bounds.applications.crra import CRRAUtility
 from coarse_bounds.applications.portfolio import (
@@ -41,6 +42,27 @@ MAKE_PROBLEM_CASES = [
 ]
 
 
+def sequential_golden_max(obj, lo, hi, tol):
+    """Reference: the golden-section search as it was before it valued its
+    next steps speculatively, with one ``obj`` call per point."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = obj(c), obj(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = obj(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = obj(d)
+    mid = 0.5 * (a + b)
+    return mid, obj(mid)
+
+
 def per_call_solve_allocation(problem, x):
     """Reference: solve_allocation as it was before its share grid was
     batched, with one allocation_objective call per grid share."""
@@ -52,7 +74,7 @@ def per_call_solve_allocation(problem, x):
     i_best = int(np.argmax(vals))
     lo = grid[max(0, i_best - 1)]
     hi = grid[min(len(grid) - 1, i_best + 1)]
-    refined = portfolio._golden_max(obj, lo, hi, 1e-6)
+    refined = sequential_golden_max(obj, lo, hi, 1e-6)
     candidates = [(float(grid[i_best]), vals[i_best]), refined]
     best_val = max(v for _, v in candidates)
     return min(a for a, v in candidates if v >= best_val - 1e-15)
@@ -75,6 +97,30 @@ def nelder_mead_savings(problem):
     return b + s, savings_objective(problem, b, s)
 
 
+@dataclass(frozen=True)
+class ProbeUtility(CRRAUtility):
+    """CRRA utility that records the first-state wealth of every act whose
+    utilities it takes, and raises at the first-state wealths in ``fail_at``."""
+
+    fail_at: frozenset = frozenset()
+    seen: list = field(default_factory=list, compare=False)
+
+    def apply(self, xs):
+        self.seen.append(xs[0])
+        if xs[0] in self.fail_at:
+            raise ZeroDivisionError(f"probe fails at {xs[0]!r}")
+        return super().apply(xs)
+
+
+def outcome(call, *args):
+    """``repr`` of what ``call(*args)`` returns, or the type and message of
+    what it raises; ``repr`` tells NaN and the sign of zero apart."""
+    try:
+        return repr(call(*args))
+    except Exception as err:  # any error: the caller compares type and message
+        return type(err), str(err)
+
+
 class TestProblemValidation:
     def test_safe_return_must_be_interior(self):
         with pytest.raises(PreconditionError):
@@ -92,6 +138,23 @@ class TestProblemValidation:
     def test_nan_risk_aversion_rejected(self):
         with pytest.raises(ValueError, match="relative risk aversion must be non-negative"):
             CRRAUtility(float("nan"))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_return_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"^risky returns must be finite, got {bad!r}$"):
+            PortfolioProblem(1.0, 1.0, (0.8, bad, 1.4), (0.3, 0.4, 0.3), 0.9, CRRAUtility(2.0), 2)
+
+    @pytest.mark.parametrize("masses", [(1.0,), (0.25, 0.25, 0.25, 0.25)])
+    def test_masses_must_match_returns(self, masses):
+        message = f"^risky masses must match the risky returns: {len(masses)} masses vs 3 returns$"
+        with pytest.raises(AlignmentError, match=message):
+            PortfolioProblem(1.0, 1.0, (0.8, 1.1, 1.4), masses, 0.9, CRRAUtility(2.0), 2)
+
+    @pytest.mark.parametrize("gamma", [float("inf"), -1.0])
+    def test_risk_aversion_must_be_finite_and_non_negative(self, gamma):
+        message = f"^relative risk aversion must be non-negative and finite, got gamma={gamma!r}$"
+        with pytest.raises(ValueError, match=message):
+            CRRAUtility(gamma)
 
     def test_masses_validated(self):
         with pytest.raises(ValueError):
@@ -230,7 +293,7 @@ def full_grid_solve_allocation(problem, x):
     i_best = int(np.argmax(vals))
     lo = float(grid[max(0, i_best - 1)])
     hi = float(grid[min(len(grid) - 1, i_best + 1)])
-    refined = portfolio._golden_max(obj, lo, hi, 1e-6)
+    refined = sequential_golden_max(obj, lo, hi, 1e-6)
     candidates = [(float(grid[i_best]), vals[i_best]), refined]
     best_val = max(v for _, v in candidates)
     return min(a for a, v in candidates if v >= best_val - 1e-15)
@@ -301,6 +364,172 @@ class TestPrunedGrid:
         assert len(kept) < len(grid) / 2
         assert [pruned[i] for i in kept] == [full[i] for i in kept]
         assert int(np.argmax(pruned)) == int(np.argmax(full))
+
+
+def sequential_solve_savings(problem):
+    """Reference: solve_savings as it was before its searches valued their
+    next steps speculatively, with one objective call per point."""
+    w = problem.endowment
+    unit = lambda a: allocation_objective(problem, 1.0, a)
+    share, _ = sequential_golden_max(unit, 0.0, 1.0, 1e-9)
+    at_share = lambda t: savings_objective(problem, (1.0 - share) * t, share * t)
+    total, _ = sequential_golden_max(at_share, 0.0, w, 1e-9)
+    b, s = (1.0 - share) * total, share * total
+    value = savings_objective(problem, b, s)
+    h = 1e-6 * max(1.0, w)
+    slopes = []
+    for db, ds in ((h, 0.0), (0.0, h)):
+        up = savings_objective(problem, b + db, s + ds)
+        dn = savings_objective(problem, b - db, s - ds)
+        if up != float("-inf") and dn != float("-inf"):
+            slopes.append(abs(up - dn) / (2.0 * h))
+    boundary = b < 1e-7 or s < 1e-7 or (w - b - s) < 1e-7
+    residual = max(slopes) if slopes else float("nan")
+    return portfolio.SavingsSolution(safe=b, risky=s, value=value, boundary=boundary,
+                                     kkt_residual=residual)
+
+
+def sequential_equilibrium_price(problem):
+    """Reference: equilibrium_price as it was before it valued its step
+    sizes in chunks, with one perceived value per halving."""
+    w, beta, u = problem.endowment, problem.beta, problem.utility
+    if beta <= 0:
+        raise PreconditionError("equilibrium pricing needs a positive discount factor")
+    marg = u.marginal(w)
+
+    def estimate(h):
+        v = perceived_return_value(problem, lambda r: w + h * r)
+        if v == float("-inf"):
+            raise PreconditionError("endowment too small for the return grid")
+        return beta * (v - u(w)) / (h * marg)
+
+    h = 1e-2
+    prev = estimate(h)
+    for _ in range(40):
+        h *= 0.5
+        cur = estimate(h)
+        if abs(cur - prev) < 1e-7:
+            return cur
+        prev = cur
+    raise ConvergenceError("difference quotient failed to converge")
+
+
+def walk_objectives(rng):
+    """Objectives for the golden-section walk: a smooth peak, plateaus with
+    ties, a -inf region, NaN values and many local peaks."""
+    m = float(rng.uniform(-0.5, 1.5))
+    return [
+        lambda p: -((p - m) ** 2),
+        lambda p: float(math.floor(p * 23.0) % 4),
+        lambda p: float("-inf") if p < m else -abs(p - m - 0.1),
+        lambda p: float("nan") if p > m else p,
+        lambda p: math.sin(40.0 * p),
+    ]
+
+
+def batched(obj, calls=None):
+    """``obj`` as the list-valued objective that _golden_max takes."""
+    def values(points):
+        if calls is not None:
+            calls.append(list(points))
+        return [obj(p) for p in points]
+    return values
+
+
+def failing_at(obj, point):
+    def fails(p):
+        if p == point:
+            raise ZeroDivisionError(f"objective fails at {p!r}")
+        return obj(p)
+    return fails
+
+
+class TestSpeculativeSearches:
+    """_golden_max values the next steps of its walk in one call, and
+    equilibrium_price several step sizes in one call; each returns what the
+    walk that values one point at a time returns, compared with ``repr``,
+    and raises what it raises."""
+
+    def test_walk_matches_the_sequential_walk(self):
+        rng = np.random.default_rng(11)
+        brackets = [(0.0, 1.0), (-0.5, 1.5), (0.2, 0.2 + 1e-3), (1.0, 0.0), (0.0, 1e-7)]
+        for case in range(12):
+            for obj in walk_objectives(rng):
+                for lo, hi in brackets:
+                    for tol in (1e-9, 1e-6, 1e-2):
+                        calls = []
+                        fast = portfolio._golden_max(batched(obj, calls), lo, hi, tol)
+                        reached = []
+                        slow = sequential_golden_max(
+                            lambda p: reached.append(p) or obj(p), lo, hi, tol
+                        )
+                        assert repr(fast) == repr(slow), (case, lo, hi, tol)
+                        # 2 + 7 + 7 + ... points, one call per 3 steps after the first 2
+                        assert len(calls) == 1 + math.ceil((len(reached) - 2) / 3)
+
+    def test_errors_raise_only_at_points_the_walk_reaches(self):
+        obj = lambda p: -((p - 0.3) ** 2)
+        reached, valued = [], []
+        sequential_golden_max(lambda p: reached.append(p) or obj(p), 0.0, 1.0, 1e-6)
+        portfolio._golden_max(lambda ps: valued.extend(ps) or [obj(p) for p in ps], 0.0, 1.0, 1e-6)
+        ahead = [p for p in valued if p not in reached]
+        assert len(ahead) > len(reached)
+        for point in ahead[::7] + reached[:3] + reached[-3:]:
+            fails = failing_at(obj, point)
+            assert outcome(portfolio._golden_max, batched(fails), 0.0, 1.0, 1e-6) == outcome(
+                sequential_golden_max, fails, 0.0, 1.0, 1e-6
+            ), point
+        fails = failing_at(obj, reached[-1])
+        with pytest.raises(ZeroDivisionError):
+            portfolio._golden_max(batched(fails), 0.0, 1.0, 1e-6)
+
+    def test_allocation_refinement_matches(self):
+        rng = np.random.default_rng(5)
+        for case in range(30):
+            prob = random_problem(rng)
+            x = float(10.0 ** rng.uniform(-3.0, np.log10(5.0)))
+            lo = float(rng.integers(0, 1000)) * 1e-3
+            hi = min(1.0, lo + 2e-3)
+            obj = lambda a: allocation_objective(prob, x, a)
+            values = lambda shares: portfolio._grid_values(prob, x, shares)
+            assert outcome(portfolio._golden_max, values, lo, hi, 1e-6) == outcome(
+                sequential_golden_max, obj, lo, hi, 1e-6
+            ), (case, prob, x)
+
+    def test_savings_and_price_match(self):
+        rng = np.random.default_rng(20261018)
+        problems = [make_problem(gamma=g, capacity=40, attitude=a, seed=4)
+                    for g in (0.5, 3.0) for a in ("cautious", "reckless")]
+        for _ in range(36):
+            prob = random_problem(rng)
+            problems.append(replace(
+                prob, beta=float(rng.choice([0.0, 0.5, 1 / 1.02])),
+                endowment=float(10.0 ** rng.uniform(-2.0, 1.0)),
+            ))
+        for case, prob in enumerate(problems):
+            assert outcome(solve_savings, prob) == outcome(
+                sequential_solve_savings, prob
+            ), (case, prob)
+            assert outcome(equilibrium_price, prob) == outcome(
+                sequential_equilibrium_price, prob
+            ), (case, prob)
+
+    @pytest.mark.parametrize("solve, reference", [
+        (solve_savings, sequential_solve_savings),
+        (equilibrium_price, sequential_equilibrium_price),
+    ], ids=["savings", "price"])
+    def test_problem_errors_raise_only_at_reached_points(self, solve, reference):
+        prob = make_problem(gamma=2.0, capacity=3)
+        probe = ProbeUtility(2.0)
+        reference(replace(prob, utility=probe))
+        reached = list(probe.seen)
+        probe.seen.clear()
+        solve(replace(prob, utility=probe))
+        ahead = [w for w in probe.seen if w not in reached]
+        assert ahead
+        for wealth in ahead[:: max(1, len(ahead) // 6)] + reached[:2] + reached[-2:]:
+            failing = replace(prob, utility=ProbeUtility(2.0, fail_at=frozenset({wealth})))
+            assert outcome(solve, failing) == outcome(reference, failing), wealth
 
 
 class TestSavings:
