@@ -13,6 +13,7 @@ discrete jump at the top.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .. import preferences
@@ -40,6 +41,8 @@ class ContractingProblem:
     def __post_init__(self):
         outputs = tuple(float(o) for o in self.outputs)
         object.__setattr__(self, "outputs", outputs)
+        if not all(map(math.isfinite, outputs)):
+            raise ValueError("outputs must be finite")
         if any(b <= a for a, b in zip(outputs, outputs[1:])):
             raise ValueError("outputs must be strictly ascending")
         if len(self.output_masses) != len(self.efforts):
@@ -47,6 +50,8 @@ class ContractingProblem:
         object.__setattr__(self, "_beliefs", tuple(Belief(m) for m in self.output_masses))
         wages = tuple(float(x) for x in self.wage_grid)
         object.__setattr__(self, "wage_grid", wages)
+        if not all(map(math.isfinite, wages)):
+            raise ValueError("wage grid must be finite")
         if any(b <= a for a, b in zip(wages, wages[1:])):
             raise ValueError("wage grid must be strictly ascending")
         for effort in self.efforts:
@@ -66,6 +71,9 @@ def _check_schedule(problem: ContractingProblem, schedule) -> tuple:
     schedule = tuple(float(x) for x in schedule)
     if len(schedule) != len(problem.outputs):
         raise ValueError("schedule must assign a wage to every output")
+    bad = [x for x in schedule if not math.isfinite(x)]
+    if bad:
+        raise ValueError(f"schedule wages must be finite, got {bad[0]!r}")
     return schedule
 
 
@@ -95,13 +103,25 @@ def principal_value(problem: ContractingProblem, schedule, effort) -> float:
 def best_response_effort(problem: ContractingProblem, schedule, attitude: str, n: int):
     """Effort maximizing perceived agent value; ties go to the principal's
     preferred effort, then to listing order."""
+    return _best_response(problem, schedule, attitude, n)[0]
+
+
+def _best_response(problem: ContractingProblem, schedule, attitude: str, n: int,
+                   known=None) -> tuple:
+    """The best response effort and its perceived agent value. ``known`` is
+    an ``(effort, value)`` pair already valued on this schedule, which is
+    reused rather than valued again."""
     scored = []
     for idx, effort in enumerate(problem.efforts):
-        scored.append((agent_value(problem, schedule, effort, n, attitude), effort, idx))
+        if known is not None and effort is known[0]:
+            value = known[1]
+        else:
+            value = agent_value(problem, schedule, effort, n, attitude)
+        scored.append((value, effort, idx))
     best_agent = max(s[0] for s in scored)
     tied = [s for s in scored if s[0] >= best_agent - 1e-12]
     tied.sort(key=lambda s: (-principal_value(problem, schedule, s[1]), s[2]))
-    return tied[0][1]
+    return tied[0][1], tied[0][0]
 
 
 @dataclass(frozen=True)
@@ -123,7 +143,7 @@ def simplify_contract(problem: ContractingProblem, schedule, n: int) -> Simplifi
     actually present in the schedule (utility must be injective there).
     """
     schedule = _check_schedule(problem, schedule)
-    effort = best_response_effort(problem, schedule, "cautious", n)
+    effort, value = _best_response(problem, schedule, "cautious", n)
     act = utility_act(problem, schedule, effort)
     belief = problem.belief(effort)
     wage_of = {}
@@ -137,11 +157,8 @@ def simplify_contract(problem: ContractingProblem, schedule, n: int) -> Simplifi
     res = bound(build_ladder(act, belief), n, "lower")
     pulled = pull_back(res, act, belief)
     new_schedule = tuple(wage_of[u] for u in pulled.act.values)
-    new_effort = best_response_effort(problem, new_schedule, "cautious", n)
-    gap = abs(
-        agent_value(problem, new_schedule, new_effort, n, "cautious")
-        - agent_value(problem, schedule, effort, n, "cautious")
-    )
+    new_effort, new_value = _best_response(problem, new_schedule, "cautious", n)
+    gap = abs(new_value - value)
     pointwise = all(nw <= w for nw, w in zip(new_schedule, schedule))
     return SimplificationResult(
         schedule=new_schedule,
@@ -209,7 +226,7 @@ def _bait_shaver(problem: ContractingProblem, schedule, effort, n: int, epsilon:
             raise InfeasibleConstructionError(
                 "perceived upper bound moved: delta too large"
             )
-        new_effort = best_response_effort(problem, modified, "reckless", n)
+        new_effort, _ = _best_response(problem, modified, "reckless", n, (effort, after))
         if new_effort != effort:
             raise InfeasibleConstructionError("induced effort changed")
         gain = principal_value(problem, modified, effort) - principal_before

@@ -94,10 +94,20 @@ class LossModel:
         return cls.from_density(lambda _x: 1.0, max_loss, n)
 
     def tilted(self, lam: float) -> "LossModel":
-        """Exponential tilt exp(lam * loss): an MLR-upward shift for lam > 0."""
-        w = np.exp(lam * np.asarray(self.losses))
-        raw = w * np.asarray(self.masses)
-        return LossModel(self.losses, (raw / raw.sum()).tolist())
+        """Exponential tilt exp(lam * loss): an MLR-upward shift for lam > 0.
+
+        A non-finite tilt raises ``ValueError``, and a finite one whose
+        weights overflow, or all underflow, ``FloatingPointError``.
+        """
+        if not -np.inf < lam < np.inf:
+            raise ValueError(f"loss tilt must be finite, got {lam!r}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.exp(lam * np.asarray(self.losses))
+            raw = w * np.asarray(self.masses)
+            total = raw.sum()
+        if not 0.0 < total < np.inf:
+            raise FloatingPointError(f"loss tilt {lam!r} takes the tilted weights out of range")
+        return LossModel(self.losses, (raw / total).tolist())
 
 
 def consumer_payment(contract: InsuranceContract, loss: float) -> float:

@@ -115,10 +115,14 @@ def solve_allocation(problem: PortfolioProblem, x: float) -> float:
     """Optimal risky share in [0, 1] for fixed savings ``x``.
 
     Grid search at step 1e-3 followed by golden-section refinement to 1e-6;
-    ties resolve to the smallest share.
+    ties resolve to the smallest share. Savings whose wealth overflows at
+    share 0 or 1 raise ``OverflowError``.
     """
     if not 0 < x < math.inf:
         raise ValueError(f"savings must be positive and finite, got {x!r}")
+    # every share's wealth lies between the wealth of shares 0 and 1
+    if not math.isfinite(x * max(map(abs, (problem.safe_return, *problem.risky_returns)))):
+        raise OverflowError(f"savings {x!r} overflow the second-period wealth")
     step = 1e-3
     grid = np.arange(0.0, 1.0 + 0.5 * step, step)
     grid[-1] = 1.0

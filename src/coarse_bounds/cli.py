@@ -301,6 +301,9 @@ def cmd_contract(args) -> int:
     })
     check_shape(list(fixture["effort_costs"].values()), [Real], "'effort_costs'")
     costs = {str(k): float(v) for k, v in fixture["effort_costs"].items()}
+    bad = [v for v in costs.values() if not np.isfinite(v)]
+    if bad:
+        raise ValueError(f"effort costs must be finite, got {bad[0]!r}")
     efforts = tuple(costs)
     problem = ct.ContractingProblem(
         outputs=tuple(fixture["outputs"]),

@@ -22,7 +22,11 @@ search in ``O(N * L log L)`` time and ``O(L)`` memory per layer. That search
 relies on the smallest optimal block end being nondecreasing in the block
 start, which follows from the submodularity (Monge property) of the cell
 function; it holds exactly in real arithmetic, and the parity tests check
-that the rounded candidates pick the same ends as the dense branch.
+that the rounded candidates pick the same ends as the dense branch. It
+splits each open interval of block starts 4 ways per depth, following a
+schedule built once per ladder length and cached. On ladders whose
+candidates tie to within a few ulps, rounding breaks the monotonicity, and
+its value may then differ from the dense branch's by ulps.
 :func:`bound_values` runs the dense branch's candidate arithmetic across
 many ladders that share one mass vector, for callers that value a family of
 acts.
@@ -51,7 +55,7 @@ ascending cutoffs in ``[1, L - 1]`` describes a partition into ``B`` blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import chain, combinations, islice
 from math import comb, inf
 
@@ -79,6 +83,9 @@ _edge_tables: dict = {}
 # scan from about 18 levels at N = 2 and from 15-17 levels at N = 3-8.
 _NUMPY_DP_THRESHOLD = 18
 _MONOTONE_DP_THRESHOLD = 512
+# The monotone search splits each open interval of block starts this many
+# ways per depth.
+_SPLIT_WAYS = 4
 
 # bound_values fills its rows in blocks whose two candidate arrays together
 # stay within this many bytes.
@@ -224,33 +231,56 @@ def _dense_search(cellmat, idx, upper: bool, prev):
     return cand[idx, arg], arg
 
 
-def _bisection(rows: int) -> list:
-    """Rows 0..rows-1 by bisection depth: per depth, the middle rows and, for
+@lru_cache(maxsize=16)
+def _splits(rows: int) -> tuple:
+    """Rows 0..rows-1 by split depth: per depth, the split rows and, for
     each, the rows solved before it that bound it on the left and right, as
-    indices into a choice array padded by one sentinel at either end."""
+    indices into a choice array padded by one sentinel at either end.
+
+    Each open interval of ``size`` rows is split at ``lo + t * size // k``
+    for t = 1..k-1, with k = ``_SPLIT_WAYS``; from ``size < k`` on these are
+    all of its rows. The gaps between split rows are the next depth's open
+    intervals. The arrays are read-only, as the schedule is cached.
+    """
     depths = []
     lo, hi = np.array([0]), np.array([rows - 1])
     left_ref, right_ref = np.array([0]), np.array([rows + 1])
+    ways = np.arange(1, _SPLIT_WAYS)
     while lo.size:
-        mid = (lo + hi) // 2
-        depths.append((mid, left_ref, right_ref))
-        left, right = lo < mid, mid < hi
-        lo = np.concatenate((lo[left], mid[right] + 1))
-        hi = np.concatenate((mid[left] - 1, hi[right]))
-        left_ref = np.concatenate((left_ref[left], mid[right] + 1))
-        right_ref = np.concatenate((mid[left] + 1, right_ref[right]))
-    return depths
+        mid = lo[:, None] + (ways * (hi - lo + 1)[:, None]) // _SPLIT_WAYS
+        fresh = np.ones(mid.shape, dtype=bool)
+        fresh[:, 1:] = mid[:, 1:] > mid[:, :-1]
+        depth = (
+            mid[fresh],
+            np.broadcast_to(left_ref[:, None], mid.shape)[fresh],
+            np.broadcast_to(right_ref[:, None], mid.shape)[fresh],
+        )
+        for a in depth:
+            a.flags.writeable = False
+        depths.append(depth)
+        # an interval's edges are lo - 1, its split rows and hi + 1; the
+        # next depth's intervals are the rows between adjacent edges, each
+        # bounded by its edge rows or, at either end, by the interval's bounds
+        edges = np.column_stack((lo - 1, mid, hi + 1))
+        gap_lo, gap_hi = edges[:, :-1] + 1, edges[:, 1:] - 1
+        gap_left, gap_right = gap_lo.copy(), gap_hi + 2
+        gap_left[:, 0], gap_right[:, -1] = left_ref, right_ref
+        open_ = gap_lo <= gap_hi
+        lo, hi = gap_lo[open_], gap_hi[open_]
+        left_ref, right_ref = gap_left[open_], gap_right[open_]
+    return tuple(depths)
 
 
 def _monotone_search(lvl, pre, upper: bool, depths, prev):
     """Same result as :func:`_dense_search` in O(L log L) time and O(L) memory.
 
     The cell function is submodular (Monge), so the smallest optimal end is
-    nondecreasing in the block start. Rows are solved by bisection depth
-    (``depths`` from :func:`_bisection`): each row searches only the ends
-    between the choices of the rows that bound it, and all rows at one depth
-    are searched in one pass. The last row has no end below ``L - 1``; it
-    keeps the infinite sentinel.
+    nondecreasing in the block start. Rows are solved by split depth
+    (``depths`` from :func:`_splits`, which cuts each open interval of rows
+    ``_SPLIT_WAYS`` ways): each row searches only the ends between the
+    choices of the rows that bound it, and all rows at one depth are searched
+    in one pass. The last row has no end below ``L - 1``; it keeps the
+    infinite sentinel.
     """
     last = len(lvl) - 1
     best = np.full(last + 1, inf if upper else -inf)
@@ -260,7 +290,9 @@ def _monotone_search(lvl, pre, upper: bool, depths, prev):
     pre_end, prev_end = pre[1:], prev[1:]
     for mid, left_ref, right_ref in depths:
         start = np.maximum(mid, padded[left_ref])
-        count = padded[right_ref] - start + 1
+        # split rows of one interval do not bound each other, so rounding
+        # can leave a left bound above the right one: search one end then
+        count = np.maximum(padded[right_ref], start) - start + 1
         offsets = np.cumsum(count) - count
         ends = np.arange(offsets[-1] + count[-1]) + np.repeat(start - offsets, count)
         rep = lvl[ends] if upper else np.repeat(lvl[mid], count)
@@ -300,7 +332,7 @@ def _fill(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):
         values, choices = [None, stop], [None, np.full(length, -1)]
         if n_blocks > 2:
             if length >= _MONOTONE_DP_THRESHOLD:
-                search = partial(_monotone_search, lvl, pre, upper, _bisection(length - 1))
+                search = partial(_monotone_search, lvl, pre, upper, _splits(length - 1))
             else:
                 # cellmat[j, e] = value of block [j..e] (offsets from lo)
                 cellmat = pre[None, 1:] - pre[:-1, None]

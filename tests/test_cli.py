@@ -560,31 +560,56 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {field} must be finite, got {value!r}\n"
 
-    @pytest.mark.parametrize("command, change, message", [
-        ("portfolio", {"risky_returns": [0.8, float("nan"), 1.4]},
+    @pytest.mark.parametrize("command, change, code, message", [
+        ("portfolio", {"risky_returns": [0.8, float("nan"), 1.4]}, 1,
          "risky returns must be finite, got nan"),
-        ("portfolio", {"risky_returns": [0.8, 1.1, float("inf")]},
+        ("portfolio", {"risky_returns": [0.8, 1.1, float("inf")]}, 1,
          "risky returns must be finite, got inf"),
-        ("portfolio", {"risky_masses": [1.0]},
+        ("portfolio", {"risky_masses": [1.0]}, 1,
          "risky masses must match the risky returns: 1 masses vs 3 returns"),
-        ("portfolio", {"gamma": float("inf")},
+        ("portfolio", {"gamma": float("inf")}, 1,
          "relative risk aversion must be non-negative and finite, got gamma=inf"),
-        ("portfolio", {"gamma": 0.5, "savings": 1.5e308}, "act values must be finite"),
-        ("insurance", {"grid": {"max_loss": 1.0, "n": 20.5}},
+        ("portfolio", {"gamma": 0.5, "savings": 1.5e308}, 2,
+         "savings 1.5e+308 overflow the second-period wealth"),
+        ("portfolio", {"gamma": 2.0, "savings": 1.3e308}, 2,
+         "savings 1.3e+308 overflow the second-period wealth"),
+        ("insurance", {"grid": {"max_loss": 1.0, "n": 20.5}}, 1,
          "'n' must be a whole number, got 20.5"),
-        ("insurance", {"grid": {"max_loss": 1.0, "n": float("nan")}},
+        ("insurance", {"grid": {"max_loss": 1.0, "n": float("nan")}}, 1,
          "'n' must be a whole number, got nan"),
+        ("insurance", {"grid": {"max_loss": 1.0, "n": 20, "tilt": float("inf")}}, 1,
+         "loss tilt must be finite, got inf"),
+        ("insurance", {"grid": {"max_loss": 1.0, "n": 20, "tilt": float("-inf")}}, 1,
+         "loss tilt must be finite, got -inf"),
+        ("insurance", {"grid": {"max_loss": 1.0, "n": 20, "tilt": float("nan")}}, 1,
+         "loss tilt must be finite, got nan"),
+        ("insurance", {"grid": {"max_loss": 1.0, "n": 20, "tilt": 1e300}}, 2,
+         "loss tilt 1e+300 takes the tilted weights out of range"),
+        ("insurance", {"grid": {"max_loss": 1.0, "n": 20, "tilt": -1e300}}, 2,
+         "loss tilt -1e+300 takes the tilted weights out of range"),
+        ("contract", {"effort_costs": {"low": 0.0, "high": float("nan")}}, 1,
+         "effort costs must be finite, got nan"),
+        ("contract", {"schedule": [0.1, float("nan"), 0.4]}, 1,
+         "schedule wages must be finite, got nan"),
+        ("contract", {"schedule": [0.1, 0.2, float("inf")]}, 1,
+         "schedule wages must be finite, got inf"),
+        ("contract", {"outputs": [0.5, float("nan"), 1.0]}, 1, "outputs must be finite"),
+        ("contract", {"wage_grid": [0.1, 0.2, float("nan"), 0.4]}, 1,
+         "wage grid must be finite"),
     ], ids=["returns-nan", "returns-inf", "masses-misaligned", "gamma-inf", "savings-overflow",
-            "grid-n-fraction", "grid-n-nan"])
-    def test_rejected_fixture_field(self, command, change, message, tmp_path, capsys):
+            "savings-overflow-gamma-2", "grid-n-fraction", "grid-n-nan", "tilt-inf",
+            "tilt-minus-inf", "tilt-nan", "tilt-overflow", "tilt-underflow", "effort-cost-nan",
+            "schedule-nan", "schedule-inf", "outputs-nan", "wage-grid-nan"])
+    def test_rejected_fixture_field(self, command, change, code, message, tmp_path, capsys):
         path = tmp_path / "fixture.json"
         path.write_text(json.dumps(dict(APP_FIXTURES[command], **change)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning fails the test
-            assert run([command, "--in", str(path), "--N", "2"]) == 1
+            assert run([command, "--in", str(path), "--N", "2"]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        prefix = "error" if code == 1 else "numerical failure"
+        assert captured.err == f"{prefix}: {message}\n"
 
     def test_whole_valued_float_grid_size(self, tmp_path, capsys):
         outputs = []

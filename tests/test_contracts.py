@@ -4,6 +4,7 @@ agents, and the bait construction against reckless agents."""
 import numpy as np
 import pytest
 
+from coarse_bounds import preferences
 from coarse_bounds.acts import build_ladder
 from coarse_bounds.engine import top_block_starts
 from coarse_bounds.errors import InfeasibleConstructionError, PreconditionError
@@ -254,6 +255,67 @@ class TestBaitParity:
             outcomes.append(got)
         assert sum(isinstance(o, float) for o in outcomes) >= 30
         assert {InfeasibleConstructionError, PreconditionError} <= set(outcomes)
+
+
+class TestChosenEffortValuedOnce:
+    """simplify_contract and the bait shave reuse the perceived value of the
+    chosen effort: their outputs equal the values of the public functions,
+    with one valuation per effort and schedule."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        value = preferences.value
+
+        def count(*args):
+            calls.append(args)
+            return value(*args)
+
+        monkeypatch.setattr(preferences, "value", count)
+        return calls
+
+    @staticmethod
+    def schedules(rng, count):
+        for _ in range(count):
+            base = np.sort(rng.uniform(0.1, 2.5, size=20))
+            yield (base + np.linspace(0.0, 0.3, 20)).tolist()
+
+    def test_simplify(self, monkeypatch):
+        for schedule in self.schedules(np.random.default_rng(3), 6):
+            effort = best_response_effort(PROBLEM, schedule, "cautious", 3)
+            calls = self.counted(monkeypatch)
+            res = simplify_contract(PROBLEM, schedule, 3)
+            assert len(calls) == 2 * len(PROBLEM.efforts)
+            monkeypatch.undo()
+            assert res.induced_effort == best_response_effort(PROBLEM, res.schedule, "cautious", 3)
+            assert res.agent_value_gap == abs(
+                agent_value(PROBLEM, res.schedule, res.induced_effort, 3, "cautious")
+                - agent_value(PROBLEM, schedule, effort, 3, "cautious")
+            )
+
+    def test_bait_shave(self, monkeypatch):
+        checked = 0
+        for schedule in self.schedules(np.random.default_rng(3), 10):
+            try:
+                delta = 0.5 * bait_feasibility_bound(PROBLEM, schedule, 3, 0.05)
+            except InfeasibleConstructionError:
+                continue
+            calls = self.counted(monkeypatch)
+            res = reckless_bait(PROBLEM, schedule, 3, 0.05, delta)
+            # the unshaved value, the reckless best response, then the
+            # shaved schedule's best response with its effort valued once
+            assert len(calls) == 2 * len(PROBLEM.efforts) + 1
+            monkeypatch.undo()
+            effort = best_response_effort(PROBLEM, schedule, "reckless", 3)
+            assert res.induced_effort == effort == best_response_effort(
+                PROBLEM, res.schedule, "reckless", 3
+            )
+            assert res.perceived_value_gap == abs(
+                agent_value(PROBLEM, res.schedule, effort, 3, "reckless")
+                - agent_value(PROBLEM, schedule, effort, 3, "reckless")
+            )
+            checked += 1
+        assert checked >= 3
 
 
 class TestValidation:

@@ -24,10 +24,16 @@ BRANCHES = {"python": (10**9, 10**9), "dense": (2, 10**9), "monotone": (2, 2)}
 
 def parity_ladder(length: int, shape: str) -> ValueLadder:
     """Float ladder; ``tied`` has equally spaced levels and uniform 1/L
-    masses, ``zero-mass`` sets about a third of the masses to 0."""
+    masses, ``zero-mass`` sets about a third of the masses to 0, and
+    ``dyadic`` has integer levels and masses k/2^20, so that every sum is
+    exact."""
     if shape == "tied":
         return ValueLadder([float(i) for i in range(length)], [1 / length] * length)
     rng = np.random.default_rng(length)
+    if shape == "dyadic":
+        levels = np.sort(rng.choice(np.arange(-4 * length, 4 * length), length, replace=False))
+        edges = np.concatenate(([0], np.sort(rng.integers(0, 1 << 20, length - 1)), [1 << 20]))
+        return ValueLadder(levels.astype(float).tolist(), (np.diff(edges) / (1 << 20)).tolist())
     levels = np.cumsum(rng.uniform(0.01, 1.0, size=length)).tolist()
     w = rng.uniform(0.1, 1.0, size=length)
     if shape == "zero-mass":
@@ -95,6 +101,64 @@ class TestDpPathParity:
                 args = (engine.capacity_values, lad, n, kind, (lo, hi))
                 fast = solve_with("monotone", monkeypatch, *args)
                 assert fast == solve_with("dense", monkeypatch, *args), (n, kind)
+
+
+class TestMonotoneSplits:
+    """The monotone search's split schedule, its parity with the dense
+    branch on long ladders, and its behaviour where rounding breaks the
+    monotonicity of the smallest optimal block end."""
+
+    def test_schedule_solves_every_row_once_after_its_bounds(self):
+        for rows in range(1, 601):
+            solved = np.zeros(rows + 2, dtype=int)
+            solved[[0, -1]] = 1  # the sentinels
+            for mid, left_ref, right_ref in engine._splits(rows):
+                assert all(not a.flags.writeable for a in (mid, left_ref, right_ref)), rows
+                assert solved[left_ref].all() and solved[right_ref].all(), rows
+                assert (left_ref <= mid).all() and (mid + 1 < right_ref).all(), rows
+                solved[mid + 1] += 1
+            assert (solved == 1).all(), rows
+        assert len(engine._splits(552)) == 5 and len(engine._splits(1999)) == 6
+        assert engine._splits(552) is engine._splits(552)
+
+    @pytest.mark.parametrize("shape", ["float", "dyadic", "zero-mass", "tied"])
+    @pytest.mark.parametrize("length", [700, 1024])
+    def test_matches_the_dense_branch(self, shape, length, monkeypatch):
+        # every layer's values and choices: so the values and cutoffs of
+        # bound and the rows of capacity_values, which read them
+        lad = parity_ladder(length, shape)
+        for n in (2, 3, 8, 32):
+            for kind in (engine.LOWER, engine.UPPER):
+                fast, slow = (
+                    [[layer.tolist() for layer in table[1:]]
+                     for table in solve_with(b, monkeypatch, engine._solve, lad, n, kind, None)[-2:]]
+                    for b in ("monotone", "dense")
+                )
+                assert fast == slow, (n, kind)
+
+    @staticmethod
+    def near_tie_ladders(length: int):
+        """Levels 1-3 ulps apart above 1.0, and equally spaced levels on a
+        0.1 grid shifted by 1e-15 per level, with seeded masses."""
+        rng = np.random.default_rng(length)
+        for c in (1, 2, 3):
+            w = rng.uniform(0.1, 1.0, length)
+            yield [1.0 + i * c * 2.0**-52 for i in range(length)], (w / w.sum()).tolist()
+        levels = [round(0.1 * i, 1) + 1e-15 * i for i in range(length)]
+        yield levels, [1 / length] * length
+
+    @pytest.mark.parametrize("length", [MONO, 700])
+    def test_near_tie_ladders(self, length, monkeypatch):
+        for levels, masses in self.near_tie_ladders(length):
+            lad = ValueLadder(levels, masses)
+            for n in (3, 8, 20):
+                for kind in (engine.LOWER, engine.UPPER):
+                    value, cuts = solve_with("monotone", monkeypatch, engine._dp_solve, lad, n, kind)
+                    dense, _ = solve_with("dense", monkeypatch, engine._dp_solve, lad, n, kind)
+                    tol = engine.TIE_TOL * (1 + abs(dense))
+                    assert len(cuts) < n, (n, kind)
+                    assert abs(engine.coarse_value(cuts, lad, kind) - value) <= tol, (n, kind)
+                    assert abs(value - dense) <= tol, (n, kind)
 
 
 class TestTopLayer:

@@ -320,7 +320,9 @@ def test_scan_flags_an_unused_public_name(tmp_path):
 
 # The exhaustive oracle is the reference for the DP fill: a reference that
 # shares the fill's code could share its bugs.
-DP_NAMES = frozenset({"_fill", "_solve", "_dense_search", "_monotone_search", "bound", "bound_values"})
+DP_NAMES = frozenset({
+    "_fill", "_solve", "_dense_search", "_monotone_search", "_splits", "bound", "bound_values",
+})
 
 
 def reached_functions(path: Path, roots) -> dict:
