@@ -102,8 +102,8 @@ def sosd_strict(f_samples, h_samples) -> bool:
     exceed ``SOSD_TOL`` in the wrong direction, must exceed it somewhere in
     the right direction, and the means must agree within ``SOSD_TOL``.
     """
-    f = np.asarray(list(getattr(f_samples, "errors", f_samples)), dtype=float)
-    h = np.asarray(list(getattr(h_samples, "errors", h_samples)), dtype=float)
+    f = np.asarray(getattr(f_samples, "errors", f_samples), dtype=float)
+    h = np.asarray(getattr(h_samples, "errors", h_samples), dtype=float)
     if f.size == 0 or h.size == 0:
         raise ValueError("distributions must be non-empty")
     if abs(f.mean() - h.mean()) > SOSD_TOL:

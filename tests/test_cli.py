@@ -1,6 +1,8 @@
 """CLI tests: subcommand outputs, JSON round-trips, figure data, exit codes,
 and byte-determinism of repeated runs."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -8,6 +10,8 @@ import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarse_bounds.cli import run
 from coarse_bounds.serde import act_from_record, format_number
@@ -37,6 +41,20 @@ APP_FIXTURES = {
         "wage_grid": [0.1, 0.2, 0.3, 0.4], "schedule": [0.1, 0.2, 0.4],
     },
 }
+FIXTURES = dict(APP_FIXTURES, learn=LEARN_FIXTURE)
+
+# The README learn fixture at a small sample size, each of its fields and
+# list items, and the values the exit-code generator puts in each of them.
+LEARN_README = {
+    "states": [0, 1, 2, 3], "values": [1.0, 1.04, 1.07, 1.11],
+    "masses": [0.3, 0.3, 0.2, 0.2], "gamma": 1.0, "k": 1e-5, "K": 20, "B": 40, "seed": 11,
+}
+LEARN_SLOTS = [(field, None) for field in LEARN_README] + [
+    (field, i) for field, value in LEARN_README.items() if isinstance(value, list)
+    for i in range(len(value))
+]
+MUTANTS = (float("nan"), float("inf"), float("-inf"), -1, 0, -0.0, 1e-300, 1e300, 20.0, 3,
+           True, None, "x", [], [1.0], {})
 
 # The README portfolio fixture and a 40-return one, with the stdout of
 # ``portfolio --N 1..6`` for each attitude, captured before the share grid
@@ -596,20 +614,60 @@ class TestExitCodes:
         ("contract", {"outputs": [0.5, float("nan"), 1.0]}, 1, "outputs must be finite"),
         ("contract", {"wage_grid": [0.1, 0.2, float("nan"), 0.4]}, 1,
          "wage grid must be finite"),
+        ("learn", {"seed": -1}, 1, "seed must be in [0, 2**128), got -1"),
+        ("learn", {"seed": 1e40}, 1,
+         "seed must be in [0, 2**128), got 10000000000000000303786028427003666890752"),
     ], ids=["returns-nan", "returns-inf", "masses-misaligned", "gamma-inf", "savings-overflow",
             "savings-overflow-gamma-2", "grid-n-fraction", "grid-n-nan", "tilt-inf",
             "tilt-minus-inf", "tilt-nan", "tilt-overflow", "tilt-underflow", "effort-cost-nan",
-            "schedule-nan", "schedule-inf", "outputs-nan", "wage-grid-nan"])
+            "schedule-nan", "schedule-inf", "outputs-nan", "wage-grid-nan", "learn-seed-negative",
+            "learn-seed-huge"])
     def test_rejected_fixture_field(self, command, change, code, message, tmp_path, capsys):
         path = tmp_path / "fixture.json"
-        path.write_text(json.dumps(dict(APP_FIXTURES[command], **change)))
+        path.write_text(json.dumps(dict(FIXTURES[command], **change)))
+        extra = [] if command == "learn" else ["--N", "2"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning fails the test
-            assert run([command, "--in", str(path), "--N", "2"]) == code
+            assert run([command, "--in", str(path), *extra]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
         prefix = "error" if code == 1 else "numerical failure"
         assert captured.err == f"{prefix}: {message}\n"
+
+    def test_learn_exit_code_contract(self, tmp_path):
+        # every field and list item of the learn fixture, replaced in turn by
+        # every mutant: exit 0 with an empty stderr, or exit 1 or 2 with one
+        # line of the matching kind, and never a traceback or a warning
+        path = tmp_path / "learn.json"
+        seen = set()
+
+        @given(st.sampled_from(LEARN_SLOTS), st.sampled_from(range(len(MUTANTS))))
+        @settings(max_examples=len(LEARN_SLOTS) * len(MUTANTS), derandomize=True,
+                  database=None, deadline=None)
+        def check(slot, which):
+            seen.add((slot, which))
+            fixture = json.loads(json.dumps(LEARN_README))
+            field, item = slot
+            if item is None:
+                fixture[field] = MUTANTS[which]
+            else:
+                fixture[field][item] = MUTANTS[which]
+            path.write_text(json.dumps(fixture))
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = run(["learn", "--in", str(path)])
+            assert caught == []
+            text = err.getvalue()
+            prefix = {0: None, 1: "error: ", 2: "numerical failure: "}[code]
+            if prefix is None:
+                assert text == ""
+            else:
+                assert text.startswith(prefix) and text.endswith("\n") and text.count("\n") == 1
+
+        check()
+        assert len(seen) == len(LEARN_SLOTS) * len(MUTANTS)
 
     def test_whole_valued_float_grid_size(self, tmp_path, capsys):
         outputs = []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from coarse_bounds import learning as ln
 from coarse_bounds.acts import Belief, DiscreteAct, check_aligned
 from coarse_bounds.errors import AlignmentError
 from coarse_bounds.learning import (
@@ -20,6 +21,7 @@ from coarse_bounds.learning import (
     draw_sample,
     empirical_expectation,
     has_certain_equivalent,
+    perceived_score,
     smooth_decide,
     value_cells,
 )
@@ -69,6 +71,38 @@ def sampling_errors_from_counts(f: DiscreteAct, counts: np.ndarray,
     true_mean = float(np.dot(vals, true_belief.masses))
     errs = counts @ vals / k - true_mean
     return ErrorDistribution(errors=tuple(errs.tolist()))
+
+
+def gathered_score(f: DiscreteAct, data: Dataset, rule: SmoothRule, b: int, seed: int) -> float:
+    """``perceived_score`` as it was before the count matrices: the smooth
+    rule over the gathered ``bootstrap_errors``."""
+    errors = bootstrap_errors(f, data, b, seed)
+    base = empirical_expectation(f, data)
+    return float(np.mean(rule.phi(base + np.asarray(errors.errors))))
+
+
+def gathered_sosd(f: DiscreteAct, v1: float, v2: float, data: Dataset, b: int, seed: int,
+                  true_belief: Belief) -> bool:
+    """``coarsening_sosd_bootstrap`` as it was before the count matrices."""
+    merged = coarsen_act(f, v1, v2, "empirical_mean", true_belief=true_belief, data=data)
+    return sosd_strict(bootstrap_errors(merged, data, b, seed), bootstrap_errors(f, data, b, seed))
+
+
+class TestDataset:
+    def test_empty_draws_rejected(self):
+        with pytest.raises(ValueError, match="a dataset needs at least one draw"):
+            Dataset(draws=(), seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, 10**40])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*128\), got {seed}"):
+            draw_sample(BELIEF, STATES, 5, seed=seed)
+        with pytest.raises(ValueError, match="seed must be in"):
+            bootstrap_errors(ACT, Dataset(draws=("a",), seed=0), 5, seed=seed)
+
+    def test_seed_range_ends(self):
+        for seed in (0, 2**128 - 1):
+            assert len(draw_sample(BELIEF, STATES, 5, seed=seed).draws) == 5
 
 
 class TestDrawSample:
@@ -181,6 +215,122 @@ class TestBootstrapErrors:
     def test_unknown_draw(self):
         with pytest.raises(AlignmentError, match="draw 'z' is not a state"):
             bootstrap_errors(ACT, Dataset(draws=("a", "z"), seed=0), 10, seed=0)
+
+
+def count_ulps(n_labels: int) -> int:
+    """Worst-case distance, in ulps of the largest |value|, between a count
+    replicate and a gathered one. The count path adds ``n_labels`` rounded
+    products in sequence; numpy's mean adds runs of at most 16 of the K
+    values in each of 8 accumulators and combines them pairwise (at most 12
+    more levels for K < 2**16); the division and subtraction round twice on
+    each side."""
+    return n_labels + 16 + 12 + 4
+
+
+class TestReplicateCounts:
+    def random_case(self, rng, labels, k):
+        draws = tuple(labels[i] for i in rng.integers(0, len(labels), k))
+        values = rng.uniform(-2.0, 2.0, len(labels)) * 10.0 ** rng.integers(-3, 4)
+        return DiscreteAct(labels, values.tolist()), Dataset(draws=draws, seed=0)
+
+    def assert_close_to_gather(self, act, data, b, seed):
+        errors = ln._replicate_errors(act, data, b, seed)
+        gathered = np.asarray(bootstrap_errors(act, data, b, seed).errors)
+        values = dict(zip(act.state_ids, act.values))
+        drawn = set(data.draws)
+        bound = count_ulps(len(drawn)) * np.spacing(max(abs(values[d]) for d in drawn))
+        assert errors.shape == gathered.shape
+        assert np.max(np.abs(errors - gathered)) <= bound
+
+    @pytest.mark.parametrize("labels", [tuple(range(6)), ("x", "y", "z", "w")], ids=["int", "str"])
+    def test_random_datasets_match_the_gather(self, labels):
+        rng = np.random.default_rng(len(labels))
+        for i in range(40):
+            act, data = self.random_case(rng, labels, int(rng.integers(1, 300)))
+            self.assert_close_to_gather(act, data, int(rng.integers(1, 600)), seed=i)
+
+    def test_states_never_drawn(self):
+        act = DiscreteAct(STATES, [1.0, 5.0, -3.0, 1e6])
+        data = Dataset(draws=("b", "a", "b", "b", "a"), seed=0)
+        self.assert_close_to_gather(act, data, 300, seed=1)
+        labels, counts = ln._replicate_counts(data.draws, 300, 1)
+        assert labels == ("b", "a") and counts.shape == (2, 300)
+
+    def test_one_label(self):
+        data = Dataset(draws=("c",) * 50, seed=0)
+        self.assert_close_to_gather(ACT, data, 200, seed=2)
+        assert ln._replicate_counts(data.draws, 200, 2)[1].tolist() == [[50] * 200]
+
+    def test_k_distinct_labels(self):
+        rng = np.random.default_rng(3)
+        k = 300
+        act = DiscreteAct(range(k), rng.uniform(0.5, 1.5, k).tolist())
+        data = Dataset(draws=tuple(rng.permutation(k).tolist()), seed=0)
+        self.assert_close_to_gather(act, data, 500, seed=3)
+
+    def test_balanced_counts(self):
+        rng = np.random.default_rng(4)
+        for k, b in ((1, 1), (7, 3), (200, 4000), (300, 513)):
+            draws = tuple(int(x) for x in rng.integers(0, 9, k))
+            labels, counts = ln._replicate_counts(draws, b, k)
+            assert labels == tuple(dict.fromkeys(draws))
+            assert counts.shape == (len(labels), b)
+            assert np.all(counts.sum(axis=0, dtype=np.int64) == k)
+            for label, row in zip(labels, counts):
+                assert row.sum(dtype=np.int64) == b * draws.count(label)
+            assert counts.dtype == (np.uint8 if k <= 255 else np.uint16)
+
+    def test_one_read_only_entry_per_key(self):
+        draws = draw_sample(BELIEF, STATES, 200, seed=5).draws
+        first = ln._replicate_counts(draws, 4000, 6)
+        assert ln._replicate_counts(tuple(list(draws)), 4000, 6) is first
+        assert not first[1].flags.writeable
+        assert first[1].nbytes <= ln._resample_indices(200, 4000, 6).nbytes
+        assert ln._replicate_counts(draws, 4000, 7) is not first
+
+    @pytest.mark.parametrize("draws, b, error, message", [
+        (("a", "b"), 0, ValueError, "replicate count must be at least 1"),
+        (("a", "z"), 0, ValueError, "replicate count must be at least 1"),
+        (("a", "z"), 10, AlignmentError, "draw 'z' is not a state of the act"),
+    ], ids=["no-replicates", "no-replicates-before-alignment", "unknown-draw"])
+    def test_errors_match_the_gather(self, draws, b, error, message):
+        data = Dataset(draws=draws, seed=0)
+        for call in (bootstrap_errors, ln._replicate_errors):
+            with pytest.raises(error, match=message):
+                call(ACT, data, b, 0)
+
+    def test_criterion_5_fixtures_decide_as_the_gather(self):
+        # criterion 5's fixture shape, K and B; the acts its audits score
+        rng = np.random.default_rng(9)
+        rule = SmoothRule(gamma=1.0, k=1e-5)
+        b = 4000
+        for i in range(12):
+            n_states = int(rng.integers(4, 6))
+            states = tuple(range(n_states))
+            act = DiscreteAct(states, (1.0 + np.cumsum(rng.uniform(0.02, 0.05, n_states))).tolist())
+            masses = rng.uniform(0.4, 1.0, n_states)
+            belief = Belief((masses / masses.sum()).tolist())
+            data = draw_sample(belief, states, 200, seed=100 + i)
+            payoffs = sorted(value_cells(act))
+            v1, v2 = payoffs[0], payoffs[1]
+            sosd = coarsening_sosd_bootstrap(act, v1, v2, data, b, i, true_belief=belief)
+            assert sosd == gathered_sosd(act, v1, v2, data, b, i, belief)
+            merges = [
+                coarsen_act(act, lo, hi, "empirical_mean", true_belief=belief, data=data)
+                for j, lo in enumerate(payoffs) for hi in payoffs[j + 1:]
+            ]
+            patched = [payoffs[-1] if j % 3 == 0 else v for j, v in enumerate(act.values)]
+            mixtures = [
+                DiscreteAct(states, [a * x + (1 - a) * y for x, y in zip(act.values, patched)])
+                for a in (0.25, 0.5, 0.75)
+            ]
+            for f in [act, *merges, *mixtures]:
+                threshold = rule.phi_scalar(empirical_expectation(f, data)) - rule.k
+                score = perceived_score(f, data, rule, b, i)
+                reference = gathered_score(f, data, rule, b, i)
+                assert abs(score - reference) < 1e-15
+                assert (score >= threshold) == (reference >= threshold)
+                assert has_certain_equivalent(f, data, rule, b, i) == (reference >= threshold)
 
 
 class TestSmoothRule:
