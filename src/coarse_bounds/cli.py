@@ -161,11 +161,16 @@ def cmd_learn(args) -> int:
     rule = SmoothRule(gamma=fixture["gamma"], k=fixture["k"])
     seed = int(fixture.get("seed", args.seed))
     k, b = int(fixture["K"]), int(fixture["B"])
-    if k >= 1 and b >= 1 and k * b > MAX_RESAMPLE_INDICES:
+    if k < 1:
+        raise ValueError(f"'K' must be at least 1, got {fixture['K']}")
+    if b >= 1 and k * b > MAX_RESAMPLE_INDICES:
         raise CoarseBoundsError(
             f"K * B = {k * b} resample indices exceed the limit of {MAX_RESAMPLE_INDICES}"
         )
     data = draw_sample(belief, act.state_ids, k, seed)
+    # checked after the sample, whose seed check comes first
+    if b < 1:
+        raise ValueError(f"'B' must be at least 1, got {fixture['B']}")
     errors = bootstrap_errors(act, data, b, seed)
     audit = audit_coarsening_preserves_ce(act, data, rule, b, seed, true_belief=belief)
     report = {

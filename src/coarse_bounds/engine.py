@@ -16,9 +16,15 @@ block start, the best block end (the top layer only for the first start,
 the one state a query reads there), in one of three size-selected branches
 with identical candidate arithmetic. A pure-Python scan below
 ``_NUMPY_DP_THRESHOLD`` (18) levels, where it is the faster, and a dense
-numpy L x L candidate matrix below ``_MONOTONE_DP_THRESHOLD`` (512) both
-search every end, in ``O(N * L^2)``. Longer ladders use a divide-and-conquer
-search in ``O(N * L log L)`` time and ``O(L)`` memory per layer. That search
+numpy search below ``_MONOTONE_DP_THRESHOLD`` (512) both search every end,
+in ``O(N * L^2)``. The dense search keeps only the upper triangle of block
+starts and ends (a block that ends before it starts is never chosen), in
+row blocks sized by ``_BATCH_BYTES`` so that a block's cells and candidates
+stay in cache. It computes the cells once per fill and the candidates of
+one row block at a time, in one float workspace per thread that grows to
+the largest fill and is reused, so a repeated fill allocates no L x L
+array. Longer ladders use a divide-and-conquer search in
+``O(N * L log L)`` time and ``O(L)`` memory per layer. That search
 relies on the smallest optimal block end being nondecreasing in the block
 start, which follows from the submodularity (Monge property) of the cell
 function; it holds exactly in real arithmetic, and the parity tests check
@@ -54,6 +60,7 @@ ascending cutoffs in ``[1, L - 1]`` describes a partition into ``B`` blocks.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import chain, combinations, islice
@@ -88,8 +95,14 @@ _MONOTONE_DP_THRESHOLD = 512
 _SPLIT_WAYS = 4
 
 # bound_values fills its rows in blocks whose two candidate arrays together
-# stay within this many bytes.
+# stay within this many bytes, and the dense fill its block starts in row
+# blocks whose cells and candidates together do.
 _BATCH_BYTES = 1 << 18
+
+# The dense fill's cells and candidates live in one float array per thread,
+# which grows to the largest fill that thread has run and never shrinks, so
+# that a repeated fill allocates nothing of size L x L.
+_workspace = threading.local()
 
 # Relative and absolute tolerance under which set queries count a candidate
 # value as tied with the optimum.
@@ -223,12 +236,90 @@ def coarse_value(cuts, ladder: ValueLadder, kind: str) -> float:
     return total
 
 
-def _dense_search(cellmat, idx, upper: bool, prev):
+@lru_cache(maxsize=16)
+def _corner(height: int) -> np.ndarray:
+    """Read-only mask of the blocks that end before they start in a row
+    block of ``height`` rows, over its first ``height - 1`` ends: entry
+    [i, k] is set when end k lies before row i."""
+    rows = np.arange(height)
+    mask = rows[None, :-1] < rows[:, None]
+    mask.flags.writeable = False
+    return mask
+
+
+@lru_cache(maxsize=16)
+def _row_blocks(length: int, height: int) -> tuple:
+    """The layout of the dense branch's upper triangle in row blocks of
+    ``height`` rows: the blocks as (r0, r1, workspace offset of the cells),
+    the offset of the candidate buffer and the workspace size, and per row
+    j its block start and the index ``base[j]`` with ``base[j] + e`` the
+    workspace index of cell (j, e). The last block also carries row L - 1.
+    The arrays are read-only, as the layout is cached."""
+    starts = range(0, length - 1, height)
+    stops = [*starts[1:], length]
+    blocks, shift, base, off = [], [], [], 0
+    for r0, r1 in zip(starts, stops):
+        width = length - 1 - r0
+        blocks.append((r0, r1, off))
+        shift += [r0] * (r1 - r0)
+        base += range(off - r0, off - r0 + (r1 - r0) * width, width)
+        off += (r1 - r0) * width
+    rows = np.array(shift), np.array(base)
+    for a in rows:
+        a.flags.writeable = False
+    # the first block is the largest
+    return tuple(blocks), off, off + stops[0] * (length - 1), *rows
+
+
+def _triangle(lvl, pre, upper: bool):
+    """The dense branch's cells in row blocks of the upper triangle, in this
+    thread's workspace, with one candidate buffer after them.
+
+    Block [r0, r1) holds the cells of the blocks [j..e] for rows j in it and
+    ends e in [r0, L - 2], ``(pre[e + 1] - pre[j]) * level``; its corner
+    where e < j holds the infinite sentinel, and so does all of row L - 1.
+    Returns the blocks as (r0, r1, cells, candidates) views, the workspace
+    and the row index of :func:`_row_blocks`.
+    """
+    length = len(lvl)
+    layout, cand_at, need, shift, base = _row_blocks(
+        length, max(1, _BATCH_BYTES // (16 * (length - 1)))
+    )
+    space = getattr(_workspace, "space", None)
+    if space is None or space.size < need:
+        space = _workspace.space = np.empty(need)
+    blocks = []
+    for r0, r1, off in layout:
+        shape = (r1 - r0, length - 1 - r0)
+        cells = space[off : off + shape[0] * shape[1]].reshape(shape)
+        np.subtract(pre[None, r0 + 1 : -1], pre[r0:r1, None], out=cells)
+        cells *= lvl[None, r0:-1] if upper else lvl[r0:r1, None]
+        np.copyto(cells[:, : shape[0] - 1], inf if upper else -inf, where=_corner(shape[0]))
+        cand = space[cand_at : cand_at + cells.size].reshape(shape)
+        blocks.append((r0, r1, cells, cand))
+    return blocks, space, shift, base
+
+
+def _dense_search(blocks, space, shift, base, upper: bool, prev):
     """Best value and smallest optimal end over every block end ``e <= L - 2``
-    of every row, read from the full candidate matrix."""
-    cand = cellmat[:, :-1] + prev[None, 1:]
-    arg = (np.argmin if upper else np.argmax)(cand, axis=1)  # first occurrence
-    return cand[idx, arg], arg
+    of every row, one row block of :func:`_triangle` at a time.
+
+    Each block's candidates are its cells plus the next layer's values, and
+    the first-occurrence argmax (argmin) of each row picks its end. With one
+    block the best values are read from its candidates; otherwise each is
+    read back as its end's cell plus that end's next value, the same
+    addition, so that a block's candidates are dropped once it is searched.
+    """
+    pick = np.argmin if upper else np.argmax
+    if len(blocks) == 1:
+        _, _, cells, cand = blocks[0]
+        arg = pick(np.add(cells, prev[None, 1:], out=cand), axis=1)
+        return cand[np.arange(len(prev)), arg], arg
+    arg = np.empty(len(prev), dtype=np.intp)
+    for r0, r1, cells, cand in blocks:
+        pick(np.add(cells, prev[None, r0 + 1 :], out=cand), axis=1, out=arg[r0:r1])
+    arg += shift
+    return space.take(base + arg) + prev[arg + 1], arg
 
 
 @lru_cache(maxsize=16)
@@ -315,11 +406,15 @@ def _fill(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):
     holds only that entry.
 
     Three branches share the candidate arithmetic exactly: a pure-Python
-    scan for short ladders, a dense numpy matrix from
+    scan for short ladders, a dense numpy search from
     ``_NUMPY_DP_THRESHOLD`` levels, and the monotone search from
-    ``_MONOTONE_DP_THRESHOLD`` levels. Both numpy branches build their
-    search only when a layer below the top runs, and solve the top layer's
-    one block start by a scan over every end, the dense branch's row 0.
+    ``_MONOTONE_DP_THRESHOLD`` levels. The dense search holds the cells of
+    the upper triangle (end at or after start) in row blocks of
+    :func:`_triangle`, each with at most ``_BATCH_BYTES`` of cells and
+    candidates, in this thread's reused workspace; nothing the fill returns
+    is a view of it. Both numpy branches build their search only when a
+    layer below the top runs, and solve the top layer's one block start by
+    a scan over every end, the dense branch's row 0.
     """
     length = hi - lo + 1
     if length >= _NUMPY_DP_THRESHOLD:
@@ -334,12 +429,7 @@ def _fill(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):
             if length >= _MONOTONE_DP_THRESHOLD:
                 search = partial(_monotone_search, lvl, pre, upper, _splits(length - 1))
             else:
-                # cellmat[j, e] = value of block [j..e] (offsets from lo)
-                cellmat = pre[None, 1:] - pre[:-1, None]
-                cellmat *= lvl[None, :] if upper else lvl[:, None]
-                idx = np.arange(length)
-                cellmat[idx[:, None] > idx[None, :]] = inf if upper else -inf
-                search = partial(_dense_search, cellmat, idx, upper)
+                search = partial(_dense_search, *_triangle(lvl, pre, upper), upper)
             for _ in range(3, n_blocks + 1):
                 best, arg = search(values[-1])
                 close = (stop <= best) if upper else (stop >= best)

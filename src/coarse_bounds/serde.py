@@ -14,11 +14,16 @@ def act_from_record(record: dict) -> tuple:
     if not isinstance(record, dict):
         raise ValueError("an act record must be a JSON object")
     check_shape(record, {"states": list, "values": [Real], "masses": [Real]}, "an act record")
+    if not record["states"]:
+        raise ValueError("'states' must hold at least one state id")
     try:
         act = DiscreteAct(record["states"], record["values"])
-        belief = Belief(record["masses"])
-    except TypeError as err:
-        raise ValueError(f"malformed act record: {err}") from None
+    except TypeError:
+        # the shape check leaves only unhashable state ids to raise it
+        raise ValueError("'states' must not hold lists or objects as ids") from None
+    if not record["masses"]:
+        raise ValueError("'masses' must hold at least one mass")
+    belief = Belief(record["masses"])
     if len(act) != len(belief):
         raise ValueError("values and masses must have the same length")
     return act, belief

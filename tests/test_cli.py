@@ -4,6 +4,7 @@ and byte-determinism of repeated runs."""
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -617,11 +618,19 @@ class TestExitCodes:
         ("learn", {"seed": -1}, 1, "seed must be in [0, 2**128), got -1"),
         ("learn", {"seed": 1e40}, 1,
          "seed must be in [0, 2**128), got 10000000000000000303786028427003666890752"),
+        ("learn", {"K": 0}, 1, "'K' must be at least 1, got 0"),
+        ("learn", {"B": -0.0}, 1, "'B' must be at least 1, got -0.0"),
+        ("learn", {"B": -1, "seed": -1}, 1, "seed must be in [0, 2**128), got -1"),
+        ("learn", {"states": []}, 1, "'states' must hold at least one state id"),
+        ("learn", {"states": ["a", [1.0], "c", "d"]}, 1,
+         "'states' must not hold lists or objects as ids"),
+        ("learn", {"masses": []}, 1, "'masses' must hold at least one mass"),
     ], ids=["returns-nan", "returns-inf", "masses-misaligned", "gamma-inf", "savings-overflow",
             "savings-overflow-gamma-2", "grid-n-fraction", "grid-n-nan", "tilt-inf",
             "tilt-minus-inf", "tilt-nan", "tilt-overflow", "tilt-underflow", "effort-cost-nan",
             "schedule-nan", "schedule-inf", "outputs-nan", "wage-grid-nan", "learn-seed-negative",
-            "learn-seed-huge"])
+            "learn-seed-huge", "learn-K-zero", "learn-B-minus-zero", "learn-seed-before-B",
+            "learn-states-empty", "learn-states-unhashable", "learn-masses-empty"])
     def test_rejected_fixture_field(self, command, change, code, message, tmp_path, capsys):
         path = tmp_path / "fixture.json"
         path.write_text(json.dumps(dict(FIXTURES[command], **change)))
@@ -637,7 +646,9 @@ class TestExitCodes:
     def test_learn_exit_code_contract(self, tmp_path):
         # every field and list item of the learn fixture, replaced in turn by
         # every mutant: exit 0 with an empty stderr, or exit 1 or 2 with one
-        # line of the matching kind, and never a traceback or a warning
+        # line of the matching kind, and never a traceback or a warning; an
+        # exit-1 line names the mutated field (the act's own checks call the
+        # states "state ids")
         path = tmp_path / "learn.json"
         seen = set()
 
@@ -665,6 +676,9 @@ class TestExitCodes:
                 assert text == ""
             else:
                 assert text.startswith(prefix) and text.endswith("\n") and text.count("\n") == 1
+            if code == 1:
+                names = rf"\b{field}\b|state ids" if field == "states" else rf"\b{field}\b"
+                assert re.search(names, text), (slot, MUTANTS[which], text)
 
         check()
         assert len(seen) == len(LEARN_SLOTS) * len(MUTANTS)

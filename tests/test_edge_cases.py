@@ -2,6 +2,8 @@
 larger partition grounds, and CLI error handling."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -203,6 +205,133 @@ class TestTopLayer:
                         for b in range(1, blocks):
                             assert list(map(repr, top[0][b])) == list(map(repr, full[0][b])), case
                             assert list(top[1][b]) == list(full[1][b]), case
+
+
+def square_dense_fill(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):
+    """Reference: the dense branch of ``engine._fill`` as one L x L cell
+    matrix, with the infinite sentinel below the diagonal, and a fresh
+    L x (L - 1) candidate array for every capacity layer."""
+    length = hi - lo + 1
+    lvl = np.asarray(levels[lo : hi + 1], dtype=float)
+    pre = np.asarray(pref[lo : hi + 2], dtype=float)
+    stop = (pre[-1] - pre[:-1]) * (lvl[-1] if upper else lvl)
+    if n_blocks == 1:
+        return [None, stop[:1]], [None, np.full(1, -1)]
+    values, choices = [None, stop], [None, np.full(length, -1)]
+    cellmat = pre[None, 1:] - pre[:-1, None]
+    cellmat *= lvl[None, :] if upper else lvl[:, None]
+    idx = np.arange(length)
+    cellmat[idx[:, None] > idx[None, :]] = np.inf if upper else -np.inf
+    for _ in range(3, n_blocks + 1):
+        cand = cellmat[:, :-1] + values[-1][None, 1:]
+        arg = (np.argmin if upper else np.argmax)(cand, axis=1)
+        best = cand[idx, arg]
+        close = (stop <= best) if upper else (stop >= best)
+        values.append(np.where(close, stop, best))
+        choices.append(np.where(close, -1, arg + lo))
+    cand = (pre[1:-1] - pre[0]) * (lvl[:-1] if upper else lvl[0]) + values[-1][1:]
+    arg = (np.argmin if upper else np.argmax)(cand)
+    best = cand[arg : arg + 1]
+    close = (stop[:1] <= best) if upper else (stop[:1] >= best)
+    values.append(np.where(close, stop[:1], best))
+    choices.append(np.where(close, -1, arg + lo))
+    return values, choices
+
+
+def fill_bits(table) -> list:
+    """The layers of a fill's values as int64 bit patterns (so -0.0 != 0.0)
+    or of its choices, as lists."""
+    return [np.asarray(layer).view(np.int64).tolist() for layer in table[1:]]
+
+
+def near_tie_ladder(length: int) -> ValueLadder:
+    """Levels 1-3 ulps apart above 1.0 with seeded masses."""
+    rng = np.random.default_rng(length)
+    w = rng.uniform(0.1, 1.0, length)
+    c = 1 + length % 3
+    return ValueLadder([1.0 + i * c * 2.0**-52 for i in range(length)], (w / w.sum()).tolist())
+
+
+class TestDenseRowBlocks:
+    """The dense branch fills the upper triangle in row blocks in a reused
+    per-thread workspace: every layer's values (bit for bit) and choices
+    equal those of the square-matrix fill, for any block height, after
+    fills of other lengths, and in several threads at once."""
+
+    SHAPES = ("float", "tied", "zero-mass", "near-tie")
+
+    @staticmethod
+    def ladder(length: int, shape: str) -> ValueLadder:
+        return near_tie_ladder(length) if shape == "near-tie" else parity_ladder(length, shape)
+
+    @staticmethod
+    def check(lad, lo, capacities):
+        pref = engine._prefix_masses(lad.level_masses)
+        hi = len(lad) - 1
+        for n in sorted({min(n, hi - lo + 1) for n in capacities}):
+            for upper in (False, True):
+                args = (lad.levels, pref, lo, hi, n, upper)
+                (v, c), (rv, rc) = engine._fill(*args), square_dense_fill(*args)
+                assert fill_bits(v) == fill_bits(rv), (len(lad), lo, n, upper)
+                assert fill_bits(c) == fill_bits(rc), (len(lad), lo, n, upper)
+
+    @pytest.mark.parametrize("length", [18, 40, 64, 128, 129, 200, 256, 257, 361, 511])
+    def test_matches_the_square_fill(self, length):
+        for shape in self.SHAPES:
+            lad = self.ladder(length, shape)
+            # a full-capacity fill runs L - 2 layers: the longest ladders run one
+            full = (length, length + 2) if length >= 256 else (length - 1, length, length + 2)
+            self.check(lad, 0, (2, 3, 8, *full))
+            self.check(lad, 1, (3, 8))
+
+    @pytest.mark.parametrize("length", [18, 19, 40, 129])
+    def test_any_block_height(self, length, monkeypatch):
+        # one-row blocks; two-row blocks; L - 2 rows, which leaves one row
+        # before row L - 1 for the last block; and the whole triangle at once
+        for height in (1, 2, 5, length - 2, length - 1):
+            monkeypatch.setattr(engine, "_BATCH_BYTES", 16 * (length - 1) * height)
+            for shape in self.SHAPES:
+                self.check(self.ladder(length, shape), 0, (2, 3, 8, length))
+
+    def test_workspace_reuse_leaves_earlier_results_alone(self):
+        fills = []
+        for length in (511, 40, 511):
+            lad = parity_ladder(length, "float")
+            pref = engine._prefix_masses(lad.level_masses)
+            for upper in (False, True):
+                args = (lad.levels, pref, 0, length - 1, 8, upper)
+                got = engine._fill(*args)
+                fills.append((got, [fill_bits(t) for t in got], square_dense_fill(*args)))
+        for got, kept, ref in fills:
+            assert [fill_bits(t) for t in got] == kept == [fill_bits(t) for t in ref]
+
+    def test_threads_keep_their_own_workspace(self):
+        def run_fills(length, out):
+            lad = parity_ladder(length, "float")
+            pref = engine._prefix_masses(lad.level_masses)
+            for i in range(50):
+                out.append([fill_bits(t) for t in
+                            engine._fill(lad.levels, pref, 0, length - 1, 8, i % 2 == 1)])
+
+        lengths = (361, 200, 257)
+        alone = []
+        for length in lengths:
+            out = []
+            run_fills(length, out)
+            alone.append(out)
+        together = [[] for _ in lengths]
+        threads = [threading.Thread(target=run_fills, args=args) for args in zip(lengths, together)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert together == alone
 
 
 class TestZeroMassLevels:

@@ -4,6 +4,7 @@ oracle, pull-back, perceived distributions, and structural invariants."""
 import json
 import math
 import random
+import threading
 import tracemalloc
 from itertools import accumulate
 from pathlib import Path
@@ -227,6 +228,38 @@ class TestLongLadderMemory:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 2**10
+
+    def test_repeated_dense_fill_reuses_its_workspace(self):
+        # after one fill of this length the thread's workspace, row-block
+        # layout and corner masks are in place, so a fill allocates only
+        # its O(N L) values and choices
+        lad = golden_ladder(511)
+        bound(lad, 8, "lower")
+        tracemalloc.start()
+        try:
+            for kind in ("lower", "upper"):
+                bound(lad, 8, kind)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**10
+
+    def test_first_dense_fill_of_a_thread(self):
+        # the workspace of a new thread holds the upper triangle and one
+        # block of candidates: less than one 511 x 511 float64 matrix
+        lad = golden_ladder(511)
+        results = []
+        tracemalloc.start()
+        try:
+            worker = threading.Thread(target=lambda: results.append(bound(lad, 8, "lower")))
+            worker.start()
+            worker.join(timeout=60)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not worker.is_alive()
+        assert results == [bound(lad, 8, "lower")]
+        assert peak < 511 * 511 * 8
 
 
 def batch_rows(length: int, rows: str, seed: int):

@@ -321,7 +321,8 @@ def test_scan_flags_an_unused_public_name(tmp_path):
 # The exhaustive oracle is the reference for the DP fill: a reference that
 # shares the fill's code could share its bugs.
 DP_NAMES = frozenset({
-    "_fill", "_solve", "_dense_search", "_monotone_search", "_splits", "bound", "bound_values",
+    "_fill", "_solve", "_dense_search", "_triangle", "_row_blocks", "_corner", "_workspace",
+    "_monotone_search", "_splits", "bound", "bound_values",
 })
 
 
