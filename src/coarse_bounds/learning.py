@@ -27,7 +27,12 @@ test) read each replicate mean from a cached replicate x label count matrix
 of the same resample indices, as ``sum_s counts[s] * value(s) / K``: a few
 multiply-adds per replicate instead of ``K`` gathered loads, equal to the
 gathered mean up to a few ulps. ``bootstrap_errors``, which reports the
-error distribution itself, still gathers.
+error distribution itself, still gathers, 512 replicates at a time, with
+the same per-replicate sums as one full gather.
+
+The resample index matrix is cached in the smallest unsigned dtype that
+holds K: 1, 2 or 4 bytes per index, by K. Its pool takes 8 bytes per index
+only while it is shuffled.
 """
 
 from __future__ import annotations
@@ -184,14 +189,24 @@ def coarsen_act(f: DiscreteAct, v1: float, v2: float, mode: str,
     return DiscreteAct(f.state_ids, new_values)
 
 
+# Resample rows gathered or counted per pass, which bounds the temporary
+# index, value and label blocks
+_COUNT_BLOCK_ROWS = 512
+
+
 @lru_cache(maxsize=4)
 def _resample_indices(k: int, b: int, seed: int):
     """Balanced resample index matrix (b x k); depends only on sizes and
     seed, so two acts bootstrapped from the same dataset shape share it
-    exactly."""
-    idx = np.tile(np.arange(k), b)
-    _rng(seed).shuffle(idx)
-    idx = idx.reshape(b, k)
+    exactly.
+
+    The pool is shuffled as 8-byte integers, which takes the shuffle's
+    fast path (the permutation depends only on the pool's length and the
+    seed). Only then is it cast, read-only, to the smallest unsigned dtype
+    that holds K: the cache holds 1, 2 or 4 bytes per index, by K."""
+    pool = np.tile(np.arange(k), b)
+    _rng(seed).shuffle(pool)
+    idx = pool.astype(np.min_scalar_type(k)).reshape(b, k)
     idx.setflags(write=False)
     return idx
 
@@ -203,18 +218,20 @@ def bootstrap_errors(f: DiscreteAct, data: Dataset, b: int, seed: int) -> ErrorD
     scheme permutes a pool holding each observation exactly B times, so two
     acts bootstrapped with the same (data, b, seed) are driven by identical
     resample index sets and their error replicates are exactly coupled.
+    The replicates are gathered ``_COUNT_BLOCK_ROWS`` (512) at a time; each
+    row's mean is the same pairwise sum as in one full B x K gather, so the
+    errors are bit for bit those of one gather.
     """
     if b < 1:
         raise ValueError("replicate count must be at least 1")
     obs = np.asarray(_draw_values(f, data), dtype=float)
     base = obs.mean()
     idx = _resample_indices(data.K, b, int(seed))
-    means = obs[idx].mean(axis=1)
+    means = np.empty(b)
+    for lo in range(0, b, _COUNT_BLOCK_ROWS):
+        block = idx[lo:lo + _COUNT_BLOCK_ROWS].astype(np.intp)
+        means[lo:lo + len(block)] = obs.take(block).mean(axis=1)
     return ErrorDistribution(errors=tuple((means - base).tolist()))
-
-
-# Resample rows counted per pass, which bounds the temporary label matrix
-_COUNT_BLOCK_ROWS = 512
 
 
 @lru_cache(maxsize=4)
@@ -224,8 +241,9 @@ def _replicate_counts(draws: tuple, b: int, seed: int) -> tuple:
     ``_resample_indices(K, b, seed)`` draws each label.
 
     The counts are taken a block of replicates at a time and kept in the
-    smallest unsigned dtype that holds K, so an entry is never larger than
-    the index matrix."""
+    smallest unsigned dtype that holds K, the index matrix's own dtype, so
+    with at most K labels the matrix is never larger than the index
+    matrix."""
     k = len(draws)
     position: dict = {}
     codes = np.fromiter(
@@ -235,7 +253,7 @@ def _replicate_counts(draws: tuple, b: int, seed: int) -> tuple:
     idx = _resample_indices(k, b, seed)
     counts = np.empty((n, b), dtype=np.min_scalar_type(k))
     for lo in range(0, b, _COUNT_BLOCK_ROWS):
-        block = codes[idx[lo:lo + _COUNT_BLOCK_ROWS]]
+        block = codes[idx[lo:lo + _COUNT_BLOCK_ROWS].astype(np.intp)]
         rows = len(block)
         block += np.arange(0, rows * n, n)[:, None]
         tally = np.bincount(block.ravel(), minlength=rows * n)

@@ -44,16 +44,12 @@ APP_FIXTURES = {
 }
 FIXTURES = dict(APP_FIXTURES, learn=LEARN_FIXTURE)
 
-# The README learn fixture at a small sample size, each of its fields and
-# list items, and the values the exit-code generator puts in each of them.
+# The README learn fixture at a small sample size, and the values the
+# exit-code generator puts in each field and list item of a fixture.
 LEARN_README = {
     "states": [0, 1, 2, 3], "values": [1.0, 1.04, 1.07, 1.11],
     "masses": [0.3, 0.3, 0.2, 0.2], "gamma": 1.0, "k": 1e-5, "K": 20, "B": 40, "seed": 11,
 }
-LEARN_SLOTS = [(field, None) for field in LEARN_README] + [
-    (field, i) for field, value in LEARN_README.items() if isinstance(value, list)
-    for i in range(len(value))
-]
 MUTANTS = (float("nan"), float("inf"), float("-inf"), -1, 0, -0.0, 1e-300, 1e300, 20.0, 3,
            True, None, "x", [], [1.0], {})
 
@@ -125,6 +121,15 @@ def act_to_record(act, belief) -> dict:
         "values": list(act.values),
         "masses": list(belief.masses),
     }
+
+
+def fixture_slots(fixture: dict) -> list:
+    """Each field of a fixture as ``(field, None)`` and each list item as
+    ``(field, i)``: the places the exit-code generator mutates."""
+    return [(field, None) for field in fixture] + [
+        (field, i) for field, value in fixture.items() if isinstance(value, list)
+        for i in range(len(value))
+    ]
 
 
 def invoke(args, capsys):
@@ -643,32 +648,33 @@ class TestExitCodes:
         prefix = "error" if code == 1 else "numerical failure"
         assert captured.err == f"{prefix}: {message}\n"
 
-    def test_learn_exit_code_contract(self, tmp_path):
-        # every field and list item of the learn fixture, replaced in turn by
+    def assert_exit_code_contract(self, argv, fixture, tmp_path):
+        # every field and list item of the fixture, replaced in turn by
         # every mutant: exit 0 with an empty stderr, or exit 1 or 2 with one
         # line of the matching kind, and never a traceback or a warning; an
         # exit-1 line names the mutated field (the act's own checks call the
         # states "state ids")
-        path = tmp_path / "learn.json"
+        slots = fixture_slots(fixture)
+        path = tmp_path / "fixture.json"
         seen = set()
 
-        @given(st.sampled_from(LEARN_SLOTS), st.sampled_from(range(len(MUTANTS))))
-        @settings(max_examples=len(LEARN_SLOTS) * len(MUTANTS), derandomize=True,
+        @given(st.sampled_from(slots), st.sampled_from(range(len(MUTANTS))))
+        @settings(max_examples=len(slots) * len(MUTANTS), derandomize=True,
                   database=None, deadline=None)
         def check(slot, which):
             seen.add((slot, which))
-            fixture = json.loads(json.dumps(LEARN_README))
+            mutated = json.loads(json.dumps(fixture))
             field, item = slot
             if item is None:
-                fixture[field] = MUTANTS[which]
+                mutated[field] = MUTANTS[which]
             else:
-                fixture[field][item] = MUTANTS[which]
-            path.write_text(json.dumps(fixture))
+                mutated[field][item] = MUTANTS[which]
+            path.write_text(json.dumps(mutated))
             err = io.StringIO()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                    code = run(["learn", "--in", str(path)])
+                    code = run([argv[0], "--in", str(path), *argv[1:]])
             assert caught == []
             text = err.getvalue()
             prefix = {0: None, 1: "error: ", 2: "numerical failure: "}[code]
@@ -681,7 +687,14 @@ class TestExitCodes:
                 assert re.search(names, text), (slot, MUTANTS[which], text)
 
         check()
-        assert len(seen) == len(LEARN_SLOTS) * len(MUTANTS)
+        assert len(seen) == len(slots) * len(MUTANTS)
+
+    def test_learn_exit_code_contract(self, tmp_path):
+        self.assert_exit_code_contract(["learn"], LEARN_README, tmp_path)
+
+    def test_bounds_exit_code_contract(self, tmp_path):
+        # the act-record commands read their act through serde.act_from_record
+        self.assert_exit_code_contract(["bounds", "--N", "2"], ACT_RECORD, tmp_path)
 
     def test_whole_valued_float_grid_size(self, tmp_path, capsys):
         outputs = []

@@ -1,6 +1,8 @@
 """Learning-simulation tests: sampling, bootstrap errors, the smooth decision
 rule, coarsening audits, and the dominance of coarsened error distributions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -71,6 +73,21 @@ def sampling_errors_from_counts(f: DiscreteAct, counts: np.ndarray,
     true_mean = float(np.dot(vals, true_belief.masses))
     errs = counts @ vals / k - true_mean
     return ErrorDistribution(errors=tuple(errs.tolist()))
+
+
+def tiled_indices(k: int, b: int, seed: int) -> np.ndarray:
+    """``_resample_indices`` as it was before the compact cache: the int64
+    pool of each index B times, shuffled, as a B x K matrix."""
+    idx = np.tile(np.arange(k), b)
+    np.random.Generator(np.random.Philox(key=seed)).shuffle(idx)
+    return idx.reshape(b, k)
+
+
+def full_gather_errors(f: DiscreteAct, data: Dataset, b: int, seed: int) -> np.ndarray:
+    """``bootstrap_errors`` as it was before the row blocks: one B x K gather."""
+    values = dict(zip(f.state_ids, f.values))
+    obs = np.asarray([values[d] for d in data.draws], dtype=float)
+    return obs[tiled_indices(data.K, b, seed)].mean(axis=1) - obs.mean()
 
 
 def gathered_score(f: DiscreteAct, data: Dataset, rule: SmoothRule, b: int, seed: int) -> float:
@@ -215,6 +232,59 @@ class TestBootstrapErrors:
     def test_unknown_draw(self):
         with pytest.raises(AlignmentError, match="draw 'z' is not a state"):
             bootstrap_errors(ACT, Dataset(draws=("a", "z"), seed=0), 10, seed=0)
+
+
+class TestCompactResampleIndices:
+    @pytest.mark.parametrize("k", [1, 2, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("b", [1, 511, 512, 513])
+    def test_same_indices_and_errors_as_the_int64_gather(self, k, b):
+        seed = 1000 * k + b
+        idx = ln._resample_indices(k, b, seed)
+        assert idx.dtype == np.min_scalar_type(k)
+        assert not idx.flags.writeable
+        assert np.array_equal(idx, tiled_indices(k, b, seed))
+        rng = np.random.default_rng(seed)
+        labels = tuple(range(int(rng.integers(1, 9))))
+        act = DiscreteAct(labels, rng.uniform(-2.0, 2.0, len(labels)).tolist())
+        data = Dataset(draws=tuple(labels[i] for i in rng.integers(0, len(labels), k)), seed=0)
+        errors = np.asarray(bootstrap_errors(act, data, b, seed).errors)
+        assert errors.tobytes() == full_gather_errors(act, data, b, seed).tobytes()
+        counts = ln._replicate_counts(data.draws, b, seed)[1]
+        assert counts.itemsize <= idx.itemsize
+
+
+class TestResampleMemory:
+    # criterion 5's K and B: one int64 index matrix takes 6.4 MB, and one
+    # float gather of it as much again
+    K, B = 200, 4000
+
+    def data(self):
+        return draw_sample(BELIEF, STATES, self.K, seed=21)
+
+    def test_cached_matrix_takes_one_byte_per_index(self):
+        assert ln._resample_indices(self.K, self.B, 22).nbytes == self.K * self.B
+
+    def test_cached_call_gathers_in_row_blocks(self):
+        data = self.data()
+        bootstrap_errors(ACT, data, self.B, 23)
+        tracemalloc.start()
+        try:
+            bootstrap_errors(ACT, data, self.B, 23)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_cold_call_holds_the_int64_pool_and_its_compact_copy(self):
+        data = self.data()
+        ln._resample_indices.cache_clear()
+        tracemalloc.start()
+        try:
+            bootstrap_errors(ACT, data, self.B, 24)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * self.K * self.B + 2**20
 
 
 def count_ulps(n_labels: int) -> int:
