@@ -11,20 +11,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
 from .. import preferences
 from ..acts import Belief, DiscreteAct
 from ..engine import attitude_kind, bound_values
-from ..errors import AlignmentError, ConvergenceError, NonPositiveWealthError, PreconditionError
+from ..errors import (
+    AlignmentError, ConvergenceError, DegenerateBeliefError, NonPositiveWealthError,
+    PreconditionError,
+)
 from .crra import CRRAUtility
 
 NEG_INF = float("-inf")
 _TINY = float(np.finfo(float).tiny)
 
-# _grid_values builds and values its shares this many at a time, and
-# _dominated_blocks builds their wealth so; a multiple of _PRUNE_BLOCK.
+# _wealth_blocks builds wealth rows this many at a time, for valuation and
+# for the envelopes; a multiple of _PRUNE_BLOCK.
 _GRID_BLOCK = 64
 # _pruned_grid_values samples and bounds its share grid in blocks of this
 # many consecutive shares.
@@ -58,30 +62,42 @@ class PortfolioProblem:
     capacity: int
     attitude: str = "cautious"
     belief: Belief = field(init=False, repr=False, compare=False)
+    # the returns as an array, and which states have positive mass and their masses
+    _returns: np.ndarray = field(init=False, repr=False, compare=False)
+    _live: np.ndarray = field(init=False, repr=False, compare=False)
+    _masses: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         returns = tuple(float(r) for r in self.risky_returns)
         object.__setattr__(self, "risky_returns", returns)
         object.__setattr__(self, "risky_masses", tuple(float(m) for m in self.risky_masses))
-        object.__setattr__(self, "belief", Belief(self.risky_masses))
+        try:
+            belief = Belief(self.risky_masses)
+        except (ValueError, DegenerateBeliefError) as err:
+            raise type(err)(f"risky_masses: {err}") from None
+        object.__setattr__(self, "belief", belief)
         if len(self.risky_masses) != len(returns):
             raise AlignmentError(
-                f"risky masses must match the risky returns: "
+                f"risky_masses must match risky_returns: "
                 f"{len(self.risky_masses)} masses vs {len(returns)} returns"
             )
         bad = [r for r in returns if not math.isfinite(r)]
         if bad:
-            raise ValueError(f"risky returns must be finite, got {bad[0]!r}")
+            raise ValueError(f"risky_returns must be finite, got {bad[0]!r}")
         if any(b <= a for a, b in zip(returns, returns[1:])):
-            raise ValueError("risky returns must be strictly ascending")
+            raise ValueError("risky_returns must be strictly ascending")
         if not returns[0] < self.safe_return < returns[-1]:
             raise PreconditionError(
-                "safe return must lie strictly inside the risky support"
+                f"safe_return must lie strictly inside the risky_returns support, "
+                f"got {self.safe_return!r}"
             )
         if not self.beta >= 0:
-            raise ValueError("discount factor must be non-negative")
+            raise ValueError(f"beta must be non-negative, got {self.beta!r}")
         if not 0 < self.endowment < math.inf:
             raise ValueError(f"endowment must be positive and finite, got {self.endowment!r}")
+        object.__setattr__(self, "_returns", np.array(returns))
+        object.__setattr__(self, "_live", np.array(belief.masses) > 0.0)
+        object.__setattr__(self, "_masses", tuple(m for m in belief.masses if m > 0.0))
 
     @property
     def grid_size(self) -> int:
@@ -186,108 +202,94 @@ def _dominated_blocks(problem: PortfolioProblem, x: float, shares, best: float):
     skip = np.zeros(-(-len(shares) // _PRUNE_BLOCK), dtype=bool)
     if not math.isfinite(best):
         return skip
-    returns = np.array(problem.risky_returns)
-    live = np.array(problem.belief.masses) > 0.0
-    masses = [m for m in problem.belief.masses if m > 0.0]
     tops, floors = [], []
-    with np.errstate(over="ignore", invalid="ignore"):
-        # _GRID_BLOCK shares at a time, a whole number of blocks
-        for start in range(0, len(shares), _GRID_BLOCK):
-            chunk = shares[start : start + _GRID_BLOCK, None]
-            wealth = ((1.0 - chunk) * x) * problem.safe_return + (chunk * x) * returns
-            firsts = np.arange(0, len(chunk), _PRUNE_BLOCK)
-            tops.append(np.maximum.reduceat(wealth, firsts))
-            floors.append(np.minimum.reduceat(wealth, firsts))
-        top = np.concatenate(tops)
-        floor = np.concatenate(floors) * (1.0 - 2.0**-49)
+    # a block of wealth rows holds a whole number of blocks of shares
+    for wealth in _wealth_blocks(problem, (1.0 - shares) * x, problem.safe_return, shares * x):
+        firsts = np.arange(0, len(wealth), _PRUNE_BLOCK)
+        tops.append(np.maximum.reduceat(wealth, firsts))
+        floors.append(np.minimum.reduceat(wealth, firsts))
+    top = np.concatenate(tops)
+    floor = np.concatenate(floors) * (1.0 - 2.0**-49)
     blocks = np.flatnonzero(np.isfinite(top).all(axis=1) & (floor >= _TINY).all(axis=1))
-
-    def utilities(rows):
-        out = np.full(rows.shape, np.nan)
-        for i, row in enumerate(rows):
-            try:
-                out[i] = problem.utility.apply(row.tolist())
-            except OverflowError:
-                pass  # left NaN, so the block is kept
-        return out
-
-    upper = utilities(top[blocks])
+    if not len(blocks):
+        return skip
+    upper = _utilities(problem, top[blocks].tolist())
     for _ in range(_PAD_ULPS):
         upper = np.nextafter(upper, np.inf)
-    levels = upper[:, live]
-    ok = (
-        np.isfinite(upper).all(axis=1)
-        & np.isfinite(utilities(floor[blocks])).all(axis=1)
-        & (levels[:, :-1] < levels[:, 1:]).all(axis=1)
-    )
+    levels, ok = _ladder_rows(problem, upper)
+    ok &= np.isfinite(_utilities(problem, floor[blocks].tolist())).all(axis=1)
     if not ok.any():
         return skip
-    bounds = bound_values(levels[ok], masses, problem.capacity, attitude_kind(problem.attitude))
+    kind = attitude_kind(problem.attitude)
+    bounds = bound_values(levels[ok], problem._masses, problem.capacity, kind)
     if np.isfinite(bounds).all():
         skip[blocks[ok]] = bounds < best - 1e-12 * max(1.0, abs(best))
     return skip
 
 
 def _grid_values(problem: PortfolioProblem, x: float, shares) -> list:
-    """``allocation_objective(problem, x, a)`` for every share ``a``, bit for bit.
-
-    Wealth is the objective's expression in numpy, the same IEEE operations
-    (an overflow is inf, as in Python floats, and warns of nothing), and
-    :func:`_perceived_values` values it ``_GRID_BLOCK`` shares at a time.
-    """
+    """``allocation_objective(problem, x, a)`` for every share ``a``, bit for bit:
+    :func:`_perceived_values` of the holdings ``((1 - a) * x, a * x)``."""
     shares = np.asarray(shares, dtype=float)
-    returns = np.array(problem.risky_returns)
-    vals = []
-    for start in range(0, len(shares), _GRID_BLOCK):
-        block = shares[start : start + _GRID_BLOCK, None]
+    return _perceived_values(problem, (1.0 - shares) * x, problem.safe_return, shares * x)
+
+
+def _wealth_blocks(problem: PortfolioProblem, safe, rate, risky):
+    """Wealth rows ``safe[i] * rate + risky[i] * r`` over the returns ``r``,
+    ``_GRID_BLOCK`` at a time, by the scalar objectives' IEEE operations:
+    allocation holds ``((1 - a) * x, rb, a * x)``, savings ``(b, rb, s)``
+    and the price ``(w, 1.0, h)``, where ``w * 1.0`` is ``w``. An overflow
+    is inf, as in Python floats, and warns of nothing."""
+    for start in range(0, len(safe), _GRID_BLOCK):
+        stop = start + _GRID_BLOCK
         with np.errstate(over="ignore", invalid="ignore"):
-            wealth = ((1.0 - block) * x) * problem.safe_return + (block * x) * returns
-        vals += _perceived_values(problem, wealth)
-    return vals
+            rows = safe[start:stop, None] * rate + risky[start:stop, None] * problem._returns
+        yield rows
 
 
-def _perceived_values(problem: PortfolioProblem, wealth) -> list:
-    """``[_wealth_value(problem, row) for row in wealth.tolist()]``, bit for bit.
+def _utilities(problem: PortfolioProblem, rows: list) -> np.ndarray:
+    """The utilities of each row of floats, by one ``CRRAUtility.apply`` pass,
+    with NaN for a row whose pass raises (non-positive wealth, or a power
+    that overflows)."""
 
-    When a row's wealth is positive in every state and its utilities are
-    finite and strictly ascending on the positive-mass returns, those
-    utilities and masses are its ladder as they are, so its row goes to one
-    batched ``bound_values`` call. Each row's utilities are one
-    ``CRRAUtility.apply`` pass over its floats. Every other row
-    (non-positive or NaN wealth, levels merged by rounding, a power that
-    overflows) takes ``_wealth_value`` itself, after the rows before it are
-    valued, so its -inf or its error is unchanged.
-    """
-    live = np.array(problem.belief.masses) > 0.0
-    masses = [m for m in problem.belief.masses if m > 0.0]
-    skipped = [np.nan] * len(live)
-    vals, rows = [], []
-
-    def utilities(row):
+    def apply(row):
         try:
             return problem.utility.apply(row)
-        except OverflowError:
-            # _wealth_value raises the same error, after the rows before it
-            return skipped
+        except (NonPositiveWealthError, OverflowError):
+            return [np.nan] * len(row)
 
-    def value_rows():
-        if rows:
-            kind = attitude_kind(problem.attitude)
-            vals.extend(bound_values(rows, masses, problem.capacity, kind).tolist())
-            rows.clear()
+    return np.array([apply(row) for row in rows])
 
-    listed = wealth.tolist()
-    positive = wealth.min(axis=1) > 0
-    utils = np.array([utilities(row) if ok else skipped for row, ok in zip(listed, positive)])
-    levels = utils[:, live]
-    batched = np.isfinite(utils).all(axis=1) & (levels[:, :-1] < levels[:, 1:]).all(axis=1)
-    for row, level, ok in zip(listed, levels, batched):
-        if ok:
-            rows.append(level)
-            continue
-        value_rows()
-        vals.append(_wealth_value(problem, row))
-    value_rows()
+
+def _ladder_rows(problem: PortfolioProblem, utils):
+    """``(levels, ok)``: each row's utilities on the positive-mass returns,
+    and whether the row is finite and strictly ascending there, so that its
+    levels and the positive masses are a ladder as they are."""
+    levels = utils[:, problem._live]
+    return levels, np.isfinite(utils).all(axis=1) & (levels[:, :-1] < levels[:, 1:]).all(axis=1)
+
+
+def _perceived_values(problem: PortfolioProblem, safe, rate, risky) -> list:
+    """``[_wealth_value(problem, row) for row in wealth]`` over the rows of
+    :func:`_wealth_blocks`, bit for bit. Each run of rows whose utilities
+    are a ladder as they are (:func:`_ladder_rows`) is valued in one
+    ``bound_values`` call. Every other row (non-positive or NaN wealth,
+    levels merged by rounding, a power that overflows) takes
+    ``_wealth_value`` itself, after the rows before it, so its -inf or its
+    error is unchanged."""
+    vals = []
+    for wealth in _wealth_blocks(problem, safe, rate, risky):
+        listed = wealth.tolist()
+        levels, ok = _ladder_rows(problem, _utilities(problem, listed))
+        stop = 0
+        for batched, run in groupby(ok.tolist()):
+            start, stop = stop, stop + len(list(run))
+            if batched:
+                kind = attitude_kind(problem.attitude)
+                batch = bound_values(levels[start:stop], problem._masses, problem.capacity, kind)
+                vals += batch.tolist()
+            else:
+                vals += [_wealth_value(problem, row) for row in listed[start:stop]]
     return vals
 
 
@@ -379,9 +381,8 @@ def savings_objective(problem: PortfolioProblem, b: float, s: float) -> float:
 def _savings_values(problem: PortfolioProblem, holdings: list) -> list:
     """``savings_objective(problem, b, s)`` for every ``(b, s)`` of
     ``holdings``, bit for bit: the payoffs ``rb * b + r * s`` that it values
-    are built in numpy, the same IEEE operations, and valued by one
-    :func:`_perceived_values` call. A holding that values no payoff takes
-    ``savings_objective`` itself.
+    are valued by one :func:`_perceived_values` call of the holdings. A
+    holding that values no payoff takes ``savings_objective`` itself.
     """
     w = problem.endowment
     priced = [
@@ -389,10 +390,8 @@ def _savings_values(problem: PortfolioProblem, holdings: list) -> list:
     ]
     inner = iter(())
     if any(priced):
-        safe, risky = np.array([bs for bs, p in zip(holdings, priced) if p]).T[:, :, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            wealth = problem.safe_return * safe + np.array(problem.risky_returns) * risky
-        inner = iter(_perceived_values(problem, wealth))
+        safe, risky = np.array([bs for bs, p in zip(holdings, priced) if p]).T
+        inner = iter(_perceived_values(problem, safe, problem.safe_return, risky))
     return [
         problem.utility(w - b - s) + problem.beta * next(inner) if p
         else savings_objective(problem, b, s)
@@ -455,7 +454,7 @@ def equilibrium_price(problem: PortfolioProblem) -> float:
     """
     w, beta, u = problem.endowment, problem.beta, problem.utility
     if beta <= 0:
-        raise PreconditionError("equilibrium pricing needs a positive discount factor")
+        raise PreconditionError(f"equilibrium pricing needs a positive beta, got {beta!r}")
     marg = u.marginal(w)
 
     def estimate(h: float, v: float) -> float:
@@ -464,9 +463,7 @@ def equilibrium_price(problem: PortfolioProblem) -> float:
         return beta * (v - u(w)) / (h * marg)
 
     def act_values(steps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            wealth = w + np.array(steps)[:, None] * np.array(problem.risky_returns)
-        return _perceived_values(problem, wealth)
+        return _perceived_values(problem, np.full(len(steps), w), 1.0, np.array(steps))
 
     # the steps depend on no estimate, so they are valued _PRICE_CHUNK at a time
     steps = [1e-2]

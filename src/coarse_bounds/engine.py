@@ -602,7 +602,8 @@ def bound_values(levels, masses, n, kind: str) -> np.ndarray:
     block of rows at a time, with the candidate arithmetic of the dense
     branch of :func:`_fill`: each capacity layer is one reduction over the
     block-end axis of an (L - 1) x rows x L candidate array, and the last
-    layer solves only the block that starts at level 0. The ends run in
+    layer solves only the block that starts at level 0, so at N <= 2 only
+    the (L - 1) x rows cells of that block are built. The ends run in
     descending order because the reduction keeps the later of two equal
     candidates: so it keeps the smallest end, as the dense branch's
     first-occurrence argmax does, which matters only for the sign of a zero.
@@ -612,6 +613,7 @@ def bound_values(levels, masses, n, kind: str) -> np.ndarray:
     rows = np.asarray(levels, dtype=float)
     if rows.ndim != 2 or not len(rows):
         raise ValueError(f"levels must be an (M, L) array with M >= 1, got shape {rows.shape}")
+    rows = np.ascontiguousarray(rows)  # each row's levels adjacent, as the fill reads them
     # the first row's ladder checks the masses; the other rows get its level checks
     ladder = ValueLadder(rows[0], masses)
     if not (rows[:, :-1] < rows[:, 1:]).all():
@@ -644,8 +646,9 @@ def bound_values(levels, masses, n, kind: str) -> np.ndarray:
         stop = to_top * (lvl[:, -1:] if upper else lvl)
         value = stop
         if n_blocks > 1:
-            cells = width[:, None, :] * (lvl.T[ends, :, None] if upper else lvl)
-            np.copyto(cells, inf if upper else -inf, where=missing)
+            cols = length if n_blocks > 2 else 1
+            cells = width[:, None, :cols] * (lvl.T[ends, :, None] if upper else lvl[:, :cols])
+            np.copyto(cells, inf if upper else -inf, where=missing[:, :, :cols])
             cand = np.empty_like(cells)
             for _ in range(2, n_blocks):
                 value = pick(stop, np.add(cells, value.T[ends + 1, :, None], out=cand))

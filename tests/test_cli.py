@@ -586,11 +586,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, change, code, message", [
         ("portfolio", {"risky_returns": [0.8, float("nan"), 1.4]}, 1,
-         "risky returns must be finite, got nan"),
+         "risky_returns must be finite, got nan"),
         ("portfolio", {"risky_returns": [0.8, 1.1, float("inf")]}, 1,
-         "risky returns must be finite, got inf"),
+         "risky_returns must be finite, got inf"),
         ("portfolio", {"risky_masses": [1.0]}, 1,
-         "risky masses must match the risky returns: 1 masses vs 3 returns"),
+         "risky_masses must match risky_returns: 1 masses vs 3 returns"),
         ("portfolio", {"gamma": float("inf")}, 1,
          "relative risk aversion must be non-negative and finite, got gamma=inf"),
         ("portfolio", {"gamma": 0.5, "savings": 1.5e308}, 2,
@@ -695,6 +695,10 @@ class TestExitCodes:
     def test_bounds_exit_code_contract(self, tmp_path):
         # the act-record commands read their act through serde.act_from_record
         self.assert_exit_code_contract(["bounds", "--N", "2"], ACT_RECORD, tmp_path)
+
+    def test_portfolio_exit_code_contract(self, tmp_path):
+        fixture = PORTFOLIO_PINS["readme"]
+        self.assert_exit_code_contract(["portfolio", "--N", "2"], fixture, tmp_path)
 
     def test_whole_valued_float_grid_size(self, tmp_path, capsys):
         outputs = []

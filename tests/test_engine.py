@@ -362,6 +362,25 @@ class TestBoundValues:
             bound_values(rows, [0.5, 0.5], 2, "lower")
 
 
+class TestBoundValuesMemory:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_top_layer_alone_builds_no_cell_array(self, n):
+        # no layer below the top runs, and the top reads only the blocks that
+        # start at level 0: the 39 x 10 x 40 cells and candidates of all
+        # starts would take 244 KiB
+        distinct, masses = batch_rows(40, "float", seed=40)
+        rows = distinct[np.arange(10) % len(distinct)]
+        bound_values(rows, masses, n, "lower")
+        tracemalloc.start()
+        try:
+            for kind in ("lower", "upper"):
+                bound_values(rows, masses, n, kind)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+
+
 class TestTopBlockStarts:
     def test_dyadic_oracle_parity(self):
         rng = np.random.default_rng(77)

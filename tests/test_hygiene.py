@@ -1,6 +1,7 @@
 """Source hygiene: no function in the package takes a setting it never reads
 or a default that no caller overrides, no module imports a private name of
-another, and every public name has a caller in the package or an export."""
+another, every public name has a caller in the package or an export, and
+every module-level name is read or exported."""
 
 import ast
 from collections import Counter
@@ -246,10 +247,9 @@ def names_read(node) -> list:
     ]
 
 
-def unused_public_names(paths) -> list:
-    """(path, line, qualified name) for every public definition in ``paths``
-    that no module of ``paths`` reads outside the definition itself and no
-    ``__init__.py`` of ``paths`` imports."""
+def reads_and_exports(paths) -> tuple:
+    """How many times the modules of ``paths`` read each name, and the names
+    that an ``__init__.py`` of ``paths`` imports."""
     trees = {path: ast.parse(path.read_text()) for path in paths}
     read = Counter(name for tree in trees.values() for name in names_read(tree))
     exported = {
@@ -258,6 +258,14 @@ def unused_public_names(paths) -> list:
         for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
         for a in node.names
     }
+    return read, exported
+
+
+def unused_public_names(paths) -> list:
+    """(path, line, qualified name) for every public definition in ``paths``
+    that no module of ``paths`` reads outside the definition itself and no
+    ``__init__.py`` of ``paths`` imports."""
+    read, exported = reads_and_exports(paths)
     found = []
     for path in paths:
         for node, qualname in public_definitions(path):
@@ -315,6 +323,66 @@ def test_scan_flags_an_unused_public_name(tmp_path):
         (mod, 13, "K.dead_property"),
         (mod, 17, "Alias"),
         (sibling, 2, "run"),
+    ]
+
+
+def module_definitions(path: Path) -> list:
+    """(node, name) for every module-level function, class and assigned name
+    of ``path``, public or private."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend((node, t.id) for t in targets if isinstance(t, ast.Name))
+    return found
+
+
+def unread_module_names(paths) -> list:
+    """(path, line, name) for every module-level definition of a module of
+    ``paths`` other than an ``__init__.py`` (whose names are the exports)
+    that no module of ``paths`` reads outside the definition itself and no
+    ``__init__.py`` imports."""
+    read, exported = reads_and_exports(paths)
+    return [
+        (path, node.lineno, name)
+        for path in paths if path.name != "__init__.py"
+        for node, name in module_definitions(path)
+        if name not in exported and read[name] - names_read(node).count(name) <= 0
+    ]
+
+
+def test_every_module_name_is_read():
+    paths = sorted(SRC.rglob("*.py"))
+    assert paths
+    unread = [
+        f"{path.relative_to(SRC)}:{line} {name}" for path, line, name in unread_module_names(paths)
+    ]
+    assert unread == []
+
+
+def test_scan_flags_an_unread_module_name(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .mod import exported\nVERSION = 1\n")
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "LIMIT = 3\n"
+        "_BLOCK: int = 64\n"
+        "_USED = 2\n"
+        "def exported():\n"
+        "    return _helper() * _USED\n"
+        "def _helper():\n"
+        "    return 1\n"
+        "def _orphan(n):\n"
+        "    return _orphan(n - 1) if n else 0\n"
+        "class _Unread:\n"
+        "    pass\n"
+    )
+    assert unread_module_names([tmp_path / "__init__.py", mod]) == [
+        (mod, 1, "LIMIT"),
+        (mod, 2, "_BLOCK"),
+        (mod, 8, "_orphan"),
+        (mod, 10, "_Unread"),
     ]
 
 

@@ -129,7 +129,7 @@ class TestProblemValidation:
     @pytest.mark.parametrize("endowment, beta, message", [
         (float("nan"), 0.9, "endowment must be positive"),
         (float("inf"), 0.9, "endowment must be positive and finite, got inf"),
-        (1.0, float("nan"), "discount factor must be non-negative"),
+        (1.0, float("nan"), "^beta must be non-negative, got nan$"),
     ])
     def test_nan_rejected(self, endowment, beta, message):
         with pytest.raises(ValueError, match=message):
@@ -141,12 +141,12 @@ class TestProblemValidation:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_return_rejected(self, bad):
-        with pytest.raises(ValueError, match=f"^risky returns must be finite, got {bad!r}$"):
+        with pytest.raises(ValueError, match=f"^risky_returns must be finite, got {bad!r}$"):
             PortfolioProblem(1.0, 1.0, (0.8, bad, 1.4), (0.3, 0.4, 0.3), 0.9, CRRAUtility(2.0), 2)
 
     @pytest.mark.parametrize("masses", [(1.0,), (0.25, 0.25, 0.25, 0.25)])
     def test_masses_must_match_returns(self, masses):
-        message = f"^risky masses must match the risky returns: {len(masses)} masses vs 3 returns$"
+        message = f"^risky_masses must match risky_returns: {len(masses)} masses vs 3 returns$"
         with pytest.raises(AlignmentError, match=message):
             PortfolioProblem(1.0, 1.0, (0.8, 1.1, 1.4), masses, 0.9, CRRAUtility(2.0), 2)
 
@@ -365,6 +365,107 @@ class TestPrunedGrid:
         assert [pruned[i] for i in kept] == [full[i] for i in kept]
         assert int(np.argmax(pruned)) == int(np.argmax(full))
 
+    def test_subnormal_savings_skip_no_block(self):
+        # every share's wealth is below the smallest normal float, so no
+        # envelope qualifies and every share is valued
+        prob = make_problem(gamma=0.5)
+        grid = share_grid()
+        full = portfolio._grid_values(prob, 1e-310, grid)
+        assert portfolio._pruned_grid_values(prob, 1e-310, grid) == full
+
+
+# Each caller of the one valuation path: its holdings as (safe, rate, risky)
+# and the wealth its scalar objective builds from them, in Python floats.
+CALLERS = {
+    "allocation": lambda p, a, x: (
+        ((1.0 - a) * x, p.safe_return, a * x),
+        [(1.0 - a) * x * p.safe_return + a * x * r for r in p.risky_returns],
+    ),
+    "savings": lambda p, b, s: (
+        (b, p.safe_return, s), [p.safe_return * b + r * s for r in p.risky_returns],
+    ),
+    "price": lambda p, w, h: ((w, 1.0, h), [w + h * r for r in p.risky_returns]),
+}
+
+
+def hexed(value):
+    return type(value), value.hex()
+
+
+class TestOneValuationPath:
+    """``_perceived_values`` of each caller's holdings equals
+    ``[_wealth_value(problem, row) ...]`` on the wealth rows of the caller's
+    scalar objective: the values by type and ``float.hex``, and the first
+    error by type and message."""
+
+    @staticmethod
+    def holdings(rng, caller, count, overflow):
+        """``count`` holdings of ``caller``: ordinary ones, ones that leave
+        non-positive wealth, and ones whose wealth of about 1e10 is equal
+        across the states or a few ulps apart, so that their levels merge by
+        rounding (the log of 1e10 has coarser ulps); with ``overflow``, one
+        of them overflows the power at gamma = 3."""
+        out = []
+        for kind in rng.choice(["plain", "plain", "non-positive", "merged"], count):
+            if caller == "allocation":
+                a, x = {"plain": (rng.uniform(0.0, 1.0), rng.uniform(0.1, 2.0)),
+                        "non-positive": (rng.choice([-4.0, 6.0]), 1.0),
+                        "merged": (rng.choice([0.0, 1e-17, 1e-13]), 1e10)}[kind]
+            elif caller == "savings":
+                a, x = {"plain": tuple(rng.uniform(0.0, 1.0, 2)),
+                        "non-positive": (0.0, rng.choice([0.0, -1.0])),
+                        "merged": (1e10, rng.choice([0.0, 1e-8, 1e-3]))}[kind]
+            else:
+                a, x = {"plain": (1.0, rng.uniform(1e-6, 1e-2)),
+                        "non-positive": (1.0, -10.0),
+                        "merged": (1e10, rng.choice([1e-8, 1e-3]))}[kind]
+            out.append((float(a), float(x)))
+        if overflow:  # wealth of about 1e-200, whose power overflows at gamma = 3
+            out[int(rng.integers(count))] = {
+                "allocation": (0.5, 1e-200), "savings": (1e-200, 1e-200),
+                "price": (1e-200, 1e-201),
+            }[caller]
+        return out
+
+    @staticmethod
+    def outcomes(problem, caller, holdings):
+        """(scalar outcome, batched outcome) of ``holdings``."""
+        built = [CALLERS[caller](problem, *h) for h in holdings]
+        try:
+            scalar = [hexed(portfolio._wealth_value(problem, row)) for _, row in built]
+        except Exception as err:  # any error: the test compares type and message
+            scalar = type(err), str(err)
+        safe, rate, risky = zip(*(holding for holding, _ in built))
+        try:
+            values = portfolio._perceived_values(problem, np.array(safe), rate[0], np.array(risky))
+            batched = [hexed(v) for v in values]
+        except Exception as err:
+            batched = type(err), str(err)
+        return scalar, batched
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    def test_matches_the_scalar_valuation(self, caller):
+        rng = np.random.default_rng(2026)
+        merged = raised = 0
+        for case in range(24):
+            gamma = 3.0 if case % 4 == 1 else (0.5, 1.0, 2.0)[case % 3]
+            prob = replace(random_problem(rng), utility=CRRAUtility(gamma))
+            holdings = self.holdings(rng, caller, 150, case % 4 == 1)  # three blocks of rows
+            if case % 4 == 3:  # a NaN row among the others
+                holdings[int(rng.integers(150))] = (math.nan, 1.0)
+            scalar, batched = self.outcomes(prob, caller, holdings)
+            assert batched == scalar, (caller, case)
+            raised += isinstance(scalar, tuple)
+            for holding in holdings:
+                row = CALLERS[caller](prob, *holding)[1]
+                live = [w for w, m in zip(row, prob.belief.masses) if m > 0]
+                if all(1e-100 < v < w for v, w in zip(live, live[1:])):
+                    utils = prob.utility.apply(live)
+                    merged += any(v >= w for v, w in zip(utils, utils[1:]))
+        # the cases reach an error, and rows whose wealth ascends but whose
+        # utilities merge by rounding
+        assert raised and merged
+
 
 def sequential_solve_savings(problem):
     """Reference: solve_savings as it was before its searches valued their
@@ -394,7 +495,7 @@ def sequential_equilibrium_price(problem):
     sizes in chunks, with one perceived value per halving."""
     w, beta, u = problem.endowment, problem.beta, problem.utility
     if beta <= 0:
-        raise PreconditionError("equilibrium pricing needs a positive discount factor")
+        raise PreconditionError(f"equilibrium pricing needs a positive beta, got {beta!r}")
     marg = u.marginal(w)
 
     def estimate(h):
