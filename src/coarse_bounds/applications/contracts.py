@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 from .. import preferences
 from ..acts import Belief, DiscreteAct, build_ladder
 from ..engine import bound, pull_back, top_block_starts
-from ..errors import InfeasibleConstructionError, PreconditionError
+from ..errors import (
+    AlignmentError, DegenerateBeliefError, InfeasibleConstructionError, PreconditionError,
+)
 
 
 @dataclass(frozen=True)
@@ -46,18 +48,33 @@ class ContractingProblem:
         if any(b <= a for a, b in zip(outputs, outputs[1:])):
             raise ValueError("outputs must be strictly ascending")
         if len(self.output_masses) != len(self.efforts):
-            raise ValueError("one output distribution per effort is required")
-        object.__setattr__(self, "_beliefs", tuple(Belief(m) for m in self.output_masses))
+            raise ValueError(
+                f"output_masses must hold one distribution per effort, "
+                f"got {len(self.output_masses)} for {len(self.efforts)} efforts"
+            )
+        for masses in self.output_masses:
+            if len(masses) != len(outputs):
+                raise AlignmentError(
+                    f"output_masses must match outputs: {len(masses)} masses vs "
+                    f"{len(outputs)} outputs"
+                )
+        try:
+            beliefs = tuple(Belief(m) for m in self.output_masses)
+        except (ValueError, DegenerateBeliefError) as err:
+            raise type(err)(f"output_masses: {err}") from None
+        object.__setattr__(self, "_beliefs", beliefs)
         wages = tuple(float(x) for x in self.wage_grid)
         object.__setattr__(self, "wage_grid", wages)
         if not all(map(math.isfinite, wages)):
-            raise ValueError("wage grid must be finite")
+            raise ValueError("wage_grid must be finite")
         if any(b <= a for a, b in zip(wages, wages[1:])):
-            raise ValueError("wage grid must be strictly ascending")
+            raise ValueError("wage_grid must be strictly ascending")
         for effort in self.efforts:
             us = [self.agent_utility(x, effort) for x in wages]
             if any(b <= a for a, b in zip(us, us[1:])):
-                raise ValueError("agent utility must be increasing in the wage")
+                raise ValueError(
+                    f"agent utility must be increasing in the wage for effort {effort!r}"
+                )
         for output in outputs:
             vs = [self.principal_utility(output, x) for x in wages]
             if any(b > a for a, b in zip(vs, vs[1:])):

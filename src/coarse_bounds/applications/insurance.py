@@ -78,7 +78,7 @@ class LossModel:
     def from_density(cls, density, max_loss: float, n: int) -> "LossModel":
         """Midpoint discretization of a positive density on [0, max_loss]."""
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"loss grid size must be a positive integer, got {n!r}")
+            raise ValueError(f"loss grid size n must be a positive integer, got {n!r}")
         if not 0.0 < max_loss < np.inf:
             raise ValueError(f"loss grid max_loss must be positive and finite, got {max_loss!r}")
         step = max_loss / n

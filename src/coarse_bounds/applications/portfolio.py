@@ -91,8 +91,8 @@ class PortfolioProblem:
                 f"safe_return must lie strictly inside the risky_returns support, "
                 f"got {self.safe_return!r}"
             )
-        if not self.beta >= 0:
-            raise ValueError(f"beta must be non-negative, got {self.beta!r}")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be non-negative and finite, got {self.beta!r}")
         if not 0 < self.endowment < math.inf:
             raise ValueError(f"endowment must be positive and finite, got {self.endowment!r}")
         object.__setattr__(self, "_returns", np.array(returns))
@@ -456,6 +456,8 @@ def equilibrium_price(problem: PortfolioProblem) -> float:
     if beta <= 0:
         raise PreconditionError(f"equilibrium pricing needs a positive beta, got {beta!r}")
     marg = u.marginal(w)
+    if marg == 0.0:
+        raise FloatingPointError(f"endowment {w!r} underflows the marginal utility")
 
     def estimate(h: float, v: float) -> float:
         if v == NEG_INF:

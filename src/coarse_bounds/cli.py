@@ -198,7 +198,7 @@ def _loss_model(grid: dict) -> ins.LossModel:
         n = int(n)
     # other types and non-positive sizes are the loss model's to reject
     if isinstance(n, int) and n > MAX_LOSS_GRID:
-        raise CoarseBoundsError(f"loss grid size {n} exceeds the limit of {MAX_LOSS_GRID}")
+        raise CoarseBoundsError(f"loss grid size n = {n} exceeds the limit of {MAX_LOSS_GRID}")
     model = ins.LossModel.uniform(grid.get("max_loss", 1.0), n)
     if grid.get("tilt"):
         model = model.tilted(float(grid["tilt"]))
@@ -206,10 +206,11 @@ def _loss_model(grid: dict) -> ins.LossModel:
 
 
 def _contract(record: dict) -> ins.InsuranceContract:
-    return ins.InsuranceContract(
-        premium=record["premium"], deductible=record["deductible"],
-        coverage=record["coverage"], cap=record.get("cap"), wealth=record["wealth"],
-    )
+    try:
+        terms = {key: record[key] for key in ("premium", "deductible", "coverage", "wealth")}
+    except ValueError as err:  # a missing field
+        raise ValueError(f"contract: {err}") from None
+    return ins.InsuranceContract(**terms, cap=record.get("cap"))
 
 
 def cmd_insurance(args) -> int:
@@ -304,11 +305,15 @@ def cmd_contract(args) -> int:
         **dict.fromkeys(("outputs", "wage_grid", "schedule"), [Real]),
         "effort_costs": dict, "output_masses": [[Real]],
     })
-    check_shape(list(fixture["effort_costs"].values()), [Real], "'effort_costs'")
-    costs = {str(k): float(v) for k, v in fixture["effort_costs"].items()}
-    bad = [v for v in costs.values() if not np.isfinite(v)]
-    if bad:
-        raise ValueError(f"effort costs must be finite, got {bad[0]!r}")
+    costs = {}
+    for effort, cost in fixture["effort_costs"].items():
+        name = f"the cost of {effort!r} in 'effort_costs'"
+        check_shape(cost, Real, name)
+        costs[effort] = float(cost)
+        if not np.isfinite(costs[effort]):
+            raise ValueError(f"{name} must be finite, got {costs[effort]!r}")
+    if not costs:
+        raise ValueError("'effort_costs' must name at least one effort")
     efforts = tuple(costs)
     problem = ct.ContractingProblem(
         outputs=tuple(fixture["outputs"]),

@@ -61,6 +61,7 @@ ascending cutoffs in ``[1, L - 1]`` describes a partition into ``B`` blocks.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import chain, combinations, islice
@@ -802,20 +803,12 @@ def pull_back(result: BoundResult, act: DiscreteAct, belief: Belief) -> PullBack
         if m > 0.0:
             values.append(result.bound_values[level_index[v]])
             continue
-        if upper:
-            feasible = [b for b in distinct_bounds if b >= v]
-            if feasible:
-                values.append(feasible[0])
-            else:
-                values.append(distinct_bounds[-1])
-                violations.append(sid)
-        else:
-            feasible = [b for b in distinct_bounds if b <= v]
-            if feasible:
-                values.append(feasible[-1])
-            else:
-                values.append(distinct_bounds[0])
-                violations.append(sid)
+        # the least bound >= v (upper) or the greatest bound <= v (lower)
+        i = bisect_left(distinct_bounds, v) if upper else bisect_right(distinct_bounds, v) - 1
+        if not 0 <= i < len(distinct_bounds):
+            violations.append(sid)
+            i = min(max(i, 0), len(distinct_bounds) - 1)
+        values.append(distinct_bounds[i])
     return PullBackResult(
         act=DiscreteAct(act.state_ids, values), violations=tuple(violations)
     )

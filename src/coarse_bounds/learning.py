@@ -44,7 +44,7 @@ import numpy as np
 
 from .acts import Belief, DiscreteAct, check_aligned
 from .errors import AlignmentError, PreconditionError
-from .preferences import PreferenceVerdict, Provenance, Verdict
+from .preferences import PreferenceVerdict, verdict_of
 from .statics import sosd_strict
 
 
@@ -296,13 +296,7 @@ def smooth_decide(f: DiscreteAct, c: float, data: Dataset, rule: SmoothRule,
     score = perceived_score(f, data, rule, b, seed)
     f_over_c = score >= rule.phi_scalar(c) - rule.k
     c_over_f = c >= empirical_expectation(f, data)
-    if f_over_c and c_over_f:
-        return PreferenceVerdict(Verdict.INDIFFERENT, Provenance.BY_BOUNDS)
-    if f_over_c:
-        return PreferenceVerdict(Verdict.STRICTLY_PREFERS_F, Provenance.BY_BOUNDS)
-    if c_over_f:
-        return PreferenceVerdict(Verdict.STRICTLY_PREFERS_G, Provenance.BY_BOUNDS)
-    return PreferenceVerdict(Verdict.INCOMPARABLE, Provenance.BY_BOUNDS)
+    return verdict_of(False, False, f_over_c, c_over_f)
 
 
 def has_certain_equivalent(f: DiscreteAct, data: Dataset, rule: SmoothRule,

@@ -67,12 +67,7 @@ def is_well_understood(f: DiscreteAct, belief: Belief, n) -> bool:
 
 
 def simple_bounds_compare(f: DiscreteAct, g: DiscreteAct, belief: Belief, n) -> PreferenceVerdict:
-    """Four-way verdict of the bound-based comparison rule.
-
-    Each direction holds by dominance or by the bound inequality
-    (lower bound of the preferred act >= upper bound of the other);
-    both directions give indifference, neither gives incomparability.
-    """
+    """Four-way verdict of the bound-based comparison rule (``verdict_of``)."""
     _check_same_states(f, g)
     f_dom = statewise_dominates(f, g)
     g_dom = statewise_dominates(g, f)
@@ -82,29 +77,26 @@ def simple_bounds_compare(f: DiscreteAct, g: DiscreteAct, belief: Belief, n) -> 
     sup_f = bound(lf, n, "upper").value
     inf_g = bound(lg, n, "lower").value
     sup_g = bound(lg, n, "upper").value
-    f_bounds = inf_f >= sup_g
-    g_bounds = inf_g >= sup_f
-    fw = f_dom or f_bounds
-    bw = g_dom or g_bounds
-    if fw and bw:
-        verdict = Verdict.INDIFFERENT
-    elif fw:
-        verdict = Verdict.STRICTLY_PREFERS_F
-    elif bw:
-        verdict = Verdict.STRICTLY_PREFERS_G
+    return verdict_of(f_dom, g_dom, inf_f >= sup_g, inf_g >= sup_f)
+
+
+def verdict_of(f_dom: bool, g_dom: bool, f_bounds: bool, g_bounds: bool) -> PreferenceVerdict:
+    """Verdict and provenance from the evidence for each weak direction.
+
+    An act is weakly preferred when it dominates (``*_dom``) or its lower
+    bound reaches the other's upper bound (``*_bounds``); both directions
+    give indifference, neither gives incomparability. The provenance is
+    BY_BOTH when some dominance and some bound evidence held, BY_DOMINANCE
+    when only dominance evidence held, and BY_BOUNDS otherwise.
+    """
+    f_weak, g_weak = f_dom or f_bounds, g_dom or g_bounds
+    if f_weak == g_weak:
+        verdict = Verdict.INDIFFERENT if f_weak else Verdict.INCOMPARABLE
     else:
-        verdict = Verdict.INCOMPARABLE
-    if verdict is Verdict.INCOMPARABLE:
-        provenance = Provenance.BY_BOUNDS
-    else:
-        dom_support = (fw and f_dom) or (bw and g_dom)
-        bounds_support = (fw and f_bounds) or (bw and g_bounds)
-        if dom_support and bounds_support:
-            provenance = Provenance.BY_BOTH
-        elif dom_support:
-            provenance = Provenance.BY_DOMINANCE
-        else:
-            provenance = Provenance.BY_BOUNDS
+        verdict = Verdict.STRICTLY_PREFERS_F if f_weak else Verdict.STRICTLY_PREFERS_G
+    dom, bounds = f_dom or g_dom, f_bounds or g_bounds
+    provenance = (Provenance.BY_BOTH if dom and bounds
+                  else Provenance.BY_DOMINANCE if dom else Provenance.BY_BOUNDS)
     return PreferenceVerdict(verdict, provenance)
 
 

@@ -45,7 +45,7 @@ def check_shape(value, shape, name: str) -> None:
     a boolean matches no shape."""
     types = type(shape) if isinstance(shape, (dict, list)) else shape
     if isinstance(value, bool) or not isinstance(value, types):
-        raise ValueError(f"{name} has the wrong type ({type(value).__name__})")
+        raise ValueError(f"{name} has the wrong type ({_json_type(value)})")
     if isinstance(shape, dict):
         for key, field in shape.items():
             if key in value:
@@ -53,6 +53,13 @@ def check_shape(value, shape, name: str) -> None:
     elif isinstance(shape, list):
         for item in value:
             check_shape(item, shape[0], f"an item of {name}")
+
+
+def _json_type(value) -> str:
+    """The JSON name of a parsed value's type, for error messages."""
+    kinds = ((bool, "boolean"), (Real, "number"), (str, "string"), (list, "array"),
+             (dict, "object"), (type(None), "null"))
+    return next((name for kind, name in kinds if isinstance(value, kind)), type(value).__name__)
 
 
 def load_record(path: str, fields: dict) -> dict:

@@ -3,6 +3,7 @@ and byte-determinism of repeated runs."""
 
 import contextlib
 import io
+import itertools
 import json
 import re
 import subprocess
@@ -11,8 +12,6 @@ import tracemalloc
 import warnings
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from coarse_bounds.cli import run
 from coarse_bounds.serde import act_from_record, format_number
@@ -52,6 +51,13 @@ LEARN_README = {
 }
 MUTANTS = (float("nan"), float("inf"), float("-inf"), -1, 0, -0.0, 1e-300, 1e300, 20.0, 3,
            True, None, "x", [], [1.0], {})
+
+# The README insurance fixture (plan.json); the README contract fixture is
+# APP_FIXTURES["contract"].
+INSURANCE_README = {
+    "contract": {"premium": 0.05, "deductible": 0.3, "coverage": 0.75, "wealth": 2.0},
+    "grid": {"max_loss": 1.0, "n": 200, "tilt": 1.5}, "gamma": 2.0, "target_deductible": 0.15,
+}
 
 # The README portfolio fixture and a 40-return one, with the stdout of
 # ``portfolio --N 1..6`` for each attitude, captured before the share grid
@@ -123,13 +129,18 @@ def act_to_record(act, belief) -> dict:
     }
 
 
-def fixture_slots(fixture: dict) -> list:
-    """Each field of a fixture as ``(field, None)`` and each list item as
-    ``(field, i)``: the places the exit-code generator mutates."""
-    return [(field, None) for field in fixture] + [
-        (field, i) for field, value in fixture.items() if isinstance(value, list)
-        for i in range(len(value))
-    ]
+def fixture_slots(value, path=()) -> list:
+    """The path, as a tuple of keys and list indices, of every field, list
+    item, nested field and matrix entry of a fixture: the places the
+    exit-code generator mutates."""
+    if isinstance(value, dict):
+        children = value.items()
+    else:
+        children = enumerate(value) if isinstance(value, list) else ()
+    slots = [path] if path else []
+    for key, child in children:
+        slots += fixture_slots(child, (*path, key))
+    return slots
 
 
 def invoke(args, capsys):
@@ -402,7 +413,7 @@ class TestExitCodes:
         path.write_text(json.dumps(dict(APP_FIXTURES["insurance"], grid={"n": n})))
         assert run(["insurance", "--in", str(path), "--N", "2"]) == 1
         assert capsys.readouterr().err == (
-            f"error: loss grid size must be a positive integer, got {n}\n"
+            f"error: loss grid size n must be a positive integer, got {n}\n"
         )
 
     def test_zero_grid_option(self, tmp_path, capsys):
@@ -412,7 +423,7 @@ class TestExitCodes:
         assert run(["insurance", "--in", str(path), "--N", "2", "--grid", "0"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: loss grid size must be a positive integer, got 0\n"
+        assert captured.err == "error: loss grid size n must be a positive integer, got 0\n"
 
     @pytest.mark.parametrize("extra", [[], ["--dominated", "0.1"], ["--figure", "siminf_overlay"]],
                              ids=["values", "dominated", "figure"])
@@ -504,25 +515,28 @@ class TestExitCodes:
             runs.append(invoke(["learn", "--in", str(path)], capsys))
         assert runs[0] == runs[1] and runs[0][0] == 0
 
-    @pytest.mark.parametrize("command, fixture, field", [
-        ("bounds", {"states": ["a", "b"], "values": [1.0, 2.0]}, "masses"),
-        ("learn", {k: v for k, v in LEARN_FIXTURE.items() if k != "B"}, "B"),
-        ("learn", {k: v for k, v in LEARN_FIXTURE.items() if k != "states"}, "states"),
-        ("insurance", dict(APP_FIXTURES["insurance"], contract={"premium": 0.05}), "deductible"),
+    @pytest.mark.parametrize("command, fixture, message", [
+        ("bounds", {"states": ["a", "b"], "values": [1.0, 2.0]}, "missing field 'masses'"),
+        ("learn", {k: v for k, v in LEARN_FIXTURE.items() if k != "B"}, "missing field 'B'"),
+        ("learn", {k: v for k, v in LEARN_FIXTURE.items() if k != "states"},
+         "missing field 'states'"),
+        # a field of a nested object is named with the object's key
+        ("insurance", dict(APP_FIXTURES["insurance"], contract={"premium": 0.05}),
+         "contract: missing field 'deductible'"),
         ("portfolio", {k: v for k, v in APP_FIXTURES["portfolio"].items() if k != "beta"},
-         "beta"),
+         "missing field 'beta'"),
         ("contract", {k: v for k, v in APP_FIXTURES["contract"].items() if k != "schedule"},
-         "schedule"),
+         "missing field 'schedule'"),
     ], ids=["act-masses", "learn-B", "learn-states", "insurance-deductible", "portfolio-beta",
             "contract-schedule"])
-    def test_missing_field(self, command, fixture, field, tmp_path, capsys):
+    def test_missing_field(self, command, fixture, message, tmp_path, capsys):
         path = tmp_path / "fixture.json"
         path.write_text(json.dumps(fixture))
         extra = [] if command == "learn" else ["--N", "2"]
         assert run([command, "--in", str(path), *extra]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: missing field {field!r}\n"
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("text", ["1..2..3", "3..", "..3", "x", "", "2.5"])
     def test_malformed_capacity(self, text, act_file, capsys):
@@ -612,14 +626,34 @@ class TestExitCodes:
         ("insurance", {"grid": {"max_loss": 1.0, "n": 20, "tilt": -1e300}}, 2,
          "loss tilt -1e+300 takes the tilted weights out of range"),
         ("contract", {"effort_costs": {"low": 0.0, "high": float("nan")}}, 1,
-         "effort costs must be finite, got nan"),
+         "the cost of 'high' in 'effort_costs' must be finite, got nan"),
         ("contract", {"schedule": [0.1, float("nan"), 0.4]}, 1,
          "schedule wages must be finite, got nan"),
         ("contract", {"schedule": [0.1, 0.2, float("inf")]}, 1,
          "schedule wages must be finite, got inf"),
         ("contract", {"outputs": [0.5, float("nan"), 1.0]}, 1, "outputs must be finite"),
         ("contract", {"wage_grid": [0.1, 0.2, float("nan"), 0.4]}, 1,
-         "wage grid must be finite"),
+         "wage_grid must be finite"),
+        ("contract", {"wage_grid": [0.1, 0.3, 0.2, 0.4]}, 1,
+         "wage_grid must be strictly ascending"),
+        ("contract", {"effort_costs": {}}, 1, "'effort_costs' must name at least one effort"),
+        ("contract", {"output_masses": [[0.5, 0.3, 0.2]]}, 1,
+         "output_masses must hold one distribution per effort, got 1 for 2 efforts"),
+        ("contract", {"output_masses": [[0.5, 0.3, 0.2], [0.5, 0.5]]}, 1,
+         "output_masses must match outputs: 2 masses vs 3 outputs"),
+        ("contract", {"output_masses": [[0.5, 0.3, 0.2], [0.2, -0.3, 0.5]]}, 1,
+         "output_masses: belief masses must be finite and non-negative"),
+        ("contract", {"output_masses": [[0.5, 0.3, 0.2], {}]}, 1,
+         "an item of 'output_masses' has the wrong type (object)"),
+        ("portfolio", {"beta": float("inf")}, 1, "beta must be non-negative and finite, got inf"),
+        ("portfolio", {"endowment": 1e300}, 2, "endowment 1e+300 underflows the marginal utility"),
+        # type errors name the JSON type, at the top level and inside a list
+        ("portfolio", {"beta": {}}, 1, "'beta' has the wrong type (object)"),
+        ("portfolio", {"beta": None}, 1, "'beta' has the wrong type (null)"),
+        ("portfolio", {"risky_returns": [0.8, {}, 1.4]}, 1,
+         "an item of 'risky_returns' has the wrong type (object)"),
+        ("portfolio", {"risky_masses": "x"}, 1, "'risky_masses' has the wrong type (string)"),
+        ("insurance", {"contract": {}}, 1, "contract: missing field 'premium'"),
         ("learn", {"seed": -1}, 1, "seed must be in [0, 2**128), got -1"),
         ("learn", {"seed": 1e40}, 1,
          "seed must be in [0, 2**128), got 10000000000000000303786028427003666890752"),
@@ -633,7 +667,12 @@ class TestExitCodes:
     ], ids=["returns-nan", "returns-inf", "masses-misaligned", "gamma-inf", "savings-overflow",
             "savings-overflow-gamma-2", "grid-n-fraction", "grid-n-nan", "tilt-inf",
             "tilt-minus-inf", "tilt-nan", "tilt-overflow", "tilt-underflow", "effort-cost-nan",
-            "schedule-nan", "schedule-inf", "outputs-nan", "wage-grid-nan", "learn-seed-negative",
+            "schedule-nan", "schedule-inf", "outputs-nan", "wage-grid-nan",
+            "wage-grid-descending", "effort-costs-empty", "output-masses-count",
+            "output-masses-short-row", "output-masses-negative", "output-masses-row-object",
+            "beta-inf", "endowment-underflow", "beta-object", "beta-null",
+            "returns-item-object", "masses-string", "insurance-contract-empty",
+            "learn-seed-negative",
             "learn-seed-huge", "learn-K-zero", "learn-B-minus-zero", "learn-seed-before-B",
             "learn-states-empty", "learn-states-unhashable", "learn-masses-empty"])
     def test_rejected_fixture_field(self, command, change, code, message, tmp_path, capsys):
@@ -649,26 +688,18 @@ class TestExitCodes:
         assert captured.err == f"{prefix}: {message}\n"
 
     def assert_exit_code_contract(self, argv, fixture, tmp_path):
-        # every field and list item of the fixture, replaced in turn by
-        # every mutant: exit 0 with an empty stderr, or exit 1 or 2 with one
-        # line of the matching kind, and never a traceback or a warning; an
-        # exit-1 line names the mutated field (the act's own checks call the
+        # every slot of the fixture, replaced in turn by every mutant: exit 0
+        # with an empty stderr, or exit 1 or 2 with one line of the matching
+        # kind, and never a traceback or a warning; an exit-1 line names the
+        # innermost key of the mutated slot (the act's own checks call the
         # states "state ids")
-        slots = fixture_slots(fixture)
         path = tmp_path / "fixture.json"
-        seen = set()
-
-        @given(st.sampled_from(slots), st.sampled_from(range(len(MUTANTS))))
-        @settings(max_examples=len(slots) * len(MUTANTS), derandomize=True,
-                  database=None, deadline=None)
-        def check(slot, which):
-            seen.add((slot, which))
+        for slot, mutant in itertools.product(fixture_slots(fixture), MUTANTS):
             mutated = json.loads(json.dumps(fixture))
-            field, item = slot
-            if item is None:
-                mutated[field] = MUTANTS[which]
-            else:
-                mutated[field][item] = MUTANTS[which]
+            parent = mutated
+            for key in slot[:-1]:
+                parent = parent[key]
+            parent[slot[-1]] = mutant
             path.write_text(json.dumps(mutated))
             err = io.StringIO()
             with warnings.catch_warnings(record=True) as caught:
@@ -683,11 +714,9 @@ class TestExitCodes:
             else:
                 assert text.startswith(prefix) and text.endswith("\n") and text.count("\n") == 1
             if code == 1:
+                field = [key for key in slot if isinstance(key, str)][-1]
                 names = rf"\b{field}\b|state ids" if field == "states" else rf"\b{field}\b"
-                assert re.search(names, text), (slot, MUTANTS[which], text)
-
-        check()
-        assert len(seen) == len(slots) * len(MUTANTS)
+                assert re.search(names, text), (slot, mutant, text)
 
     def test_learn_exit_code_contract(self, tmp_path):
         self.assert_exit_code_contract(["learn"], LEARN_README, tmp_path)
@@ -699,6 +728,18 @@ class TestExitCodes:
     def test_portfolio_exit_code_contract(self, tmp_path):
         fixture = PORTFOLIO_PINS["readme"]
         self.assert_exit_code_contract(["portfolio", "--N", "2"], fixture, tmp_path)
+
+    def test_insurance_exit_code_contract(self, tmp_path):
+        self.assert_exit_code_contract(["insurance", "--N", "2"], INSURANCE_README, tmp_path)
+
+    def test_contract_exit_code_contract(self, tmp_path):
+        fixture = APP_FIXTURES["contract"]
+        self.assert_exit_code_contract(["contract", "--N", "2"], fixture, tmp_path)
+
+    def test_fixture_slots_reach_nested_fields_and_rows(self):
+        slots = fixture_slots({"a": 1, "b": {"c": [2, 3]}, "d": [[4], 5]})
+        assert slots == [("a",), ("b",), ("b", "c"), ("b", "c", 0), ("b", "c", 1),
+                         ("d",), ("d", 0), ("d", 0, 0), ("d", 1)]
 
     def test_whole_valued_float_grid_size(self, tmp_path, capsys):
         outputs = []
@@ -715,11 +756,11 @@ class TestExitCodes:
         ("learn", dict(LEARN_FIXTURE, K=8192, B=4097), [],
          "K * B = 33562624 resample indices exceed the limit of 33554432"),
         ("insurance", dict(APP_FIXTURES["insurance"], grid={"n": 10**6 + 1}), ["--N", "2"],
-         "loss grid size 1000001 exceeds the limit of 1000000"),
+         "loss grid size n = 1000001 exceeds the limit of 1000000"),
         ("insurance", APP_FIXTURES["insurance"], ["--N", "2", "--grid", str(10**9)],
-         "loss grid size 1000000000 exceeds the limit of 1000000"),
+         "loss grid size n = 1000000000 exceeds the limit of 1000000"),
         ("insurance", dict(APP_FIXTURES["insurance"], grid={"n": 1e9}), ["--N", "2"],
-         "loss grid size 1000000000 exceeds the limit of 1000000"),
+         "loss grid size n = 1000000000 exceeds the limit of 1000000"),
     ], ids=["learn-resamples", "insurance-grid", "insurance-grid-option", "insurance-grid-float"])
     def test_oversized_request_is_rejected_before_it_allocates(self, command, fixture, extra,
                                                                message, tmp_path, capsys):

@@ -757,7 +757,61 @@ class TestStructuralInvariants:
             assert bound(lad, n, kind).value == brute_force_bound(lad, n, kind).bound.value
 
 
+def scan_pull_back(result: BoundResult, act: DiscreteAct, belief: Belief):
+    """``pull_back`` as it was written before its bisection, with one list
+    scan per kind for the zero-mass states: the reference for it."""
+    ladder = build_ladder(act, belief)
+    upper = result.kind == "upper"
+    level_index = {v: i for i, v in enumerate(ladder.levels)}
+    distinct_bounds = sorted(set(result.bound_values))
+    values = []
+    violations = []
+    for sid, v, m in zip(act.state_ids, act.values, belief.masses):
+        if m > 0.0:
+            values.append(result.bound_values[level_index[v]])
+            continue
+        if upper:
+            feasible = [b for b in distinct_bounds if b >= v]
+            if feasible:
+                values.append(feasible[0])
+            else:
+                values.append(distinct_bounds[-1])
+                violations.append(sid)
+        else:
+            feasible = [b for b in distinct_bounds if b <= v]
+            if feasible:
+                values.append(feasible[-1])
+            else:
+                values.append(distinct_bounds[0])
+                violations.append(sid)
+    return values, tuple(violations)
+
+
 class TestPullBack:
+    def test_matches_the_list_scans(self):
+        # payoffs from a pool holding both signed zeros, so that repr tells
+        # which zero a state got, plus random floats; about a third of the
+        # states are null, so some sit outside every bound
+        rng = np.random.default_rng(53)
+        pool = [-0.0, 0.0, -2.5, -1.0, 0.5, 1.0, 3.0]
+        for _ in range(1500):
+            k = int(rng.integers(1, 9))
+            values = [pool[i] if rng.random() < 0.7 else float(rng.uniform(-4, 4))
+                      for i in rng.integers(0, len(pool), size=k)]
+            w = rng.uniform(0.1, 1.0, size=k) * (rng.random(k) > 0.35)
+            w[int(rng.integers(0, k))] = 1.0
+            masses = (w / w.sum()).tolist()
+            big = max(range(k), key=lambda i: masses[i])
+            masses[big] += 1.0 - sum(masses)
+            act, bel = DiscreteAct(range(k), values), Belief(masses)
+            n = int(rng.integers(1, 4))
+            for kind in ("lower", "upper"):
+                result = bound(build_ladder(act, bel), n, kind)
+                got = pull_back(result, act, bel)
+                want_values, want_violations = scan_pull_back(result, act, bel)
+                assert list(map(repr, got.act.values)) == list(map(repr, want_values))
+                assert got.violations == want_violations
+
     def test_exact_bound_reproduces_act(self):
         act = DiscreteAct(list("abcd"), [1.0, 2.0, 3.0, 4.0])
         bel = Belief([0.25] * 4)

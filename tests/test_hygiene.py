@@ -1,7 +1,8 @@
 """Source hygiene: no function in the package takes a setting it never reads
 or a default that no caller overrides, no module imports a private name of
-another, every public name has a caller in the package or an export, and
-every module-level name is read or exported."""
+another, every public name has a caller in the package or an export, every
+module-level name is read or exported, and only ``preferences`` builds a
+preference verdict."""
 
 import ast
 from collections import Counter
@@ -384,6 +385,33 @@ def test_scan_flags_an_unread_module_name(tmp_path):
         (mod, 8, "_orphan"),
         (mod, 10, "_Unread"),
     ]
+
+
+def verdict_builders(paths) -> list:
+    """(file name, line) of every ``PreferenceVerdict(...)`` call in ``paths``
+    outside ``preferences.py``."""
+    return sorted(
+        (path.name, call.lineno)
+        for path in paths if path.name != "preferences.py"
+        for call in calls_by_name([path]).get("PreferenceVerdict", ())
+    )
+
+
+def test_only_preferences_builds_a_verdict():
+    # preferences.verdict_of is the one verdict rule, which simple_bounds_compare
+    # and learning.smooth_decide share; a copy elsewhere could drift from it
+    assert verdict_builders(sorted(SRC.rglob("*.py"))) == []
+
+
+def test_scan_flags_a_verdict_built_elsewhere(tmp_path):
+    (tmp_path / "preferences.py").write_text("v = PreferenceVerdict(a, b)\n")
+    (tmp_path / "sample.py").write_text(
+        "from .preferences import PreferenceVerdict, verdict_of\n"
+        "def f(p):\n"
+        "    return verdict_of(1, 0, 0, 0), p.PreferenceVerdict(a, b)\n"
+        "x = PreferenceVerdict(c, d)\n"
+    )
+    assert verdict_builders(sorted(tmp_path.glob("*.py"))) == [("sample.py", 3), ("sample.py", 4)]
 
 
 # The exhaustive oracle is the reference for the DP fill: a reference that

@@ -27,7 +27,7 @@ from coarse_bounds.learning import (
     smooth_decide,
     value_cells,
 )
-from coarse_bounds.preferences import Verdict
+from coarse_bounds.preferences import Provenance, Verdict
 from coarse_bounds.statics import sosd_strict
 
 STATES = ("a", "b", "c", "d")
@@ -427,16 +427,19 @@ class TestSmoothRule:
 
 
 class TestSmoothDecide:
+    # the smooth rule has no dominance test, so every verdict is BY_BOUNDS
     def test_constant_far_above(self):
         data = draw_sample(BELIEF, STATES, 200, seed=21)
         verdict = smooth_decide(ACT, 10.0, data, RULE, 500, seed=8)
         assert verdict.verdict is Verdict.STRICTLY_PREFERS_G
+        assert verdict.provenance is Provenance.BY_BOUNDS
 
     def test_constant_act_indifferent_to_itself(self):
         const = DiscreteAct(STATES, [2.0] * 4)
         data = draw_sample(BELIEF, STATES, 50, seed=22)
         verdict = smooth_decide(const, 2.0, data, RULE, 200, seed=9)
         assert verdict.verdict is Verdict.INDIFFERENT
+        assert verdict.provenance is Provenance.BY_BOUNDS
 
     def test_zero_dispersion_at_mean_indifferent(self):
         const = DiscreteAct(STATES, [1.5] * 4)
@@ -445,11 +448,25 @@ class TestSmoothDecide:
             rule = SmoothRule(gamma=1.0, k=k)
             verdict = smooth_decide(const, 1.5, data, rule, 200, seed=10)
             assert verdict.verdict is Verdict.INDIFFERENT
+            assert verdict.provenance is Provenance.BY_BOUNDS
 
     def test_far_below_prefers_act(self):
         data = draw_sample(BELIEF, STATES, 200, seed=24)
         verdict = smooth_decide(ACT, -5.0, data, RULE, 500, seed=11)
         assert verdict.verdict is Verdict.STRICTLY_PREFERS_F
+        assert verdict.provenance is Provenance.BY_BOUNDS
+
+    def test_dispersed_act_just_below_its_mean_incomparable(self):
+        # c sits below the empirical mean, so c is not weakly preferred, yet
+        # the act's dispersion keeps its score below phi(c) - k
+        act = DiscreteAct(STATES, [0.0, 1.0, 2.0, 6.0])
+        rule = SmoothRule(gamma=2.0, k=1e-9)
+        data = draw_sample(BELIEF, STATES, 20, seed=25)
+        c = empirical_expectation(act, data) - 1e-3
+        assert perceived_score(act, data, rule, 200, 12) < rule.phi_scalar(c) - rule.k
+        verdict = smooth_decide(act, c, data, rule, 200, seed=12)
+        assert verdict.verdict is Verdict.INCOMPARABLE
+        assert verdict.provenance is Provenance.BY_BOUNDS
 
 
 class TestCertainEquivalent:

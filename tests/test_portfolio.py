@@ -129,7 +129,7 @@ class TestProblemValidation:
     @pytest.mark.parametrize("endowment, beta, message", [
         (float("nan"), 0.9, "endowment must be positive"),
         (float("inf"), 0.9, "endowment must be positive and finite, got inf"),
-        (1.0, float("nan"), "^beta must be non-negative, got nan$"),
+        (1.0, float("nan"), "^beta must be non-negative and finite, got nan$"),
     ])
     def test_nan_rejected(self, endowment, beta, message):
         with pytest.raises(ValueError, match=message):

@@ -1,6 +1,8 @@
 """Preference-engine tests: comparison rule, completions, well-understoodness,
 mixtures, comonotonicity, and the relation's order properties."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from coarse_bounds.engine import bound
 from coarse_bounds.errors import AlignmentError
 from coarse_bounds.preferences import (
     Attitude,
+    PreferenceVerdict,
     Provenance,
     Verdict,
     are_comonotone,
@@ -17,6 +20,7 @@ from coarse_bounds.preferences import (
     simple_bounds_compare,
     statewise_dominates,
     value,
+    verdict_of,
 )
 
 UNIFORM4_ACT = DiscreteAct(list("abcd"), [1.0, 2.0, 3.0, 4.0])
@@ -207,6 +211,40 @@ class TestCompare:
             res = simple_bounds_compare(f, g, bel, int(rng.integers(1, 4)))
             if res.verdict is Verdict.INCOMPARABLE:
                 assert res.provenance is Provenance.BY_BOUNDS
+
+
+def branch_verdict(f_dom, g_dom, f_bounds, g_bounds) -> PreferenceVerdict:
+    """The verdict and provenance branches as ``simple_bounds_compare`` wrote
+    them out before the rule became ``verdict_of``: the reference for it."""
+    fw = f_dom or f_bounds
+    bw = g_dom or g_bounds
+    if fw and bw:
+        verdict = Verdict.INDIFFERENT
+    elif fw:
+        verdict = Verdict.STRICTLY_PREFERS_F
+    elif bw:
+        verdict = Verdict.STRICTLY_PREFERS_G
+    else:
+        verdict = Verdict.INCOMPARABLE
+    if verdict is Verdict.INCOMPARABLE:
+        provenance = Provenance.BY_BOUNDS
+    else:
+        dom_support = (fw and f_dom) or (bw and g_dom)
+        bounds_support = (fw and f_bounds) or (bw and g_bounds)
+        if dom_support and bounds_support:
+            provenance = Provenance.BY_BOTH
+        elif dom_support:
+            provenance = Provenance.BY_DOMINANCE
+        else:
+            provenance = Provenance.BY_BOUNDS
+    return PreferenceVerdict(verdict, provenance)
+
+
+class TestVerdictOf:
+    @pytest.mark.parametrize("evidence", list(product((False, True), repeat=4)),
+                             ids=lambda e: "".join("FT"[x] for x in e))
+    def test_matches_the_branch_reference(self, evidence):
+        assert verdict_of(*evidence) == branch_verdict(*evidence)
 
 
 class TestRelationOrderProperties:
