@@ -27,15 +27,20 @@ class CRRAUtility:
             raise NonPositiveWealthError(f"CRRA utility needs positive wealth, got {x!r}")
         if self.gamma == 1.0:
             return log(x)
-        return x ** (1.0 - self.gamma) / (1.0 - self.gamma)
+        try:
+            return x ** (1.0 - self.gamma) / (1.0 - self.gamma)
+        except OverflowError:
+            raise OverflowError(
+                f"CRRA utility with gamma={self.gamma!r} overflows at wealth {x!r}"
+            ) from None
 
     def apply(self, xs) -> list:
         """``[self(x) for x in xs]`` for a sequence ``xs``, bit for bit.
 
         The same ``pow``, ``log`` and division run on each element, in state
         order, as one pass of C-level calls with no Python call per element;
-        an ``OverflowError`` propagates and NaN passes through. Not numpy's
-        array power and log: they round differently on some inputs.
+        an error is the first scalar call's, and NaN passes through. Not
+        numpy's array power and log: they round differently on some inputs.
         """
         if any(map(le, xs, repeat(0))):
             # the scalar calls raise at the first non-positive element, or at
@@ -45,7 +50,12 @@ class CRRAUtility:
         if self.gamma == 1.0:
             return list(map(log, xs))
         e = 1.0 - self.gamma
-        return list(map(truediv, map(pow, xs, repeat(e)), repeat(e)))
+        try:
+            return list(map(truediv, map(pow, xs, repeat(e)), repeat(e)))
+        except OverflowError:
+            for x in xs:  # the first overflowing scalar call names its wealth
+                self(x)
+            raise
 
     def marginal(self, x: float) -> float:
         if x <= 0:

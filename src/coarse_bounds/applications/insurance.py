@@ -18,9 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .. import preferences
-from ..acts import Belief, DiscreteAct, build_ladder
-from ..engine import blocks_from_cuts, bound, optimum_set, top_block_starts
+from ..acts import Belief, DiscreteAct, ValueLadder, build_ladder
+from ..engine import attitude_kind, blocks_from_cuts, bound, optimum_set, top_block_starts
 from ..errors import BracketingError, PreconditionError
 
 
@@ -54,6 +53,9 @@ class LossModel:
     losses: tuple
     masses: tuple
     belief: Belief = field(init=False, repr=False, compare=False)
+    # the losses and masses as arrays
+    _losses: np.ndarray = field(init=False, repr=False, compare=False)
+    _masses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, losses, masses):
         losses = tuple(float(x) for x in losses)
@@ -66,6 +68,8 @@ class LossModel:
         object.__setattr__(self, "belief", Belief(masses))
         object.__setattr__(self, "losses", losses)
         object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "_losses", np.array(losses))
+        object.__setattr__(self, "_masses", np.array(masses))
 
     def __len__(self):
         return len(self.losses)
@@ -102,11 +106,14 @@ class LossModel:
         if not -np.inf < lam < np.inf:
             raise ValueError(f"loss tilt must be finite, got {lam!r}")
         with np.errstate(over="ignore", invalid="ignore"):
-            w = np.exp(lam * np.asarray(self.losses))
-            raw = w * np.asarray(self.masses)
+            w = np.exp(lam * self._losses)
+            raw = w * self._masses
             total = raw.sum()
         if not 0.0 < total < np.inf:
-            raise FloatingPointError(f"loss tilt {lam!r} takes the tilted weights out of range")
+            raise FloatingPointError(
+                f"loss tilt {lam!r} over losses up to {max(self.losses, default=0.0)!r} "
+                "takes the tilted weights out of range"
+            )
         return LossModel(self.losses, (raw / total).tolist())
 
 
@@ -135,11 +142,88 @@ def utility_act(contract: InsuranceContract, model: LossModel, utility) -> Discr
     return DiscreteAct(wealth.state_ids, utility.apply(wealth.values))
 
 
+def _exact_term(term) -> bool:
+    """A float, or an int whose sums with the other terms are exact floats,
+    so that numpy's float64 arithmetic is Python's."""
+    return type(term) is float or type(term) is int and abs(term) <= 2**51
+
+
+def _payment_runs(contract: InsuranceContract, model: LossModel):
+    """The plan's states grouped into runs of equal payment, in state order:
+    ``(pays, lengths, live, masses)``, each run's payment and number of
+    states, which runs hold positive mass, and their masses in reverse state
+    order, each summed in state order as ``build_ladder`` sums it.
+
+    The payments are ``consumer_payment``'s IEEE operations, so they are
+    non-decreasing in the loss, and a premium leaves them and the runs as
+    they are. None for an empty grid, misaligned masses, a negative first
+    loss, or a term that numpy would not add as Python does (a float32, or
+    an int beyond 2**51): the per-state path values those plans, and raises
+    their errors.
+    """
+    x, masses = model._losses, model._masses
+    terms = (contract.wealth, contract.deductible, contract.coverage, contract.cap)
+    if not (len(x) == len(masses) > 0 and x[0] >= 0.0
+            and all(_exact_term(t) for t in terms if t is not None)):
+        return None
+    d, c = float(contract.deductible), float(contract.coverage)
+    with np.errstate(over="ignore", invalid="ignore"):  # in the branch np.where drops
+        pays = np.where(x <= d, x, d + (1.0 - c) * (x - d))
+    if contract.cap is not None:
+        # min(pay, cap) keeps pay on a tie, and so the sign of a zero pay
+        pays = np.where(float(contract.cap) < pays, float(contract.cap), pays)
+    starts = np.flatnonzero(np.append(True, pays[1:] != pays[:-1]))
+    lengths = np.diff(np.append(starts, len(x)))
+    # bincount adds each run's masses from 0.0 in state order, as the dict of
+    # build_ladder does; zero masses add nothing
+    run_masses = np.bincount(np.repeat(np.arange(len(starts)), lengths), weights=masses)
+    live = run_masses > 0.0
+    return pays[starts], lengths, live, run_masses[live][::-1].tolist()
+
+
+def _runs_ladder(contract: InsuranceContract, utility, runs):
+    """``_plan_ladder`` from the payment runs, or None unless every state's
+    wealth is positive and finite, the utility of each run's wealth is
+    finite, and the positive-mass runs' utilities are strictly ascending in
+    reverse state order. Then no per-state step raises and no two runs share
+    a level, so the levels are those utilities and the masses the runs'."""
+    pays, lengths, live, masses = runs
+    if not _exact_term(contract.premium):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        wealth = (float(contract.wealth) - float(contract.premium)) - pays
+    if not ((wealth > 0.0) & (wealth < np.inf)).all():
+        return None
+    try:
+        utils = np.array(utility.apply(wealth.tolist()), dtype=float)
+    except (ArithmeticError, ValueError):
+        return None
+    levels = utils[live][::-1]
+    if not (np.isfinite(utils).all() and (levels[:-1] < levels[1:]).all()):
+        return None
+    return ValueLadder(levels.tolist(), masses), np.repeat(utils, lengths)
+
+
+def _plan_ladder(contract: InsuranceContract, model: LossModel, utility, runs=None):
+    """``(ladder, values)``: the ladder of ``utility_act(contract, model,
+    utility)`` under the model's belief, and the act's values, bit for bit.
+    They come from the plan's payment runs (``runs``, or
+    :func:`_payment_runs` when None) where :func:`_runs_ladder` can value
+    them, and otherwise from the act itself, so every error is the
+    per-state path's."""
+    runs = runs or _payment_runs(contract, model)
+    found = _runs_ladder(contract, utility, runs) if runs else None
+    if found is not None:
+        return found
+    act = utility_act(contract, model, utility)
+    return build_ladder(act, model.belief), act.values
+
+
 def plan_value(contract: InsuranceContract, model: LossModel, utility, n: int,
                attitude: str = "cautious") -> float:
     """Perceived plan value: the capacity-``n`` bound of utility of wealth."""
-    act = utility_act(contract, model, utility)
-    return preferences.value(act, model.belief, n, attitude)
+    ladder, _ = _plan_ladder(contract, model, utility)
+    return bound(ladder, n, attitude_kind(attitude)).value
 
 
 def sensitivity(contract: InsuranceContract, model: LossModel, utility, n: int,
@@ -190,9 +274,12 @@ def wtp(contract: InsuranceContract, model: LossModel, utility, n: int,
     else:
         raise ValueError(f"unknown improvement {improvement!r}")
     base_value = plan_value(contract, model, utility, n)
-    gain = lambda dp: plan_value(
-        replace(improved, premium=improved.premium + dp), model, utility, n
-    ) - base_value
+    # a premium moves no payment, so one layout serves every premium tried
+    runs = _payment_runs(improved, model)
+    gain = lambda dp: bound(
+        _plan_ladder(replace(improved, premium=improved.premium + dp), model, utility, runs)[0],
+        n, "lower",
+    ).value - base_value
     lo, hi = 0.0, max(delta, 1e-6)
     if gain(lo) < 0:
         raise BracketingError("improvement does not weakly raise the plan value")
@@ -213,10 +300,11 @@ def wtp(contract: InsuranceContract, model: LossModel, utility, n: int,
     return 0.5 * (lo + hi)
 
 
-def _losses_by_level(act: DiscreteAct, ladder, model: LossModel) -> list:
-    """The positive-mass losses at each level of the act's ladder."""
+def _losses_by_level(values, ladder, model: LossModel) -> list:
+    """The positive-mass losses at each level of the ladder of the act with
+    ``values``."""
     losses_at: dict = {}
-    for x, v, m in zip(model.losses, act.values, model.masses):
+    for x, v, m in zip(model.losses, values, model.masses):
         if m > 0:
             losses_at.setdefault(v, []).append(x)
     return [losses_at[lv] for lv in ladder.levels]
@@ -235,10 +323,9 @@ def loss_block_cutoffs(losses_by_level: list, cuts) -> tuple:
 
 def plan_cutoffs(contract: InsuranceContract, model: LossModel, utility, n: int) -> tuple:
     """Loss-space cutoffs of the canonical optimal lower bound."""
-    act = utility_act(contract, model, utility)
-    ladder = build_ladder(act, model.belief)
+    ladder, values = _plan_ladder(contract, model, utility)
     res = bound(ladder, n, "lower")
-    return loss_block_cutoffs(_losses_by_level(act, ladder, model), res.cutoffs.cuts)
+    return loss_block_cutoffs(_losses_by_level(values, ladder, model), res.cutoffs.cuts)
 
 
 @dataclass(frozen=True)
@@ -271,24 +358,25 @@ def dominated_pair(base: InsuranceContract, target_deductible: float,
         raise ValueError("target deductible must lie below the base deductible")
     bump = base.coverage * (d_hi - target_deductible)
     low = replace(base, deductible=target_deductible, premium=base.premium + bump)
-    v_hi = plan_value(base, model, utility, n, "cautious")
+    # the base plan's ladder serves its value and its optimal partitions
+    ladder, values = _plan_ladder(base, model, utility)
+    v_hi = bound(ladder, n, "lower").value
     v_lo = plan_value(low, model, utility, n, "cautious")
     return DominatedPairResult(
         low_contract=low,
         indifferent=abs(v_hi - v_lo) <= tol,
         lowest_cutoff_ok=_exists_selection_first_block_reaching(
-            base, model, utility, n, d_hi
+            ladder, values, model, n, d_hi
         ),
         value_high=v_hi,
         value_low=v_lo,
     )
 
 
-def _exists_selection_first_block_reaching(contract, model, utility, n, loss_mark) -> bool:
-    """True iff some optimal lower-bound partition puts every loss below
-    ``loss_mark`` into its first loss block (lowest cutoff >= loss_mark)."""
-    act = utility_act(contract, model, utility)
-    ladder = build_ladder(act, model.belief)
+def _exists_selection_first_block_reaching(ladder, values, model, n, loss_mark) -> bool:
+    """True iff some optimal lower-bound partition of the ladder of the act
+    with ``values`` puts every loss below ``loss_mark`` into its first loss
+    block (lowest cutoff >= loss_mark)."""
     if min(n, len(ladder)) == 1:
         return True
     # the first loss block is the top ladder block; its lowest loss cutoff
@@ -299,7 +387,7 @@ def _exists_selection_first_block_reaching(contract, model, utility, n, loss_mar
         i += 1
     if i >= len(model.losses):
         return False
-    j0 = ladder.levels.index(act.values[i])
+    j0 = ladder.levels.index(values[i])
     return any(1 <= s <= j0 for s in top_block_starts(ladder, n, "lower"))
 
 
@@ -324,9 +412,8 @@ def kink_avoidance(contract: InsuranceContract, model: LossModel, utility, n: in
     """
     if not has_kink(contract):
         return True
-    act = utility_act(contract, model, utility)
-    ladder = build_ladder(act, model.belief)
-    by_level = _losses_by_level(act, ladder, model)
+    ladder, values = _plan_ladder(contract, model, utility)
+    by_level = _losses_by_level(values, ladder, model)
     d = contract.deductible
     kink_point = min(model.losses, key=lambda x: abs(x - d))
     return not any(

@@ -31,8 +31,10 @@ _TINY = float(np.finfo(float).tiny)
 # for the envelopes; a multiple of _PRUNE_BLOCK.
 _GRID_BLOCK = 64
 # _pruned_grid_values samples and bounds its share grid in blocks of this
-# many consecutive shares.
+# many consecutive shares, and then the shares of the blocks it keeps in
+# sub-blocks of _PRUNE_SUB_BLOCK, a divisor of _PRUNE_BLOCK.
 _PRUNE_BLOCK = 16
+_PRUNE_SUB_BLOCK = 4
 # Ulps by which an envelope's utilities are raised. pow and log err by under
 # 1 ulp and the division by 1 - gamma by half of one, so each computed
 # utility lies within 1.5 * 2^-52 of its exact value, relative. Exact
@@ -158,8 +160,11 @@ def _pruned_grid_values(problem: PortfolioProblem, x: float, shares) -> list:
     so the argmax and its value are the same.
 
     The first share of each block of ``_PRUNE_BLOCK`` and the last share
-    are valued first, and their best value is the bar. The shares of the
-    blocks that are not skipped are then valued in grid order. A share that
+    are valued first, and their best value is the bar. The blocks are
+    bounded against it, and then the shares of the blocks kept, in
+    sub-blocks of ``_PRUNE_SUB_BLOCK``; every kept block but the last holds
+    ``_PRUNE_BLOCK`` shares, so no sub-block spans two blocks. The shares
+    of the sub-blocks kept are then valued in grid order. A share that
     could raise is never skipped and the samples are valued first, so when a
     sample raises the whole grid is valued, in grid order, to raise the
     grid's first error.
@@ -172,18 +177,22 @@ def _pruned_grid_values(problem: PortfolioProblem, x: float, shares) -> list:
         # what a share's own wealth can raise; other errors do not depend on
         # the share, and both passes value share 0 first
         return _grid_values(problem, x, shares)
-    skip = _dominated_blocks(problem, x, shares, float(np.max(sample_vals)))
+    best = float(np.max(sample_vals))
+    rest = np.ones(len(shares), dtype=bool)
+    for size in (_PRUNE_BLOCK, _PRUNE_SUB_BLOCK):
+        kept = np.flatnonzero(rest)
+        skip = _dominated_blocks(problem, x, shares[kept], best, size)
+        rest[kept] = ~np.repeat(skip, size)[: len(kept)]
     vals = np.full(len(shares), NEG_INF)
     vals[sampled] = sample_vals
-    rest = ~np.repeat(skip, _PRUNE_BLOCK)[: len(shares)]
     rest[sampled] = False
     vals[rest] = _grid_values(problem, x, shares[rest])
     return vals.tolist()
 
 
-def _dominated_blocks(problem: PortfolioProblem, x: float, shares, best: float):
-    """Which blocks of ``_PRUNE_BLOCK`` consecutive ``shares`` hold no share
-    whose ``allocation_objective`` reaches ``best``.
+def _dominated_blocks(problem: PortfolioProblem, x: float, shares, best: float, size: int):
+    """Which blocks of ``size`` consecutive ``shares`` hold no share whose
+    ``allocation_objective`` reaches ``best``; ``size`` divides ``_GRID_BLOCK``.
 
     A block's envelope act pays, in each state, the largest wealth of its
     shares (the wealth of :func:`_grid_values`, bit for bit) with its
@@ -199,13 +208,13 @@ def _dominated_blocks(problem: PortfolioProblem, x: float, shares, best: float):
     below ``best`` by the margin. Nothing is skipped unless ``best`` and
     every bound are finite.
     """
-    skip = np.zeros(-(-len(shares) // _PRUNE_BLOCK), dtype=bool)
-    if not math.isfinite(best):
+    skip = np.zeros(-(-len(shares) // size), dtype=bool)
+    if not math.isfinite(best) or not len(shares):
         return skip
     tops, floors = [], []
     # a block of wealth rows holds a whole number of blocks of shares
     for wealth in _wealth_blocks(problem, (1.0 - shares) * x, problem.safe_return, shares * x):
-        firsts = np.arange(0, len(wealth), _PRUNE_BLOCK)
+        firsts = np.arange(0, len(wealth), size)
         tops.append(np.maximum.reduceat(wealth, firsts))
         floors.append(np.minimum.reduceat(wealth, firsts))
     top = np.concatenate(tops)
@@ -455,7 +464,10 @@ def equilibrium_price(problem: PortfolioProblem) -> float:
     w, beta, u = problem.endowment, problem.beta, problem.utility
     if beta <= 0:
         raise PreconditionError(f"equilibrium pricing needs a positive beta, got {beta!r}")
-    marg = u.marginal(w)
+    try:
+        marg = u.marginal(w)
+    except OverflowError:
+        raise FloatingPointError(f"endowment {w!r} overflows the marginal utility") from None
     if marg == 0.0:
         raise FloatingPointError(f"endowment {w!r} underflows the marginal utility")
 

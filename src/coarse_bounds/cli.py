@@ -191,13 +191,15 @@ def cmd_learn(args) -> int:
 def _loss_model(grid: dict) -> ins.LossModel:
     n = grid.get("n", 200)
     # JSON does not tell 20 from 20.0, so a whole-valued float is a size, as
-    # learn's K, B and seed are
+    # learn's K, B and seed are; beyond 2**53 it need not be the integer that
+    # was written, so it keeps its float form rather than hundreds of digits
     if isinstance(n, float):
         if not n.is_integer():
             raise ValueError(f"'n' must be a whole number, got {n}")
-        n = int(n)
+        if abs(n) <= 2**53:
+            n = int(n)
     # other types and non-positive sizes are the loss model's to reject
-    if isinstance(n, int) and n > MAX_LOSS_GRID:
+    if isinstance(n, (int, float)) and n > MAX_LOSS_GRID:
         raise CoarseBoundsError(f"loss grid size n = {n} exceeds the limit of {MAX_LOSS_GRID}")
     model = ins.LossModel.uniform(grid.get("max_loss", 1.0), n)
     if grid.get("tilt"):

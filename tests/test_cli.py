@@ -447,7 +447,9 @@ class TestExitCodes:
             capture_output=True, text=True,
         )
         assert (res.returncode, res.stdout) == (2, "")
-        assert res.stderr == "numerical failure: (34, 'Numerical result out of range')\n"
+        assert res.stderr == (
+            "numerical failure: CRRA utility with gamma=3.0 overflows at wealth 1.02e-200\n"
+        )
 
     def test_dominated_negative_tol(self, tmp_path, capsys):
         path = tmp_path / "insurance.json"
@@ -622,9 +624,17 @@ class TestExitCodes:
         ("insurance", {"grid": {"max_loss": 1.0, "n": 20, "tilt": float("nan")}}, 1,
          "loss tilt must be finite, got nan"),
         ("insurance", {"grid": {"max_loss": 1.0, "n": 20, "tilt": 1e300}}, 2,
-         "loss tilt 1e+300 takes the tilted weights out of range"),
+         "loss tilt 1e+300 over losses up to 0.9750000000000001 takes the tilted weights "
+         "out of range"),
         ("insurance", {"grid": {"max_loss": 1.0, "n": 20, "tilt": -1e300}}, 2,
-         "loss tilt -1e+300 takes the tilted weights out of range"),
+         "loss tilt -1e+300 over losses up to 0.9750000000000001 takes the tilted weights "
+         "out of range"),
+        ("insurance", {"grid": {"max_loss": 1e300, "n": 20, "tilt": 1.5}}, 2,
+         "loss tilt 1.5 over losses up to 9.75e+299 takes the tilted weights out of range"),
+        ("insurance", {"grid": {"max_loss": 1.0, "n": 1e300}}, 1,
+         "loss grid size n = 1e+300 exceeds the limit of 1000000"),
+        ("insurance", {"grid": {"max_loss": 1.0, "n": -1e300}}, 1,
+         "loss grid size n must be a positive integer, got -1e+300"),
         ("contract", {"effort_costs": {"low": 0.0, "high": float("nan")}}, 1,
          "the cost of 'high' in 'effort_costs' must be finite, got nan"),
         ("contract", {"schedule": [0.1, float("nan"), 0.4]}, 1,
@@ -647,6 +657,9 @@ class TestExitCodes:
          "an item of 'output_masses' has the wrong type (object)"),
         ("portfolio", {"beta": float("inf")}, 1, "beta must be non-negative and finite, got inf"),
         ("portfolio", {"endowment": 1e300}, 2, "endowment 1e+300 underflows the marginal utility"),
+        ("portfolio", {"endowment": 1e-300}, 2, "endowment 1e-300 overflows the marginal utility"),
+        ("portfolio", {"gamma": 1e300}, 2,
+         "CRRA utility with gamma=1e+300 overflows at wealth 0.51"),
         # type errors name the JSON type, at the top level and inside a list
         ("portfolio", {"beta": {}}, 1, "'beta' has the wrong type (object)"),
         ("portfolio", {"beta": None}, 1, "'beta' has the wrong type (null)"),
@@ -666,11 +679,13 @@ class TestExitCodes:
         ("learn", {"masses": []}, 1, "'masses' must hold at least one mass"),
     ], ids=["returns-nan", "returns-inf", "masses-misaligned", "gamma-inf", "savings-overflow",
             "savings-overflow-gamma-2", "grid-n-fraction", "grid-n-nan", "tilt-inf",
-            "tilt-minus-inf", "tilt-nan", "tilt-overflow", "tilt-underflow", "effort-cost-nan",
+            "tilt-minus-inf", "tilt-nan", "tilt-overflow", "tilt-underflow", "tilt-loss-scale",
+            "grid-n-huge", "grid-n-huge-negative", "effort-cost-nan",
             "schedule-nan", "schedule-inf", "outputs-nan", "wage-grid-nan",
             "wage-grid-descending", "effort-costs-empty", "output-masses-count",
             "output-masses-short-row", "output-masses-negative", "output-masses-row-object",
-            "beta-inf", "endowment-underflow", "beta-object", "beta-null",
+            "beta-inf", "endowment-underflow", "endowment-overflow", "gamma-overflow",
+            "beta-object", "beta-null",
             "returns-item-object", "masses-string", "insurance-contract-empty",
             "learn-seed-negative",
             "learn-seed-huge", "learn-K-zero", "learn-B-minus-zero", "learn-seed-before-B",

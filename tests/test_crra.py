@@ -96,6 +96,8 @@ class TestApply:
         expected = scalar_calls(u, xs)
         assert expected[0] is error
         assert apply_calls(u, xs) == expected
+        if error is OverflowError:
+            assert expected[1] == "CRRA utility with gamma=3.0 overflows at wealth 1e-200"
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_nan_passes_through(self, gamma):

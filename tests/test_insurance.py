@@ -1,13 +1,17 @@
 """Insurance tests: payment schedule, plan acts and values, over-reaction,
 capacity monotonicity, willingness to pay, dominated pairs, kink avoidance."""
 
+from bisect import bisect_left
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from coarse_bounds import preferences
 from coarse_bounds.acts import DiscreteAct, build_ladder
-from coarse_bounds.engine import brute_force_bound
-from coarse_bounds.errors import PreconditionError
+from coarse_bounds.engine import brute_force_bound, top_block_starts
+from coarse_bounds.errors import BracketingError, PreconditionError
+from coarse_bounds.applications import insurance
 from coarse_bounds.applications.crra import CRRAUtility
 from coarse_bounds.applications.insurance import (
     InsuranceContract,
@@ -174,6 +178,176 @@ class TestUtilityActMatchesPerStateReference:
                     value = plan_value(contract, model, u, n, attitude)
                     expected = preferences.value(ref, model.belief, n, attitude)
                     assert value.hex() == expected.hex(), (n, attitude)
+
+
+def per_state_value(contract, model, utility, n, attitude="cautious"):
+    return preferences.value(per_state_utility_act(contract, model, utility), model.belief, n,
+                             attitude)
+
+
+def per_state_wtp(contract, model, utility, n, improvement, delta, tol=1e-8):
+    """Reference: ``wtp``'s bracket and bisection over per-state plan values."""
+    if improvement == "lower_deductible":
+        improved = replace(contract, deductible=contract.deductible - delta)
+    else:
+        improved = replace(contract, cap=contract.cap - delta)
+    base = per_state_value(contract, model, utility, n)
+    gain = lambda dp: per_state_value(
+        replace(improved, premium=improved.premium + dp), model, utility, n) - base
+    lo, hi = 0.0, max(delta, 1e-6)
+    if gain(lo) < 0:
+        raise BracketingError("improvement does not weakly raise the plan value")
+    for _ in range(60):
+        if gain(hi) < 0:
+            break
+        hi *= 2.0
+        if hi > contract.wealth:
+            raise BracketingError("no premium increase offsets the improvement")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if gain(mid) >= 0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def per_state_lowest_cutoff_ok(base, model, utility, n):
+    """Reference: some optimal partition of the per-state ladder has its
+    lowest loss cutoff at or above the base deductible."""
+    act = per_state_utility_act(base, model, utility)
+    ladder = build_ladder(act, model.belief)
+    if min(n, len(ladder)) == 1:
+        return True
+    i = bisect_left(model.losses, base.deductible)
+    while i < len(model.losses) and model.masses[i] == 0.0:
+        i += 1
+    if i == len(model.losses):
+        return False
+    j0 = ladder.levels.index(act.values[i])
+    return any(1 <= s <= j0 for s in top_block_starts(ladder, n, "lower"))
+
+
+def outcome(call):
+    """A float result by ``float.hex``, another result as it is, or the type
+    and message of the error raised."""
+    try:
+        result = call()
+    except Exception as err:  # noqa: BLE001 - the error is the outcome compared
+        return type(err), str(err)
+    return result.hex() if isinstance(result, float) else result
+
+
+def random_plan(rng):
+    """A plan on 5-299 losses, a third of the grids starting at loss 0, tilted
+    by -2 to 3, a quarter with zero-mass states. The cap is absent, 0.0,
+    -0.0 or inside the grid, and a quarter of the plans cover fully."""
+    size = int(rng.integers(5, 300))
+    top = float(rng.uniform(0.5, 2.0))
+    if rng.random() < 1 / 3:
+        losses = np.linspace(0.0, top, size)
+    else:
+        losses = (np.arange(size) + 0.5) * (top / size)
+    weights = np.exp(rng.uniform(-2.0, 3.0) * losses)
+    if rng.random() < 0.25:
+        weights = weights * (rng.random(size) > 0.3)
+        weights[int(rng.integers(size))] += 1.0
+    model = LossModel(losses.tolist(), (weights / weights.sum()).tolist())
+    d = float(rng.uniform(0.0, 0.6 * top))
+    c = 1.0 if rng.random() < 0.25 else float(rng.uniform(0.2, 0.95))
+    cap = [None, 0.0, -0.0, float(rng.uniform(d, top))][int(rng.integers(4))]
+    contract = InsuranceContract(float(rng.uniform(0.0, 0.1)), d, c, cap,
+                                 float(rng.uniform(top + 0.2, top + 2.0)))
+    return contract, model, CRRAUtility(float(rng.choice([0.0, 0.5, 1.0, 2.0, 3.0])))
+
+
+class TestPlanLayoutParity:
+    """Plans valued from their payment runs equal the per-state path: values
+    in ``float.hex``, and the first error by type and message, which names
+    the state's wealth."""
+
+    def test_plan_values(self):
+        rng = np.random.default_rng(41)
+        from_runs = 0
+        for case in range(40):
+            contract, model, u = random_plan(rng)
+            runs = insurance._payment_runs(contract, model)
+            from_runs += insurance._runs_ladder(contract, u, runs) is not None
+            for n in range(1, 9):
+                for attitude in ("cautious", "reckless"):
+                    got = outcome(lambda: plan_value(contract, model, u, n, attitude))
+                    ref = outcome(lambda: per_state_value(contract, model, u, n, attitude))
+                    assert got == ref, (case, contract, n, attitude)
+        assert from_runs >= 30  # the parity is not the fallback's
+
+    def test_wtp(self):
+        rng = np.random.default_rng(42)
+        for case in range(24):
+            contract, model, u = random_plan(rng)
+            n = int(rng.integers(1, 9))
+            for improvement in ("lower_deductible", "lower_cap"):
+                if improvement == "lower_cap" and contract.cap is None:
+                    continue
+                delta = min(0.1, contract.deductible if improvement == "lower_deductible"
+                            else contract.cap)
+                got = outcome(lambda: wtp(contract, model, u, n, improvement, delta))
+                ref = outcome(lambda: per_state_wtp(contract, model, u, n, improvement, delta))
+                assert got == ref, (case, contract, n, improvement)
+
+    def test_dominated_pair(self):
+        rng = np.random.default_rng(43)
+        for case in range(30):
+            contract, model, u = random_plan(rng)
+            base = replace(contract, cap=None, deductible=contract.deductible + 0.05)
+            n = int(rng.integers(1, 9))
+            res = dominated_pair(base, 0.5 * base.deductible, model, u, n)
+            assert res.value_high.hex() == per_state_value(base, model, u, n).hex()
+            assert res.value_low.hex() == per_state_value(res.low_contract, model, u, n).hex()
+            assert res.indifferent == (abs(res.value_high - res.value_low) <= 1e-9)
+            assert res.lowest_cutoff_ok == per_state_lowest_cutoff_ok(base, model, u, n), case
+
+    def test_rounding_collision(self):
+        # two payments an ulp of 0.1 apart leave the same wealth near 1.85
+        losses = (0.05, 0.1, float(np.nextafter(0.1, 1.0)), 0.5)
+        model = LossModel(losses, (0.25, 0.25, 0.25, 0.25))
+        contract = InsuranceContract(0.05, 0.3, 0.5, None, 2.0)
+        wealth = plan_act(contract, model).values
+        assert wealth[1] == wealth[2]
+        for n in (1, 2, 3):
+            for attitude in ("cautious", "reckless"):
+                got = plan_value(contract, model, U, n, attitude)
+                assert got.hex() == per_state_value(contract, model, U, n, attitude).hex()
+
+    @pytest.mark.parametrize("terms", [
+        (0, 0, 0, 1, 2), (0.05, 0.3, 0.75, None, 2**60), (0.05, 0.3, 0.75, None, np.float32(2.0)),
+    ], ids=["ints", "huge-int", "float32"])
+    def test_terms_that_are_not_floats(self, terms):
+        # Python adds a float32 in float32, and an int beyond 2**53 exactly
+        contract = InsuranceContract(*terms)
+        for n in (1, 3):
+            got = outcome(lambda: plan_value(contract, MODEL, U, n))
+            assert got == outcome(lambda: per_state_value(contract, MODEL, U, n))
+
+    @pytest.mark.parametrize("contract, model, gamma", [
+        (BASE, LossModel((-0.1, 0.2, 0.5), (0.3, 0.3, 0.4)), 2.0),
+        (InsuranceContract(1.9, 0.3, 0.75, None, 2.0), MODEL, 2.0),
+        (InsuranceContract(0.0, 0.3, 0.5, 0.0, 1e-200), MODEL, 3.0),
+        # only the zero-mass top state's utility overflows
+        (InsuranceContract(0.0, 1.0, 0.5, None, 1e-154),
+         LossModel((0.0, 2e-155, 9.5e-155), (0.5, 0.5, 0.0)), 3.0),
+        (BASE, LossModel((0.1, 0.2, 0.3), (0.5, 0.5)), 2.0),
+        (BASE, LossModel((), (1.0,)), 2.0),
+        # wealth less premium overflows to inf, whose utility is finite, and
+        # the zero cap leaves one payment
+        (InsuranceContract(-1.5e308, 0.3, 0.75, 0.0, 1.5e308), MODEL, 2.0),
+        # pow is finite here, and its division by 1 - gamma is -inf
+        (InsuranceContract(0.0, 0.3, 0.5, 0.0, 4.281544325815e-312), MODEL, 1.99),
+    ], ids=["negative-first-loss", "large-premium", "overflow", "zero-mass-overflow",
+            "misaligned-masses", "empty-grid", "infinite-wealth", "infinite-utility"])
+    def test_first_error(self, contract, model, gamma):
+        u = CRRAUtility(gamma)
+        got = outcome(lambda: plan_value(contract, model, u, 2))
+        assert isinstance(got, tuple)
+        assert got == outcome(lambda: per_state_value(contract, model, u, 2))
+        args = (contract, model, u, 2, "lower_deductible", 0.0)
+        assert outcome(lambda: wtp(*args)) == outcome(lambda: per_state_wtp(*args)) == got
 
 
 class TestSensitivity:

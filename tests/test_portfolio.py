@@ -205,12 +205,14 @@ class TestAllocation:
 
     def test_overflowing_utility_fails_as_the_objective_does(self):
         # at savings 1e-200 the wealth^-2 of gamma = 3 overflows; such shares
-        # go to allocation_objective, whose float wealth makes pow raise
+        # go to allocation_objective, whose float wealth makes pow raise, and
+        # the error names the wealth of the grid's first share, 0
         with pytest.raises(OverflowError) as raised:
             solve_allocation(make_problem(gamma=3.0), 1e-200)
         with pytest.raises(OverflowError) as direct:
-            allocation_objective(make_problem(gamma=3.0), 1e-200, 0.001)
+            allocation_objective(make_problem(gamma=3.0), 1e-200, 0.0)
         assert str(raised.value) == str(direct.value)
+        assert str(raised.value) == "CRRA utility with gamma=3.0 overflows at wealth 1.02e-200"
 
     def test_savings_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -354,6 +356,29 @@ class TestPrunedGrid:
                 assert allocation_objective(prob, x, float(grid[i])) < best, (prob, x, i)
             checked += len(skipped)
         assert checked > 0
+
+    @pytest.mark.parametrize("gamma, capacity, attitude", [
+        (1.0, 5, "cautious"), (2.0, 6, "reckless"), (3.0, 8, "cautious"), (3.0, 8, "reckless"),
+    ])
+    def test_second_level_skips_sub_blocks_of_kept_blocks(self, gamma, capacity, attitude):
+        prob = make_problem(gamma=gamma, capacity=capacity, attitude=attitude)
+        grid, x = share_grid(), 0.5
+        sampled = set(range(0, len(grid), portfolio._PRUNE_BLOCK)) | {len(grid) - 1}
+        vals = portfolio._pruned_grid_values(prob, x, grid)
+        best = max(vals[i] for i in sampled)
+        blocks = portfolio._dominated_blocks(prob, x, grid, best, portfolio._PRUNE_BLOCK)
+        first = np.repeat(blocks, portfolio._PRUNE_BLOCK)[: len(grid)]
+        assert not first.all()
+        skipped = {i for i, v in enumerate(vals) if v == float("-inf") and i not in sampled}
+        second = skipped - set(np.flatnonzero(first).tolist())
+        # whole sub-blocks of kept blocks, bar their samples
+        size = portfolio._PRUNE_SUB_BLOCK
+        subs = {i // size for i in second}
+        assert subs
+        for sub in subs:
+            assert set(range(sub * size, min((sub + 1) * size, len(grid)))) <= second | sampled
+        for i in skipped:
+            assert allocation_objective(prob, x, float(grid[i])) < best, i
 
     def test_pruned_values_are_the_full_grid_values_where_kept(self):
         prob = make_problem(gamma=2.0, capacity=3)
