@@ -20,7 +20,7 @@ import numpy as np
 
 from ..acts import Belief, DiscreteAct, ValueLadder, build_ladder
 from ..engine import attitude_kind, blocks_from_cuts, bound, optimum_set, top_block_starts
-from ..errors import BracketingError, PreconditionError
+from ..errors import AlignmentError, BracketingError, ConvergenceError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,8 @@ class InsuranceContract:
 
 @dataclass(frozen=True)
 class LossModel:
-    """Loss distribution on an ascending finite grid."""
+    """Loss distribution on a non-empty, ascending, finite and non-negative
+    grid, with one mass per loss."""
 
     losses: tuple
     masses: tuple
@@ -60,12 +61,21 @@ class LossModel:
     def __init__(self, losses, masses):
         losses = tuple(float(x) for x in losses)
         masses = tuple(float(m) for m in masses)
-        # a NaN loss fails every comparison, so these two checks reject it
+        if not losses:
+            raise ValueError("loss grid must not be empty")
+        # a NaN loss fails every comparison, so these three checks reject it
         if not all(a < b for a, b in zip(losses, losses[1:])):
             raise ValueError("loss grid must be strictly ascending")
-        if losses and not -np.inf < losses[0] <= losses[-1] < np.inf:
+        if not -np.inf < losses[0] <= losses[-1] < np.inf:
             raise ValueError("loss grid must be finite")
+        if not losses[0] >= 0.0:
+            raise ValueError("loss grid must be non-negative")
         object.__setattr__(self, "belief", Belief(masses))
+        if len(masses) != len(losses):
+            raise AlignmentError(
+                f"loss masses must match the loss grid: "
+                f"{len(masses)} masses vs {len(losses)} losses"
+            )
         object.__setattr__(self, "losses", losses)
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "_losses", np.array(losses))
@@ -111,7 +121,7 @@ class LossModel:
             total = raw.sum()
         if not 0.0 < total < np.inf:
             raise FloatingPointError(
-                f"loss tilt {lam!r} over losses up to {max(self.losses, default=0.0)!r} "
+                f"loss tilt {lam!r} over losses up to {self.max_loss!r} "
                 "takes the tilted weights out of range"
             )
         return LossModel(self.losses, (raw / total).tolist())
@@ -156,15 +166,13 @@ def _payment_runs(contract: InsuranceContract, model: LossModel):
 
     The payments are ``consumer_payment``'s IEEE operations, so they are
     non-decreasing in the loss, and a premium leaves them and the runs as
-    they are. None for an empty grid, misaligned masses, a negative first
-    loss, or a term that numpy would not add as Python does (a float32, or
-    an int beyond 2**51): the per-state path values those plans, and raises
-    their errors.
+    they are. None for a term that numpy would not add as Python does (a
+    float32, or an int beyond 2**51): the per-state path values those
+    plans, and raises their errors.
     """
     x, masses = model._losses, model._masses
     terms = (contract.wealth, contract.deductible, contract.coverage, contract.cap)
-    if not (len(x) == len(masses) > 0 and x[0] >= 0.0
-            and all(_exact_term(t) for t in terms if t is not None)):
+    if not all(_exact_term(t) for t in terms if t is not None):
         return None
     d, c = float(contract.deductible), float(contract.coverage)
     with np.errstate(over="ignore", invalid="ignore"):  # in the branch np.where drops
@@ -259,7 +267,9 @@ def wtp(contract: InsuranceContract, model: LossModel, utility, n: int,
     """Premium increase making a cautious agent indifferent to an improved plan.
 
     ``improvement`` is ``"lower_deductible"`` or ``"lower_cap"``; ``delta``
-    is the reduction. Solved by bisection to ``tol``, a positive finite number.
+    is the reduction. Solved by bisection to ``tol``, a positive finite
+    number; a bracket whose midpoint rounds to one of its ends, which float
+    spacing keeps wider than ``tol``, raises :class:`ConvergenceError`.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
@@ -293,6 +303,11 @@ def wtp(contract: InsuranceContract, model: LossModel, utility, n: int,
         raise BracketingError("failed to bracket the willingness to pay")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        # else the bisection would stay at [lo, hi] for ever
+        if not lo < mid < hi:
+            raise ConvergenceError(
+                f"willingness-to-pay bisection stalls at [{lo!r}, {hi!r}], wider than {tol!r}"
+            )
         if gain(mid) >= 0:
             lo = mid
         else:

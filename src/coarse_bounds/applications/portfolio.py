@@ -347,6 +347,13 @@ def _golden_max(values, lo: float, hi: float, tol: float):
     its comparisons against them. So the points it visits, their values,
     its result and its errors are those of a walk that values one point at
     a time.
+
+    Rounding can keep a bracket with large ends wider than ``tol`` for
+    ever. The walk's state after a step is its bracket and which part it
+    keeps next, and the values at the interior points follow from the
+    bracket, so a state that repeats repeats for ever: the search then
+    raises :class:`ConvergenceError` naming the bracket, and at no other
+    time.
     """
     a, b = lo, hi
     c = b - _PHI * (b - a)
@@ -354,6 +361,7 @@ def _golden_max(values, lo: float, hi: float, tol: float):
     at = _look_ahead(values, {0: c, 1: d})
     fc, fd = at(0), at(1)
     bracket, keep_left = (a, b, c, d), fc >= fd
+    seen = {(bracket, keep_left)}
     while True:
         # the next valuations as a heap: node k leads to node 2k + 1 when
         # the walk then keeps the left part, else to node 2k + 2
@@ -371,6 +379,12 @@ def _golden_max(values, lo: float, hi: float, tol: float):
                 return point, value
             fc, fd = (value, fc) if keep_left else (fd, value)
             keep_left = fc >= fd
+            if (bracket, keep_left) in seen:
+                raise ConvergenceError(
+                    f"golden-section search on [{lo!r}, {hi!r}] cycles at the bracket "
+                    f"[{bracket[0]!r}, {bracket[1]!r}], wider than {tol!r}"
+                )
+            seen.add((bracket, keep_left))
             k = 2 * k + (1 if keep_left else 2)
 
 

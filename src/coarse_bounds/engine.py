@@ -35,7 +35,14 @@ candidates tie to within a few ulps, rounding breaks the monotonicity, and
 its value may then differ from the dense branch's by ulps.
 :func:`bound_values` runs the dense branch's candidate arithmetic across
 many ladders that share one mass vector, for callers that value a family of
-acts.
+acts. It folds the close move into the search: closing the block to the top
+is the last candidate slab, after the block ends in descending order, with
+-0.0 as its next value, which leaves every sum as it is, the sign of a zero
+included. A max (min) reduction keeps the later of two equal candidates, so
+the close wins a tie, as ``stop >= best`` lets it win in the fill, and so
+each capacity layer is one gather, one add and one reduction. The masses'
+layout (prefix-sum widths, block ends, and the mask of blocks that end
+before they start) is built and checked once per mass vector and cached.
 
 Every optimal cutoff vector is a path through the fill's suffix values:
 :func:`optimum_set` lists them all and :func:`top_block_starts` reads where
@@ -95,10 +102,18 @@ _MONOTONE_DP_THRESHOLD = 512
 # ways per depth.
 _SPLIT_WAYS = 4
 
-# bound_values fills its rows in blocks whose two candidate arrays together
-# stay within this many bytes, and the dense fill its block starts in row
-# blocks whose cells and candidates together do.
+# bound_values fills its rows in blocks of this many bytes over 16 L (L - 1),
+# about the rows whose cells and candidates together take this many bytes,
+# and the dense fill its block starts in row blocks whose cells and
+# candidates together stay within it.
 _BATCH_BYTES = 1 << 18
+
+# bound_values keeps the layouts of recent mass vectors (_mass_layout), at
+# most this many bytes of them in all; threads read the cache freely and
+# change it under the lock.
+_LAYOUT_CACHE_BYTES = 1 << 20
+_layouts: dict = {}
+_layouts_lock = threading.Lock()
 
 # The dense fill's cells and candidates live in one float array per thread,
 # which grows to the largest fill that thread has run and never shrinks, so
@@ -591,70 +606,119 @@ def bound(ladder: ValueLadder, n, kind: str) -> BoundResult:
     return _bound_from_cuts(ladder, cuts, value, int(n), kind)
 
 
+def _level_error(ascending: bool) -> ValueError:
+    """What a ladder raises for levels that are not strictly ascending, or
+    are but not finite."""
+    return ValueError("ladder levels must be " + ("finite" if ascending else "strictly ascending"))
+
+
+def _mass_layout(key: tuple):
+    """The read-only layout that :func:`bound_values` reads for one mass
+    vector, ``key`` = (masses as floats, L), whose masses a ladder has
+    checked: ``(ends, widths, missing)``.
+
+    Slab k of the candidates ends its block at level ``ends[k]``: first
+    L - 2 down to 0, then L - 1, the block closed to the top. ``widths[k,
+    j]`` is ``pre[ends[k] + 1] - pre[j]``, the mass of the block [j..ends[k]],
+    and ``missing[k, j]`` marks the blocks that end before they start. The
+    layout is kept in ``_layouts`` for later calls, and the oldest layouts
+    are dropped to keep them within ``_LAYOUT_CACHE_BYTES``; a larger layout
+    is not kept.
+    """
+    masses, length = key
+    pre = np.array(_prefix_masses(masses))
+    ends = np.append(np.arange(length - 2, -1, -1), length - 1)
+    layout = ends, pre[ends + 1, None] - pre[None, :-1], np.arange(length) > ends[:, None]
+    for a in layout:
+        a.flags.writeable = False
+    size = _layout_bytes(layout)
+    if size <= _LAYOUT_CACHE_BYTES:
+        with _layouts_lock:
+            while sum(map(_layout_bytes, _layouts.values())) + size > _LAYOUT_CACHE_BYTES:
+                del _layouts[next(iter(_layouts))]
+            _layouts[key] = layout
+    return layout
+
+
+def _layout_bytes(layout) -> int:
+    """The bytes of a kept layout: its arrays, and its key's masses at 32
+    bytes each (a float object and the key's reference to it)."""
+    return sum(a.nbytes for a in layout) + 32 * len(layout[0])
+
+
 def bound_values(levels, masses, n, kind: str) -> np.ndarray:
     """Bound values of many ladders that share one mass vector.
 
     ``levels`` is an (M, L) array of M >= 1 rows of strictly ascending finite
     levels. Entry i of the result is
     ``bound(ValueLadder(levels[i], masses), n, kind).value``, bit for bit,
-    and bad rows, masses, capacities and kinds raise what those calls raise.
+    and bad rows, masses, capacities and kinds raise what those calls raise,
+    in their order. The masses are checked, as the first row's ladder checks
+    them, only on the first call for them (see :func:`_mass_layout`).
 
     Below ``_MONOTONE_DP_THRESHOLD`` levels the rows are filled together, a
     block of rows at a time, with the candidate arithmetic of the dense
-    branch of :func:`_fill`: each capacity layer is one reduction over the
-    block-end axis of an (L - 1) x rows x L candidate array, and the last
-    layer solves only the block that starts at level 0, so at N <= 2 only
-    the (L - 1) x rows cells of that block are built. The ends run in
-    descending order because the reduction keeps the later of two equal
-    candidates: so it keeps the smallest end, as the dense branch's
-    first-occurrence argmax does, which matters only for the sign of a zero.
-    Longer rows are solved one at a time by :func:`bound`, which builds no
-    L x L array.
+    branch of :func:`_fill`. The candidates of a block of rows form an
+    L x rows x L array: one slab per block end, the ends below the top in
+    descending order, and last the close, the block [j..L - 1]. A slab's
+    candidates are its cells plus the next layer's value after its end, and
+    the close's "next value" is -0.0, which changes no sum, not even the sign
+    of a zero. Each capacity layer is then one gather of the next values,
+    one add into a reused buffer and one max (min) reduction over the slabs,
+    and the last layer solves only the block that starts at level 0, so at
+    N <= 2 only the L x rows cells of that block are built. The reduction
+    keeps the later of two equal candidates, so the close wins a tie, as
+    ``stop >= best`` does in :func:`_fill`, and otherwise the smallest end
+    does, as the dense branch's first-occurrence argmax does; equal
+    candidates differ at most in the sign of a zero. Longer rows are solved
+    one at a time by :func:`bound`, which builds no L x L array.
     """
     rows = np.asarray(levels, dtype=float)
     if rows.ndim != 2 or not len(rows):
         raise ValueError(f"levels must be an (M, L) array with M >= 1, got shape {rows.shape}")
-    rows = np.ascontiguousarray(rows)  # each row's levels adjacent, as the fill reads them
-    # the first row's ladder checks the masses; the other rows get its level checks
-    ladder = ValueLadder(rows[0], masses)
-    if not (rows[:, :-1] < rows[:, 1:]).all():
-        raise ValueError("ladder levels must be strictly ascending")
-    if not np.isfinite(rows[:, [0, -1]]).all():
-        raise ValueError("ladder levels must be finite")
+    length = rows.shape[1]
+    key = tuple(map(float, masses)), length
+    layout = _layouts.get(key)
+    if layout is None:
+        ValueLadder(rows[0], masses)  # the checks of row 0 and of the masses
+    # each row's levels checked as its ladder checks them: row 0 before the
+    # kind and the capacity, as bound meets them, and the other rows after
+    ascending = (rows[:, :-1] < rows[:, 1:]).all(axis=1)
+    bad = ~(ascending & np.isfinite(rows[:, 0]) & np.isfinite(rows[:, -1]))
+    if bad[0]:
+        raise _level_error(ascending[0])
     upper = _check_kind(kind)
     n = _check_capacity(n)
-    length = rows.shape[1]
+    if bad.any():
+        raise _level_error(ascending[np.argmax(bad)])
     if length >= _MONOTONE_DP_THRESHOLD:
         return np.array([bound(ValueLadder(row, masses), n, kind).value for row in rows])
-    reduce = np.min if upper else np.max
-
-    def pick(stop, cand):
-        best = reduce(cand, axis=0)
-        return np.where((stop <= best) if upper else (stop >= best), stop, best)
-
-    pre = np.asarray(_prefix_masses(ladder.level_masses))
+    ends, widths, missing = layout or _mass_layout(key)
+    after = ends + 1
+    reduce = np.minimum.reduce if upper else np.maximum.reduce
     n_blocks = min(n, length)
-    # block ends below the top level, descending; width[k, j] is the mass of
-    # levels j..ends[k], and blocks with j > ends[k] do not exist
-    ends = np.arange(length - 2, -1, -1)
-    width = pre[ends + 1, None] - pre[None, :-1]
-    missing = (np.arange(length)[None, :] > ends[:, None])[:, None, :]
-    to_top = pre[-1] - pre[:-1]
+    cols = length if n_blocks > 2 else 1
     step = max(1, _BATCH_BYTES // (16 * length * max(1, length - 1)))
     out = np.empty(len(rows))
     for start in range(0, len(rows), step):
         lvl = rows[start : start + step]
-        stop = to_top * (lvl[:, -1:] if upper else lvl)
-        value = stop
-        if n_blocks > 1:
-            cols = length if n_blocks > 2 else 1
-            cells = width[:, None, :cols] * (lvl.T[ends, :, None] if upper else lvl[:, :cols])
-            np.copyto(cells, inf if upper else -inf, where=missing[:, :, :cols])
+        if n_blocks == 1:
+            out[start : start + step] = widths[-1, 0] * lvl[:, -1 if upper else 0]
+            continue
+        # the layer below, with the close's -0.0 last, and each slab's levels
+        value = np.empty((len(lvl), length + 1))
+        value[:, -1] = -0.0
+        np.multiply(widths[-1], lvl[:, -1:] if upper else lvl, out=value[:, :-1])
+        cells = widths[:, None, :cols] * (lvl.T[ends, :, None] if upper else lvl[:, :cols])
+        nxt = np.empty((len(lvl), length))
+        if n_blocks > 2:
+            np.copyto(cells, inf if upper else -inf, where=missing[:, None])
             cand = np.empty_like(cells)
             for _ in range(2, n_blocks):
-                value = pick(stop, np.add(cells, value.T[ends + 1, :, None], out=cand))
-            value = pick(stop[:, :1], cells[:, :, :1] + value.T[ends + 1, :, None])
-        out[start : start + step] = value[:, 0]
+                np.take(value, after, axis=1, out=nxt)
+                reduce(np.add(cells, nxt.T[:, :, None], out=cand), axis=0, out=value[:, :-1])
+        np.take(value, after, axis=1, out=nxt)
+        out[start : start + step] = reduce(cells[:, :, 0] + nxt.T, axis=0)
     return out
 
 

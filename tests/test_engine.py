@@ -4,6 +4,7 @@ oracle, pull-back, perceived distributions, and structural invariants."""
 import json
 import math
 import random
+import sys
 import threading
 import tracemalloc
 from itertools import accumulate
@@ -290,6 +291,43 @@ def raised(call):
     return None
 
 
+REJECTED = [
+    ([[1.0, 2.0], [2.0, 1.0]], [0.5, 0.5], 2, "lower"),
+    ([[2.0, 1.0], [1.0, 2.0]], [0.5, 0.5], 2, "lower"),
+    ([[1.0, 2.0], [1.0, 1.0]], [0.5, 0.5], 2, "lower"),
+    ([[1.0, 2.0], [1.0, math.nan]], [0.5, 0.5], 2, "lower"),
+    ([[1.0, 2.0], [1.0, math.inf]], [0.5, 0.5], 2, "lower"),
+    ([[1.0], [math.nan]], [1.0], 2, "lower"),
+    ([[1.0], [-math.inf]], [1.0], 2, "upper"),
+    ([[1.0, 2.0]], [0.5, math.nan], 2, "lower"),
+    ([[1.0, 2.0]], [-0.5, 1.5], 2, "lower"),
+    ([[1.0, 2.0]], [0.5, 0.25], 2, "lower"),
+    ([[1.0, 2.0]], [1.0], 2, "lower"),
+    ([[]], [], 2, "lower"),
+    ([[1.0, 2.0]], [0.5, 0.5], 0, "lower"),
+    ([[1.0, 2.0]], [0.5, 0.5], 2.5, "upper"),
+    ([[1.0, 2.0]], [0.5, 0.5], True, "lower"),
+    ([[1.0, 2.0]], [0.5, 0.5], 2, "middle"),
+    # the order of the per-row calls: row 0's ladder (its levels, then
+    # the masses), the kind, the capacity, then each later row in turn
+    ([[2.0, 1.0]], [0.5, math.nan], 2, "lower"),
+    ([[1.0, 2.0]], [0.5, 0.75], 0, "lower"),
+    ([[math.nan, 1.0]], [0.5, 0.5], 2, "middle"),
+    ([[1.0, 2.0], [2.0, 1.0]], [0.5, 0.5], 2, "middle"),
+    ([[1.0, 2.0], [1.0, math.nan]], [0.5, 0.5], 0, "lower"),
+    ([[1.0, 2.0], [1.0, math.inf], [2.0, 1.0]], [0.5, 0.5], 2, "lower"),
+    ([[1.0, 2.0], [2.0, 1.0], [1.0, math.inf]], [0.5, 0.5], 2, "upper"),
+]
+REJECTED_IDS = [
+    "descending", "descending-first", "tied", "nan-level", "inf-level", "lone-nan",
+    "lone-minus-inf", "nan-mass", "negative-mass", "mass-sum", "misaligned", "empty",
+    "zero-capacity", "fractional-capacity", "bool-capacity", "bad-kind",
+    "first-row-before-masses", "masses-before-capacity", "first-row-before-kind",
+    "kind-before-later-row", "capacity-before-later-row", "finite-row-before-later",
+    "ascending-row-before-later",
+]
+
+
 class TestBoundValues:
     """``bound_values`` equals ``bound(ValueLadder(row, masses), n, kind).value``
     bit for bit in every fill branch, at 1 row, one block of rows and one
@@ -329,28 +367,7 @@ class TestBoundValues:
                 want = bound(ValueLadder(levels, masses), n, kind).value
                 assert bound_values([levels], masses, n, kind)[0].hex() == want.hex()
 
-    @pytest.mark.parametrize("rows, masses, n, kind", [
-        ([[1.0, 2.0], [2.0, 1.0]], [0.5, 0.5], 2, "lower"),
-        ([[2.0, 1.0], [1.0, 2.0]], [0.5, 0.5], 2, "lower"),
-        ([[1.0, 2.0], [1.0, 1.0]], [0.5, 0.5], 2, "lower"),
-        ([[1.0, 2.0], [1.0, math.nan]], [0.5, 0.5], 2, "lower"),
-        ([[1.0, 2.0], [1.0, math.inf]], [0.5, 0.5], 2, "lower"),
-        ([[1.0], [math.nan]], [1.0], 2, "lower"),
-        ([[1.0], [-math.inf]], [1.0], 2, "upper"),
-        ([[1.0, 2.0]], [0.5, math.nan], 2, "lower"),
-        ([[1.0, 2.0]], [-0.5, 1.5], 2, "lower"),
-        ([[1.0, 2.0]], [0.5, 0.25], 2, "lower"),
-        ([[1.0, 2.0]], [1.0], 2, "lower"),
-        ([[]], [], 2, "lower"),
-        ([[1.0, 2.0]], [0.5, 0.5], 0, "lower"),
-        ([[1.0, 2.0]], [0.5, 0.5], 2.5, "upper"),
-        ([[1.0, 2.0]], [0.5, 0.5], True, "lower"),
-        ([[1.0, 2.0]], [0.5, 0.5], 2, "middle"),
-    ], ids=[
-        "descending", "descending-first", "tied", "nan-level", "inf-level", "lone-nan",
-        "lone-minus-inf", "nan-mass", "negative-mass", "mass-sum", "misaligned", "empty",
-        "zero-capacity", "fractional-capacity", "bool-capacity", "bad-kind",
-    ])
+    @pytest.mark.parametrize("rows, masses, n, kind", REJECTED, ids=REJECTED_IDS)
     def test_rejects_what_bound_rejects(self, rows, masses, n, kind):
         want = raised(lambda: [bound(ValueLadder(row, masses), n, kind) for row in rows])
         assert want is not None
@@ -360,6 +377,119 @@ class TestBoundValues:
     def test_rows_must_form_a_matrix(self, rows):
         with pytest.raises(ValueError, match="levels must be an"):
             bound_values(rows, [0.5, 0.5], 2, "lower")
+
+    @pytest.mark.parametrize("rows, masses, n, kind", REJECTED, ids=REJECTED_IDS)
+    def test_rejects_what_bound_rejects_after_a_hit(self, monkeypatch, rows, masses, n, kind):
+        # the layouts of these masses, when they are valid, and of uniform
+        # masses of the same length are cached first, so the masses are not
+        # checked again when they are the cached ones
+        monkeypatch.setattr(engine, "_layouts", {})
+        length = len(rows[0])
+        uniform = [1 / length] * length if length else []
+        for warm in (masses, uniform):
+            raised(lambda: bound_values([np.arange(length, dtype=float)], warm, 2, "lower"))
+        for warm in (masses, uniform):
+            valid = raised(lambda: ValueLadder(range(length), warm)) is None
+            assert ((tuple(map(float, warm)), length) in engine._layouts) == valid
+        want = raised(lambda: [bound(ValueLadder(row, masses), n, kind) for row in rows])
+        assert want is not None
+        assert raised(lambda: bound_values(rows, masses, n, kind)) == want
+
+
+class TestMassLayoutCache:
+    """``bound_values`` builds the layout of one mass vector once and reads it
+    on later calls, with the values of ``bound`` bit for bit either way."""
+
+    @staticmethod
+    def check(rows, masses, n, kind):
+        got = bound_values(rows, masses, n, kind)
+        want = [bound(ValueLadder(row, masses), n, kind).value.hex() for row in rows.tolist()]
+        assert [v.hex() for v in got.tolist()] == want, (n, kind)
+
+    @pytest.mark.parametrize("length", [1, 2, 20, 40, 200])
+    def test_hits_and_misses_match_bound(self, monkeypatch, length):
+        monkeypatch.setattr(engine, "_layouts", {})
+        first, masses_a = batch_rows(length, "float", seed=length)
+        second, masses_b = batch_rows(length, "dyadic", seed=length + 1)
+        # the same masses again, then two mass vectors interleaved
+        calls = [(first, masses_a)] * 2 + [(second, masses_b), (first, masses_a)] * 2
+        for i, (rows, masses) in enumerate(calls):
+            for n, kind in ((1, "lower"), (2, "upper"), (3, "lower"), (8, "upper")):
+                self.check(rows, masses, n, kind)
+            assert len(engine._layouts) == len({tuple(m) for _, m in calls[: i + 1]})
+
+    @pytest.mark.parametrize("kind", ["lower", "upper"])
+    def test_masses_that_differ_in_a_zero_sign_share_a_layout(self, monkeypatch, kind):
+        monkeypatch.setattr(engine, "_layouts", {})
+        rows = np.array([[-2.0, -1.0, -0.0, 1.0, 3.0], [-1.0, -0.5, 0.0, 0.5, 1.0]])
+        for masses in ([0.0, 0.25, 0.25, 0.5, 0.0], [-0.0, 0.25, 0.25, 0.5, -0.0],
+                       [0.0, 0.25, 0.25, 0.5, -0.0]):
+            for n in (1, 2, 3, 5):
+                self.check(rows, masses, n, kind)
+        assert len(engine._layouts) == 1
+
+    def test_cached_arrays_are_read_only(self, monkeypatch):
+        monkeypatch.setattr(engine, "_layouts", {})
+        rows, masses = batch_rows(40, "float", seed=3)
+        bound_values(rows, masses, 3, "lower")
+        (layout,) = engine._layouts.values()
+        for array in layout:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
+    def test_cache_stays_within_its_byte_cap(self, monkeypatch):
+        # a layout at 511 levels exceeds the cap and is not kept; the others
+        # push the oldest out
+        monkeypatch.setattr(engine, "_layouts", {})
+        calls = [batch_rows(length, "float", seed=seed)
+                 for seed, length in enumerate([511, 300, 200, 511, 200, 40, 200, 300, 511])]
+        tracemalloc.start()
+        try:
+            for rows, masses in calls:
+                bound_values(rows[:1], masses, 3, "lower")
+                resident, _ = tracemalloc.get_traced_memory()
+                assert resident <= engine._LAYOUT_CACHE_BYTES
+        finally:
+            tracemalloc.stop()
+        assert sum(map(engine._layout_bytes, engine._layouts.values())) <= engine._LAYOUT_CACHE_BYTES
+        # the last 300-level layout took the room of the three kept before it
+        assert [len(layout[0]) for layout in engine._layouts.values()] == [300]
+
+    def test_threads_share_the_cache(self, monkeypatch):
+        # more threads than cores, each cycling through mass vectors whose
+        # layouts push each other out (two fit), with switches between few
+        # bytecodes
+        monkeypatch.setattr(engine, "_layouts", {})
+        calls = [batch_rows(20, "float", seed=seed) for seed in range(8)]
+        monkeypatch.setattr(engine, "_LAYOUT_CACHE_BYTES", 2 * 20 * (20 * 9 + 40))
+        want = [bound_values(rows[:2], masses, 3, "lower").tolist() for rows, masses in calls]
+        failures, done = [], []
+
+        def work(offset):
+            try:
+                for i in range(400):
+                    k = (i * (offset + 1) + offset) % len(calls)
+                    rows, masses = calls[k]
+                    if bound_values(rows[:2], masses, 3, "lower").tolist() != want[k]:
+                        failures.append((offset, i))
+                done.append(offset)
+            except Exception as err:  # any error: the test reports it
+                failures.append(repr(err))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert failures == [] and sorted(done) == [0, 1, 2, 3]
+        assert sum(map(engine._layout_bytes, engine._layouts.values())) <= engine._LAYOUT_CACHE_BYTES
 
 
 class TestBoundValuesMemory:

@@ -9,8 +9,8 @@ import pytest
 
 from coarse_bounds import preferences
 from coarse_bounds.acts import DiscreteAct, build_ladder
-from coarse_bounds.engine import brute_force_bound, top_block_starts
-from coarse_bounds.errors import BracketingError, PreconditionError
+from coarse_bounds.engine import bound, brute_force_bound, top_block_starts
+from coarse_bounds.errors import AlignmentError, BracketingError, ConvergenceError, PreconditionError
 from coarse_bounds.applications import insurance
 from coarse_bounds.applications.crra import CRRAUtility
 from coarse_bounds.applications.insurance import (
@@ -326,21 +326,18 @@ class TestPlanLayoutParity:
             assert got == outcome(lambda: per_state_value(contract, MODEL, U, n))
 
     @pytest.mark.parametrize("contract, model, gamma", [
-        (BASE, LossModel((-0.1, 0.2, 0.5), (0.3, 0.3, 0.4)), 2.0),
         (InsuranceContract(1.9, 0.3, 0.75, None, 2.0), MODEL, 2.0),
         (InsuranceContract(0.0, 0.3, 0.5, 0.0, 1e-200), MODEL, 3.0),
         # only the zero-mass top state's utility overflows
         (InsuranceContract(0.0, 1.0, 0.5, None, 1e-154),
          LossModel((0.0, 2e-155, 9.5e-155), (0.5, 0.5, 0.0)), 3.0),
-        (BASE, LossModel((0.1, 0.2, 0.3), (0.5, 0.5)), 2.0),
-        (BASE, LossModel((), (1.0,)), 2.0),
         # wealth less premium overflows to inf, whose utility is finite, and
         # the zero cap leaves one payment
         (InsuranceContract(-1.5e308, 0.3, 0.75, 0.0, 1.5e308), MODEL, 2.0),
         # pow is finite here, and its division by 1 - gamma is -inf
         (InsuranceContract(0.0, 0.3, 0.5, 0.0, 4.281544325815e-312), MODEL, 1.99),
-    ], ids=["negative-first-loss", "large-premium", "overflow", "zero-mass-overflow",
-            "misaligned-masses", "empty-grid", "infinite-wealth", "infinite-utility"])
+    ], ids=["large-premium", "overflow", "zero-mass-overflow", "infinite-wealth",
+            "infinite-utility"])
     def test_first_error(self, contract, model, gamma):
         u = CRRAUtility(gamma)
         got = outcome(lambda: plan_value(contract, model, u, 2))
@@ -428,6 +425,35 @@ class TestWtp:
         full = InsuranceContract(0.05, 0.3, 1.0, None, 2.0)
         with pytest.raises(ValueError, match="tol must be a positive finite number"):
             wtp(full, MODEL, U, 3, "lower_deductible", 0.1, tol=tol)
+
+
+    @pytest.mark.parametrize("wealth, gamma", [(1e12, 0.0), (1e12, 2.0), (1e300, 2.0)])
+    def test_bisection_that_cannot_narrow_raises(self, monkeypatch, wealth, gamma):
+        # premiums near 7e9 are spaced wider than tol, so the midpoint meets
+        # an end and the bisection used to stay on one bracket for ever; the
+        # valuations are counted, not timed
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            assert len(calls) <= 500, "wtp exceeded its step budget"
+            return bound(*args)
+
+        monkeypatch.setattr(insurance, "bound", counted)
+        scale = wealth / 10
+        model = LossModel.uniform(scale, 20).tilted(1.5 / scale)
+        contract = InsuranceContract(0.05 * scale, 0.3 * scale, 0.75, None, wealth)
+        with pytest.raises(ConvergenceError, match=r"bisection stalls at \[.*\], wider than 1e-08"):
+            wtp(contract, model, CRRAUtility(gamma), 3, "lower_deductible", 0.1 * scale)
+
+    @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e3, 1e7])
+    def test_terminating_bisections_are_unchanged(self, scale):
+        model = LossModel.uniform(scale, 20).tilted(1.5 / scale)
+        contract = InsuranceContract(0.05 * scale, 0.3 * scale, 0.75, 0.6 * scale, 2.0 * scale)
+        for n in (2, 3, 5):
+            for improvement in ("lower_deductible", "lower_cap"):
+                args = (contract, model, U, n, improvement, 0.1 * scale)
+                assert outcome(lambda: wtp(*args)) == outcome(lambda: per_state_wtp(*args))
 
 
 class TestDominatedPair:
@@ -566,6 +592,25 @@ class TestLossModel:
         with pytest.raises(ValueError) as err:
             LossModel(losses, [1 / len(losses)] * len(losses))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("losses, masses, error, message", [
+        ((-0.1, 0.2, 0.5), (0.3, 0.3, 0.4), ValueError, "loss grid must be non-negative"),
+        ((0.1, 0.2, 0.3), (0.5, 0.5), AlignmentError,
+         "loss masses must match the loss grid: 2 masses vs 3 losses"),
+        ((), (1.0,), ValueError, "loss grid must not be empty"),
+        ((), (), ValueError, "loss grid must not be empty"),
+        ((0.1, 0.2), (0.5, 0.25, 0.25), AlignmentError,
+         "loss masses must match the loss grid: 3 masses vs 2 losses"),
+    ], ids=["negative-first-loss", "misaligned-masses", "empty-grid", "empty-grid-and-masses",
+            "extra-mass"])
+    def test_rejected_at_construction(self, losses, masses, error, message):
+        # the grids that valuation used to reject later, state by state
+        with pytest.raises(error) as err:
+            LossModel(losses, masses)
+        assert str(err.value) == message
+
+    def test_zero_loss_accepted(self):
+        assert LossModel((-0.0, 0.5), (0.5, 0.5)).losses == (-0.0, 0.5)
 
     @pytest.mark.parametrize("max_loss", [float("nan"), float("inf"), 0.0, -1.0])
     def test_bad_max_loss_rejected(self, max_loss):

@@ -658,6 +658,55 @@ class TestSpeculativeSearches:
             assert outcome(solve, failing) == outcome(reference, failing), wealth
 
 
+class StepBudgetExceeded(Exception):
+    pass
+
+
+def within_budget(call, budget):
+    """``call`` that raises ``StepBudgetExceeded`` from its call past ``budget``."""
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        if count[0] > budget:
+            raise StepBudgetExceeded(f"more than {budget} calls")
+        return call(*args)
+
+    return counted
+
+
+class TestSearchesTerminate:
+    """A golden-section bracket with large ends can stay wider than its
+    tolerance for ever; the search then raises ``ConvergenceError`` naming
+    the bracket, and it does so only where the one-point walk cycles. The
+    steps are counted by wrapping the objective, not timed."""
+
+    def test_walk_that_cannot_narrow_raises(self):
+        obj = lambda p: -((p - 4.95e7) ** 2)
+        with pytest.raises(StepBudgetExceeded):
+            sequential_golden_max(within_budget(obj, 10_000), 0.0, 1e8, 1e-9)
+        with pytest.raises(ConvergenceError, match=r"on \[0\.0, 100000000\.0\] cycles at the bracket \["):
+            portfolio._golden_max(batched(within_budget(obj, 1000)), 0.0, 1e8, 1e-9)
+
+    @pytest.mark.parametrize("endowment", [1e8, 1e300])
+    def test_savings_at_a_large_endowment_raises(self, monkeypatch, endowment):
+        monkeypatch.setattr(portfolio, "bound_values", within_budget(portfolio.bound_values, 500))
+        prob = replace(make_problem(gamma=2.0, capacity=3), endowment=endowment)
+        with pytest.raises(ConvergenceError, match="cycles at the bracket"):
+            solve_savings(prob)
+
+    def test_terminating_walks_are_unchanged(self):
+        # brackets up to 1e7 wide, where the walk narrows to the tolerance
+        rng = np.random.default_rng(8)
+        for case in range(40):
+            hi = float(10.0 ** rng.uniform(-3.0, 7.0))
+            peak = float(rng.uniform(0.0, hi))
+            obj = lambda p: -abs(p - peak)
+            fast = portfolio._golden_max(batched(obj), 0.0, hi, 1e-9)
+            slow = sequential_golden_max(within_budget(obj, 10_000), 0.0, hi, 1e-9)
+            assert repr(fast) == repr(slow), (case, hi, peak)
+
+
 class TestSavings:
     def test_zero_discount_zero_savings(self):
         prob = make_problem(gamma=2.0)
