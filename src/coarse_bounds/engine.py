@@ -102,10 +102,10 @@ _MONOTONE_DP_THRESHOLD = 512
 # ways per depth.
 _SPLIT_WAYS = 4
 
-# bound_values fills its rows in blocks of this many bytes over 16 L (L - 1),
-# about the rows whose cells and candidates together take this many bytes,
-# and the dense fill its block starts in row blocks whose cells and
-# candidates together stay within it.
+# bound_values fills its rows in blocks of this many bytes // (16 L (L - 1))
+# rows, about as many as keep their cells and candidates within it, and the
+# dense fill its block starts in row blocks whose cells and candidates
+# together stay within it.
 _BATCH_BYTES = 1 << 18
 
 # bound_values keeps the layouts of recent mass vectors (_mass_layout), at
@@ -694,17 +694,16 @@ def bound_values(levels, masses, n, kind: str) -> np.ndarray:
     if length >= _MONOTONE_DP_THRESHOLD:
         return np.array([bound(ValueLadder(row, masses), n, kind).value for row in rows])
     ends, widths, missing = layout or _mass_layout(key)
+    n_blocks = min(n, length)
+    if n_blocks == 1:
+        return widths[-1, 0] * rows[:, -1 if upper else 0]
     after = ends + 1
     reduce = np.minimum.reduce if upper else np.maximum.reduce
-    n_blocks = min(n, length)
     cols = length if n_blocks > 2 else 1
     step = max(1, _BATCH_BYTES // (16 * length * max(1, length - 1)))
     out = np.empty(len(rows))
     for start in range(0, len(rows), step):
         lvl = rows[start : start + step]
-        if n_blocks == 1:
-            out[start : start + step] = widths[-1, 0] * lvl[:, -1 if upper else 0]
-            continue
         # the layer below, with the close's -0.0 last, and each slab's levels
         value = np.empty((len(lvl), length + 1))
         value[:, -1] = -0.0
