@@ -108,9 +108,10 @@ _SPLIT_WAYS = 4
 # together stay within it.
 _BATCH_BYTES = 1 << 18
 
-# bound_values keeps the layouts of recent mass vectors (_mass_layout), at
-# most this many bytes of them in all; threads read the cache freely and
-# change it under the lock.
+# bound_values keeps the layouts of the last few mass vectors (_mass_layout),
+# at most this many and this many bytes of them in all; threads read the
+# cache freely and change it under the lock.
+_LAYOUT_CACHE_SIZE = 8
 _LAYOUT_CACHE_BYTES = 1 << 20
 _layouts: dict = {}
 _layouts_lock = threading.Lock()
@@ -622,19 +623,22 @@ def _mass_layout(key: tuple):
     j]`` is ``pre[ends[k] + 1] - pre[j]``, the mass of the block [j..ends[k]],
     and ``missing[k, j]`` marks the blocks that end before they start. The
     layout is kept in ``_layouts`` for later calls, and the oldest layouts
-    are dropped to keep them within ``_LAYOUT_CACHE_BYTES``; a larger layout
-    is not kept.
+    are dropped to keep at most ``_LAYOUT_CACHE_SIZE`` of them, within
+    ``_LAYOUT_CACHE_BYTES``; a larger layout is not kept.
     """
     masses, length = key
     pre = np.array(_prefix_masses(masses))
-    ends = np.append(np.arange(length - 2, -1, -1), length - 1)
+    ends = np.arange(length - 2, -2, -1)
+    ends[-1] = length - 1
     layout = ends, pre[ends + 1, None] - pre[None, :-1], np.arange(length) > ends[:, None]
     for a in layout:
         a.flags.writeable = False
     size = _layout_bytes(layout)
     if size <= _LAYOUT_CACHE_BYTES:
         with _layouts_lock:
-            while sum(map(_layout_bytes, _layouts.values())) + size > _LAYOUT_CACHE_BYTES:
+            while len(_layouts) >= _LAYOUT_CACHE_SIZE or (
+                sum(map(_layout_bytes, _layouts.values())) + size > _LAYOUT_CACHE_BYTES
+            ):
                 del _layouts[next(iter(_layouts))]
             _layouts[key] = layout
     return layout
@@ -676,6 +680,7 @@ def bound_values(levels, masses, n, kind: str) -> np.ndarray:
     rows = np.asarray(levels, dtype=float)
     if rows.ndim != 2 or not len(rows):
         raise ValueError(f"levels must be an (M, L) array with M >= 1, got shape {rows.shape}")
+    rows = np.ascontiguousarray(rows)  # each row's levels adjacent, as the fill reads them
     length = rows.shape[1]
     key = tuple(map(float, masses)), length
     layout = _layouts.get(key)

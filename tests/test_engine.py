@@ -456,6 +456,14 @@ class TestMassLayoutCache:
         # the last 300-level layout took the room of the three kept before it
         assert [len(layout[0]) for layout in engine._layouts.values()] == [300]
 
+    def test_cache_keeps_the_last_few_mass_vectors(self, monkeypatch):
+        monkeypatch.setattr(engine, "_layouts", {})
+        calls = [batch_rows(5, "float", seed=seed) for seed in range(engine._LAYOUT_CACHE_SIZE + 3)]
+        for rows, masses in calls:
+            bound_values(rows, masses, 2, "lower")
+        kept = [(tuple(masses), 5) for _, masses in calls[3:]]
+        assert list(engine._layouts) == kept
+
     def test_threads_share_the_cache(self, monkeypatch):
         # more threads than cores, each cycling through mass vectors whose
         # layouts push each other out (two fit), with switches between few
