@@ -13,12 +13,11 @@ no-cutoff-at-the-kink property of optimal partitions.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..acts import Belief, DiscreteAct, ValueLadder, build_ladder
+from ..acts import Belief, DiscreteAct, ValueLadder
 from ..engine import attitude_kind, blocks_from_cuts, bound, optimum_set, top_block_starts
 from ..errors import AlignmentError, BracketingError, ConvergenceError, PreconditionError
 
@@ -44,6 +43,11 @@ class InsuranceContract:
             raise ValueError("coverage rate must lie in [0, 1]")
         if self.cap is not None and not self.cap >= 0:
             raise ValueError("out-of-pocket cap must be non-negative")
+        # the terms as Python floats, so that numpy adds them as Python does
+        for name in ("premium", "deductible", "coverage", "cap", "wealth"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -54,9 +58,10 @@ class LossModel:
     losses: tuple
     masses: tuple
     belief: Belief = field(init=False, repr=False, compare=False)
-    # the losses and masses as arrays
+    # the losses and masses as arrays, and which states have positive mass
     _losses: np.ndarray = field(init=False, repr=False, compare=False)
     _masses: np.ndarray = field(init=False, repr=False, compare=False)
+    _live: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, losses, masses):
         losses = tuple(float(x) for x in losses)
@@ -80,6 +85,7 @@ class LossModel:
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "_losses", np.array(losses))
         object.__setattr__(self, "_masses", np.array(masses))
+        object.__setattr__(self, "_live", self._masses > 0.0)
 
     def __len__(self):
         return len(self.losses)
@@ -152,85 +158,66 @@ def utility_act(contract: InsuranceContract, model: LossModel, utility) -> Discr
     return DiscreteAct(wealth.state_ids, utility.apply(wealth.values))
 
 
-def _exact_term(term) -> bool:
-    """A float, or an int whose sums with the other terms are exact floats,
-    so that numpy's float64 arithmetic is Python's."""
-    return type(term) is float or type(term) is int and abs(term) <= 2**51
+def _firsts(values):
+    """Whether each element of ``values`` differs from the one before it."""
+    firsts = np.empty(len(values), dtype=bool)
+    firsts[0] = True
+    np.not_equal(values[1:], values[:-1], out=firsts[1:])
+    return firsts
 
 
 def _payment_runs(contract: InsuranceContract, model: LossModel):
     """The plan's states grouped into runs of equal payment, in state order:
-    ``(pays, lengths, live, masses)``, each run's payment and number of
-    states, which runs hold positive mass, and their masses in reverse state
-    order, each summed in state order as ``build_ladder`` sums it.
+    ``(pays, live, run_of, masses)``, each run's payment, the runs that hold
+    positive mass, and each positive-mass state's run and mass.
 
-    The payments are ``consumer_payment``'s IEEE operations, so they are
-    non-decreasing in the loss, and a premium leaves them and the runs as
-    they are. None for a term that numpy would not add as Python does (a
-    float32, or an int beyond 2**51): the per-state path values those
-    plans, and raises their errors.
+    The payments are ``consumer_payment``'s IEEE operations on the float
+    terms, so they are non-decreasing in the loss, and a premium leaves them
+    and the runs as they are.
     """
-    x, masses = model._losses, model._masses
-    terms = (contract.wealth, contract.deductible, contract.coverage, contract.cap)
-    if not all(_exact_term(t) for t in terms if t is not None):
-        return None
-    d, c = float(contract.deductible), float(contract.coverage)
+    x = model._losses
+    d, c = contract.deductible, contract.coverage
     with np.errstate(over="ignore", invalid="ignore"):  # in the branch np.where drops
         pays = np.where(x <= d, x, d + (1.0 - c) * (x - d))
     if contract.cap is not None:
         # min(pay, cap) keeps pay on a tie, and so the sign of a zero pay
-        pays = np.where(float(contract.cap) < pays, float(contract.cap), pays)
-    starts = np.flatnonzero(np.append(True, pays[1:] != pays[:-1]))
-    lengths = np.diff(np.append(starts, len(x)))
-    # bincount adds each run's masses from 0.0 in state order, as the dict of
-    # build_ladder does; zero masses add nothing
-    run_masses = np.bincount(np.repeat(np.arange(len(starts)), lengths), weights=masses)
-    live = run_masses > 0.0
-    return pays[starts], lengths, live, run_masses[live][::-1].tolist()
+        pays = np.where(contract.cap < pays, contract.cap, pays)
+    starts = _firsts(pays)
+    run_of = (np.cumsum(starts) - 1)[model._live]
+    return pays[starts], run_of[_firsts(run_of)], run_of, model._masses[model._live]
 
 
-def _runs_ladder(contract: InsuranceContract, utility, runs):
-    """``_plan_ladder`` from the payment runs, or None unless every state's
-    wealth is positive and finite, the utility of each run's wealth is
-    finite, and the positive-mass runs' utilities are strictly ascending in
-    reverse state order. Then no per-state step raises and no two runs share
-    a level, so the levels are those utilities and the masses the runs'."""
-    pays, lengths, live, masses = runs
-    if not _exact_term(contract.premium):
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        wealth = (float(contract.wealth) - float(contract.premium)) - pays
-    if not ((wealth > 0.0) & (wealth < np.inf)).all():
-        return None
-    try:
-        utils = np.array(utility.apply(wealth.tolist()), dtype=float)
-    except (ArithmeticError, ValueError):
-        return None
-    levels = utils[live][::-1]
-    if not (np.isfinite(utils).all() and (levels[:-1] < levels[1:]).all()):
-        return None
-    return ValueLadder(levels.tolist(), masses), np.repeat(utils, lengths)
+def _plan_ladder(contract: InsuranceContract, model: LossModel, utility, runs):
+    """``(ladder, level_of)``: the ladder of ``utility_act(contract, model,
+    utility)`` under the model's belief, bit for bit, and the index of each
+    positive-mass state's level in it, from the plan's payment runs ``runs``
+    (:func:`_payment_runs`).
 
-
-def _plan_ladder(contract: InsuranceContract, model: LossModel, utility, runs=None):
-    """``(ladder, values)``: the ladder of ``utility_act(contract, model,
-    utility)`` under the model's belief, and the act's values, bit for bit.
-    They come from the plan's payment runs (``runs``, or
-    :func:`_payment_runs` when None) where :func:`_runs_ladder` can value
-    them, and otherwise from the act itself, so every error is the
-    per-state path's."""
-    runs = runs or _payment_runs(contract, model)
-    found = _runs_ladder(contract, utility, runs) if runs else None
-    if found is not None:
-        return found
-    act = utility_act(contract, model, utility)
-    return build_ladder(act, model.belief), act.values
+    The utility is applied to each run's wealth ``(w - p) - pay`` in state
+    order, so a non-positive wealth or an overflow raises the per-state
+    path's first error, and where a wealth or a utility is not finite,
+    ``utility_act`` raises its own. The levels are the distinct utilities
+    of the positive-mass states. Each level's mass is summed from 0.0 in
+    state order by ``np.bincount``, the sum ``build_ladder`` forms, so two
+    runs whose utilities round to one value share a level.
+    """
+    pays, live, run_of, masses = runs
+    with np.errstate(over="ignore"):
+        wealth = (contract.wealth - contract.premium) - pays
+    utils = np.array(utility.apply(wealth.tolist())) if np.isfinite(wealth).all() else wealth
+    if not np.isfinite(utils).all():
+        # plan_act's act rejects a non-finite wealth, and utility_act's a utility
+        utility_act(contract, model, utility)
+    levels = np.sort(utils[live])
+    levels = levels[_firsts(levels)]
+    level_of = np.searchsorted(levels, utils)[run_of]
+    return ValueLadder(levels.tolist(), np.bincount(level_of, weights=masses).tolist()), level_of
 
 
 def plan_value(contract: InsuranceContract, model: LossModel, utility, n: int,
                attitude: str = "cautious") -> float:
     """Perceived plan value: the capacity-``n`` bound of utility of wealth."""
-    ladder, _ = _plan_ladder(contract, model, utility)
+    ladder, _ = _plan_ladder(contract, model, utility, _payment_runs(contract, model))
     return bound(ladder, n, attitude_kind(attitude)).value
 
 
@@ -238,10 +225,13 @@ def sensitivity(contract: InsuranceContract, model: LossModel, utility, n: int,
                 parameter: str, h: float, side: str = "central") -> float:
     """Finite-difference derivative of the cautious plan value in one parameter.
 
-    ``side="central"`` requires the parameter to be interior at step ``h``;
-    ``side="backward"`` serves the upper boundary (full coverage).
-    ``parameter`` is ``"deductible"``, ``"coverage"`` or ``"cap"``.
+    ``side="central"`` requires the parameter to be interior at step ``h``,
+    a positive finite number; ``side="backward"`` serves the upper boundary
+    (full coverage). ``parameter`` is ``"deductible"``, ``"coverage"`` or
+    ``"cap"``.
     """
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"h must be a positive finite number, got {h!r}")
     if parameter not in ("deductible", "coverage", "cap"):
         raise ValueError(f"unknown parameter {parameter!r}")
     x0 = getattr(contract, parameter)
@@ -315,14 +305,13 @@ def wtp(contract: InsuranceContract, model: LossModel, utility, n: int,
     return 0.5 * (lo + hi)
 
 
-def _losses_by_level(values, ladder, model: LossModel) -> list:
-    """The positive-mass losses at each level of the ladder of the act with
-    ``values``."""
-    losses_at: dict = {}
-    for x, v, m in zip(model.losses, values, model.masses):
-        if m > 0:
-            losses_at.setdefault(v, []).append(x)
-    return [losses_at[lv] for lv in ladder.levels]
+def _losses_by_level(level_of, ladder, model: LossModel) -> list:
+    """The positive-mass losses at each level of ``ladder``, given each
+    positive-mass state's level index ``level_of``."""
+    losses_at = [[] for _ in ladder.levels]
+    for x, j in zip(model._losses[model._live].tolist(), level_of.tolist()):
+        losses_at[j].append(x)
+    return losses_at
 
 
 def loss_block_cutoffs(losses_by_level: list, cuts) -> tuple:
@@ -338,9 +327,9 @@ def loss_block_cutoffs(losses_by_level: list, cuts) -> tuple:
 
 def plan_cutoffs(contract: InsuranceContract, model: LossModel, utility, n: int) -> tuple:
     """Loss-space cutoffs of the canonical optimal lower bound."""
-    ladder, values = _plan_ladder(contract, model, utility)
+    ladder, level_of = _plan_ladder(contract, model, utility, _payment_runs(contract, model))
     res = bound(ladder, n, "lower")
-    return loss_block_cutoffs(_losses_by_level(values, ladder, model), res.cutoffs.cuts)
+    return loss_block_cutoffs(_losses_by_level(level_of, ladder, model), res.cutoffs.cuts)
 
 
 @dataclass(frozen=True)
@@ -374,35 +363,34 @@ def dominated_pair(base: InsuranceContract, target_deductible: float,
     bump = base.coverage * (d_hi - target_deductible)
     low = replace(base, deductible=target_deductible, premium=base.premium + bump)
     # the base plan's ladder serves its value and its optimal partitions
-    ladder, values = _plan_ladder(base, model, utility)
+    ladder, level_of = _plan_ladder(base, model, utility, _payment_runs(base, model))
     v_hi = bound(ladder, n, "lower").value
     v_lo = plan_value(low, model, utility, n, "cautious")
     return DominatedPairResult(
         low_contract=low,
         indifferent=abs(v_hi - v_lo) <= tol,
         lowest_cutoff_ok=_exists_selection_first_block_reaching(
-            ladder, values, model, n, d_hi
+            ladder, level_of, model, n, d_hi
         ),
         value_high=v_hi,
         value_low=v_lo,
     )
 
 
-def _exists_selection_first_block_reaching(ladder, values, model, n, loss_mark) -> bool:
-    """True iff some optimal lower-bound partition of the ladder of the act
-    with ``values`` puts every loss below ``loss_mark`` into its first loss
-    block (lowest cutoff >= loss_mark)."""
+def _exists_selection_first_block_reaching(ladder, level_of, model, n, loss_mark) -> bool:
+    """True iff some optimal lower-bound partition of ``ladder``, whose
+    positive-mass states have the level indices ``level_of``, puts every
+    loss below ``loss_mark`` into its first loss block (lowest cutoff >=
+    loss_mark)."""
     if min(n, len(ladder)) == 1:
         return True
     # the first loss block is the top ladder block; its lowest loss cutoff
     # reaches loss_mark iff it starts at or below the level of the first
     # positive-mass loss at or beyond loss_mark
-    i = bisect_left(model.losses, loss_mark)
-    while i < len(model.losses) and model.masses[i] == 0.0:
-        i += 1
-    if i >= len(model.losses):
+    i = np.searchsorted(model._losses[model._live], loss_mark)
+    if i == len(level_of):
         return False
-    j0 = ladder.levels.index(values[i])
+    j0 = level_of[i]
     return any(1 <= s <= j0 for s in top_block_starts(ladder, n, "lower"))
 
 
@@ -427,8 +415,8 @@ def kink_avoidance(contract: InsuranceContract, model: LossModel, utility, n: in
     """
     if not has_kink(contract):
         return True
-    ladder, values = _plan_ladder(contract, model, utility)
-    by_level = _losses_by_level(values, ladder, model)
+    ladder, level_of = _plan_ladder(contract, model, utility, _payment_runs(contract, model))
+    by_level = _losses_by_level(level_of, ladder, model)
     d = contract.deductible
     kink_point = min(model.losses, key=lambda x: abs(x - d))
     return not any(

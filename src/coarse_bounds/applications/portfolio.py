@@ -19,8 +19,8 @@ from .. import preferences
 from ..acts import Belief, DiscreteAct
 from ..engine import attitude_kind, bound_values
 from ..errors import (
-    AlignmentError, ConvergenceError, DegenerateBeliefError, NonPositiveWealthError,
-    PreconditionError,
+    AlignmentError, ConvergenceError, DegenerateBeliefError, InvalidCapacityError,
+    NonPositiveWealthError, PreconditionError,
 )
 from .crra import CRRAUtility
 
@@ -64,10 +64,12 @@ class PortfolioProblem:
     capacity: int
     attitude: str = "cautious"
     belief: Belief = field(init=False, repr=False, compare=False)
-    # the returns as an array, and which states have positive mass and their masses
+    # the returns as an array, which states have positive mass and their
+    # masses, and the bound kind of the attitude
     _returns: np.ndarray = field(init=False, repr=False, compare=False)
     _live: np.ndarray = field(init=False, repr=False, compare=False)
     _masses: tuple = field(init=False, repr=False, compare=False)
+    _kind: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         returns = tuple(float(r) for r in self.risky_returns)
@@ -97,6 +99,10 @@ class PortfolioProblem:
             raise ValueError(f"beta must be non-negative and finite, got {self.beta!r}")
         if not 0 < self.endowment < math.inf:
             raise ValueError(f"endowment must be positive and finite, got {self.endowment!r}")
+        n = self.capacity
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+            raise InvalidCapacityError(f"capacity must be a positive integer, got {n!r}")
+        object.__setattr__(self, "_kind", attitude_kind(self.attitude))
         object.__setattr__(self, "_returns", np.array(returns))
         object.__setattr__(self, "_live", np.array(belief.masses) > 0.0)
         object.__setattr__(self, "_masses", tuple(m for m in belief.masses if m > 0.0))
@@ -229,8 +235,7 @@ def _dominated_blocks(problem: PortfolioProblem, x: float, shares, best: float, 
     ok &= np.isfinite(_utilities(problem, floor[blocks].tolist())).all(axis=1)
     if not ok.any():
         return skip
-    kind = attitude_kind(problem.attitude)
-    bounds = bound_values(levels[ok], problem._masses, problem.capacity, kind)
+    bounds = bound_values(levels[ok], problem._masses, problem.capacity, problem._kind)
     if np.isfinite(bounds).all():
         skip[blocks[ok]] = bounds < best - 1e-12 * max(1.0, abs(best))
     return skip
@@ -294,8 +299,8 @@ def _perceived_values(problem: PortfolioProblem, safe, rate, risky) -> list:
         for batched, run in groupby(ok.tolist()):
             start, stop = stop, stop + len(list(run))
             if batched:
-                kind = attitude_kind(problem.attitude)
-                batch = bound_values(levels[start:stop], problem._masses, problem.capacity, kind)
+                batch = bound_values(levels[start:stop], problem._masses, problem.capacity,
+                                     problem._kind)
                 vals += batch.tolist()
             else:
                 vals += [_wealth_value(problem, row) for row in listed[start:stop]]

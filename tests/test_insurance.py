@@ -1,6 +1,7 @@
 """Insurance tests: payment schedule, plan acts and values, over-reaction,
 capacity monotonicity, willingness to pay, dominated pairs, kink avoidance."""
 
+import re
 from bisect import bisect_left
 from dataclasses import replace
 
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 from coarse_bounds import preferences
-from coarse_bounds.acts import DiscreteAct, build_ladder
-from coarse_bounds.engine import bound, brute_force_bound, top_block_starts
+from coarse_bounds.acts import DiscreteAct, ValueLadder, build_ladder
+from coarse_bounds.engine import bound, brute_force_bound, optimum_set, top_block_starts
 from coarse_bounds.errors import AlignmentError, BracketingError, ConvergenceError, PreconditionError
 from coarse_bounds.applications import insurance
 from coarse_bounds.applications.crra import CRRAUtility
@@ -20,6 +21,7 @@ from coarse_bounds.applications.insurance import (
     dominated_pair,
     has_kink,
     kink_avoidance,
+    loss_block_cutoffs,
     plan_act,
     plan_cutoffs,
     plan_value,
@@ -225,6 +227,35 @@ def per_state_lowest_cutoff_ok(base, model, utility, n):
     return any(1 <= s <= j0 for s in top_block_starts(ladder, n, "lower"))
 
 
+def per_state_losses_by_level(act, ladder, model):
+    """Reference: the positive-mass losses at each level, grouped by value."""
+    losses_at = {}
+    for x, v, m in zip(model.losses, act.values, model.masses):
+        if m > 0:
+            losses_at.setdefault(v, []).append(x)
+    return [losses_at[lv] for lv in ladder.levels]
+
+
+def per_state_cutoffs(contract, model, utility, n):
+    """Reference: ``plan_cutoffs`` over the per-state ladder."""
+    act = per_state_utility_act(contract, model, utility)
+    ladder = build_ladder(act, model.belief)
+    cuts = bound(ladder, n, "lower").cutoffs.cuts
+    return loss_block_cutoffs(per_state_losses_by_level(act, ladder, model), cuts)
+
+
+def per_state_kink_avoidance(contract, model, utility, n):
+    """Reference: ``kink_avoidance`` over the per-state ladder."""
+    if not has_kink(contract):
+        return True
+    act = per_state_utility_act(contract, model, utility)
+    ladder = build_ladder(act, model.belief)
+    by_level = per_state_losses_by_level(act, ladder, model)
+    kink_point = min(model.losses, key=lambda x: abs(x - contract.deductible))
+    return not any(kink_point in loss_block_cutoffs(by_level, cuts)
+                   for cuts in optimum_set(ladder, n, "lower"))
+
+
 def outcome(call):
     """A float result by ``float.hex``, another result as it is, or the type
     and message of the error raised."""
@@ -236,15 +267,20 @@ def outcome(call):
 
 
 def random_plan(rng):
-    """A plan on 5-299 losses, a third of the grids starting at loss 0, tilted
-    by -2 to 3, a quarter with zero-mass states. The cap is absent, 0.0,
-    -0.0 or inside the grid, and a quarter of the plans cover fully."""
+    """A plan on 5-299 losses, a third of the grids starting at loss 0, a
+    third holding losses an ulp above their neighbour, so that runs of
+    payment merge into one level of utility, tilted by -2 to 3, a quarter
+    with zero-mass states. The cap is absent, 0.0, -0.0 or inside the grid,
+    and a quarter of the plans cover fully."""
     size = int(rng.integers(5, 300))
     top = float(rng.uniform(0.5, 2.0))
     if rng.random() < 1 / 3:
         losses = np.linspace(0.0, top, size)
     else:
         losses = (np.arange(size) + 0.5) * (top / size)
+    if rng.random() < 1 / 3:
+        pairs = np.flatnonzero(rng.random(size - 1) < 0.3)
+        losses[pairs + 1] = np.nextafter(losses[pairs], np.inf)
     weights = np.exp(rng.uniform(-2.0, 3.0) * losses)
     if rng.random() < 0.25:
         weights = weights * (rng.random(size) > 0.3)
@@ -265,17 +301,28 @@ class TestPlanLayoutParity:
 
     def test_plan_values(self):
         rng = np.random.default_rng(41)
-        from_runs = 0
+        merged = 0
         for case in range(40):
             contract, model, u = random_plan(rng)
             runs = insurance._payment_runs(contract, model)
-            from_runs += insurance._runs_ladder(contract, u, runs) is not None
+            ladder = outcome(lambda: insurance._plan_ladder(contract, model, u, runs)[0])
+            merged += isinstance(ladder, ValueLadder) and len(ladder) < len(runs[1])
             for n in range(1, 9):
                 for attitude in ("cautious", "reckless"):
                     got = outcome(lambda: plan_value(contract, model, u, n, attitude))
                     ref = outcome(lambda: per_state_value(contract, model, u, n, attitude))
                     assert got == ref, (case, contract, n, attitude)
-        assert from_runs >= 30  # the parity is not the fallback's
+        assert merged >= 3  # some plans have runs that share a level
+
+    def test_cutoffs_and_kink_avoidance(self):
+        rng = np.random.default_rng(44)
+        for case in range(40):
+            contract, model, u = random_plan(rng)
+            n = int(rng.integers(1, 9))
+            for call, ref in ((plan_cutoffs, per_state_cutoffs),
+                              (kink_avoidance, per_state_kink_avoidance)):
+                got = outcome(lambda: call(contract, model, u, n))
+                assert got == outcome(lambda: ref(contract, model, u, n)), (case, call)
 
     def test_wtp(self):
         rng = np.random.default_rng(42)
@@ -316,14 +363,20 @@ class TestPlanLayoutParity:
                 assert got.hex() == per_state_value(contract, model, U, n, attitude).hex()
 
     @pytest.mark.parametrize("terms", [
-        (0, 0, 0, 1, 2), (0.05, 0.3, 0.75, None, 2**60), (0.05, 0.3, 0.75, None, np.float32(2.0)),
+        (0, 0, 0, 1, 2), (0.05, 0.3, 0.75, None, 2**60 + 1),
+        (0.05, 0.3, 0.75, None, np.float32(2.1)),
     ], ids=["ints", "huge-int", "float32"])
     def test_terms_that_are_not_floats(self, terms):
-        # Python adds a float32 in float32, and an int beyond 2**53 exactly
+        # the terms are stored as floats, so the plan is the all-float plan
         contract = InsuranceContract(*terms)
+        floats = InsuranceContract(*(None if t is None else float(t) for t in terms))
+        stored = (contract.premium, contract.deductible, contract.coverage, contract.cap,
+                  contract.wealth)
+        assert all(type(t) is float for t in stored if t is not None)
+        assert repr(contract) == repr(floats)
         for n in (1, 3):
             got = outcome(lambda: plan_value(contract, MODEL, U, n))
-            assert got == outcome(lambda: per_state_value(contract, MODEL, U, n))
+            assert got == outcome(lambda: per_state_value(floats, MODEL, U, n))
 
     @pytest.mark.parametrize("contract, model, gamma", [
         (InsuranceContract(1.9, 0.3, 0.75, None, 2.0), MODEL, 2.0),
@@ -386,6 +439,13 @@ class TestSensitivity:
     def test_absent_cap_rejected(self):
         with pytest.raises(PreconditionError):
             sensitivity(BASE, MODEL, U, 3, "cap", 0.01)
+
+    @pytest.mark.parametrize("side", ["central", "backward"])
+    @pytest.mark.parametrize("h", [0.0, -0.01, float("nan"), float("inf")])
+    def test_step_must_be_positive_finite(self, h, side):
+        message = f"^h must be a positive finite number, got {re.escape(repr(h))}$"
+        with pytest.raises(ValueError, match=message):
+            sensitivity(BASE, MODEL, U, 3, "deductible", h, side=side)
 
     def test_cap_sensitivity(self):
         capped = InsuranceContract(0.05, 0.3, 0.7, 0.4, 2.0)

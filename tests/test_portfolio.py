@@ -2,12 +2,15 @@
 capacity-limited versus unconstrained agents."""
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
 
-from coarse_bounds.errors import AlignmentError, ConvergenceError, PreconditionError
+from coarse_bounds.errors import (
+    AlignmentError, ConvergenceError, InvalidCapacityError, PreconditionError,
+)
 from coarse_bounds.applications import portfolio
 from coarse_bounds.applications.crra import CRRAUtility
 from coarse_bounds.applications.portfolio import (
@@ -159,6 +162,25 @@ class TestProblemValidation:
     def test_masses_validated(self):
         with pytest.raises(ValueError):
             PortfolioProblem(1.0, 1.0, (0.8, 1.2), (0.6, 0.6), 0.9, CRRAUtility(2.0), 2)
+
+    @pytest.mark.parametrize("capacity", [0, -1, 2.5, 3.0, True, None, "3"])
+    def test_bad_capacity_rejected_at_construction(self, capacity):
+        message = f"^capacity must be a positive integer, got {re.escape(repr(capacity))}$"
+        with pytest.raises(InvalidCapacityError, match=message):
+            make_problem(capacity=capacity)
+        with pytest.raises(InvalidCapacityError, match=message):
+            replace(make_problem(), capacity=capacity)
+
+    @pytest.mark.parametrize("attitude", ["bogus", "lower", None, 1])
+    def test_bad_attitude_rejected_at_construction(self, attitude):
+        message = f"^attitude must be 'cautious' or 'reckless', got {re.escape(repr(attitude))}$"
+        with pytest.raises(ValueError, match=message):
+            make_problem(attitude=attitude)
+        with pytest.raises(ValueError, match=message):
+            replace(make_problem(), attitude=attitude)
+
+    def test_numpy_capacity_accepted(self):
+        assert make_problem(capacity=np.int64(3)).capacity == 3
 
 
 class TestAllocation:
