@@ -228,7 +228,8 @@ def sensitivity(contract: InsuranceContract, model: LossModel, utility, n: int,
     ``side="central"`` requires the parameter to be interior at step ``h``,
     a positive finite number; ``side="backward"`` serves the upper boundary
     (full coverage). ``parameter`` is ``"deductible"``, ``"coverage"`` or
-    ``"cap"``.
+    ``"cap"``. A shifted contract that the terms' checks reject raises
+    :class:`PreconditionError`; an error in valuing one propagates.
     """
     if not 0.0 < h < np.inf:
         raise ValueError(f"h must be a positive finite number, got {h!r}")
@@ -237,18 +238,19 @@ def sensitivity(contract: InsuranceContract, model: LossModel, utility, n: int,
     x0 = getattr(contract, parameter)
     if x0 is None:
         raise PreconditionError("parameter is absent from the contract")
-    val = lambda x: plan_value(
-        replace(contract, **{parameter: x}), model, utility, n
-    )
+    shifted = lambda x: replace(contract, **{parameter: x})
+    val = lambda c: plan_value(c, model, utility, n)
     if side == "central":
+        # a step out of the terms' range fails a shifted contract's checks
         try:
-            return (val(x0 + h) - val(x0 - h)) / (2.0 * h)
+            up, down = shifted(x0 + h), shifted(x0 - h)
         except ValueError as err:
             raise PreconditionError(
                 f"{parameter} at {x0} is not interior for step {h}"
             ) from err
+        return (val(up) - val(down)) / (2.0 * h)
     if side == "backward":
-        return (val(x0) - val(x0 - h)) / h
+        return (val(contract) - val(shifted(x0 - h))) / h
     raise ValueError(f"unknown side {side!r}")
 
 

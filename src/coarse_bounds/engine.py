@@ -42,7 +42,8 @@ included. A max (min) reduction keeps the later of two equal candidates, so
 the close wins a tie, as ``stop >= best`` lets it win in the fill, and so
 each capacity layer is one gather, one add and one reduction. The masses'
 layout (prefix-sum widths, block ends, and the mask of blocks that end
-before they start) is built and checked once per mass vector and cached.
+before they start) is built after the masses are checked, and the last one
+built is kept, so a run of calls on one mass vector builds it once.
 
 Every optimal cutoff vector is a path through the fill's suffix values:
 :func:`optimum_set` lists them all and :func:`top_block_starts` reads where
@@ -108,13 +109,11 @@ _SPLIT_WAYS = 4
 # together stay within it.
 _BATCH_BYTES = 1 << 18
 
-# bound_values keeps the layouts of the last few mass vectors (_mass_layout),
-# at most this many and this many bytes of them in all; threads read the
-# cache freely and change it under the lock.
-_LAYOUT_CACHE_SIZE = 8
+# bound_values keeps the layout of the last mass vector it built one for
+# (_mass_layout) as (key, layout), when it takes at most this many bytes; the
+# pair is read and rebound whole, so threads share it without a lock.
 _LAYOUT_CACHE_BYTES = 1 << 20
-_layouts: dict = {}
-_layouts_lock = threading.Lock()
+_last_layout = (None, None)
 
 # The dense fill's cells and candidates live in one float array per thread,
 # which grows to the largest fill that thread has run and never shrinks, so
@@ -607,12 +606,6 @@ def bound(ladder: ValueLadder, n, kind: str) -> BoundResult:
     return _bound_from_cuts(ladder, cuts, value, int(n), kind)
 
 
-def _level_error(ascending: bool) -> ValueError:
-    """What a ladder raises for levels that are not strictly ascending, or
-    are but not finite."""
-    return ValueError("ladder levels must be " + ("finite" if ascending else "strictly ascending"))
-
-
 def _mass_layout(key: tuple):
     """The read-only layout that :func:`bound_values` reads for one mass
     vector, ``key`` = (masses as floats, L), whose masses a ladder has
@@ -622,10 +615,11 @@ def _mass_layout(key: tuple):
     L - 2 down to 0, then L - 1, the block closed to the top. ``widths[k,
     j]`` is ``pre[ends[k] + 1] - pre[j]``, the mass of the block [j..ends[k]],
     and ``missing[k, j]`` marks the blocks that end before they start. The
-    layout is kept in ``_layouts`` for later calls, and the oldest layouts
-    are dropped to keep at most ``_LAYOUT_CACHE_SIZE`` of them, within
-    ``_LAYOUT_CACHE_BYTES``; a larger layout is not kept.
+    layout replaces the one in ``_last_layout`` when it takes at most
+    ``_LAYOUT_CACHE_BYTES``, counting its key's masses at 32 bytes each (a
+    float object and the key's reference to it); a larger one is not kept.
     """
+    global _last_layout
     masses, length = key
     pre = np.array(_prefix_masses(masses))
     ends = np.arange(length - 2, -2, -1)
@@ -633,21 +627,9 @@ def _mass_layout(key: tuple):
     layout = ends, pre[ends + 1, None] - pre[None, :-1], np.arange(length) > ends[:, None]
     for a in layout:
         a.flags.writeable = False
-    size = _layout_bytes(layout)
-    if size <= _LAYOUT_CACHE_BYTES:
-        with _layouts_lock:
-            while len(_layouts) >= _LAYOUT_CACHE_SIZE or (
-                sum(map(_layout_bytes, _layouts.values())) + size > _LAYOUT_CACHE_BYTES
-            ):
-                del _layouts[next(iter(_layouts))]
-            _layouts[key] = layout
+    if sum(a.nbytes for a in layout) + 32 * length <= _LAYOUT_CACHE_BYTES:
+        _last_layout = key, layout
     return layout
-
-
-def _layout_bytes(layout) -> int:
-    """The bytes of a kept layout: its arrays, and its key's masses at 32
-    bytes each (a float object and the key's reference to it)."""
-    return sum(a.nbytes for a in layout) + 32 * len(layout[0])
 
 
 def bound_values(levels, masses, n, kind: str) -> np.ndarray:
@@ -657,8 +639,9 @@ def bound_values(levels, masses, n, kind: str) -> np.ndarray:
     levels. Entry i of the result is
     ``bound(ValueLadder(levels[i], masses), n, kind).value``, bit for bit,
     and bad rows, masses, capacities and kinds raise what those calls raise,
-    in their order. The masses are checked, as the first row's ladder checks
-    them, only on the first call for them (see :func:`_mass_layout`).
+    in their order. The masses are read once, so any iterable of them will
+    do, and checked, as the first row's ladder checks them, unless they are
+    those of the layout kept from the last call (see :func:`_mass_layout`).
 
     Below ``_MONOTONE_DP_THRESHOLD`` levels the rows are filled together, a
     block of rows at a time, with the candidate arithmetic of the dense
@@ -682,20 +665,22 @@ def bound_values(levels, masses, n, kind: str) -> np.ndarray:
         raise ValueError(f"levels must be an (M, L) array with M >= 1, got shape {rows.shape}")
     rows = np.ascontiguousarray(rows)  # each row's levels adjacent, as the fill reads them
     length = rows.shape[1]
-    key = tuple(map(float, masses)), length
-    layout = _layouts.get(key)
-    if layout is None:
+    masses = tuple(map(float, masses))
+    key = masses, length
+    kept, layout = _last_layout
+    if kept != key:
         ValueLadder(rows[0], masses)  # the checks of row 0 and of the masses
-    # each row's levels checked as its ladder checks them: row 0 before the
-    # kind and the capacity, as bound meets them, and the other rows after
+        layout = None
+    # a bad row raises what its ladder raises: row 0 before the kind and the
+    # capacity, as bound meets them, and the first later one after
     ascending = (rows[:, :-1] < rows[:, 1:]).all(axis=1)
     bad = ~(ascending & np.isfinite(rows[:, 0]) & np.isfinite(rows[:, -1]))
     if bad[0]:
-        raise _level_error(ascending[0])
+        ValueLadder(rows[0], masses)
     upper = _check_kind(kind)
     n = _check_capacity(n)
     if bad.any():
-        raise _level_error(ascending[np.argmax(bad)])
+        ValueLadder(rows[np.argmax(bad)], masses)
     if length >= _MONOTONE_DP_THRESHOLD:
         return np.array([bound(ValueLadder(row, masses), n, kind).value for row in rows])
     ends, widths, missing = layout or _mass_layout(key)

@@ -48,7 +48,7 @@ from coarse_bounds.errors import (
     OracleTooLargeError,
 )
 
-from util import dyadic_ladder, float_ladder
+from util import count_layout_builds, dyadic_ladder, float_ladder
 
 UNIFORM4 = ValueLadder([1.0, 2.0, 3.0, 4.0], [0.25] * 4)
 GOLDEN = Path(__file__).parent / "data" / "golden_bounds.json"
@@ -378,27 +378,39 @@ class TestBoundValues:
         with pytest.raises(ValueError, match="levels must be an"):
             bound_values(rows, [0.5, 0.5], 2, "lower")
 
+    @pytest.mark.parametrize("length", [2, 40, 512])
+    def test_masses_may_be_a_one_shot_iterable(self, monkeypatch, length):
+        # the first call for the masses checks them and the second finds
+        # them kept; each reads them once
+        monkeypatch.setattr(engine, "_last_layout", (None, None))
+        distinct, masses = batch_rows(length, "float", seed=length)
+        for kind in ("lower", "upper"):
+            want = [bound(ValueLadder(row, masses), 3, kind).value.hex() for row in distinct.tolist()]
+            for _ in range(2):
+                got = bound_values(distinct, iter(masses), 3, kind)
+                assert [v.hex() for v in got.tolist()] == want, kind
+
     @pytest.mark.parametrize("rows, masses, n, kind", REJECTED, ids=REJECTED_IDS)
     def test_rejects_what_bound_rejects_after_a_hit(self, monkeypatch, rows, masses, n, kind):
-        # the layouts of these masses, when they are valid, and of uniform
-        # masses of the same length are cached first, so the masses are not
-        # checked again when they are the cached ones
-        monkeypatch.setattr(engine, "_layouts", {})
+        # uniform masses of the same length and then these masses are read
+        # first, so the layout of these masses, when they are valid, is the
+        # kept one and they are not checked again
+        monkeypatch.setattr(engine, "_last_layout", (None, None))
         length = len(rows[0])
         uniform = [1 / length] * length if length else []
-        for warm in (masses, uniform):
+        for warm in (uniform, masses):
             raised(lambda: bound_values([np.arange(length, dtype=float)], warm, 2, "lower"))
-        for warm in (masses, uniform):
-            valid = raised(lambda: ValueLadder(range(length), warm)) is None
-            assert ((tuple(map(float, warm)), length) in engine._layouts) == valid
+        valid = raised(lambda: ValueLadder(range(length), masses)) is None
+        assert (engine._last_layout[0] == (tuple(map(float, masses)), length)) == valid
         want = raised(lambda: [bound(ValueLadder(row, masses), n, kind) for row in rows])
         assert want is not None
         assert raised(lambda: bound_values(rows, masses, n, kind)) == want
 
 
 class TestMassLayoutCache:
-    """``bound_values`` builds the layout of one mass vector once and reads it
-    on later calls, with the values of ``bound`` bit for bit either way."""
+    """``bound_values`` keeps the layout of the last mass vector it read and
+    builds a layout only when the masses change, with the values of
+    ``bound`` bit for bit either way."""
 
     @staticmethod
     def check(rows, masses, n, kind):
@@ -408,7 +420,7 @@ class TestMassLayoutCache:
 
     @pytest.mark.parametrize("length", [1, 2, 20, 40, 200])
     def test_hits_and_misses_match_bound(self, monkeypatch, length):
-        monkeypatch.setattr(engine, "_layouts", {})
+        built = count_layout_builds(monkeypatch)
         first, masses_a = batch_rows(length, "float", seed=length)
         second, masses_b = batch_rows(length, "dyadic", seed=length + 1)
         # the same masses again, then two mass vectors interleaved
@@ -416,32 +428,34 @@ class TestMassLayoutCache:
         for i, (rows, masses) in enumerate(calls):
             for n, kind in ((1, "lower"), (2, "upper"), (3, "lower"), (8, "upper")):
                 self.check(rows, masses, n, kind)
-            assert len(engine._layouts) == len({tuple(m) for _, m in calls[: i + 1]})
+            assert engine._last_layout[0] == (tuple(masses), length)
+            # one build per change of the masses
+            assert len(built) == 1 + sum(a != b for (_, a), (_, b) in zip(calls, calls[1 : i + 1]))
 
     @pytest.mark.parametrize("kind", ["lower", "upper"])
     def test_masses_that_differ_in_a_zero_sign_share_a_layout(self, monkeypatch, kind):
-        monkeypatch.setattr(engine, "_layouts", {})
+        built = count_layout_builds(monkeypatch)
         rows = np.array([[-2.0, -1.0, -0.0, 1.0, 3.0], [-1.0, -0.5, 0.0, 0.5, 1.0]])
         for masses in ([0.0, 0.25, 0.25, 0.5, 0.0], [-0.0, 0.25, 0.25, 0.5, -0.0],
                        [0.0, 0.25, 0.25, 0.5, -0.0]):
             for n in (1, 2, 3, 5):
                 self.check(rows, masses, n, kind)
-        assert len(engine._layouts) == 1
+        assert len(built) == 1
 
     def test_cached_arrays_are_read_only(self, monkeypatch):
-        monkeypatch.setattr(engine, "_layouts", {})
+        monkeypatch.setattr(engine, "_last_layout", (None, None))
         rows, masses = batch_rows(40, "float", seed=3)
         bound_values(rows, masses, 3, "lower")
-        (layout,) = engine._layouts.values()
+        _, layout = engine._last_layout
         for array in layout:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
 
     def test_cache_stays_within_its_byte_cap(self, monkeypatch):
-        # a layout at 511 levels exceeds the cap and is not kept; the others
-        # push the oldest out
-        monkeypatch.setattr(engine, "_layouts", {})
+        # a layout at 511 levels exceeds the cap and is not kept, so the
+        # last one that fits stays
+        monkeypatch.setattr(engine, "_last_layout", (None, None))
         calls = [batch_rows(length, "float", seed=seed)
                  for seed, length in enumerate([511, 300, 200, 511, 200, 40, 200, 300, 511])]
         tracemalloc.start()
@@ -452,25 +466,22 @@ class TestMassLayoutCache:
                 assert resident <= engine._LAYOUT_CACHE_BYTES
         finally:
             tracemalloc.stop()
-        assert sum(map(engine._layout_bytes, engine._layouts.values())) <= engine._LAYOUT_CACHE_BYTES
-        # the last 300-level layout took the room of the three kept before it
-        assert [len(layout[0]) for layout in engine._layouts.values()] == [300]
+        kept, layout = engine._last_layout
+        assert kept == (tuple(calls[-2][1]), 300)
+        assert sum(a.nbytes for a in layout) + 32 * 300 <= engine._LAYOUT_CACHE_BYTES
 
-    def test_cache_keeps_the_last_few_mass_vectors(self, monkeypatch):
-        monkeypatch.setattr(engine, "_layouts", {})
-        calls = [batch_rows(5, "float", seed=seed) for seed in range(engine._LAYOUT_CACHE_SIZE + 3)]
-        for rows, masses in calls:
+    def test_cache_keeps_the_last_mass_vector(self, monkeypatch):
+        monkeypatch.setattr(engine, "_last_layout", (None, None))
+        for seed in range(4):
+            rows, masses = batch_rows(5, "float", seed=seed)
             bound_values(rows, masses, 2, "lower")
-        kept = [(tuple(masses), 5) for _, masses in calls[3:]]
-        assert list(engine._layouts) == kept
+            assert engine._last_layout[0] == (tuple(masses), 5)
 
     def test_threads_share_the_cache(self, monkeypatch):
-        # more threads than cores, each cycling through mass vectors whose
-        # layouts push each other out (two fit), with switches between few
-        # bytecodes
-        monkeypatch.setattr(engine, "_layouts", {})
+        # more threads than cores, each cycling through mass vectors that
+        # replace each other's layout, with switches between few bytecodes
+        monkeypatch.setattr(engine, "_last_layout", (None, None))
         calls = [batch_rows(20, "float", seed=seed) for seed in range(8)]
-        monkeypatch.setattr(engine, "_LAYOUT_CACHE_BYTES", 2 * 20 * (20 * 9 + 40))
         want = [bound_values(rows[:2], masses, 3, "lower").tolist() for rows, masses in calls]
         failures, done = [], []
 
@@ -497,7 +508,11 @@ class TestMassLayoutCache:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
         assert failures == [] and sorted(done) == [0, 1, 2, 3]
-        assert sum(map(engine._layout_bytes, engine._layouts.values())) <= engine._LAYOUT_CACHE_BYTES
+        # the kept pair is whole: one call's key with that key's layout
+        kept, layout = engine._last_layout
+        assert kept in [(tuple(masses), 20) for _, masses in calls]
+        for array, rebuilt in zip(layout, engine._mass_layout(kept)):
+            assert np.array_equal(array, rebuilt)
 
 
 class TestBoundValuesMemory:

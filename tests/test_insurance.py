@@ -11,7 +11,9 @@ import pytest
 from coarse_bounds import preferences
 from coarse_bounds.acts import DiscreteAct, ValueLadder, build_ladder
 from coarse_bounds.engine import bound, brute_force_bound, optimum_set, top_block_starts
-from coarse_bounds.errors import AlignmentError, BracketingError, ConvergenceError, PreconditionError
+from coarse_bounds.errors import (
+    AlignmentError, BracketingError, ConvergenceError, NonPositiveWealthError, PreconditionError,
+)
 from coarse_bounds.applications import insurance
 from coarse_bounds.applications.crra import CRRAUtility
 from coarse_bounds.applications.insurance import (
@@ -422,6 +424,13 @@ class TestSensitivity:
         full = InsuranceContract(0.05, 0.3, 1.0, None, 2.0)
         with pytest.raises(PreconditionError):
             sensitivity(full, MODEL, U, 3, "coverage", 0.01, side="central")
+
+    @pytest.mark.parametrize("side", ["central", "backward"])
+    def test_valuation_errors_propagate(self, side):
+        # the premium exceeds the wealth: the plan is at fault, not the step
+        broke = InsuranceContract(3.0, 0.3, 0.7, None, 2.0)
+        with pytest.raises(NonPositiveWealthError, match="^CRRA utility needs positive wealth, got -1.01$"):
+            sensitivity(broke, LossModel.uniform(1.0, 50), U, 3, "deductible", 0.01, side=side)
 
     def test_response_magnitude_decreasing_in_capacity_at_full_coverage(self):
         full = InsuranceContract(0.05, 0.3, 1.0, None, 2.0)

@@ -1,7 +1,11 @@
 """Learning-simulation tests: sampling, bootstrap errors, the smooth decision
 rule, coarsening audits, and the dominance of coarsened error distributions."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -552,6 +556,27 @@ class TestSosdOfCoarsening:
                                          true_belief=BELIEF):
                 passes += 1
         assert passes >= 0.95 * total
+
+    def test_bootstrap_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call; a fresh interpreter
+        # shows whether the bootstrap path makes that call
+        script = (
+            "import sys\n"
+            "from coarse_bounds.acts import Belief, DiscreteAct\n"
+            "from coarse_bounds.learning import coarsening_sosd_bootstrap, draw_sample\n"
+            "states, belief = 'abcd', Belief([0.3, 0.3, 0.2, 0.2])\n"
+            "act = DiscreteAct(states, [1.0, 1.04, 1.07, 1.11])\n"
+            "data = draw_sample(belief, states, 200, seed=3000)\n"
+            "print(coarsening_sosd_bootstrap(act, 1.0, 1.04, data, 400, 1, true_belief=belief),\n"
+            "      'numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(ln.__file__).parents[1])
+        path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert res.returncode == 0, res.stderr
+        # True: the means agree, so the grid was built
+        assert res.stdout.split() == ["True", "False"]
 
     def test_true_error_dominance_outer_monte_carlo(self):
         # fresh-dataset errors of the true-mean coarsening dominate too

@@ -22,6 +22,7 @@ from coarse_bounds.applications.portfolio import (
     solve_allocation,
     solve_savings,
 )
+from util import count_layout_builds
 
 
 def make_problem(gamma=2.0, capacity=3, attitude="cautious", seed=3, n_grid=40):
@@ -797,3 +798,20 @@ class TestEquilibriumPrice:
     def test_deterministic(self):
         prob = make_problem(gamma=2.0)
         assert equilibrium_price(prob) == equilibrium_price(prob)
+
+
+class TestOneMassLayout:
+    """Every act a solver values has the problem's masses, so the one mass
+    layout that ``engine.bound_values`` keeps serves all of its calls."""
+
+    @pytest.mark.parametrize("solve", [
+        lambda problem: solve_allocation(problem, 1.0), solve_savings, equilibrium_price,
+    ], ids=["allocation", "savings", "price"])
+    def test_a_solve_builds_one_layout(self, monkeypatch, solve):
+        built = count_layout_builds(monkeypatch)
+        problem = make_problem()
+        solve(problem)
+        assert built == [(problem._masses, len(problem._masses))]
+        # another capacity has the same masses
+        solve(replace(problem, capacity=5))
+        assert len(built) == 1

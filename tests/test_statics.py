@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import coarse_bounds.engine as engine
+from coarse_bounds import statics
 from coarse_bounds.acts import ValueLadder
 from coarse_bounds.engine import bound, capacity_values, siminf
 from coarse_bounds.errors import AlignmentError, InvalidCapacityError, PreconditionError
@@ -61,6 +62,31 @@ class TestSosd:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             sosd_strict([], [0.0])
+
+    def test_grid_is_the_distinct_samples(self, monkeypatch):
+        # the merged support that sosd_strict reads the integrated cdfs on is
+        # np.unique's, on samples with repeats and zeros of both signs
+        grids, cdf = [], statics.integrated_cdf
+
+        def recorded(samples, points):
+            grids.append(points)
+            return cdf(samples, points)
+
+        monkeypatch.setattr(statics, "integrated_cdf", recorded)
+        rng = np.random.default_rng(5)
+        for size in (1, 2, 7, 60):
+            f = rng.integers(-3, 4, size=size).astype(float)
+            f = np.where(f == 0.0, rng.choice([0.0, -0.0], size=size), f)
+            h = rng.permutation(f)
+            if size > 1:  # a spread with the same mean, exactly
+                h[0] -= 1.0
+                h[1] += 1.0
+            grids.clear()
+            sosd_strict(f, h)
+            want = np.unique(np.concatenate([f, h]))
+            assert len(grids) == 2
+            for grid in grids:
+                assert grid.tolist() == want.tolist()
 
 
 class TestMlrShift:
