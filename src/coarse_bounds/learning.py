@@ -23,16 +23,16 @@ which pins the mean of every act's error distribution at zero up to rounding
 and makes error distributions of different acts directly mean-comparable.
 
 The decisions (the smooth rule, certain equivalents, the audits and the SOSD
-test) read each replicate mean from a cached replicate x label count matrix
-of the same resample indices, as ``sum_s counts[s] * value(s) / K``: a few
+test) read each replicate mean from a cached label x replicate count matrix
+of the same resample, as ``sum_s counts[s] * value(s) / K``: a few
 multiply-adds per replicate instead of ``K`` gathered loads, equal to the
 gathered mean up to a few ulps. ``bootstrap_errors``, which reports the
 error distribution itself, still gathers, 512 replicates at a time, with
 the same per-replicate sums as one full gather.
 
-The resample index matrix is cached in the smallest unsigned dtype that
-holds K: 1, 2 or 4 bytes per index, by K. Its pool takes 8 bytes per index
-only while it is shuffled.
+The resample is shuffled and cached as the dataset's label codes, not as
+observation indices: one byte per entry up to 256 distinct labels,
+whatever K is, and never 8 bytes, even while it is shuffled.
 """
 
 from __future__ import annotations
@@ -195,20 +195,40 @@ _COUNT_BLOCK_ROWS = 512
 
 
 @lru_cache(maxsize=4)
-def _resample_indices(k: int, b: int, seed: int):
-    """Balanced resample index matrix (b x k); depends only on sizes and
-    seed, so two acts bootstrapped from the same dataset shape share it
-    exactly.
+def _resample_indices(draws: tuple, b: int, seed: int) -> tuple:
+    """The balanced resample of ``draws``, b replicates of K draws each: the
+    distinct labels in first-draw order, the read-only (b x K) matrix of
+    each replicate's label codes, and the read-only (labels x b) matrix of
+    how many times each replicate draws each label.
 
-    The pool is shuffled as 8-byte integers, which takes the shuffle's
-    fast path (the permutation depends only on the pool's length and the
-    seed). Only then is it cast, read-only, to the smallest unsigned dtype
-    that holds K: the cache holds 1, 2 or 4 bytes per index, by K."""
-    pool = np.tile(np.arange(k), b)
+    The pool holds each draw's label code B times, in the smallest unsigned
+    dtype that holds the number of labels. ``Generator.shuffle`` permutes
+    it as it would the pool of observation indices ``0..K-1`` (the
+    permutation depends only on the pool's length and the seed), so entry
+    [r, p] is the label of the observation that resample index drew. Two
+    datasets with the same K, B and seed therefore share the permutation,
+    and their replicates are coupled, though each keeps its own entry. The
+    counts are taken ``_COUNT_BLOCK_ROWS`` replicates at a time and kept in
+    the smallest unsigned dtype that holds K."""
+    k = len(draws)
+    position: dict = {}
+    codes = np.fromiter(
+        (position.setdefault(d, len(position)) for d in draws), dtype=np.intp, count=k
+    )
+    n = len(position)
+    pool = np.tile(codes.astype(np.min_scalar_type(n - 1)), b)
     _rng(seed).shuffle(pool)
-    idx = pool.astype(np.min_scalar_type(k)).reshape(b, k)
-    idx.setflags(write=False)
-    return idx
+    drawn = pool.reshape(b, k)
+    drawn.setflags(write=False)
+    counts = np.empty((n, b), dtype=np.min_scalar_type(k))
+    for lo in range(0, b, _COUNT_BLOCK_ROWS):
+        block = drawn[lo:lo + _COUNT_BLOCK_ROWS].astype(np.intp)
+        rows = len(block)
+        block += np.arange(0, rows * n, n)[:, None]
+        tally = np.bincount(block.ravel(), minlength=rows * n)
+        counts[:, lo:lo + rows] = tally.reshape(rows, n).T
+    counts.setflags(write=False)
+    return tuple(position), drawn, counts
 
 
 def bootstrap_errors(f: DiscreteAct, data: Dataset, b: int, seed: int) -> ErrorDistribution:
@@ -224,42 +244,15 @@ def bootstrap_errors(f: DiscreteAct, data: Dataset, b: int, seed: int) -> ErrorD
     """
     if b < 1:
         raise ValueError("replicate count must be at least 1")
-    obs = np.asarray(_draw_values(f, data), dtype=float)
-    base = obs.mean()
-    idx = _resample_indices(data.K, b, int(seed))
+    base = np.asarray(_draw_values(f, data), dtype=float).mean()
+    labels, drawn, _ = _resample_indices(data.draws, b, int(seed))
+    values = dict(zip(f.state_ids, f.values))
+    by_label = np.array([values[label] for label in labels], dtype=float)
     means = np.empty(b)
     for lo in range(0, b, _COUNT_BLOCK_ROWS):
-        block = idx[lo:lo + _COUNT_BLOCK_ROWS].astype(np.intp)
-        means[lo:lo + len(block)] = obs.take(block).mean(axis=1)
+        block = drawn[lo:lo + _COUNT_BLOCK_ROWS].astype(np.intp)
+        means[lo:lo + len(block)] = by_label.take(block).mean(axis=1)
     return ErrorDistribution(errors=tuple((means - base).tolist()))
-
-
-@lru_cache(maxsize=4)
-def _replicate_counts(draws: tuple, b: int, seed: int) -> tuple:
-    """The distinct draw labels, in first-draw order, and a read-only
-    (labels x b) matrix of how many times each replicate of
-    ``_resample_indices(K, b, seed)`` draws each label.
-
-    The counts are taken a block of replicates at a time and kept in the
-    smallest unsigned dtype that holds K, the index matrix's own dtype, so
-    with at most K labels the matrix is never larger than the index
-    matrix."""
-    k = len(draws)
-    position: dict = {}
-    codes = np.fromiter(
-        (position.setdefault(d, len(position)) for d in draws), dtype=np.intp, count=k
-    )
-    n = len(position)
-    idx = _resample_indices(k, b, seed)
-    counts = np.empty((n, b), dtype=np.min_scalar_type(k))
-    for lo in range(0, b, _COUNT_BLOCK_ROWS):
-        block = codes[idx[lo:lo + _COUNT_BLOCK_ROWS].astype(np.intp)]
-        rows = len(block)
-        block += np.arange(0, rows * n, n)[:, None]
-        tally = np.bincount(block.ravel(), minlength=rows * n)
-        counts[:, lo:lo + rows] = tally.reshape(rows, n).T
-    counts.setflags(write=False)
-    return tuple(position), counts
 
 
 def _replicate_errors(f: DiscreteAct, data: Dataset, b: int, seed: int) -> np.ndarray:
@@ -270,7 +263,7 @@ def _replicate_errors(f: DiscreteAct, data: Dataset, b: int, seed: int) -> np.nd
     if b < 1:
         raise ValueError("replicate count must be at least 1")
     obs = np.asarray(_draw_values(f, data), dtype=float)
-    labels, counts = _replicate_counts(data.draws, b, int(seed))
+    labels, _, counts = _resample_indices(data.draws, b, int(seed))
     values = dict(zip(f.state_ids, f.values))
     total = np.zeros(b)
     for label, row in zip(labels, counts):

@@ -101,11 +101,14 @@ def sosd_strict(f_samples, h_samples) -> bool:
     Checked through integrated cdfs on the merged support: the gap must never
     exceed ``SOSD_TOL`` in the wrong direction, must exceed it somewhere in
     the right direction, and the means must agree within ``SOSD_TOL``.
+    Empty or non-finite samples raise ``ValueError``.
     """
     f = np.asarray(getattr(f_samples, "errors", f_samples), dtype=float)
     h = np.asarray(getattr(h_samples, "errors", h_samples), dtype=float)
     if f.size == 0 or h.size == 0:
         raise ValueError("distributions must be non-empty")
+    if not (np.isfinite(f).all() and np.isfinite(h).all()):
+        raise ValueError("distributions must be finite")
     if abs(f.mean() - h.mean()) > SOSD_TOL:
         return False
     # the distinct values, as np.unique gives them, whose first call imports numpy.ma

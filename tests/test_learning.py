@@ -80,8 +80,9 @@ def sampling_errors_from_counts(f: DiscreteAct, counts: np.ndarray,
 
 
 def tiled_indices(k: int, b: int, seed: int) -> np.ndarray:
-    """``_resample_indices`` as it was before the compact cache: the int64
-    pool of each index B times, shuffled, as a B x K matrix."""
+    """The int64 pool of each observation index B times, shuffled, as a
+    B x K matrix: the resample that ``_resample_indices`` draws as label
+    codes."""
     idx = np.tile(np.arange(k), b)
     np.random.Generator(np.random.Philox(key=seed)).shuffle(idx)
     return idx.reshape(b, k)
@@ -238,35 +239,85 @@ class TestBootstrapErrors:
             bootstrap_errors(ACT, Dataset(draws=("a", "z"), seed=0), 10, seed=0)
 
 
-class TestCompactResampleIndices:
+class TestLabelResample:
     @pytest.mark.parametrize("k", [1, 2, 255, 256, 257, 1000])
     @pytest.mark.parametrize("b", [1, 511, 512, 513])
-    def test_same_indices_and_errors_as_the_int64_gather(self, k, b):
+    def test_same_labels_and_errors_as_the_int64_gather(self, k, b):
         seed = 1000 * k + b
-        idx = ln._resample_indices(k, b, seed)
-        assert idx.dtype == np.min_scalar_type(k)
-        assert not idx.flags.writeable
-        assert np.array_equal(idx, tiled_indices(k, b, seed))
         rng = np.random.default_rng(seed)
-        labels = tuple(range(int(rng.integers(1, 9))))
-        act = DiscreteAct(labels, rng.uniform(-2.0, 2.0, len(labels)).tolist())
-        data = Dataset(draws=tuple(labels[i] for i in rng.integers(0, len(labels), k)), seed=0)
-        errors = np.asarray(bootstrap_errors(act, data, b, seed).errors)
-        assert errors.tobytes() == full_gather_errors(act, data, b, seed).tobytes()
-        counts = ln._replicate_counts(data.draws, b, seed)[1]
-        assert counts.itemsize <= idx.itemsize
+        reference = tiled_indices(k, b, seed)
+        for n in (n for n in (1, 2, 256, 257) if n <= k):
+            # every label drawn, in shuffled first-draw order; one state never drawn
+            draws = rng.permutation(np.concatenate([np.arange(n), rng.integers(0, n, k - n)]))
+            draws = tuple(int(d) for d in draws)
+            labels, drawn, counts = ln._resample_indices(draws, b, seed)
+            assert labels == tuple(dict.fromkeys(draws))
+            assert drawn.dtype == (np.uint8 if n <= 256 else np.uint16)
+            assert counts.dtype == np.min_scalar_type(k)
+            assert not drawn.flags.writeable and not counts.flags.writeable
+            code = {label: i for i, label in enumerate(labels)}
+            codes = np.array([code[d] for d in draws])[reference]
+            assert np.array_equal(drawn, codes)
+            tallies = [np.bincount(row, minlength=n) for row in codes]
+            assert np.array_equal(counts, np.stack(tallies, axis=1))
+            act = DiscreteAct(range(n + 1), rng.uniform(-2.0, 2.0, n + 1).tolist())
+            data = Dataset(draws=draws, seed=0)
+            errors = np.asarray(bootstrap_errors(act, data, b, seed).errors)
+            assert errors.tobytes() == full_gather_errors(act, data, b, seed).tobytes()
+
+
+class TestOneShuffle:
+    """Every decision on one (draws, B, seed) reads one cached shuffle."""
+
+    def count_shuffles(self, monkeypatch) -> list:
+        ln._resample_indices.cache_clear()
+        seeds, rng = [], ln._rng
+
+        def counted(seed):
+            seeds.append(seed)
+            return rng(seed)
+
+        monkeypatch.setattr(ln, "_rng", counted)
+        return seeds
+
+    def test_learn_sequence_shuffles_once(self, monkeypatch):
+        # the calls of the learn command, in its order
+        data = draw_sample(BELIEF, STATES, 200, seed=51)
+        seeds = self.count_shuffles(monkeypatch)
+        bootstrap_errors(ACT, data, 2000, 52)
+        has_certain_equivalent(ACT, data, RULE, 2000, 52)
+        report = audit_coarsening_preserves_ce(ACT, data, RULE, 2000, 52, true_belief=BELIEF)
+        assert report.precondition_met and len(report.checks) == 6
+        assert seeds == [52]
+
+    def test_criterion_5_fixture_shuffles_once(self, monkeypatch):
+        # the calls criterion 5 makes on one of its first 50 fixtures
+        data = draw_sample(BELIEF, STATES, 200, seed=53)
+        payoffs = sorted(value_cells(ACT))
+        v1, v2 = payoffs[0], payoffs[1]
+        g = DiscreteAct(STATES, [payoffs[-1] if j % 3 == 0 else v for j, v in enumerate(ACT.values)])
+        seeds = self.count_shuffles(monkeypatch)
+        assert coarsening_sosd_bootstrap(ACT, v1, v2, data, 4000, 54, true_belief=BELIEF)
+        reports = [
+            audit_coarsening_preserves_ce(ACT, data, RULE, 4000, 54, true_belief=BELIEF),
+            audit_mixture_preserves_ce(ACT, g, data, RULE, 4000, 54),
+            audit_near_constant_split(ACT, data, RULE, 4000, 54, v1, v2, true_belief=BELIEF),
+        ]
+        assert all(report.precondition_met for report in reports)
+        assert seeds == [54]
 
 
 class TestResampleMemory:
-    # criterion 5's K and B: one int64 index matrix takes 6.4 MB, and one
+    # criterion 5's K and B: an int64 index pool would take 6.4 MB, and one
     # float gather of it as much again
     K, B = 200, 4000
 
     def data(self):
         return draw_sample(BELIEF, STATES, self.K, seed=21)
 
-    def test_cached_matrix_takes_one_byte_per_index(self):
-        assert ln._resample_indices(self.K, self.B, 22).nbytes == self.K * self.B
+    def test_cached_label_matrix_takes_one_byte_per_entry(self):
+        _, drawn, _ = ln._resample_indices(self.data().draws, self.B, 22)
+        assert drawn.nbytes == self.K * self.B
 
     def test_cached_call_gathers_in_row_blocks(self):
         data = self.data()
@@ -279,7 +330,7 @@ class TestResampleMemory:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
-    def test_cold_call_holds_the_int64_pool_and_its_compact_copy(self):
+    def test_cold_call_holds_one_compact_pool(self):
         data = self.data()
         ln._resample_indices.cache_clear()
         tracemalloc.start()
@@ -288,7 +339,7 @@ class TestResampleMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 9 * self.K * self.B + 2**20
+        assert peak < 4 * self.K * self.B + 2**20
 
 
 def count_ulps(n_labels: int) -> int:
@@ -327,13 +378,13 @@ class TestReplicateCounts:
         act = DiscreteAct(STATES, [1.0, 5.0, -3.0, 1e6])
         data = Dataset(draws=("b", "a", "b", "b", "a"), seed=0)
         self.assert_close_to_gather(act, data, 300, seed=1)
-        labels, counts = ln._replicate_counts(data.draws, 300, 1)
+        labels, _, counts = ln._resample_indices(data.draws, 300, 1)
         assert labels == ("b", "a") and counts.shape == (2, 300)
 
     def test_one_label(self):
         data = Dataset(draws=("c",) * 50, seed=0)
         self.assert_close_to_gather(ACT, data, 200, seed=2)
-        assert ln._replicate_counts(data.draws, 200, 2)[1].tolist() == [[50] * 200]
+        assert ln._resample_indices(data.draws, 200, 2)[2].tolist() == [[50] * 200]
 
     def test_k_distinct_labels(self):
         rng = np.random.default_rng(3)
@@ -346,7 +397,7 @@ class TestReplicateCounts:
         rng = np.random.default_rng(4)
         for k, b in ((1, 1), (7, 3), (200, 4000), (300, 513)):
             draws = tuple(int(x) for x in rng.integers(0, 9, k))
-            labels, counts = ln._replicate_counts(draws, b, k)
+            labels, _, counts = ln._resample_indices(draws, b, k)
             assert labels == tuple(dict.fromkeys(draws))
             assert counts.shape == (len(labels), b)
             assert np.all(counts.sum(axis=0, dtype=np.int64) == k)
@@ -356,11 +407,11 @@ class TestReplicateCounts:
 
     def test_one_read_only_entry_per_key(self):
         draws = draw_sample(BELIEF, STATES, 200, seed=5).draws
-        first = ln._replicate_counts(draws, 4000, 6)
-        assert ln._replicate_counts(tuple(list(draws)), 4000, 6) is first
-        assert not first[1].flags.writeable
-        assert first[1].nbytes <= ln._resample_indices(200, 4000, 6).nbytes
-        assert ln._replicate_counts(draws, 4000, 7) is not first
+        first = ln._resample_indices(draws, 4000, 6)
+        assert ln._resample_indices(tuple(list(draws)), 4000, 6) is first
+        assert not first[1].flags.writeable and not first[2].flags.writeable
+        assert first[2].nbytes <= first[1].nbytes
+        assert ln._resample_indices(draws, 4000, 7) is not first
 
     @pytest.mark.parametrize("draws, b, error, message", [
         (("a", "b"), 0, ValueError, "replicate count must be at least 1"),

@@ -63,6 +63,13 @@ class TestSosd:
         with pytest.raises(ValueError):
             sosd_strict([], [0.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, bad):
+        # a NaN passes the mean check and compares false against every gap
+        for f, h in (([bad, 5.0], [-1.0, 1.0]), ([0.0, 0.0], [-1.0, bad]), ([bad], [bad])):
+            with pytest.raises(ValueError, match="distributions must be finite"):
+                sosd_strict(f, h)
+
     def test_grid_is_the_distinct_samples(self, monkeypatch):
         # the merged support that sosd_strict reads the integrated cdfs on is
         # np.unique's, on samples with repeats and zeros of both signs
