@@ -240,18 +240,17 @@ def sensitivity(contract: InsuranceContract, model: LossModel, utility, n: int,
         raise PreconditionError("parameter is absent from the contract")
     shifted = lambda x: replace(contract, **{parameter: x})
     val = lambda c: plan_value(c, model, utility, n)
-    if side == "central":
-        # a step out of the terms' range fails a shifted contract's checks
-        try:
-            up, down = shifted(x0 + h), shifted(x0 - h)
-        except ValueError as err:
-            raise PreconditionError(
-                f"{parameter} at {x0} is not interior for step {h}"
-            ) from err
-        return (val(up) - val(down)) / (2.0 * h)
-    if side == "backward":
-        return (val(contract) - val(shifted(x0 - h))) / h
-    raise ValueError(f"unknown side {side!r}")
+    if side not in ("central", "backward"):
+        raise ValueError(f"unknown side {side!r}")
+    # a step out of the terms' range fails a shifted contract's checks
+    try:
+        up = shifted(x0 + h) if side == "central" else contract
+        down = shifted(x0 - h)
+    except ValueError as err:
+        raise PreconditionError(
+            f"{parameter} at {x0} is not interior for step {h}"
+        ) from err
+    return (val(up) - val(down)) / (2.0 * h if side == "central" else h)
 
 
 def wtp(contract: InsuranceContract, model: LossModel, utility, n: int,

@@ -22,17 +22,17 @@ fixed seed regardless of evaluation order. Bootstrap resampling is *balanced*
 which pins the mean of every act's error distribution at zero up to rounding
 and makes error distributions of different acts directly mean-comparable.
 
-The decisions (the smooth rule, certain equivalents, the audits and the SOSD
-test) read each replicate mean from a cached label x replicate count matrix
-of the same resample, as ``sum_s counts[s] * value(s) / K``: a few
+Every bootstrap replicate, those that ``bootstrap_errors`` reports and
+those the decisions (the smooth rule, certain equivalents, the audits and
+the SOSD test) read, comes from one cached label x replicate count matrix
+of the resample, as ``sum_s counts[s] * value(s) / K``: a few
 multiply-adds per replicate instead of ``K`` gathered loads, equal to the
-gathered mean up to a few ulps. ``bootstrap_errors``, which reports the
-error distribution itself, still gathers, 512 replicates at a time, with
-the same per-replicate sums as one full gather.
+gathered mean up to a few ulps.
 
-The resample is shuffled and cached as the dataset's label codes, not as
-observation indices: one byte per entry up to 256 distinct labels,
-whatever K is, and never 8 bytes, even while it is shuffled.
+The resample is shuffled as the dataset's label codes, not as observation
+indices: one byte per entry up to 256 distinct labels, whatever K is, and
+never 8 bytes, even while it is shuffled. The shuffled pool is tallied
+into the counts and dropped; only the counts are cached.
 """
 
 from __future__ import annotations
@@ -150,13 +150,17 @@ def coarsen_act(f: DiscreteAct, v1: float, v2: float, mode: str,
 
     ``mode="true_mean"`` conditions on the supplied true belief;
     ``mode="empirical_mean"`` conditions on the dataset, falling back to the
-    true conditional mean when the merged cell has no empirical mass.
+    true conditional mean when the merged cell has no empirical mass. Both
+    payoffs must be value cells and the mode known even when ``v1 == v2``,
+    which returns ``f``.
     """
     cells = value_cells(f)
-    if v1 == v2:
-        return f
     if v1 not in cells or v2 not in cells:
         raise ValueError("both payoffs must be value cells of the act")
+    if mode not in ("true_mean", "empirical_mean"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if v1 == v2:
+        return f
     merged = set(cells[v1]) | set(cells[v2])
     if mode == "true_mean":
         if true_belief is None:
@@ -173,43 +177,42 @@ def coarsen_act(f: DiscreteAct, v1: float, v2: float, mode: str,
         if den <= 0:
             raise PreconditionError("merged cell has zero true mass")
         mean = num / den
-    elif mode == "empirical_mean":
-        if data is None:
-            raise PreconditionError("empirical_mean mode needs a dataset")
+    elif data is None:
+        raise PreconditionError("empirical_mean mode needs a dataset")
+    else:
         hits = [v for v in _draw_values(f, data) if v in (v1, v2)]
         if hits:
             mean = sum(hits) / len(hits)
         else:
             return coarsen_act(f, v1, v2, "true_mean", true_belief=true_belief)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     new_values = [
         mean if s in merged else v for s, v in zip(f.state_ids, f.values)
     ]
     return DiscreteAct(f.state_ids, new_values)
 
 
-# Resample rows gathered or counted per pass, which bounds the temporary
-# index, value and label blocks
+# Resample rows counted per pass, which bounds the temporary code and
+# tally blocks
 _COUNT_BLOCK_ROWS = 512
 
 
 @lru_cache(maxsize=4)
 def _resample_indices(draws: tuple, b: int, seed: int) -> tuple:
     """The balanced resample of ``draws``, b replicates of K draws each: the
-    distinct labels in first-draw order, the read-only (b x K) matrix of
-    each replicate's label codes, and the read-only (labels x b) matrix of
-    how many times each replicate draws each label.
+    distinct labels in first-draw order, and the read-only (labels x b)
+    matrix of how many times each replicate draws each label.
 
     The pool holds each draw's label code B times, in the smallest unsigned
     dtype that holds the number of labels. ``Generator.shuffle`` permutes
     it as it would the pool of observation indices ``0..K-1`` (the
-    permutation depends only on the pool's length and the seed), so entry
-    [r, p] is the label of the observation that resample index drew. Two
-    datasets with the same K, B and seed therefore share the permutation,
-    and their replicates are coupled, though each keeps its own entry. The
-    counts are taken ``_COUNT_BLOCK_ROWS`` replicates at a time and kept in
-    the smallest unsigned dtype that holds K."""
+    permutation depends only on the pool's length and the seed), so row r
+    of the shuffled pool, read as a b x K matrix, holds the labels of the
+    observations that replicate r drew. Two datasets with the same K, B
+    and seed therefore share the permutation, and their replicates are
+    coupled, though each keeps its own entry. The pool is tallied
+    ``_COUNT_BLOCK_ROWS`` replicates at a time into counts of the smallest
+    unsigned dtype that holds K, and then dropped, so the cache keeps no
+    b x K array."""
     k = len(draws)
     position: dict = {}
     codes = np.fromiter(
@@ -219,7 +222,6 @@ def _resample_indices(draws: tuple, b: int, seed: int) -> tuple:
     pool = np.tile(codes.astype(np.min_scalar_type(n - 1)), b)
     _rng(seed).shuffle(pool)
     drawn = pool.reshape(b, k)
-    drawn.setflags(write=False)
     counts = np.empty((n, b), dtype=np.min_scalar_type(k))
     for lo in range(0, b, _COUNT_BLOCK_ROWS):
         block = drawn[lo:lo + _COUNT_BLOCK_ROWS].astype(np.intp)
@@ -228,7 +230,7 @@ def _resample_indices(draws: tuple, b: int, seed: int) -> tuple:
         tally = np.bincount(block.ravel(), minlength=rows * n)
         counts[:, lo:lo + rows] = tally.reshape(rows, n).T
     counts.setflags(write=False)
-    return tuple(position), drawn, counts
+    return tuple(position), counts
 
 
 def bootstrap_errors(f: DiscreteAct, data: Dataset, b: int, seed: int) -> ErrorDistribution:
@@ -237,33 +239,21 @@ def bootstrap_errors(f: DiscreteAct, data: Dataset, b: int, seed: int) -> ErrorD
     Replicates resample the K observations with replacement. The balanced
     scheme permutes a pool holding each observation exactly B times, so two
     acts bootstrapped with the same (data, b, seed) are driven by identical
-    resample index sets and their error replicates are exactly coupled.
-    The replicates are gathered ``_COUNT_BLOCK_ROWS`` (512) at a time; each
-    row's mean is the same pairwise sum as in one full B x K gather, so the
-    errors are bit for bit those of one gather.
+    resamples and their error replicates are exactly coupled. The
+    replicates are those the decisions read, from the cached count matrix.
     """
-    if b < 1:
-        raise ValueError("replicate count must be at least 1")
-    base = np.asarray(_draw_values(f, data), dtype=float).mean()
-    labels, drawn, _ = _resample_indices(data.draws, b, int(seed))
-    values = dict(zip(f.state_ids, f.values))
-    by_label = np.array([values[label] for label in labels], dtype=float)
-    means = np.empty(b)
-    for lo in range(0, b, _COUNT_BLOCK_ROWS):
-        block = drawn[lo:lo + _COUNT_BLOCK_ROWS].astype(np.intp)
-        means[lo:lo + len(block)] = by_label.take(block).mean(axis=1)
-    return ErrorDistribution(errors=tuple((means - base).tolist()))
+    return ErrorDistribution(errors=tuple(_replicate_errors(f, data, b, seed).tolist()))
 
 
 def _replicate_errors(f: DiscreteAct, data: Dataset, b: int, seed: int) -> np.ndarray:
-    """The replicates of ``bootstrap_errors`` read from the count matrix:
+    """The bootstrap replicates read from the count matrix:
     ``sum_s counts[s] * value(s)`` over the labels in first-draw order,
     divided by K, minus the empirical mean. Within a few ulps of the
-    gathered replicates, with the same errors raised in the same order."""
+    replicates that one gather of the resampled observations gives."""
     if b < 1:
         raise ValueError("replicate count must be at least 1")
     obs = np.asarray(_draw_values(f, data), dtype=float)
-    labels, _, counts = _resample_indices(data.draws, b, int(seed))
+    labels, counts = _resample_indices(data.draws, b, int(seed))
     values = dict(zip(f.state_ids, f.values))
     total = np.zeros(b)
     for label, row in zip(labels, counts):

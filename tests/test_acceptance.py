@@ -2,7 +2,8 @@
 tolerance, one pass/fail line printed per criterion.
 
 Criteria 1-9 run through the shared suite implementations; criterion 10
-re-runs the full `accept` command in two subprocesses and compares bytes.
+runs the full `accept` command in two concurrent subprocesses and compares
+bytes.
 """
 
 import subprocess
@@ -48,16 +49,20 @@ class TestAcceptance:
         _check(acc.criterion_preferences(seed=0, n_checks=10_000))
 
     def test_criterion_10_deterministic_accept_run(self, tmp_path):
-        # two full CLI invocations with the same seed must agree byte-wise
-        reports = []
-        for name in ("r1.txt", "r2.txt"):
-            target = tmp_path / name
-            res = subprocess.run(
+        # two full CLI invocations with the same seed must agree byte-wise;
+        # neither reads the other's output, so they run at the same time
+        targets = [tmp_path / name for name in ("r1.txt", "r2.txt")]
+        runs = [
+            subprocess.Popen(
                 [sys.executable, "-m", "coarse_bounds", "accept",
                  "--suite", "all", "--seed", "0", "--out", str(target)],
-                capture_output=True,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             )
-            assert res.returncode == 0, res.stderr.decode()
-            reports.append(target.read_bytes())
+            for target in targets
+        ]
+        outputs = [run.communicate() for run in runs]
+        for run, (_, err) in zip(runs, outputs):
+            assert run.returncode == 0, err.decode()
+        reports = [target.read_bytes() for target in targets]
         assert reports[0] == reports[1]
         print("[PASS] criterion 10: determinism: full accept runs byte-identical")

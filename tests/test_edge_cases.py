@@ -4,6 +4,7 @@ larger partition grounds, and CLI error handling."""
 import json
 import sys
 import threading
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -103,6 +104,48 @@ class TestDpPathParity:
                 args = (engine.capacity_values, lad, n, kind, (lo, hi))
                 fast = solve_with("monotone", monkeypatch, *args)
                 assert fast == solve_with("dense", monkeypatch, *args), (n, kind)
+
+
+def signed_zero_ladders():
+    """Every ladder of 2-4 levels from {-2, -1, -0.0, 1, 2} with masses from
+    {0, 0.5, 1} that sum to 1: 140 ladders."""
+    for length in (2, 3, 4):
+        for levels in combinations((-2.0, -1.0, -0.0, 1.0, 2.0), length):
+            for masses in product((0.0, 0.5, 1.0), repeat=length):
+                if sum(masses) == 1.0:
+                    yield ValueLadder(levels, masses)
+
+
+class TestSignedZero:
+    """A -0.0 level or close cell keeps its sign through every fill branch
+    and through ``bound_values``, over the exhaustive signed-zero ladders at
+    N 2-3 and both kinds (560 cases)."""
+
+    CASES = [
+        (lad, n, kind)
+        for lad in signed_zero_ladders()
+        for n in (2, 3)
+        for kind in (engine.LOWER, engine.UPPER)
+    ]
+
+    def test_case_count(self):
+        assert len(self.CASES) == 560
+
+    def test_bound_values_keeps_the_sign_of_bound(self):
+        for lad, n, kind in self.CASES:
+            want = np.float64(bound(lad, n, kind).value).tobytes()
+            got = engine.bound_values([lad.levels], lad.level_masses, n, kind)[0].tobytes()
+            assert got == want, (lad.levels, lad.level_masses, n, kind)
+
+    @pytest.mark.parametrize("branch", ["dense", "monotone"])
+    def test_numpy_fills_keep_the_sign_of_the_python_fill(self, branch, monkeypatch):
+        for lad, n, kind in self.CASES:
+            python, numpy_fill = (
+                solve_with(b, monkeypatch, bound, lad, n, kind) for b in ("python", branch)
+            )
+            case = (lad.levels, lad.level_masses, n, kind)
+            assert np.float64(numpy_fill.value).tobytes() == np.float64(python.value).tobytes(), case
+            assert numpy_fill.cutoffs == python.cutoffs, case
 
 
 class TestMonotoneSplits:

@@ -624,6 +624,15 @@ class TestOptimumSet:
                     expected.append((min if kind == "upper" else max)(values))
                 assert capacity_values(lad, n, kind, (lo, hi)) == tuple(expected)
 
+    def test_relative_tie_tolerance(self):
+        # both cuts value 0.6 * 2**40 in real arithmetic; rounded, they differ
+        # by more than TIE_TOL absolute but within TIE_TOL relative
+        lad = ValueLadder([0.0, 2.0**40, 2.0**41], [0.4, 0.3, 0.3])
+        one, two = (coarse_value(cuts, lad, "lower") for cuts in ((1,), (2,)))
+        assert TIE_TOL < abs(one - two) <= TIE_TOL * max(abs(one), abs(two))
+        assert optimum_set(lad, 2, "lower") == ((1,), (2,))
+        assert top_block_starts(lad, 2, "lower") == [1, 2]
+
     @pytest.mark.parametrize("interval", [(2, 1), (0, 4), (-1, 2)])
     def test_invalid_interval_rejected(self, interval):
         with pytest.raises(ValueError, match="invalid interval"):

@@ -425,6 +425,18 @@ class TestSensitivity:
         with pytest.raises(PreconditionError):
             sensitivity(full, MODEL, U, 3, "coverage", 0.01, side="central")
 
+    @pytest.mark.parametrize("contract, parameter", [
+        (InsuranceContract(0.05, 0.0, 0.7, None, 2.0), "deductible"),
+        (InsuranceContract(0.05, 0.3, 0.05, None, 2.0), "coverage"),
+    ], ids=["deductible", "coverage"])
+    def test_boundary_raises_backward(self, contract, parameter):
+        # the backward step leaves the term's range below zero
+        x0 = getattr(contract, parameter)
+        message = f"^{parameter} at {x0} is not interior for step 0.1$"
+        with pytest.raises(PreconditionError, match=message):
+            sensitivity(contract, LossModel.uniform(1.0, 50), U, 3, parameter, 0.1,
+                        side="backward")
+
     @pytest.mark.parametrize("side", ["central", "backward"])
     def test_valuation_errors_propagate(self, side):
         # the premium exceeds the wealth: the plan is at fault, not the step

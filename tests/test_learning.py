@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -79,17 +80,21 @@ def sampling_errors_from_counts(f: DiscreteAct, counts: np.ndarray,
     return ErrorDistribution(errors=tuple(errs.tolist()))
 
 
+@lru_cache(maxsize=1)
 def tiled_indices(k: int, b: int, seed: int) -> np.ndarray:
     """The int64 pool of each observation index B times, shuffled, as a
-    B x K matrix: the resample that ``_resample_indices`` draws as label
-    codes."""
+    read-only B x K matrix: the resample that ``_resample_indices`` draws
+    as label codes. The last one is kept, since a reference run scores
+    many acts on one resample."""
     idx = np.tile(np.arange(k), b)
     np.random.Generator(np.random.Philox(key=seed)).shuffle(idx)
+    idx.setflags(write=False)
     return idx.reshape(b, k)
 
 
 def full_gather_errors(f: DiscreteAct, data: Dataset, b: int, seed: int) -> np.ndarray:
-    """``bootstrap_errors`` as it was before the row blocks: one B x K gather."""
+    """The bootstrap replicates as one B x K gather of the observations
+    through the int64 resample: the reference for the count replicates."""
     values = dict(zip(f.state_ids, f.values))
     obs = np.asarray([values[d] for d in data.draws], dtype=float)
     return obs[tiled_indices(data.K, b, seed)].mean(axis=1) - obs.mean()
@@ -97,17 +102,18 @@ def full_gather_errors(f: DiscreteAct, data: Dataset, b: int, seed: int) -> np.n
 
 def gathered_score(f: DiscreteAct, data: Dataset, rule: SmoothRule, b: int, seed: int) -> float:
     """``perceived_score`` as it was before the count matrices: the smooth
-    rule over the gathered ``bootstrap_errors``."""
-    errors = bootstrap_errors(f, data, b, seed)
+    rule over the gathered replicates."""
+    errors = full_gather_errors(f, data, b, seed)
     base = empirical_expectation(f, data)
-    return float(np.mean(rule.phi(base + np.asarray(errors.errors))))
+    return float(np.mean(rule.phi(base + errors)))
 
 
 def gathered_sosd(f: DiscreteAct, v1: float, v2: float, data: Dataset, b: int, seed: int,
                   true_belief: Belief) -> bool:
     """``coarsening_sosd_bootstrap`` as it was before the count matrices."""
     merged = coarsen_act(f, v1, v2, "empirical_mean", true_belief=true_belief, data=data)
-    return sosd_strict(bootstrap_errors(merged, data, b, seed), bootstrap_errors(f, data, b, seed))
+    return sosd_strict(full_gather_errors(merged, data, b, seed),
+                       full_gather_errors(f, data, b, seed))
 
 
 class TestDataset:
@@ -203,6 +209,16 @@ class TestCoarsenAct:
         with pytest.raises(ValueError):
             coarsen_act(ACT, 1.0, 9.9, "true_mean", true_belief=BELIEF)
 
+    @pytest.mark.parametrize("v1, v2", [(99.0, 99.0), (1.0, 99.0)], ids=["equal", "distinct"])
+    def test_unknown_equal_or_distinct_cells(self, v1, v2):
+        with pytest.raises(ValueError, match="^both payoffs must be value cells of the act$"):
+            coarsen_act(ACT, v1, v2, "bogus")
+
+    @pytest.mark.parametrize("v1, v2", [(1.0, 1.0), (1.0, 1.04)], ids=["equal", "distinct"])
+    def test_unknown_mode_for_equal_or_distinct_cells(self, v1, v2):
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            coarsen_act(ACT, v1, v2, "bogus")
+
     def test_unknown_draw(self):
         data = Dataset(draws=("a", "z"), seed=0)
         with pytest.raises(AlignmentError, match="draw 'z' is not a state"):
@@ -250,20 +266,22 @@ class TestLabelResample:
             # every label drawn, in shuffled first-draw order; one state never drawn
             draws = rng.permutation(np.concatenate([np.arange(n), rng.integers(0, n, k - n)]))
             draws = tuple(int(d) for d in draws)
-            labels, drawn, counts = ln._resample_indices(draws, b, seed)
+            labels, counts = ln._resample_indices(draws, b, seed)
             assert labels == tuple(dict.fromkeys(draws))
-            assert drawn.dtype == (np.uint8 if n <= 256 else np.uint16)
             assert counts.dtype == np.min_scalar_type(k)
-            assert not drawn.flags.writeable and not counts.flags.writeable
+            assert not counts.flags.writeable
             code = {label: i for i, label in enumerate(labels)}
             codes = np.array([code[d] for d in draws])[reference]
-            assert np.array_equal(drawn, codes)
             tallies = [np.bincount(row, minlength=n) for row in codes]
             assert np.array_equal(counts, np.stack(tallies, axis=1))
-            act = DiscreteAct(range(n + 1), rng.uniform(-2.0, 2.0, n + 1).tolist())
+            values = rng.uniform(-2.0, 2.0, n + 1)
+            act = DiscreteAct(range(n + 1), values.tolist())
             data = Dataset(draws=draws, seed=0)
             errors = np.asarray(bootstrap_errors(act, data, b, seed).errors)
-            assert errors.tobytes() == full_gather_errors(act, data, b, seed).tobytes()
+            assert errors.tobytes() == ln._replicate_errors(act, data, b, seed).tobytes()
+            gathered = full_gather_errors(act, data, b, seed)
+            bound = count_ulps(n) * np.spacing(np.max(np.abs(values[:n])))
+            assert np.max(np.abs(errors - gathered)) <= bound
 
 
 class TestOneShuffle:
@@ -315,9 +333,16 @@ class TestResampleMemory:
     def data(self):
         return draw_sample(BELIEF, STATES, self.K, seed=21)
 
-    def test_cached_label_matrix_takes_one_byte_per_entry(self):
-        _, drawn, _ = ln._resample_indices(self.data().draws, self.B, 22)
-        assert drawn.nbytes == self.K * self.B
+    def test_cached_entry_holds_only_the_count_matrix(self):
+        draws = self.data().draws
+        entry = ln._resample_indices(draws, self.B, 22)
+        arrays = [part for part in entry if isinstance(part, np.ndarray)]
+        assert len(arrays) == 1
+        counts = arrays[0]
+        # no view into the shuffled pool, which would keep it alive
+        assert counts.base is None
+        assert counts.shape == (len(set(draws)), self.B)
+        assert counts.dtype == np.min_scalar_type(self.K)
 
     def test_cached_call_gathers_in_row_blocks(self):
         data = self.data()
@@ -360,7 +385,7 @@ class TestReplicateCounts:
 
     def assert_close_to_gather(self, act, data, b, seed):
         errors = ln._replicate_errors(act, data, b, seed)
-        gathered = np.asarray(bootstrap_errors(act, data, b, seed).errors)
+        gathered = full_gather_errors(act, data, b, seed)
         values = dict(zip(act.state_ids, act.values))
         drawn = set(data.draws)
         bound = count_ulps(len(drawn)) * np.spacing(max(abs(values[d]) for d in drawn))
@@ -378,13 +403,13 @@ class TestReplicateCounts:
         act = DiscreteAct(STATES, [1.0, 5.0, -3.0, 1e6])
         data = Dataset(draws=("b", "a", "b", "b", "a"), seed=0)
         self.assert_close_to_gather(act, data, 300, seed=1)
-        labels, _, counts = ln._resample_indices(data.draws, 300, 1)
+        labels, counts = ln._resample_indices(data.draws, 300, 1)
         assert labels == ("b", "a") and counts.shape == (2, 300)
 
     def test_one_label(self):
         data = Dataset(draws=("c",) * 50, seed=0)
         self.assert_close_to_gather(ACT, data, 200, seed=2)
-        assert ln._resample_indices(data.draws, 200, 2)[2].tolist() == [[50] * 200]
+        assert ln._resample_indices(data.draws, 200, 2)[1].tolist() == [[50] * 200]
 
     def test_k_distinct_labels(self):
         rng = np.random.default_rng(3)
@@ -397,7 +422,7 @@ class TestReplicateCounts:
         rng = np.random.default_rng(4)
         for k, b in ((1, 1), (7, 3), (200, 4000), (300, 513)):
             draws = tuple(int(x) for x in rng.integers(0, 9, k))
-            labels, _, counts = ln._resample_indices(draws, b, k)
+            labels, counts = ln._resample_indices(draws, b, k)
             assert labels == tuple(dict.fromkeys(draws))
             assert counts.shape == (len(labels), b)
             assert np.all(counts.sum(axis=0, dtype=np.int64) == k)
@@ -409,8 +434,7 @@ class TestReplicateCounts:
         draws = draw_sample(BELIEF, STATES, 200, seed=5).draws
         first = ln._resample_indices(draws, 4000, 6)
         assert ln._resample_indices(tuple(list(draws)), 4000, 6) is first
-        assert not first[1].flags.writeable and not first[2].flags.writeable
-        assert first[2].nbytes <= first[1].nbytes
+        assert not first[1].flags.writeable
         assert ln._resample_indices(draws, 4000, 7) is not first
 
     @pytest.mark.parametrize("draws, b, error, message", [
