@@ -102,7 +102,7 @@ def float_ladder(rng: np.random.Generator, max_levels: int = 12,
     return ValueLadder(levels.tolist(), _array_masses(rng, length, 0.05))
 
 
-def random_act_belief(rng: np.random.Generator, max_states: int = 8):
+def random_act_belief(rng: np.random.Generator, max_states: int):
     k = int(rng.integers(2, max_states + 1))
     values = rng.uniform(-5.0, 5.0, size=k).tolist()
     return DiscreteAct(range(k), values), Belief(_array_masses(rng, k, 0.05))
@@ -112,7 +112,8 @@ def random_act_belief(rng: np.random.Generator, max_states: int = 8):
 # criterion 1 and 2: oracle equivalence and structural invariants
 # ---------------------------------------------------------------------------
 
-def criterion_oracle_equivalence(seed: int = 0, n_instances: int = 10_000) -> CriterionResult:
+def criterion_oracle_equivalence(seed: int) -> CriterionResult:
+    n_instances = 10_000
     rng = np.random.default_rng(seed)
     bad = 0
     half = n_instances // 2
@@ -138,7 +139,8 @@ def criterion_oracle_equivalence(seed: int = 0, n_instances: int = 10_000) -> Cr
     )
 
 
-def criterion_structural_invariants(seed: int = 0, n_instances: int = 2_000) -> CriterionResult:
+def criterion_structural_invariants(seed: int) -> CriterionResult:
+    n_instances = 2_000
     rng = np.random.default_rng(seed + 1)
     bad = []
     for i in range(n_instances):
@@ -180,7 +182,8 @@ def criterion_structural_invariants(seed: int = 0, n_instances: int = 2_000) -> 
 # criterion 3: lattice suite
 # ---------------------------------------------------------------------------
 
-def criterion_lattice_suite(seed: int = 0, n_instances: int = 1_000) -> CriterionResult:
+def criterion_lattice_suite(seed: int) -> CriterionResult:
+    n_instances = 1_000
     rng = np.random.default_rng(seed + 2)
     fails = {}
 
@@ -301,7 +304,8 @@ def criterion_lattice_suite(seed: int = 0, n_instances: int = 1_000) -> Criterio
 # criterion 4: perceived distributions
 # ---------------------------------------------------------------------------
 
-def criterion_perceived_distributions(seed: int = 0, n_instances: int = 1_000) -> CriterionResult:
+def criterion_perceived_distributions(seed: int) -> CriterionResult:
+    n_instances = 1_000
     rng = np.random.default_rng(seed + 3)
     bad = 0
     for _ in range(n_instances):
@@ -348,8 +352,8 @@ def _learning_fixture(rng: np.random.Generator):
     return act, Belief(_array_masses(rng, k_states, 0.4))
 
 
-def criterion_learning(seed: int = 0, n_fixtures: int = 200, k: int = 200,
-                       b: int = 4_000) -> CriterionResult:
+def criterion_learning(seed: int) -> CriterionResult:
+    n_fixtures, k, b = 200, 200, 4_000
     rng = np.random.default_rng(seed + 4)
     rule = ln.SmoothRule(gamma=1.0, k=1e-5)
     sosd_pass = 0
@@ -419,7 +423,7 @@ def _insurance_stats(model: ins.LossModel, u, n: int):
     }
 
 
-def criterion_insurance(seed: int = 0) -> CriterionResult:
+def criterion_insurance(seed: int) -> CriterionResult:
     u = CRRAUtility(2.0)
     issues = []
     models = {
@@ -528,7 +532,7 @@ def criterion_insurance(seed: int = 0) -> CriterionResult:
 # criterion 7: portfolio suite
 # ---------------------------------------------------------------------------
 
-def criterion_portfolio(seed: int = 0) -> CriterionResult:
+def criterion_portfolio(seed: int) -> CriterionResult:
     issues = []
     rng = np.random.default_rng(seed + 7)
     grid = np.linspace(0.7, 1.6, 40)
@@ -587,7 +591,8 @@ def _contracting_problem(rng: np.random.Generator, n_outputs: int):
                                  agent_u, principal_u, wage_grid)
 
 
-def criterion_contracting(seed: int = 0, n_instances: int = 100) -> CriterionResult:
+def criterion_contracting(seed: int) -> CriterionResult:
+    n_instances = 100
     rng = np.random.default_rng(seed + 8)
     issues = []
     strict_gain_seen = False
@@ -650,7 +655,8 @@ def criterion_contracting(seed: int = 0, n_instances: int = 100) -> CriterionRes
 # criterion 9: preference suite
 # ---------------------------------------------------------------------------
 
-def criterion_preferences(seed: int = 0, n_checks: int = 10_000) -> CriterionResult:
+def criterion_preferences(seed: int) -> CriterionResult:
+    n_checks = 10_000
     rng = np.random.default_rng(seed + 9)
     per = n_checks // 4
     issues = []
@@ -751,7 +757,7 @@ def criterion_preferences(seed: int = 0, n_checks: int = 10_000) -> CriterionRes
     return CriterionResult(9, "preference suite", not issues, detail)
 
 
-def find_uncertainty_aversion_failure(seed: int = 0):
+def find_uncertainty_aversion_failure(seed: int):
     """Search for comonotone acts with equal cautious values whose mixture is
     strictly worse: the classic uncertainty-aversion violation."""
     rng = np.random.default_rng(seed + 10)

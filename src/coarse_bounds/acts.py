@@ -11,9 +11,9 @@ that share a value (or carry no mass) are collapsed before any optimization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, inf, isfinite
+from math import fsum, inf
 
-from .errors import AlignmentError, DegenerateBeliefError
+from .errors import AlignmentError, DegenerateBeliefError, check_ascending, check_finite
 
 MASS_TOL = 1e-12
 
@@ -47,8 +47,7 @@ class DiscreteAct:
             raise AlignmentError("an act needs at least one state")
         if len(set(state_ids)) != len(state_ids):
             raise AlignmentError("state ids must be unique")
-        if not all(isfinite(v) for v in values):
-            raise ValueError("act values must be finite")
+        check_finite(values, "act values")
         object.__setattr__(self, "state_ids", state_ids)
         object.__setattr__(self, "values", values)
 
@@ -92,11 +91,7 @@ class ValueLadder:
             raise AlignmentError("levels and masses must align")
         if len(levels) == 0:
             raise DegenerateBeliefError("a ladder needs at least one level")
-        # a NaN level fails every comparison, so these two checks reject it
-        if not all(a < b for a, b in zip(levels, levels[1:])):
-            raise ValueError("ladder levels must be strictly ascending")
-        if not -inf < levels[0] <= levels[-1] < inf:
-            raise ValueError("ladder levels must be finite")
+        check_ascending(levels, "ladder levels")
         _check_masses(
             level_masses, "ladder masses must be non-negative", "ladder masses must sum to 1"
         )
@@ -128,8 +123,6 @@ def build_ladder(act: DiscreteAct, belief: Belief) -> ValueLadder:
     for v, m in zip(act.values, belief.masses):
         if m > 0.0:
             agg[v] = agg.get(v, 0.0) + m
-    if not agg:
-        raise DegenerateBeliefError("belief puts no mass on any state")
     levels = sorted(agg)
     return ValueLadder(levels, [agg[v] for v in levels])
 

@@ -13,11 +13,10 @@ discrete jump at the top.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .. import preferences
-from ..acts import Belief, DiscreteAct, build_ladder
+from ..acts import Belief, DiscreteAct, build_ladder, check_ascending, check_finite
 from ..engine import bound, pull_back, top_block_starts
 from ..errors import (
     AlignmentError, DegenerateBeliefError, InfeasibleConstructionError, PreconditionError,
@@ -43,10 +42,9 @@ class ContractingProblem:
     def __post_init__(self):
         outputs = tuple(float(o) for o in self.outputs)
         object.__setattr__(self, "outputs", outputs)
-        if not all(map(math.isfinite, outputs)):
-            raise ValueError("outputs must be finite")
-        if any(b <= a for a, b in zip(outputs, outputs[1:])):
-            raise ValueError("outputs must be strictly ascending")
+        check_ascending(outputs, "outputs")
+        if not self.efforts or any(self.efforts.index(e) != i for i, e in enumerate(self.efforts)):
+            raise ValueError(f"efforts must be non-empty and distinct, got {self.efforts!r}")
         if len(self.output_masses) != len(self.efforts):
             raise ValueError(
                 f"output_masses must hold one distribution per effort, "
@@ -65,10 +63,7 @@ class ContractingProblem:
         object.__setattr__(self, "_beliefs", beliefs)
         wages = tuple(float(x) for x in self.wage_grid)
         object.__setattr__(self, "wage_grid", wages)
-        if not all(map(math.isfinite, wages)):
-            raise ValueError("wage_grid must be finite")
-        if any(b <= a for a, b in zip(wages, wages[1:])):
-            raise ValueError("wage_grid must be strictly ascending")
+        check_ascending(wages, "wage_grid")
         for effort in self.efforts:
             us = [self.agent_utility(x, effort) for x in wages]
             if any(b <= a for a, b in zip(us, us[1:])):
@@ -88,9 +83,7 @@ def _check_schedule(problem: ContractingProblem, schedule) -> tuple:
     schedule = tuple(float(x) for x in schedule)
     if len(schedule) != len(problem.outputs):
         raise ValueError("schedule must assign a wage to every output")
-    bad = [x for x in schedule if not math.isfinite(x)]
-    if bad:
-        raise ValueError(f"schedule wages must be finite, got {bad[0]!r}")
+    check_finite(schedule, "schedule wages")
     return schedule
 
 

@@ -12,12 +12,11 @@ no-cutoff-at-the-kink property of optimal partitions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..acts import Belief, DiscreteAct, ValueLadder
+from ..acts import Belief, DiscreteAct, ValueLadder, check_ascending, check_finite
 from ..engine import attitude_kind, blocks_from_cuts, bound, optimum_set, top_block_starts
 from ..errors import AlignmentError, BracketingError, ConvergenceError, PreconditionError
 
@@ -33,10 +32,8 @@ class InsuranceContract:
     wealth: float
 
     def __post_init__(self):
-        for name in ("premium", "wealth"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        check_finite((self.premium,), "premium")
+        check_finite((self.wealth,), "wealth")
         if not self.deductible >= 0:
             raise ValueError("deductible must be non-negative")
         if not 0.0 <= self.coverage <= 1.0:
@@ -68,11 +65,7 @@ class LossModel:
         masses = tuple(float(m) for m in masses)
         if not losses:
             raise ValueError("loss grid must not be empty")
-        # a NaN loss fails every comparison, so these three checks reject it
-        if not all(a < b for a, b in zip(losses, losses[1:])):
-            raise ValueError("loss grid must be strictly ascending")
-        if not -np.inf < losses[0] <= losses[-1] < np.inf:
-            raise ValueError("loss grid must be finite")
+        check_ascending(losses, "loss grid")
         if not losses[0] >= 0.0:
             raise ValueError("loss grid must be non-negative")
         object.__setattr__(self, "belief", Belief(masses))
@@ -119,8 +112,7 @@ class LossModel:
         A non-finite tilt raises ``ValueError``, and a finite one whose
         weights overflow, or all underflow, ``FloatingPointError``.
         """
-        if not -np.inf < lam < np.inf:
-            raise ValueError(f"loss tilt must be finite, got {lam!r}")
+        check_finite((lam,), "loss tilt")
         with np.errstate(over="ignore", invalid="ignore"):
             w = np.exp(lam * self._losses)
             raw = w * self._masses

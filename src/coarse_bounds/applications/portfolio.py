@@ -16,11 +16,11 @@ from itertools import groupby
 import numpy as np
 
 from .. import preferences
-from ..acts import Belief, DiscreteAct
-from ..engine import attitude_kind, bound_values
+from ..acts import Belief, DiscreteAct, check_ascending
+from ..engine import attitude_kind, bound_values, check_capacity
 from ..errors import (
-    AlignmentError, ConvergenceError, DegenerateBeliefError, InvalidCapacityError,
-    NonPositiveWealthError, PreconditionError,
+    AlignmentError, ConvergenceError, DegenerateBeliefError, NonPositiveWealthError,
+    PreconditionError,
 )
 from .crra import CRRAUtility
 
@@ -85,11 +85,7 @@ class PortfolioProblem:
                 f"risky_masses must match risky_returns: "
                 f"{len(self.risky_masses)} masses vs {len(returns)} returns"
             )
-        bad = [r for r in returns if not math.isfinite(r)]
-        if bad:
-            raise ValueError(f"risky_returns must be finite, got {bad[0]!r}")
-        if any(b <= a for a, b in zip(returns, returns[1:])):
-            raise ValueError("risky_returns must be strictly ascending")
+        check_ascending(returns, "risky_returns")
         if not returns[0] < self.safe_return < returns[-1]:
             raise PreconditionError(
                 f"safe_return must lie strictly inside the risky_returns support, "
@@ -99,9 +95,7 @@ class PortfolioProblem:
             raise ValueError(f"beta must be non-negative and finite, got {self.beta!r}")
         if not 0 < self.endowment < math.inf:
             raise ValueError(f"endowment must be positive and finite, got {self.endowment!r}")
-        n = self.capacity
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise InvalidCapacityError(f"capacity must be a positive integer, got {n!r}")
+        check_capacity(self.capacity)
         object.__setattr__(self, "_kind", attitude_kind(self.attitude))
         object.__setattr__(self, "_returns", np.array(returns))
         object.__setattr__(self, "_live", np.array(belief.masses) > 0.0)

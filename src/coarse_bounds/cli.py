@@ -15,7 +15,7 @@ from numbers import Real
 import numpy as np
 
 from . import acceptance
-from .acts import build_ladder
+from .acts import build_ladder, check_finite
 from .engine import bound, perceived_distribution
 from .errors import (
     BracketingError,
@@ -312,8 +312,7 @@ def cmd_contract(args) -> int:
         name = f"the cost of {effort!r} in 'effort_costs'"
         check_shape(cost, Real, name)
         costs[effort] = float(cost)
-        if not np.isfinite(costs[effort]):
-            raise ValueError(f"{name} must be finite, got {costs[effort]!r}")
+        check_finite((costs[effort],), name)
     if not costs:
         raise ValueError("'effort_costs' must name at least one effort")
     efforts = tuple(costs)

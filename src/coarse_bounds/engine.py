@@ -72,13 +72,13 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
-from itertools import chain, combinations, islice
-from math import comb, inf
+from itertools import accumulate, chain, combinations, islice
+from math import comb, inf, isfinite
 
 import numpy as np
 
 from .acts import Belief, DiscreteAct, ValueLadder, build_ladder
-from .errors import InvalidCapacityError, OracleTooLargeError, PreconditionError
+from .errors import OracleTooLargeError, PreconditionError, check_capacity
 
 LOWER = "lower"
 UPPER = "upper"
@@ -133,12 +133,6 @@ def _check_kind(kind: str) -> bool:
     raise ValueError(f"kind must be {LOWER!r} or {UPPER!r}, got {kind!r}")
 
 
-def _check_capacity(n) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise InvalidCapacityError(f"capacity must be a positive integer, got {n!r}")
-    return int(n)
-
-
 @dataclass(frozen=True)
 class CutoffVector:
     """Strictly ascending level indices where new blocks begin."""
@@ -146,7 +140,10 @@ class CutoffVector:
     cuts: tuple
 
     def __init__(self, cuts):
-        cuts = tuple(int(c) for c in cuts)
+        given = tuple(cuts)
+        cuts = tuple(map(int, filter(isfinite, given)))
+        if cuts != given:
+            raise ValueError(f"cutoffs must be integers, got {given!r}")
         if any(b <= a for a, b in zip(cuts, cuts[1:])):
             raise ValueError("cutoffs must be strictly ascending")
         object.__setattr__(self, "cuts", cuts)
@@ -216,10 +213,7 @@ def blocks_from_cuts(cuts, num_levels: int) -> list:
 
 
 def _prefix_masses(masses) -> list:
-    pref = [0.0] * (len(masses) + 1)
-    for i, m in enumerate(masses):
-        pref[i + 1] = pref[i] + m
-    return pref
+    return list(accumulate(masses, initial=0.0))
 
 
 def _cell(levels, pref, lo: int, hi: int, upper: bool) -> float:
@@ -493,7 +487,7 @@ def _solve(ladder: ValueLadder, n, kind: str, interval):
     lo, hi = (0, len(ladder) - 1) if interval is None else interval
     if not 0 <= lo <= hi < len(ladder):
         raise ValueError(f"invalid interval {interval!r} for {len(ladder)} levels")
-    n = _check_capacity(n)
+    n = check_capacity(n)
     pref = _prefix_masses(ladder.level_masses)
     values, choices = _fill(ladder.levels, pref, lo, hi, min(n, hi - lo + 1), upper)
     return n, upper, lo, hi, pref, values, choices
@@ -678,7 +672,7 @@ def bound_values(levels, masses, n, kind: str) -> np.ndarray:
     if bad[0]:
         ValueLadder(rows[0], masses)
     upper = _check_kind(kind)
-    n = _check_capacity(n)
+    n = check_capacity(n)
     if bad.any():
         ValueLadder(rows[np.argmax(bad)], masses)
     if length >= _MONOTONE_DP_THRESHOLD:
@@ -829,7 +823,7 @@ def _enumerate_raw(levels, masses, n: int, upper: bool):
 def brute_force_bound(ladder: ValueLadder, n, kind: str) -> OracleResult:
     """Independent exhaustive oracle for :func:`bound` on small ladders."""
     upper = _check_kind(kind)
-    n = _check_capacity(n)
+    n = check_capacity(n)
     value, optima = _enumerate_raw(ladder.levels, ladder.level_masses, n, upper)
     return OracleResult(
         bound=_bound_from_cuts(ladder, optima[0], value, n, kind),

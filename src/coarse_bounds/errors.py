@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input checks the constructors share."""
+
+from math import inf, isfinite
+from operator import lt
+
+import numpy as np
 
 
 class CoarseBoundsError(Exception):
@@ -41,3 +46,23 @@ class ConvergenceError(CoarseBoundsError):
 class InfeasibleConstructionError(CoarseBoundsError):
     """A constructive transform has no feasible parameter; the message names
     the binding constraint."""
+
+
+def check_finite(values: tuple, name: str) -> None:
+    """Raise ``ValueError`` naming the first non-finite entry of ``values``."""
+    if not all(map(isfinite, values)):
+        bad = next(v for v in values if not isfinite(v))
+        raise ValueError(f"{name} must be finite, got {bad!r}")
+
+
+def check_ascending(values: tuple, name: str) -> None:
+    """Raise ``ValueError`` unless ``values`` are finite and strictly ascending; NaN fails ``<``."""
+    if values and not (all(map(lt, values, values[1:])) and -inf < values[0] <= values[-1] < inf):
+        check_finite(values, name)
+        raise ValueError(f"{name} must be strictly ascending")
+
+
+def check_capacity(n) -> int:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise InvalidCapacityError(f"capacity must be a positive integer, got {n!r}")
+    return int(n)

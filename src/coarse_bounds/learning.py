@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .acts import Belief, DiscreteAct, check_aligned
+from .acts import Belief, DiscreteAct, check_aligned, check_finite
 from .errors import AlignmentError, PreconditionError
 from .preferences import PreferenceVerdict, verdict_of
 from .statics import sosd_strict
@@ -63,6 +63,7 @@ class Dataset:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "draws", tuple(self.draws))
         if len(self.draws) == 0:
             raise ValueError("a dataset needs at least one draw")
 
@@ -98,6 +99,8 @@ class SmoothRule:
             raise ValueError("gamma must be positive")
         if not self.k >= 0:
             raise ValueError("k must be non-negative")
+        check_finite((self.gamma,), "gamma")
+        check_finite((self.k,), "k")
 
     def phi(self, x):
         return 1.0 - np.exp(-self.gamma * np.asarray(x, dtype=float))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acts import ValueLadder
+from .acts import Belief, ValueLadder
 from .engine import (
     LOWER,
     UPPER,
@@ -124,7 +124,7 @@ def mlr_shift(masses, weights) -> DistributionShift:
     """Tilt ``masses`` by ``weights`` (positive, non-decreasing in the value
     order) and renormalize; the shifted belief dominates the base in the
     monotone likelihood ratio order."""
-    masses = tuple(float(m) for m in masses)
+    masses = Belief(masses).masses
     weights = tuple(float(w) for w in weights)
     if len(masses) != len(weights):
         raise AlignmentError("weights must align with masses")

@@ -22,19 +22,19 @@ def _check(result):
 
 class TestAcceptance:
     def test_criterion_1_oracle_equivalence(self):
-        _check(acc.criterion_oracle_equivalence(seed=0, n_instances=10_000))
+        _check(acc.criterion_oracle_equivalence(seed=0))
 
     def test_criterion_2_structural_invariants(self):
-        _check(acc.criterion_structural_invariants(seed=0, n_instances=2_000))
+        _check(acc.criterion_structural_invariants(seed=0))
 
     def test_criterion_3_lattice_suite(self):
-        _check(acc.criterion_lattice_suite(seed=0, n_instances=1_000))
+        _check(acc.criterion_lattice_suite(seed=0))
 
     def test_criterion_4_perceived_distributions(self):
-        _check(acc.criterion_perceived_distributions(seed=0, n_instances=1_000))
+        _check(acc.criterion_perceived_distributions(seed=0))
 
     def test_criterion_5_learning(self):
-        _check(acc.criterion_learning(seed=0, n_fixtures=200, k=200, b=4_000))
+        _check(acc.criterion_learning(seed=0))
 
     def test_criterion_6_insurance(self):
         _check(acc.criterion_insurance(seed=0))
@@ -43,10 +43,10 @@ class TestAcceptance:
         _check(acc.criterion_portfolio(seed=0))
 
     def test_criterion_8_contracting(self):
-        _check(acc.criterion_contracting(seed=0, n_instances=100))
+        _check(acc.criterion_contracting(seed=0))
 
     def test_criterion_9_preferences(self):
-        _check(acc.criterion_preferences(seed=0, n_checks=10_000))
+        _check(acc.criterion_preferences(seed=0))
 
     def test_criterion_10_deterministic_accept_run(self, tmp_path):
         # two full CLI invocations with the same seed must agree byte-wise;

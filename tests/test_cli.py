@@ -641,9 +641,9 @@ class TestExitCodes:
          "schedule wages must be finite, got nan"),
         ("contract", {"schedule": [0.1, 0.2, float("inf")]}, 1,
          "schedule wages must be finite, got inf"),
-        ("contract", {"outputs": [0.5, float("nan"), 1.0]}, 1, "outputs must be finite"),
+        ("contract", {"outputs": [0.5, float("nan"), 1.0]}, 1, "outputs must be finite, got nan"),
         ("contract", {"wage_grid": [0.1, 0.2, float("nan"), 0.4]}, 1,
-         "wage_grid must be finite"),
+         "wage_grid must be finite, got nan"),
         ("contract", {"wage_grid": [0.1, 0.3, 0.2, 0.4]}, 1,
          "wage_grid must be strictly ascending"),
         ("contract", {"effort_costs": {}}, 1, "'effort_costs' must name at least one effort"),
@@ -677,6 +677,7 @@ class TestExitCodes:
         ("learn", {"states": ["a", [1.0], "c", "d"]}, 1,
          "'states' must not hold lists or objects as ids"),
         ("learn", {"masses": []}, 1, "'masses' must hold at least one mass"),
+        ("learn", {"gamma": float("inf")}, 1, "gamma must be finite, got inf"),
     ], ids=["returns-nan", "returns-inf", "masses-misaligned", "gamma-inf", "savings-overflow",
             "savings-overflow-gamma-2", "grid-n-fraction", "grid-n-nan", "tilt-inf",
             "tilt-minus-inf", "tilt-nan", "tilt-overflow", "tilt-underflow", "tilt-loss-scale",
@@ -689,7 +690,8 @@ class TestExitCodes:
             "returns-item-object", "masses-string", "insurance-contract-empty",
             "learn-seed-negative",
             "learn-seed-huge", "learn-K-zero", "learn-B-minus-zero", "learn-seed-before-B",
-            "learn-states-empty", "learn-states-unhashable", "learn-masses-empty"])
+            "learn-states-empty", "learn-states-unhashable", "learn-masses-empty",
+            "learn-gamma-inf"])
     def test_rejected_fixture_field(self, command, change, code, message, tmp_path, capsys):
         path = tmp_path / "fixture.json"
         path.write_text(json.dumps(dict(FIXTURES[command], **change)))

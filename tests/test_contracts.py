@@ -327,6 +327,22 @@ class TestValidation:
                 wage_grid=(0.1, 0.9),
             )
 
+    @pytest.mark.parametrize("efforts, masses, message", [
+        ((), (), "efforts must be non-empty and distinct, got ()"),
+        (("a", "a"), ((0.5, 0.5), (0.2, 0.8)),
+         "efforts must be non-empty and distinct, got ('a', 'a')"),
+    ], ids=["empty", "repeated"])
+    def test_efforts_checked(self, efforts, masses, message):
+        # an empty list used to fail later in simplify_contract, and a
+        # repeated effort was valued with its first distribution
+        with pytest.raises(ValueError) as err:
+            ContractingProblem(
+                outputs=(1.0, 2.0), efforts=efforts, output_masses=masses,
+                agent_utility=lambda w, e: w, principal_utility=lambda o, w: o - w,
+                wage_grid=(0.1, 0.9),
+            )
+        assert str(err.value) == message
+
     def test_schedule_length_checked(self):
         with pytest.raises(ValueError):
             agent_value(PROBLEM, [1.0] * 3, "low", 2, "cautious")

@@ -137,6 +137,19 @@ class TestSignedZero:
             got = engine.bound_values([lad.levels], lad.level_masses, n, kind)[0].tobytes()
             assert got == want, (lad.levels, lad.level_masses, n, kind)
 
+    def test_prefix_masses_add_as_the_loop_does(self):
+        def loop(masses):
+            pref = [0.0] * (len(masses) + 1)
+            for i, m in enumerate(masses):
+                pref[i + 1] = pref[i] + m
+            return pref
+
+        vectors = [lad.level_masses for lad in signed_zero_ladders()]
+        vectors.append((-0.0, 1e-300, 0.1, 1e300, -1e300, 0.2, -0.0))
+        for masses in vectors:
+            got, want = engine._prefix_masses(masses), loop(masses)
+            assert [x.hex() for x in got] == [x.hex() for x in want], masses
+
     @pytest.mark.parametrize("branch", ["dense", "monotone"])
     def test_numpy_fills_keep_the_sign_of_the_python_fill(self, branch, monkeypatch):
         for lad, n, kind in self.CASES:

@@ -115,6 +115,11 @@ class TestBuildLadder:
 
     @pytest.mark.parametrize("make, message", [
         (lambda: ValueLadder([2.0, 1.0], [0.5, 0.5]), "ladder levels must be strictly ascending"),
+        (lambda: ValueLadder([1.0, math.nan, 3.0], [0.25, 0.5, 0.25]),
+         "ladder levels must be finite, got nan"),
+        (lambda: ValueLadder([2.0, 1.0, math.inf], [0.25, 0.5, 0.25]),
+         "ladder levels must be finite, got inf"),
+        (lambda: DiscreteAct(("a", "b"), [1.0, -math.inf]), "act values must be finite, got -inf"),
         (lambda: ValueLadder([1.0, 2.0], [-0.5, 1.5]), "ladder masses must be non-negative"),
         (lambda: ValueLadder([1.0, 2.0], [0.5, 0.25]), "ladder masses must sum to 1"),
         (lambda: Belief([0.5, math.nan]), "belief masses must be finite and non-negative"),
@@ -1073,6 +1078,17 @@ class TestCutoffVector:
     def test_validation(self):
         with pytest.raises(ValueError):
             CutoffVector([2, 2])
+
+    @pytest.mark.parametrize("cut", [1.5, math.inf, -math.inf, math.nan])
+    def test_non_integral_cutoff_rejected(self, cut):
+        # 1.5 used to be truncated to 1, and inf to raise a bare OverflowError
+        with pytest.raises(ValueError) as err:
+            CutoffVector([0, cut])
+        assert str(err.value) == f"cutoffs must be integers, got {(0, cut)!r}"
+
+    def test_integral_cutoffs_pass(self):
+        cuts = CutoffVector([1.0, np.int64(2), np.float64(4.0)]).cuts
+        assert cuts == (1, 2, 4) and all(type(c) is int for c in cuts)
 
     def test_blocks_from_cuts(self):
         assert blocks_from_cuts((2,), 4) == [(0, 1), (2, 3)]

@@ -109,10 +109,11 @@ def test_scan_flags_an_unread_parameter(tmp_path):
 
 
 def defaulted_parameters(path: Path) -> list:
-    """(line, function, parameter, position) for every parameter with a
-    default of every ``def`` in ``path``. ``position`` is the index of the
-    positional argument that sets it at a call, counted past ``self`` or
-    ``cls`` for methods, and None for keyword-only parameters."""
+    """(line, function, parameter, position, default) for every parameter
+    with a default of every ``def`` in ``path``. ``position`` is the index of
+    the positional argument that sets it at a call, counted past ``self`` or
+    ``cls`` for methods, and None for keyword-only parameters; ``default`` is
+    the default's expression."""
     found = []
 
     def visit(node, in_class: bool):
@@ -127,11 +128,11 @@ def defaulted_parameters(path: Path) -> list:
             )
             first = len(positional) - len(args.defaults)
             found.extend(
-                (child.lineno, child.name, p.arg, i - skip)
+                (child.lineno, child.name, p.arg, i - skip, args.defaults[i - first])
                 for i, p in enumerate(positional) if i >= first
             )
             found.extend(
-                (child.lineno, child.name, p.arg, None)
+                (child.lineno, child.name, p.arg, None, d)
                 for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
             )
             visit(child, False)
@@ -152,26 +153,39 @@ def calls_by_name(paths) -> dict:
     return calls
 
 
-def sets_parameter(call: ast.Call, parameter: str, position) -> bool:
-    """True iff ``call`` passes ``parameter``; a ``*`` or ``**`` argument
-    might, so it counts."""
+def same_literal(node: ast.expr, default: ast.expr) -> bool:
+    """True iff both expressions are literals of the same value and type."""
+    try:
+        return repr(ast.literal_eval(node)) == repr(ast.literal_eval(default))
+    except (ValueError, TypeError):
+        return False
+
+
+def sets_parameter(call: ast.Call, parameter: str, position, default: ast.expr) -> bool:
+    """True iff ``call`` passes ``parameter`` something other than a literal
+    equal to its default; a ``*`` or ``**`` argument might, so it counts."""
     if any(isinstance(a, ast.Starred) for a in call.args):
         return True
     if position is not None and len(call.args) > position:
-        return True
-    return any(k.arg in (parameter, None) for k in call.keywords)
+        return not same_literal(call.args[position], default)
+    return any(
+        k.arg is None or (k.arg == parameter and not same_literal(k.value, default))
+        for k in call.keywords
+    )
 
 
 def unset_defaults(paths, caller_paths) -> list:
     """(path, line, function, parameter) for every defaulted parameter of a
     function in ``paths`` that no call in ``caller_paths`` with the same
-    callee name passes."""
+    callee name sets to other than its default."""
     calls = calls_by_name(caller_paths)
     return [
         (path, line, name, parameter)
         for path in paths
-        for line, name, parameter, position in defaulted_parameters(path)
-        if not any(sets_parameter(c, parameter, position) for c in calls.get(name, ()))
+        for line, name, parameter, position, default in defaulted_parameters(path)
+        if not any(
+            sets_parameter(c, parameter, position, default) for c in calls.get(name, ())
+        )
     ]
 
 
@@ -200,18 +214,24 @@ def test_scan_flags_an_unset_default(tmp_path):
         "        return x\n"
         "def g(v=0):\n"
         "    return v\n"
+        "def h(p=0, q='a', r=1_000):\n"
+        "    return p, q, r\n"
     )
     caller = tmp_path / "caller.py"
     caller.write_text(
-        "f(0, 1, e=5)\n"
+        "f(0, 9, e=5)\n"
         "K().m(1)\n"
         "K.s(2)\n"
         "g(*[1])\n"
+        "h(0, r=1000)\n"
+        "h(q=name)\n"
     )
     assert unset_defaults([src], [src, caller]) == [
         (src, 1, "f", "c"),
         (src, 1, "f", "d"),
         (src, 4, "m", "y"),
+        (src, 11, "h", "p"),
+        (src, 11, "h", "r"),
     ]
 
 

@@ -664,9 +664,9 @@ class TestLossModel:
         assert np.all(np.diff(ratios) > 0)
 
     @pytest.mark.parametrize("losses, message", [
-        ((0.1, float("nan"), 0.3), "loss grid must be strictly ascending"),
-        ((float("nan"),), "loss grid must be finite"),
-        ((0.1, float("inf")), "loss grid must be finite"),
+        ((0.1, float("nan"), 0.3), "loss grid must be finite, got nan"),
+        ((float("nan"),), "loss grid must be finite, got nan"),
+        ((0.1, float("inf")), "loss grid must be finite, got inf"),
         ((0.2, 0.1, 0.3), "loss grid must be strictly ascending"),
     ], ids=["inner-nan", "lone-nan", "inf", "descending"])
     def test_bad_losses_rejected(self, losses, message):

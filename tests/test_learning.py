@@ -128,6 +128,14 @@ class TestDataset:
         with pytest.raises(ValueError, match="seed must be in"):
             bootstrap_errors(ACT, Dataset(draws=("a",), seed=0), 5, seed=seed)
 
+    def test_list_of_draws_is_stored_as_a_tuple(self):
+        # a list used to reach the resample cache, which needs a hashable key
+        data = Dataset(draws=["a", "b", "b", "c"], seed=1)
+        assert data.draws == ("a", "b", "b", "c")
+        assert bootstrap_errors(ACT, data, 5, seed=1) == bootstrap_errors(
+            ACT, Dataset(draws=("a", "b", "b", "c"), seed=1), 5, seed=1
+        )
+
     def test_seed_range_ends(self):
         for seed in (0, 2**128 - 1):
             assert len(draw_sample(BELIEF, STATES, 5, seed=seed).draws) == 5
@@ -496,6 +504,15 @@ class TestSmoothRule:
     def test_nan_rejected(self, gamma, k, message):
         with pytest.raises(ValueError, match=message):
             SmoothRule(gamma=gamma, k=k)
+
+    @pytest.mark.parametrize("gamma, k, message", [
+        (float("inf"), 0.1, "gamma must be finite, got inf"),
+        (1.0, float("inf"), "k must be finite, got inf"),
+    ])
+    def test_inf_rejected(self, gamma, k, message):
+        with pytest.raises(ValueError) as err:
+            SmoothRule(gamma=gamma, k=k)
+        assert str(err.value) == message
 
     def test_phi_concave_increasing(self):
         rule = SmoothRule(gamma=2.0, k=0.0)

@@ -8,7 +8,9 @@ import coarse_bounds.engine as engine
 from coarse_bounds import statics
 from coarse_bounds.acts import ValueLadder
 from coarse_bounds.engine import bound, capacity_values, siminf
-from coarse_bounds.errors import AlignmentError, InvalidCapacityError, PreconditionError
+from coarse_bounds.errors import (
+    AlignmentError, DegenerateBeliefError, InvalidCapacityError, PreconditionError,
+)
 from coarse_bounds.statics import (
     capacity_profile,
     fosd_leq,
@@ -116,6 +118,16 @@ class TestMlrShift:
             mlr_shift((0.5, 0.5), (0.0, 1.0))
         with pytest.raises(AlignmentError):
             mlr_shift((0.5, 0.5), (1.0,))
+
+    @pytest.mark.parametrize("masses, error, message", [
+        ((-1.0, 2.0), ValueError, "belief masses must be finite and non-negative"),
+        ((0.0, 0.0), DegenerateBeliefError, "belief puts no mass on any state"),
+    ], ids=["negative", "all-zero"])
+    def test_invalid_masses(self, masses, error, message):
+        # a negative mass used to pass through, and all-zero masses to divide by zero
+        with pytest.raises(error) as err:
+            mlr_shift(masses, (1.0, 1.0))
+        assert str(err.value) == message
 
 
 class TestCapacityProfile:
