@@ -28,7 +28,8 @@ class ContractingProblem:
     """Outputs, efforts with their output distributions, and both payoffs.
 
     ``agent_utility(wage, effort)`` must be increasing in the wage for every
-    effort; ``principal_utility(output, wage)`` decreasing in the wage.
+    effort; ``principal_utility(output, wage)`` decreasing in the wage. Both
+    are checked on ``wage_grid``, at least two ascending wages.
     """
 
     outputs: tuple
@@ -64,6 +65,9 @@ class ContractingProblem:
         wages = tuple(float(x) for x in self.wage_grid)
         object.__setattr__(self, "wage_grid", wages)
         check_ascending(wages, "wage_grid")
+        # the utilities' monotonicity is checked between adjacent wages
+        if len(wages) < 2:
+            raise ValueError(f"wage_grid must hold at least two wages, got {len(wages)}")
         for effort in self.efforts:
             us = [self.agent_utility(x, effort) for x in wages]
             if any(b <= a for a, b in zip(us, us[1:])):

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..acts import Belief, DiscreteAct, ValueLadder, check_ascending, check_finite
-from ..engine import attitude_kind, blocks_from_cuts, bound, optimum_set, top_block_starts
+from ..engine import (
+    attitude_kind, blocks_from_cuts, bound, bound_value, optimum_set, top_block_starts,
+)
 from ..errors import AlignmentError, BracketingError, ConvergenceError, PreconditionError
 
 
@@ -210,7 +212,7 @@ def plan_value(contract: InsuranceContract, model: LossModel, utility, n: int,
                attitude: str = "cautious") -> float:
     """Perceived plan value: the capacity-``n`` bound of utility of wealth."""
     ladder, _ = _plan_ladder(contract, model, utility, _payment_runs(contract, model))
-    return bound(ladder, n, attitude_kind(attitude)).value
+    return bound_value(ladder, n, attitude_kind(attitude))
 
 
 def sensitivity(contract: InsuranceContract, model: LossModel, utility, n: int,
@@ -269,10 +271,10 @@ def wtp(contract: InsuranceContract, model: LossModel, utility, n: int,
     base_value = plan_value(contract, model, utility, n)
     # a premium moves no payment, so one layout serves every premium tried
     runs = _payment_runs(improved, model)
-    gain = lambda dp: bound(
+    gain = lambda dp: bound_value(
         _plan_ladder(replace(improved, premium=improved.premium + dp), model, utility, runs)[0],
         n, "lower",
-    ).value - base_value
+    ) - base_value
     lo, hi = 0.0, max(delta, 1e-6)
     if gain(lo) < 0:
         raise BracketingError("improvement does not weakly raise the plan value")
@@ -357,7 +359,7 @@ def dominated_pair(base: InsuranceContract, target_deductible: float,
     low = replace(base, deductible=target_deductible, premium=base.premium + bump)
     # the base plan's ladder serves its value and its optimal partitions
     ladder, level_of = _plan_ladder(base, model, utility, _payment_runs(base, model))
-    v_hi = bound(ladder, n, "lower").value
+    v_hi = bound_value(ladder, n, "lower")
     v_lo = plan_value(low, model, utility, n, "cautious")
     return DominatedPairResult(
         low_contract=low,

@@ -12,16 +12,17 @@ two problems are exchanged by negating the ladder.
 
 Both are solved exactly by one dynamic program over ladder suffixes, which
 records its choice at every state. Each capacity layer picks, for every
-block start, the best block end (the top layer only for the first start,
-the one state a query reads there), in one of three size-selected branches
-with identical candidate arithmetic. A pure-Python scan below
-``_NUMPY_DP_THRESHOLD`` (18) levels, where it is the faster, and a dense
-numpy search below ``_MONOTONE_DP_THRESHOLD`` (512) both search every end,
-in ``O(N * L^2)``. The dense search keeps only the upper triangle of block
-starts and ends (a block that ends before it starts is never chosen), in
-row blocks sized by ``_BATCH_BYTES`` so that a block's cells and candidates
-stay in cache. It computes the cells once per fill and the candidates of
-one row block at a time, in one float workspace per thread that grows to
+block start, the best block end or the close of the block to the top (the
+top layer only for the first start, the one state a query reads there), in
+one of three size-selected branches with identical candidate arithmetic. A
+pure-Python scan below ``_NUMPY_DP_THRESHOLD`` (18) levels, where it is the
+faster, and a dense numpy search below ``_MONOTONE_DP_THRESHOLD`` (512) both
+search every end, in ``O(N * L^2)``. The dense search keeps only the upper
+triangle of block starts and ends (a block that ends before it starts is
+never chosen), in row blocks sized by ``_BATCH_BYTES`` so that a block's
+cells and candidates stay in cache, each on a 64-byte boundary, where numpy
+streams it fastest. It computes the cells once per fill and the candidates
+of one row block at a time, in one float workspace per thread that grows to
 the largest fill and is reused, so a repeated fill allocates no L x L
 array. Longer ladders use a divide-and-conquer search in
 ``O(N * L log L)`` time and ``O(L)`` memory per layer. That search
@@ -34,16 +35,16 @@ schedule built once per ladder length and cached. On ladders whose
 candidates tie to within a few ulps, rounding breaks the monotonicity, and
 its value may then differ from the dense branch's by ulps.
 :func:`bound_values` runs the dense branch's candidate arithmetic across
-many ladders that share one mass vector, for callers that value a family of
-acts. It folds the close move into the search: closing the block to the top
-is the last candidate slab, after the block ends in descending order, with
--0.0 as its next value, which leaves every sum as it is, the sign of a zero
-included. A max (min) reduction keeps the later of two equal candidates, so
-the close wins a tie, as ``stop >= best`` lets it win in the fill, and so
-each capacity layer is one gather, one add and one reduction. The masses'
-layout (prefix-sum widths, block ends, and the mask of blocks that end
-before they start) is built after the masses are checked, and the last one
-built is kept, so a run of calls on one mass vector builds it once.
+many ladders that share one mass vector, and :func:`bound_value` gives one
+bound's value alone. Both kernels fold the close into the search, their one
+tie mechanism: it is one more candidate with -0.0 as its next value, which
+leaves every sum as it is, the sign of a zero included, placed where the
+reduction keeps it on a tie: column 0, before the ends ascending, for the
+fill's first-occurrence argmax, and the last slab, after the ends
+descending, for ``bound_values``' max (min) reduction, which keeps the later
+of two equal candidates. Each capacity layer is then one add, one reduction
+and one lookup. ``bound_values`` keeps the layout of the last mass vector
+it checked, so a run of calls on one mass vector builds it once.
 
 Every optimal cutoff vector is a path through the fill's suffix values:
 :func:`optimum_set` lists them all and :func:`top_block_starts` reads where
@@ -259,77 +260,86 @@ def _corner(height: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _row_blocks(length: int, height: int) -> tuple:
-    """The layout of the dense branch's upper triangle in row blocks of
-    ``height`` rows: the blocks as (r0, r1, workspace offset of the cells),
-    the offset of the candidate buffer and the workspace size, and per row
-    j its block start and the index ``base[j]`` with ``base[j] + e`` the
-    workspace index of cell (j, e). The last block also carries row L - 1.
-    The arrays are read-only, as the layout is cached."""
+    """The dense branch's layout in row blocks of ``height`` rows, the last
+    also carrying row L - 1; a row of block [r0, r1) holds the close and
+    then the ends r0 .. L - 2. Returns the blocks as (r0, r1, workspace
+    offset, column c0), the offsets of the candidates and the next values,
+    the workspace size, per row its c0 (``shift``) and ``base``, with
+    ``base[j] + a`` the workspace index of column a of row j, and per
+    column a of all blocks its end (-1 for the close) and ``after`` (the
+    prefix and next-value index, L for the close), then ``range(L)``. The
+    arrays are read-only, as the layout is cached."""
     starts = range(0, length - 1, height)
     stops = [*starts[1:], length]
-    blocks, shift, base, off = [], [], [], 0
+    blocks, shift, base, ends, off = [], [], [], [], 0
     for r0, r1 in zip(starts, stops):
-        width = length - 1 - r0
-        blocks.append((r0, r1, off))
-        shift += [r0] * (r1 - r0)
-        base += range(off - r0, off - r0 + (r1 - r0) * width, width)
-        off += (r1 - r0) * width
-    rows = np.array(shift), np.array(base)
-    for a in rows:
+        c0, width = len(ends), length - r0
+        blocks.append((r0, r1, off, c0))
+        shift += [c0] * (r1 - r0)
+        base += range(off - c0, off - c0 + (r1 - r0) * width, width)
+        ends += [-1, *range(r0, length - 1)]
+        off -= (r1 - r0) * width // -8 * 8  # rounded up to 64 bytes
+    cols = np.array(shift), np.array(base), np.array(ends), np.array(ends) + 1, np.arange(length)
+    cols[3][cols[2] < 0] = length
+    for a in cols:
         a.flags.writeable = False
-    # the first block is the largest
-    return tuple(blocks), off, off + stops[0] * (length - 1), *rows
+    next_at = off - stops[0] * length // -8 * 8  # the first block is the largest
+    return tuple(blocks), off, next_at, next_at + length + 1, *cols
 
 
-def _triangle(lvl, pre, upper: bool):
-    """The dense branch's cells in row blocks of the upper triangle, in this
-    thread's workspace, with one candidate buffer after them.
-
-    Block [r0, r1) holds the cells of the blocks [j..e] for rows j in it and
-    ends e in [r0, L - 2], ``(pre[e + 1] - pre[j]) * level``; its corner
-    where e < j holds the infinite sentinel, and so does all of row L - 1.
-    Returns the blocks as (r0, r1, cells, candidates) views, the workspace
-    and the row index of :func:`_row_blocks`.
+def _triangle(lvl, pre, upper: bool, lo: int):
+    """The dense branch's row blocks in this thread's workspace: row j
+    holds ``stop[j]`` and then the cells ``(pre[e + 1] - pre[j]) * level``
+    of the blocks [j..e], with the infinite sentinel where e < j. Returns
+    the blocks as (r0, r1, cells, candidates) views, the workspace, its
+    next values (the close's -0.0 last), the layout's rows and columns
+    from :func:`_row_blocks`, and the choice of each column, -1 or e + lo.
     """
     length = len(lvl)
-    layout, cand_at, need, shift, base = _row_blocks(
+    layout, cand_at, next_at, need, shift, base, ends, after, rows = _row_blocks(
         length, max(1, _BATCH_BYTES // (16 * (length - 1)))
     )
     space = getattr(_workspace, "space", None)
     if space is None or space.size < need:
-        space = _workspace.space = np.empty(need)
-    blocks = []
-    for r0, r1, off in layout:
-        shape = (r1 - r0, length - 1 - r0)
+        space = np.empty(need + 7)
+        space = _workspace.space = space[-space.ctypes.data % 64 // 8 :]
+    widths, blocks = pre.take(after), []
+    for r0, r1, off, c0 in layout:
+        shape = (r1 - r0, length - r0)
         cells = space[off : off + shape[0] * shape[1]].reshape(shape)
-        np.subtract(pre[None, r0 + 1 : -1], pre[r0:r1, None], out=cells)
-        cells *= lvl[None, r0:-1] if upper else lvl[r0:r1, None]
-        np.copyto(cells[:, : shape[0] - 1], inf if upper else -inf, where=_corner(shape[0]))
-        cand = space[cand_at : cand_at + cells.size].reshape(shape)
-        blocks.append((r0, r1, cells, cand))
-    return blocks, space, shift, base
+        np.subtract(widths[None, c0 : c0 + shape[1]], pre[r0:r1, None], out=cells)
+        # the close's end -1 takes level L - 1
+        cells *= lvl.take(ends[None, c0 : c0 + shape[1]]) if upper else lvl[r0:r1, None]
+        np.copyto(cells[:, 1 : shape[0]], inf if upper else -inf, where=_corner(shape[0]))
+        blocks.append((r0, r1, cells, space[cand_at : cand_at + cells.size].reshape(shape)))
+    space[need - 1] = -0.0
+    choice = np.where(ends < 0, -1, ends + lo) if lo else ends
+    return blocks, space, space[next_at:need], shift, base, after, rows, choice
 
 
-def _dense_search(blocks, space, shift, base, upper: bool, prev):
-    """Best value and smallest optimal end over every block end ``e <= L - 2``
-    of every row, one row block of :func:`_triangle` at a time.
-
-    Each block's candidates are its cells plus the next layer's values, and
-    the first-occurrence argmax (argmin) of each row picks its end. With one
-    block the best values are read from its candidates; otherwise each is
-    read back as its end's cell plus that end's next value, the same
-    addition, so that a block's candidates are dropped once it is searched.
+def _dense_search(blocks, space, nxt, shift, base, after, rows, choice, upper: bool, prev):
+    """Best value and choice of every row, one row block of :func:`_triangle`
+    at a time: each block's candidates are its cells plus the next values,
+    -0.0 for the close and the next layer's value after each end, and the
+    first-occurrence argmax (argmin) of each row picks the close on a tie.
+    With one block the best values are read from its candidates; otherwise
+    each is read back as its cell plus its next value, the same addition,
+    so that a block's candidates are dropped once it is searched.
     """
     pick = np.argmin if upper else np.argmax
+    nxt[:-1] = prev
     if len(blocks) == 1:
         _, _, cells, cand = blocks[0]
-        arg = pick(np.add(cells, prev[None, 1:], out=cand), axis=1)
-        return cand[np.arange(len(prev)), arg], arg
+        nxt[0] = -0.0
+        arg = pick(np.add(cells, nxt[None, :-1], out=cand), axis=1)
+        return cand[rows, arg], choice.take(arg)
     arg = np.empty(len(prev), dtype=np.intp)
     for r0, r1, cells, cand in blocks:
-        pick(np.add(cells, prev[None, r0 + 1 :], out=cand), axis=1, out=arg[r0:r1])
+        nxt[r0] = -0.0
+        pick(np.add(cells, nxt[None, r0:-1], out=cand), axis=1, out=arg[r0:r1])
+        nxt[r0] = prev[r0]
     arg += shift
-    return space.take(base + arg) + prev[arg + 1], arg
+    return space.take(base + arg) + nxt.take(after.take(arg)), choice.take(arg)
 
 
 @lru_cache(maxsize=16)
@@ -372,7 +382,7 @@ def _splits(rows: int) -> tuple:
     return tuple(depths)
 
 
-def _monotone_search(lvl, pre, upper: bool, depths, prev):
+def _monotone_search(lvl, pre, upper: bool, depths, stop, lo: int, prev):
     """Same result as :func:`_dense_search` in O(L log L) time and O(L) memory.
 
     The cell function is submodular (Monge), so the smallest optimal end is
@@ -381,7 +391,7 @@ def _monotone_search(lvl, pre, upper: bool, depths, prev):
     ``_SPLIT_WAYS`` ways): each row searches only the ends between the
     choices of the rows that bound it, and all rows at one depth are searched
     in one pass. The last row has no end below ``L - 1``; it keeps the
-    infinite sentinel.
+    infinite sentinel, and the close ``stop`` wins there and on every tie.
     """
     last = len(lvl) - 1
     best = np.full(last + 1, inf if upper else -inf)
@@ -402,7 +412,8 @@ def _monotone_search(lvl, pre, upper: bool, depths, prev):
         first = hits[np.searchsorted(hits, offsets)]
         best[mid] = cand[first]
         padded[mid + 1] = ends[first]
-    return best, padded[1:]
+    close = (stop <= best) if upper else (stop >= best)
+    return np.where(close, stop, best), np.where(close, -1, padded[1:] + lo)
 
 
 def _fill(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):
@@ -415,16 +426,11 @@ def _fill(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):
     the top layer, b = n_blocks, only at its start j = lo, so that layer
     holds only that entry.
 
-    Three branches share the candidate arithmetic exactly: a pure-Python
-    scan for short ladders, a dense numpy search from
-    ``_NUMPY_DP_THRESHOLD`` levels, and the monotone search from
-    ``_MONOTONE_DP_THRESHOLD`` levels. The dense search holds the cells of
-    the upper triangle (end at or after start) in row blocks of
-    :func:`_triangle`, each with at most ``_BATCH_BYTES`` of cells and
-    candidates, in this thread's reused workspace; nothing the fill returns
-    is a view of it. Both numpy branches build their search only when a
-    layer below the top runs, and solve the top layer's one block start by
-    a scan over every end, the dense branch's row 0.
+    Three branches share the candidate arithmetic exactly (see the module
+    notes); nothing the fill returns is a view of the dense branch's
+    workspace. Both numpy branches build their search only when a layer
+    below the top runs, and solve the top layer's one block start by a scan
+    of the dense branch's row 0, the close first.
     """
     length = hi - lo + 1
     if length >= _NUMPY_DP_THRESHOLD:
@@ -437,21 +443,19 @@ def _fill(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):
         values, choices = [None, stop], [None, np.full(length, -1)]
         if n_blocks > 2:
             if length >= _MONOTONE_DP_THRESHOLD:
-                search = partial(_monotone_search, lvl, pre, upper, _splits(length - 1))
+                search = partial(_monotone_search, lvl, pre, upper, _splits(length - 1), stop, lo)
             else:
-                search = partial(_dense_search, *_triangle(lvl, pre, upper), upper)
+                search = partial(_dense_search, *_triangle(lvl, pre, upper, lo), upper)
             for _ in range(3, n_blocks + 1):
-                best, arg = search(values[-1])
-                close = (stop <= best) if upper else (stop >= best)
-                values.append(np.where(close, stop, best))
-                choices.append(np.where(close, -1, arg + lo))
-        # row 0 of the dense matrix: the blocks [lo..e] for e <= hi - 1
-        cand = (pre[1:-1] - pre[0]) * (lvl[:-1] if upper else lvl[0]) + values[-1][1:]
-        arg = (np.argmin if upper else np.argmax)(cand)  # first occurrence
-        best = cand[arg : arg + 1]
-        close = (stop[:1] <= best) if upper else (stop[:1] >= best)
-        values.append(np.where(close, stop[:1], best))
-        choices.append(np.where(close, -1, arg + lo))
+                best, choice = search(values[-1])
+                values.append(best)
+                choices.append(choice)
+        # row 0: the blocks [lo..hi], then [lo..e] for e <= hi - 1
+        ends = (pre[1:-1] - pre[0]) * (lvl[:-1] if upper else lvl[0]) + values[-1][1:]
+        cand = np.concatenate((stop[:1], ends))
+        arg = (np.argmin if upper else np.argmax)(cand)
+        values.append(cand[arg : arg + 1])
+        choices.append(np.full(1, arg - 1 + lo if arg else -1))
         return values, choices
     starts = range(lo, hi + 1 if n_blocks > 1 else lo + 1)
     stop = [_cell(levels, pref, j, hi, upper) for j in starts]
@@ -600,6 +604,13 @@ def bound(ladder: ValueLadder, n, kind: str) -> BoundResult:
     return _bound_from_cuts(ladder, cuts, value, int(n), kind)
 
 
+def bound_value(ladder: ValueLadder, n, kind: str) -> float:
+    """``bound(ladder, n, kind).value``, bit for bit and with the same
+    errors, without walking the cutoffs or building the result."""
+    *_, values, _ = _solve(ladder, n, kind, None)
+    return float(values[-1][0])
+
+
 def _mass_layout(key: tuple):
     """The read-only layout that :func:`bound_values` reads for one mass
     vector, ``key`` = (masses as floats, L), whose masses a ladder has
@@ -641,18 +652,13 @@ def bound_values(levels, masses, n, kind: str) -> np.ndarray:
     block of rows at a time, with the candidate arithmetic of the dense
     branch of :func:`_fill`. The candidates of a block of rows form an
     L x rows x L array: one slab per block end, the ends below the top in
-    descending order, and last the close, the block [j..L - 1]. A slab's
-    candidates are its cells plus the next layer's value after its end, and
-    the close's "next value" is -0.0, which changes no sum, not even the sign
-    of a zero. Each capacity layer is then one gather of the next values,
+    descending order, and last the close with its next value -0.0 (see the
+    module notes). Each capacity layer is one gather of the next values,
     one add into a reused buffer and one max (min) reduction over the slabs,
     and the last layer solves only the block that starts at level 0, so at
-    N <= 2 only the L x rows cells of that block are built. The reduction
-    keeps the later of two equal candidates, so the close wins a tie, as
-    ``stop >= best`` does in :func:`_fill`, and otherwise the smallest end
-    does, as the dense branch's first-occurrence argmax does; equal
+    N <= 2 only the L x rows cells of that block are built. Equal
     candidates differ at most in the sign of a zero. Longer rows are solved
-    one at a time by :func:`bound`, which builds no L x L array.
+    one at a time by :func:`bound_value`, which builds no L x L array.
     """
     rows = np.asarray(levels, dtype=float)
     if rows.ndim != 2 or not len(rows):
@@ -676,7 +682,7 @@ def bound_values(levels, masses, n, kind: str) -> np.ndarray:
     if bad.any():
         ValueLadder(rows[np.argmax(bad)], masses)
     if length >= _MONOTONE_DP_THRESHOLD:
-        return np.array([bound(ValueLadder(row, masses), n, kind).value for row in rows])
+        return np.array([bound_value(ValueLadder(row, masses), n, kind) for row in rows])
     ends, widths, missing = layout or _mass_layout(key)
     n_blocks = min(n, length)
     if n_blocks == 1:

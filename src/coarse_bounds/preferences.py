@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .acts import Belief, DiscreteAct, build_ladder
 from .errors import AlignmentError
-from .engine import attitude_kind, bound
+# ``bound`` is unused here, but perfbench's tracer test patches this binding
+from .engine import attitude_kind, bound, bound_value  # noqa: F401
 
 
 class Verdict(enum.Enum):
@@ -57,7 +58,7 @@ def statewise_dominates(f: DiscreteAct, g: DiscreteAct) -> bool:
 def value(f: DiscreteAct, belief: Belief, n, attitude) -> float:
     """Completion value: lower-bound value if cautious, upper if reckless."""
     ladder = build_ladder(f, belief)
-    return bound(ladder, n, attitude_kind(attitude)).value
+    return bound_value(ladder, n, attitude_kind(attitude))
 
 
 def is_well_understood(f: DiscreteAct, belief: Belief, n) -> bool:
@@ -73,10 +74,10 @@ def simple_bounds_compare(f: DiscreteAct, g: DiscreteAct, belief: Belief, n) -> 
     g_dom = statewise_dominates(g, f)
     lf = build_ladder(f, belief)
     lg = build_ladder(g, belief)
-    inf_f = bound(lf, n, "lower").value
-    sup_f = bound(lf, n, "upper").value
-    inf_g = bound(lg, n, "lower").value
-    sup_g = bound(lg, n, "upper").value
+    inf_f = bound_value(lf, n, "lower")
+    sup_f = bound_value(lf, n, "upper")
+    inf_g = bound_value(lg, n, "lower")
+    sup_g = bound_value(lg, n, "upper")
     return verdict_of(f_dom, g_dom, inf_f >= sup_g, inf_g >= sup_f)
 
 

@@ -646,6 +646,7 @@ class TestExitCodes:
          "wage_grid must be finite, got nan"),
         ("contract", {"wage_grid": [0.1, 0.3, 0.2, 0.4]}, 1,
          "wage_grid must be strictly ascending"),
+        ("contract", {"wage_grid": [0.4]}, 1, "wage_grid must hold at least two wages, got 1"),
         ("contract", {"effort_costs": {}}, 1, "'effort_costs' must name at least one effort"),
         ("contract", {"output_masses": [[0.5, 0.3, 0.2]]}, 1,
          "output_masses must hold one distribution per effort, got 1 for 2 efforts"),
@@ -683,8 +684,9 @@ class TestExitCodes:
             "tilt-minus-inf", "tilt-nan", "tilt-overflow", "tilt-underflow", "tilt-loss-scale",
             "grid-n-huge", "grid-n-huge-negative", "effort-cost-nan",
             "schedule-nan", "schedule-inf", "outputs-nan", "wage-grid-nan",
-            "wage-grid-descending", "effort-costs-empty", "output-masses-count",
-            "output-masses-short-row", "output-masses-negative", "output-masses-row-object",
+            "wage-grid-descending", "wage-grid-one-wage", "effort-costs-empty",
+            "output-masses-count", "output-masses-short-row", "output-masses-negative",
+            "output-masses-row-object",
             "beta-inf", "endowment-underflow", "endowment-overflow", "gamma-overflow",
             "beta-object", "beta-null",
             "returns-item-object", "masses-string", "insurance-contract-empty",

@@ -343,6 +343,18 @@ class TestValidation:
             )
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("grid", [(), (0.5,)], ids=["empty", "one-wage"])
+    def test_wage_grid_needs_two_wages(self, grid):
+        # the utilities are checked between adjacent wages, so a shorter
+        # grid used to let an agent utility that falls in the wage through
+        with pytest.raises(ValueError) as err:
+            ContractingProblem(
+                outputs=(1.0, 2.0), efforts=("e",), output_masses=((0.5, 0.5),),
+                agent_utility=lambda w, e: -w, principal_utility=lambda o, w: o - w,
+                wage_grid=grid,
+            )
+        assert str(err.value) == f"wage_grid must hold at least two wages, got {len(grid)}"
+
     def test_schedule_length_checked(self):
         with pytest.raises(ValueError):
             agent_value(PROBLEM, [1.0] * 3, "low", 2, "cautious")

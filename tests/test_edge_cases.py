@@ -8,14 +8,23 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import coarse_bounds.engine as engine
+from coarse_bounds import preferences
 from coarse_bounds.acts import Belief, DiscreteAct, ValueLadder, build_ladder
+from coarse_bounds.applications.contracts import agent_value
+from coarse_bounds.applications.crra import CRRAUtility
+from coarse_bounds.applications.insurance import (
+    InsuranceContract, LossModel, dominated_pair, plan_value, wtp,
+)
 from coarse_bounds.cli import run
-from coarse_bounds.engine import bound, pull_back, siminf, simsup
+from coarse_bounds.engine import bound, bound_value, pull_back, siminf, simsup
 from coarse_bounds.errors import DegenerateBeliefError
 from coarse_bounds.partitions import common_refinement, partition_path
 
+from test_contracts import PROBLEM
 from test_partitions import check_path, random_partition
 
 
@@ -161,6 +170,91 @@ class TestSignedZero:
             assert numpy_fill.cutoffs == python.cutoffs, case
 
 
+def grid_ladder(length: int, grid: str, seed: int) -> ValueLadder:
+    """A seeded ladder on one of four level grids: ``float`` (random
+    steps), ``tenth`` (multiples of 0.1), ``ulp`` (1-3 ulps apart above
+    1.0) or ``integer``, with about 20% zero masses, or uniform masses on
+    every fourth ladder, so that candidates tie."""
+    rng = np.random.default_rng(seed)
+    picks = np.sort(rng.choice(np.arange(-3 * length, 3 * length), length, replace=False))
+    levels = {
+        "float": np.cumsum(rng.uniform(0.01, 1.0, length)),
+        "tenth": np.round(0.1 * picks, 1),
+        "ulp": 1.0 + np.arange(length) * (1 + seed % 3) * 2.0**-52,
+        "integer": picks.astype(float),
+    }[grid]
+    if seed % 4 == 0:
+        return ValueLadder(levels.tolist(), [1 / length] * length)
+    w = rng.uniform(0.1, 1.0, length)
+    w[rng.random(length) < 0.2] = 0.0
+    w[rng.integers(length)] = 1.0
+    masses = (w / w.sum()).tolist()
+    masses[int(np.argmax(masses))] += 1.0 - sum(masses)
+    return ValueLadder(levels.tolist(), masses)
+
+
+def grid_ladders(lengths):
+    return st.builds(
+        grid_ladder, lengths, st.sampled_from(["float", "tenth", "ulp", "integer"]),
+        st.integers(0, 2**32 - 1),
+    )
+
+
+class TestBoundValue:
+    """``bound_value`` is ``bound(...).value`` bit for bit, raises what
+    ``bound`` raises, and the value-only callers build no ``BoundResult``."""
+
+    @given(lad=grid_ladders(st.integers(2, 40)), n=st.integers(1, 9),
+           kind=st.sampled_from(["lower", "upper"]))
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_bound_on_every_branch(self, lad, n, kind, monkeypatch):
+        for branch in BRANCHES:
+            want = solve_with(branch, monkeypatch, bound, lad, n, kind).value
+            got = solve_with(branch, monkeypatch, bound_value, lad, n, kind)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), branch
+
+    @pytest.mark.parametrize("branch", list(BRANCHES))
+    def test_keeps_the_sign_of_bound(self, branch, monkeypatch):
+        for lad, n, kind in TestSignedZero.CASES:
+            want, got = (
+                solve_with(branch, monkeypatch, query, lad, n, kind)
+                for query in (lambda *a: bound(*a).value, bound_value)
+            )
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (lad.levels, n, kind)
+
+    @pytest.mark.parametrize("n, kind", [
+        (0, "sideways"), (0, "lower"), (2.0, "upper"), (True, "lower"), (-1, "upper"),
+        (2, "sideways"),
+    ])
+    def test_raises_what_bound_raises(self, n, kind):
+        lad = parity_ladder(5, "float")
+        with pytest.raises(Exception) as want:
+            bound(lad, n, kind)
+        with pytest.raises(want.type) as got:
+            bound_value(lad, n, kind)
+        assert str(got.value) == str(want.value)
+
+    def test_value_only_callers_build_no_bound_result(self, monkeypatch):
+        def unread(*args):
+            raise AssertionError("a BoundResult was built for its value alone")
+
+        monkeypatch.setattr(engine, "_bound_from_cuts", unread)
+        act = DiscreteAct(list("abcde"), [0.3, -1.0, 2.5, 0.3, 1.75])
+        other = DiscreteAct(list("abcde"), [1.0, 0.0, 0.5, 2.0, -0.5])
+        belief = Belief([0.1, 0.3, 0.2, 0.25, 0.15])
+        for attitude in ("cautious", "reckless"):
+            preferences.value(act, belief, 2, attitude)
+        preferences.simple_bounds_compare(act, other, belief, 2)
+        model = LossModel.uniform(1.0, 40).tilted(1.5)
+        contract = InsuranceContract(0.05, 0.3, 0.75, None, 2.0)
+        plan_value(contract, model, CRRAUtility(2.0), 3)
+        wtp(contract, model, CRRAUtility(2.0), 3, "lower_deductible", 0.1)
+        dominated_pair(contract, 0.15, model, CRRAUtility(2.0), 3)
+        agent_value(PROBLEM, PROBLEM.wage_grid[::3], "mid", 3, "cautious")
+
+
 class TestMonotoneSplits:
     """The monotone search's split schedule, its parity with the dense
     branch on long ladders, and its behaviour where rounding breaks the
@@ -266,7 +360,10 @@ class TestTopLayer:
 def square_dense_fill(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):
     """Reference: the dense branch of ``engine._fill`` as one L x L cell
     matrix, with the infinite sentinel below the diagonal, and a fresh
-    L x (L - 1) candidate array for every capacity layer."""
+    L x (L - 1) candidate array for every capacity layer. Each layer is the
+    dense layer as it was written before the close was folded into the
+    search: the best end first, then ``stop >= best`` (``<=`` for the upper
+    bound) and two ``np.where`` to let the close win a tie."""
     length = hi - lo + 1
     lvl = np.asarray(levels[lo : hi + 1], dtype=float)
     pre = np.asarray(pref[lo : hi + 2], dtype=float)
@@ -306,6 +403,38 @@ def near_tie_ladder(length: int) -> ValueLadder:
     w = rng.uniform(0.1, 1.0, length)
     c = 1 + length % 3
     return ValueLadder([1.0 + i * c * 2.0**-52 for i in range(length)], (w / w.sum()).tolist())
+
+
+class TestFoldedLayer:
+    """The dense layers with the close folded in as column 0 give the values
+    (bit for bit) and choices of the unfolded layer of ``square_dense_fill``,
+    which compares the close with the best end after the search, over
+    single-block (18-129 levels) and multi-block (130-511) layouts."""
+
+    @staticmethod
+    def check(lad, lo, n, upper):
+        pref = engine._prefix_masses(lad.level_masses)
+        args = (lad.levels, pref, lo, len(lad) - 1, n, upper)
+        (v, c), (rv, rc) = engine._fill(*args), square_dense_fill(*args)
+        assert fill_bits(v) == fill_bits(rv), (lad.levels, lad.level_masses, lo, n, upper)
+        assert fill_bits(c) == fill_bits(rc), (lad.levels, lad.level_masses, lo, n, upper)
+
+    @given(grid_ladders(st.one_of(st.integers(19, 129), st.integers(130, 511))),
+           st.integers(2, 9), st.booleans(), st.sampled_from([0, 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_unfolded_layer(self, lad, n, upper, lo):
+        self.check(lad, lo, n, upper)
+
+    @pytest.mark.parametrize("batch", [16, engine._BATCH_BYTES], ids=["one-row", "one-block"])
+    def test_signed_zero_ladders(self, batch, monkeypatch):
+        # a -0.0 close keeps its sign through the -0.0 next value, in one
+        # block and in blocks of one row, where each block sets its own
+        monkeypatch.setattr(engine, "_NUMPY_DP_THRESHOLD", 2)
+        monkeypatch.setattr(engine, "_BATCH_BYTES", batch)
+        for lad in signed_zero_ladders():
+            for n in range(2, len(lad) + 1):
+                for upper in (False, True):
+                    self.check(lad, 0, n, upper)
 
 
 class TestDenseRowBlocks:

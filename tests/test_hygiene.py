@@ -438,7 +438,8 @@ def test_scan_flags_a_verdict_built_elsewhere(tmp_path):
 # shares the fill's code could share its bugs.
 DP_NAMES = frozenset({
     "_fill", "_solve", "_dense_search", "_triangle", "_row_blocks", "_corner", "_workspace",
-    "_monotone_search", "_splits", "bound", "bound_values", "_mass_layout", "_last_layout",
+    "_monotone_search", "_splits", "bound", "bound_value", "bound_values", "_mass_layout",
+    "_last_layout",
 })
 
 

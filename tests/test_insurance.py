@@ -10,7 +10,9 @@ import pytest
 
 from coarse_bounds import preferences
 from coarse_bounds.acts import DiscreteAct, ValueLadder, build_ladder
-from coarse_bounds.engine import bound, brute_force_bound, optimum_set, top_block_starts
+from coarse_bounds.engine import (
+    bound, bound_value, brute_force_bound, optimum_set, top_block_starts,
+)
 from coarse_bounds.errors import (
     AlignmentError, BracketingError, ConvergenceError, NonPositiveWealthError, PreconditionError,
 )
@@ -518,9 +520,9 @@ class TestWtp:
         def counted(*args):
             calls.append(args)
             assert len(calls) <= 500, "wtp exceeded its step budget"
-            return bound(*args)
+            return bound_value(*args)
 
-        monkeypatch.setattr(insurance, "bound", counted)
+        monkeypatch.setattr(insurance, "bound_value", counted)
         scale = wealth / 10
         model = LossModel.uniform(scale, 20).tilted(1.5 / scale)
         contract = InsuranceContract(0.05 * scale, 0.3 * scale, 0.75, None, wealth)
