@@ -14,6 +14,7 @@ discrete jump at the top.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 from .. import preferences
 from ..acts import Belief, DiscreteAct, build_ladder, check_ascending, check_finite
@@ -89,6 +90,11 @@ def _check_schedule(problem: ContractingProblem, schedule) -> tuple:
         raise ValueError("schedule must assign a wage to every output")
     check_finite(schedule, "schedule wages")
     return schedule
+
+
+def _check_collar(epsilon: float) -> None:
+    if not 0 <= epsilon < inf:
+        raise ValueError(f"epsilon must be non-negative and finite, got {epsilon!r}")
 
 
 def utility_act(problem: ContractingProblem, schedule, effort) -> DiscreteAct:
@@ -272,6 +278,7 @@ def bait_feasibility_bound(problem: ContractingProblem, schedule, n: int,
     computed once per call; each probe only shaves and verifies.
     """
     schedule = _check_schedule(problem, schedule)
+    _check_collar(epsilon)
     effort = _reckless_effort(problem, schedule, n)
     region, shave = _bait_shaver(problem, schedule, effort, n, epsilon)
     # the region lies strictly above the top block's first output, so first >= 1
@@ -327,8 +334,9 @@ def reckless_bait(problem: ContractingProblem, schedule, n: int, epsilon: float,
     otherwise. The modified schedule keeps a discrete jump at the top.
     """
     schedule = _check_schedule(problem, schedule)
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+    _check_collar(epsilon)
+    if not 0 <= delta < inf:
+        raise ValueError(f"delta must be non-negative and finite, got {delta!r}")
     effort = _reckless_effort(problem, schedule, n)
     if delta == 0:
         return BaitResult(schedule, effort, True, 0.0, 0.0, False, ())

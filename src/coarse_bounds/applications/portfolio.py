@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -27,9 +26,6 @@ from .crra import CRRAUtility
 NEG_INF = float("-inf")
 _TINY = float(np.finfo(float).tiny)
 
-# _wealth_blocks builds wealth rows this many at a time, for valuation and
-# for the envelopes; a multiple of _PRUNE_BLOCK.
-_GRID_BLOCK = 64
 # _pruned_grid_values samples and bounds its share grid in blocks of this
 # many consecutive shares, and then the shares of the blocks it keeps in
 # sub-blocks of _PRUNE_SUB_BLOCK, a divisor of _PRUNE_BLOCK.
@@ -192,7 +188,7 @@ def _pruned_grid_values(problem: PortfolioProblem, x: float, shares) -> list:
 
 def _dominated_blocks(problem: PortfolioProblem, x: float, shares, best: float, size: int):
     """Which blocks of ``size`` consecutive ``shares`` hold no share whose
-    ``allocation_objective`` reaches ``best``; ``size`` divides ``_GRID_BLOCK``.
+    ``allocation_objective`` reaches ``best``.
 
     A block's envelope act pays, in each state, the largest wealth of its
     shares (the wealth of :func:`_grid_values`, bit for bit) with its
@@ -211,22 +207,19 @@ def _dominated_blocks(problem: PortfolioProblem, x: float, shares, best: float, 
     skip = np.zeros(-(-len(shares) // size), dtype=bool)
     if not math.isfinite(best) or not len(shares):
         return skip
-    tops, floors = [], []
-    # a block of wealth rows holds a whole number of blocks of shares
-    for wealth in _wealth_blocks(problem, (1.0 - shares) * x, problem.safe_return, shares * x):
-        firsts = np.arange(0, len(wealth), size)
-        tops.append(np.maximum.reduceat(wealth, firsts))
-        floors.append(np.minimum.reduceat(wealth, firsts))
-    top = np.concatenate(tops)
-    floor = np.concatenate(floors) * (1.0 - 2.0**-49)
+    wealth = _wealth(problem, (1.0 - shares) * x, problem.safe_return, shares * x)
+    firsts = np.arange(0, len(wealth), size)
+    top = np.maximum.reduceat(wealth, firsts)
+    floor = np.minimum.reduceat(wealth, firsts) * (1.0 - 2.0**-49)
+    del wealth  # every share's row; freed before the envelopes are valued
     blocks = np.flatnonzero(np.isfinite(top).all(axis=1) & (floor >= _TINY).all(axis=1))
     if not len(blocks):
         return skip
-    upper = _utilities(problem, top[blocks].tolist())
+    upper = _utilities(problem, top[blocks])
     for _ in range(_PAD_ULPS):
         upper = np.nextafter(upper, np.inf)
     levels, ok = _ladder_rows(problem, upper)
-    ok &= np.isfinite(_utilities(problem, floor[blocks].tolist())).all(axis=1)
+    ok &= np.isfinite(_utilities(problem, floor[blocks])).all(axis=1)
     if not ok.any():
         return skip
     bounds = bound_values(levels[ok], problem._masses, problem.capacity, problem._kind)
@@ -242,31 +235,29 @@ def _grid_values(problem: PortfolioProblem, x: float, shares) -> list:
     return _perceived_values(problem, (1.0 - shares) * x, problem.safe_return, shares * x)
 
 
-def _wealth_blocks(problem: PortfolioProblem, safe, rate, risky):
+def _wealth(problem: PortfolioProblem, safe, rate, risky) -> np.ndarray:
     """Wealth rows ``safe[i] * rate + risky[i] * r`` over the returns ``r``,
-    ``_GRID_BLOCK`` at a time, by the scalar objectives' IEEE operations:
-    allocation holds ``((1 - a) * x, rb, a * x)``, savings ``(b, rb, s)``
-    and the price ``(w, 1.0, h)``, where ``w * 1.0`` is ``w``. An overflow
-    is inf, as in Python floats, and warns of nothing."""
-    for start in range(0, len(safe), _GRID_BLOCK):
-        stop = start + _GRID_BLOCK
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = safe[start:stop, None] * rate + risky[start:stop, None] * problem._returns
-        yield rows
+    by the scalar objectives' IEEE operations: allocation holds
+    ``((1 - a) * x, rb, a * x)``, savings ``(b, rb, s)`` and the price
+    ``(w, 1.0, h)``, where ``w * 1.0`` is ``w``. An overflow is inf, as in
+    Python floats, and warns of nothing. The sum is taken in place, so the
+    rows take one array's memory at a time."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        wealth = risky[:, None] * problem._returns
+        return np.add(safe[:, None] * rate, wealth, out=wealth)
 
 
-def _utilities(problem: PortfolioProblem, rows: list) -> np.ndarray:
-    """The utilities of each row of floats, by one ``CRRAUtility.apply`` pass,
-    with NaN for a row whose pass raises (non-positive wealth, or a power
-    that overflows)."""
-
-    def apply(row):
+def _utilities(problem: PortfolioProblem, rows: np.ndarray) -> np.ndarray:
+    """The utilities of each row, by one ``CRRAUtility.apply`` pass over its
+    Python floats, with NaN for a row whose pass raises (non-positive
+    wealth, or a power that overflows)."""
+    utils = np.empty(rows.shape)
+    for i, row in enumerate(rows):
         try:
-            return problem.utility.apply(row)
+            utils[i] = problem.utility.apply(row.tolist())
         except (NonPositiveWealthError, OverflowError):
-            return [np.nan] * len(row)
-
-    return np.array([apply(row) for row in rows])
+            utils[i] = np.nan
+    return utils
 
 
 def _ladder_rows(problem: PortfolioProblem, utils):
@@ -279,26 +270,22 @@ def _ladder_rows(problem: PortfolioProblem, utils):
 
 def _perceived_values(problem: PortfolioProblem, safe, rate, risky) -> list:
     """``[_wealth_value(problem, row) for row in wealth]`` over the rows of
-    :func:`_wealth_blocks`, bit for bit. Each run of rows whose utilities
-    are a ladder as they are (:func:`_ladder_rows`) is valued in one
-    ``bound_values`` call. Every other row (non-positive or NaN wealth,
-    levels merged by rounding, a power that overflows) takes
-    ``_wealth_value`` itself, after the rows before it, so its -inf or its
-    error is unchanged."""
-    vals = []
-    for wealth in _wealth_blocks(problem, safe, rate, risky):
-        listed = wealth.tolist()
-        levels, ok = _ladder_rows(problem, _utilities(problem, listed))
-        stop = 0
-        for batched, run in groupby(ok.tolist()):
-            start, stop = stop, stop + len(list(run))
-            if batched:
-                batch = bound_values(levels[start:stop], problem._masses, problem.capacity,
-                                     problem._kind)
-                vals += batch.tolist()
-            else:
-                vals += [_wealth_value(problem, row) for row in listed[start:stop]]
-    return vals
+    :func:`_wealth`, bit for bit. The rows whose utilities are a ladder as
+    they are (:func:`_ladder_rows`) are valued in one ``bound_values`` call,
+    which cannot raise on them: their levels are finite and strictly
+    ascending, their masses a ``Belief``'s positive masses, and the capacity
+    and attitude were checked when the problem was built. Every other row
+    (non-positive or NaN wealth, levels merged by rounding, a power that
+    overflows) then takes ``_wealth_value`` itself, in row order, so its
+    -inf or the first error is unchanged."""
+    wealth = _wealth(problem, safe, rate, risky)
+    levels, ok = _ladder_rows(problem, _utilities(problem, wealth))
+    vals = np.empty(len(wealth))
+    if ok.any():
+        vals[ok] = bound_values(levels[ok], problem._masses, problem.capacity, problem._kind)
+    for i in np.flatnonzero(~ok):
+        vals[i] = _wealth_value(problem, wealth[i].tolist())
+    return vals.tolist()
 
 
 def _look_ahead(values, points: dict):

@@ -169,18 +169,16 @@ def submodular_delta_holds(ladder: ValueLadder, outer, inner, split: int) -> boo
     return gain_outer >= gain_inner - 1e-12
 
 
-def supermodular_coarse_holds(ladder: ValueLadder, cuts_a, cuts_b, kind: str = LOWER) -> bool:
-    """V(join) + V(meet) >= V(a) + V(b) for same-length cutoff vectors (the
-    inequality reverses for the upper kind, whose coarse value is minimized)."""
+def supermodular_coarse_holds(ladder: ValueLadder, cuts_a, cuts_b) -> bool:
+    """V(join) + V(meet) >= V(a) + V(b) for same-length cutoff vectors, where
+    V is the lower-bound coarse value."""
     cuts_a, cuts_b = tuple(cuts_a), tuple(cuts_b)
     if len(cuts_a) != len(cuts_b):
         raise AlignmentError("cutoff vectors must have equal length")
     join = tuple(max(a, b) for a, b in zip(cuts_a, cuts_b))
     meet = tuple(min(a, b) for a, b in zip(cuts_a, cuts_b))
-    val = lambda cuts: coarse_value(cuts, ladder, kind)
-    lhs = val(join) + val(meet)
-    rhs = val(cuts_a) + val(cuts_b)
-    return (lhs <= rhs + 1e-12) if kind == UPPER else (lhs >= rhs - 1e-12)
+    val = lambda cuts: coarse_value(cuts, ladder, LOWER)
+    return val(join) + val(meet) >= val(cuts_a) + val(cuts_b) - 1e-12
 
 
 def weakly_sandwiched(coarse: tuple, fine: tuple) -> bool:
@@ -192,15 +190,16 @@ def weakly_sandwiched(coarse: tuple, fine: tuple) -> bool:
     )
 
 
-def sandwich_check(ladder: ValueLadder, n: int, kind: str = LOWER) -> bool:
-    """Every optimum at capacity ``n`` has a weakly sandwiching optimum at
-    ``n + 1``. Vacuously true when the ladder fits within ``n`` levels."""
+def sandwich_check(ladder: ValueLadder, n: int) -> bool:
+    """Every lower-bound optimum at capacity ``n`` has a weakly sandwiching
+    optimum at ``n + 1``. Vacuously true when the ladder fits within ``n``
+    levels."""
     if len(ladder) <= n:
         return True
-    opt_n1 = [fine for fine in optimum_set(ladder, n + 1, kind) if len(fine) == n]
+    opt_n1 = [fine for fine in optimum_set(ladder, n + 1, LOWER) if len(fine) == n]
     return all(
         any(weakly_sandwiched(coarse, fine) for fine in opt_n1)
-        for coarse in optimum_set(ladder, n, kind)
+        for coarse in optimum_set(ladder, n, LOWER)
         if len(coarse) == n - 1  # skip degenerate optima using fewer blocks
     )
 

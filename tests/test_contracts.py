@@ -1,6 +1,8 @@
 """Contracting tests: best responses, contract simplification for cautious
 agents, and the bait construction against reckless agents."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -358,3 +360,27 @@ class TestValidation:
     def test_schedule_length_checked(self):
         with pytest.raises(ValueError):
             agent_value(PROBLEM, [1.0] * 3, "low", 2, "cautious")
+
+    # the schedule falls at the top, so a check made after the reckless
+    # effort would raise PreconditionError instead
+    FALLING = [1.0] * 19 + [0.5]
+
+    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_bait_collar_checked(self, epsilon):
+        # a negative collar used to give a bound, and NaN or inf an empty
+        # bait region; a zero delta used to return before reading epsilon
+        message = f"epsilon must be non-negative and finite, got {epsilon!r}"
+        for call in (
+            lambda: bait_feasibility_bound(PROBLEM, self.FALLING, 2, epsilon),
+            lambda: reckless_bait(PROBLEM, self.FALLING, 2, epsilon, 0.0),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_bait_delta_checked(self, delta):
+        # NaN used to fail late, on the shaved schedule's wages
+        with pytest.raises(ValueError) as err:
+            reckless_bait(PROBLEM, self.FALLING, 2, 0.05, delta)
+        assert str(err.value) == f"delta must be non-negative and finite, got {delta!r}"

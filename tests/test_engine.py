@@ -873,6 +873,66 @@ class TestOracleMemory:
         assert engine._edge_tables == {}
 
 
+def exact_suffix_dp(levels, units, n: int, kind: str) -> tuple:
+    """``(value, cuts)``: the optimal bound of integer ``levels`` with
+    integer mass ``units``, in those units, and its canonical cutoffs, by a
+    suffix DP in exact integer arithmetic. At every block start it closes
+    the block when closing is optimal, and otherwise takes the smallest
+    optimal block end."""
+    upper = kind == "upper"
+    length = len(levels)
+    lvl = np.array(levels, dtype=np.int64)
+    pref = np.concatenate(([0], np.cumsum(units))).astype(np.int64)
+    close = (pref[-1] - pref[:-1]) * (lvl[-1] if upper else lvl)
+    values, choices = [None, close], [None, np.full(length, -1)]
+    for _ in range(2, n + 1):
+        value, choice = close.copy(), np.full(length, -1)
+        for start in range(length - 1):
+            ends = np.arange(start, length - 1)
+            cand = (pref[ends + 1] - pref[start]) * (lvl[ends] if upper else lvl[start])
+            cand += values[-1][ends + 1]
+            best = cand.min() if upper else cand.max()
+            if (best < close[start]) if upper else (best > close[start]):
+                value[start], choice[start] = best, ends[np.argmax(cand == best)]
+        values.append(value)
+        choices.append(choice)
+    cuts, start, b = [], 0, n
+    while (end := int(choices[b][start])) >= 0:
+        cuts.append(end + 1)
+        start, b = end + 1, b - 1
+    return int(values[n][0]), tuple(cuts)
+
+
+class TestExactSuffixDp:
+    """``bound`` against :func:`exact_suffix_dp` past the oracle's size
+    guard, at sizes that select each branch of the fill. The levels are
+    distinct integers in [-2048, 2048] and the masses k/2^12 with distinct
+    cuts, so every cell and every sum of cells is exact in floats. Random
+    ladders seldom tie; consecutive levels with equal masses (the last one
+    taking the remainder) tie at hundreds of states, which tests the tie
+    rule."""
+
+    @pytest.mark.parametrize("ladder", ["random", "even"])
+    @pytest.mark.parametrize("kind", ["lower", "upper"])
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("length", [17, 18, 40, 200, 511, 512, 600])
+    def test_value_and_cutoffs(self, length, n, kind, ladder):
+        if ladder == "random":
+            rng = np.random.default_rng(length * 10 + n)
+            levels = np.sort(rng.choice(np.arange(-2048, 2049), size=length, replace=False))
+            cuts = np.sort(rng.choice(np.arange(1, 4096), size=length - 1, replace=False))
+            units = np.diff(np.concatenate(([0], cuts, [4096])))
+        else:
+            levels = np.arange(length) - length // 2
+            units = np.full(length, 4096 // length)
+            units[-1] += 4096 - units.sum()
+        lad = ValueLadder(levels.astype(float).tolist(), (units / 4096).tolist())
+        value, cutoffs = exact_suffix_dp(levels.tolist(), units.tolist(), n, kind)
+        res = bound(lad, n, kind)
+        assert res.value == value / 4096
+        assert res.cutoffs.cuts == cutoffs
+
+
 class TestStructuralInvariants:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sandwich_duality_monotone(self, seed):

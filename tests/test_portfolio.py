@@ -498,7 +498,7 @@ class TestOneValuationPath:
         for case in range(24):
             gamma = 3.0 if case % 4 == 1 else (0.5, 1.0, 2.0)[case % 3]
             prob = replace(random_problem(rng), utility=CRRAUtility(gamma))
-            holdings = self.holdings(rng, caller, 150, case % 4 == 1)  # three blocks of rows
+            holdings = self.holdings(rng, caller, 150, case % 4 == 1)  # ladder rows among others
             if case % 4 == 3:  # a NaN row among the others
                 holdings[int(rng.integers(150))] = (math.nan, 1.0)
             scalar, batched = self.outcomes(prob, caller, holdings)
