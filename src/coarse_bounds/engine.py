@@ -46,9 +46,15 @@ of two equal candidates. Each capacity layer is then one add, one reduction
 and one lookup. ``bound_values`` keeps the layout of the last mass vector
 it checked, so a run of calls on one mass vector builds it once.
 
-Every optimal cutoff vector is a path through the fill's suffix values:
-:func:`optimum_set` lists them all and :func:`top_block_starts` reads where
-their top blocks start. :func:`brute_force_bound` is an independent
+Every optimal cutoff vector is a path through the optimum DAG of the
+fill's suffix values, whose moves at each reachable state are the tied
+candidates, recomputed with the fill's cell arithmetic on its layers as
+Python lists and kept in one dict: :func:`optimum_set` lists the paths and
+:func:`top_block_starts` reads where their top blocks start. Layer b of a
+fill is the same at every larger capacity, so :func:`optimum_sets` reads
+the optimum sets of several capacities from one fill at the largest; a
+sandwich check reads those at n and n + 1 from one fill.
+:func:`brute_force_bound` is an independent
 exhaustive oracle, kept only as a reference for those queries and the DP,
 for instances below a size guard. It reads the vectors of
 :func:`enumerate_cut_vectors` from a cached block-edge table and sums each
@@ -72,8 +78,8 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
-from itertools import accumulate, chain, combinations, islice
+from functools import lru_cache, partial
+from itertools import accumulate, chain, combinations, islice, repeat
 from math import comb, inf, isfinite
 
 import numpy as np
@@ -480,20 +486,25 @@ def _fill(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):
     return values, choices
 
 
-def _solve(ladder: ValueLadder, n, kind: str, interval):
+def _solve(ladder: ValueLadder, n, kind: str, interval, *more):
     """The checked setup and DP fill behind every engine query.
 
-    Checks the kind, the interval (the whole ladder when None) and the
-    capacity, then fills levels[lo..hi] up to the capacity clamped to the
-    interval length. Returns ``(n, upper, lo, hi, pref, values, choices)``.
+    Checks the kind, the interval (the whole ladder when None), the
+    capacity ``n`` and then each capacity of ``more``, in order, and fills
+    levels[lo..hi] once, up to the largest capacity clamped to the interval
+    length. Layer b of a fill at a larger capacity holds, bit for bit,
+    what a fill at capacity b computes, its top entry included, so one fill
+    serves every capacity. Returns ``(n, upper, lo, hi, pref, values,
+    choices)``.
     """
     upper = _check_kind(kind)
     lo, hi = (0, len(ladder) - 1) if interval is None else interval
     if not 0 <= lo <= hi < len(ladder):
         raise ValueError(f"invalid interval {interval!r} for {len(ladder)} levels")
     n = check_capacity(n)
+    top = max(n, *map(check_capacity, more)) if more else n
     pref = _prefix_masses(ladder.level_masses)
-    values, choices = _fill(ladder.levels, pref, lo, hi, min(n, hi - lo + 1), upper)
+    values, choices = _fill(ladder.levels, pref, lo, hi, min(top, hi - lo + 1), upper)
     return n, upper, lo, hi, pref, values, choices
 
 
@@ -516,30 +527,77 @@ def capacity_values(ladder: ValueLadder, n_max, kind: str, interval=None) -> tup
     return row + row[-1:] * (n_max - len(row))
 
 
-def _optimal_moves(ladder: ValueLadder, n, kind: str, interval):
-    """Start state and move function of the optimum DAG of one DP fill.
+def _optimal_moves(ladder: ValueLadder, capacities, kind: str, interval):
+    """Start states and moves of the optimum DAG of one DP fill.
 
     A state (j, b) asks for the best partition of levels[j..hi] into at most
-    b blocks. ``moves(j, b)`` lists its optimal moves: -1 when closing one
-    block over [j..hi] is optimal, then every optimal end ``e`` of the block
-    starting at j, ascending, which leads to state (e + 1, b - 1). A move is
-    optimal when its candidate value lies within ``TIE_TOL`` of the state's
-    suffix value. Every optimal cutoff vector is one path from the start
-    state to a close.
+    b blocks; capacity n starts at (lo, min(n, hi - lo + 1)). ``moves`` maps
+    every state reachable from the starts to its optimal moves: -1 when
+    closing one block over [j..hi] is optimal, then every optimal end ``e``
+    of the block starting at j, ascending, which leads to state
+    (e + 1, b - 1). A move is optimal when its candidate value, the cell
+    arithmetic of the fill, lies within ``TIE_TOL`` of the state's suffix
+    value. Every optimal cutoff vector is one path from a start to a close.
     """
-    _, upper, lo, hi, pref, values, _ = _solve(ladder, n, kind, interval)
+    caps = tuple(capacities)
+    if not caps:
+        raise ValueError("capacities must not be empty")
+    _, upper, lo, hi, pref, values, _ = _solve(ladder, caps[0], kind, interval, *caps[1:])
     levels = ladder.levels
+    layers = [None, *(v if isinstance(v, list) else v.tolist() for v in values[1:])]
+    starts = [(lo, min(int(n), hi - lo + 1)) for n in caps]
+    moves, todo = {}, list(starts)
+    while todo:
+        state = todo.pop()
+        if state in moves:
+            continue
+        j, b = state
+        best, base = layers[b][j - lo], pref[j]
+        tol = TIE_TOL + TIE_TOL * abs(best)
+        close = levels[hi if upper else j] * (pref[hi + 1] - base)
+        found = [-1] if abs(close - best) <= tol else []
+        if b > 1:
+            reps = levels[j:hi] if upper else repeat(levels[j])
+            nxt = layers[b - 1][j + 1 - lo :]
+            for e, rep, p, v in zip(range(j, hi), reps, pref[j + 1 : hi + 1], nxt):
+                if abs(rep * (p - base) + v - best) <= tol:
+                    found.append(e)
+                    todo.append((e + 1, b - 1))
+        moves[state] = found
+    return starts, moves
 
-    @cache
-    def moves(j: int, b: int) -> tuple:
-        best = float(values[b][j - lo])
-        cands = [(-1, _cell(levels, pref, j, hi, upper))] + [
-            (e, _cell(levels, pref, j, e, upper) + float(values[b - 1][e + 1 - lo]))
-            for e in range(j, hi if b > 1 else j)
-        ]
-        return tuple(m for m, v in cands if abs(v - best) <= TIE_TOL + TIE_TOL * abs(best))
 
-    return (lo, len(values) - 1), moves
+def optimum_sets(ladder: ValueLadder, capacities, kind: str, interval=None) -> tuple:
+    """The optimum set of each of ``capacities`` on levels[lo..hi] (the whole
+    ladder when ``interval`` is None), from one DP fill at the largest.
+
+    Entry i is ``optimum_set(ladder, capacities[i], kind, interval)``. Each
+    set's size is counted over the DAG before any set is listed; the first
+    set, in capacity order, with more than ``MAX_ORACLE_VECTORS`` vectors
+    raises :class:`OracleTooLargeError`.
+    """
+    starts, moves = _optimal_moves(ladder, capacities, kind, interval)
+    count = {}
+    # a move leads to a later block start, so in descending order each
+    # state comes after every state that it leads to
+    for j, b in sorted(moves, reverse=True):
+        count[j, b] = sum(1 if m < 0 else count[m + 1, b - 1] for m in moves[j, b])
+    if any(count[s] > MAX_ORACLE_VECTORS for s in starts):
+        raise OracleTooLargeError("too many optimal cutoff vectors to list")
+    sets = []
+    for start in starts:
+        # depth first, the close before the block ends ascending
+        found, stack = [], [(start, ())]
+        while stack:
+            state, cuts = stack.pop()
+            if state is None:
+                found.append(cuts)
+                continue
+            b = state[1] - 1
+            for m in reversed(moves[state]):
+                stack.append((None, cuts) if m < 0 else ((m + 1, b), (*cuts, m + 1)))
+        sets.append(tuple(found))
+    return tuple(sets)
 
 
 def optimum_set(ladder: ValueLadder, n, kind: str, interval=None) -> tuple:
@@ -551,20 +609,7 @@ def optimum_set(ladder: ValueLadder, n, kind: str, interval=None) -> tuple:
     DAG before any is listed; above ``MAX_ORACLE_VECTORS`` the query raises
     :class:`OracleTooLargeError`.
     """
-    start, moves = _optimal_moves(ladder, n, kind, interval)
-
-    @cache
-    def count(j: int, b: int) -> int:
-        return sum(1 if m < 0 else count(m + 1, b - 1) for m in moves(j, b))
-
-    if count(*start) > MAX_ORACLE_VECTORS:
-        raise OracleTooLargeError("too many optimal cutoff vectors to list")
-
-    def walk(j: int, b: int, cuts: tuple):
-        for m in moves(j, b):
-            yield from [cuts] if m < 0 else walk(m + 1, b - 1, cuts + (m + 1,))
-
-    return tuple(walk(*start, ()))
+    return optimum_sets(ladder, (n,), kind, interval)[0]
 
 
 def top_block_starts(ladder: ValueLadder, n, kind: str) -> list:
@@ -575,13 +620,8 @@ def top_block_starts(ladder: ValueLadder, n, kind: str) -> list:
     reachable states, so no optimal vector is listed and no size guard
     applies.
     """
-    start, moves = _optimal_moves(ladder, n, kind, None)
-
-    @cache
-    def starts(j: int, b: int) -> frozenset:
-        return frozenset().union(*({j} if m < 0 else starts(m + 1, b - 1) for m in moves(j, b)))
-
-    return sorted(starts(*start))
+    _, moves = _optimal_moves(ladder, (n,), kind, None)
+    return sorted({j for (j, _), found in moves.items() if found and found[0] < 0})
 
 
 def _bound_from_cuts(ladder: ValueLadder, cuts, value: float, n: int, kind: str) -> BoundResult:

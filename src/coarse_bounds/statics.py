@@ -8,7 +8,8 @@ monotonicity of optimum sets in the underlying interval, higher marginal
 returns to capacity on wider intervals, and upward cutoff shifts under
 monotone-likelihood-ratio improvements of the belief. Each check here
 quantifies over the *full* optimum sets that ``engine.optimum_set`` reads
-off the DP, never the canonical selection alone.
+off the DP, never the canonical selection alone. ``sandwich_check`` reads
+the sets at n and n + 1 with ``engine.optimum_sets``, from one DP fill.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from .engine import (
     cell_value,
     coarse_value,
     optimum_set,
+    optimum_sets,
 )
-from .errors import AlignmentError, PreconditionError
+from .errors import AlignmentError, PreconditionError, check_capacity
 
 
 @dataclass(frozen=True)
@@ -192,14 +194,16 @@ def weakly_sandwiched(coarse: tuple, fine: tuple) -> bool:
 
 def sandwich_check(ladder: ValueLadder, n: int) -> bool:
     """Every lower-bound optimum at capacity ``n`` has a weakly sandwiching
-    optimum at ``n + 1``. Vacuously true when the ladder fits within ``n``
-    levels."""
+    optimum at ``n + 1``; both optimum sets come from one DP fill at
+    ``n + 1``. Vacuously true when the ladder fits within ``n`` levels."""
+    n = check_capacity(n)
     if len(ladder) <= n:
         return True
-    opt_n1 = [fine for fine in optimum_set(ladder, n + 1, LOWER) if len(fine) == n]
+    opt_n, opt_n1 = optimum_sets(ladder, (n, n + 1), LOWER)
+    fines = [fine for fine in opt_n1 if len(fine) == n]
     return all(
-        any(weakly_sandwiched(coarse, fine) for fine in opt_n1)
-        for coarse in optimum_set(ladder, n, LOWER)
+        any(weakly_sandwiched(coarse, fine) for fine in fines)
+        for coarse in opt_n
         if len(coarse) == n - 1  # skip degenerate optima using fewer blocks
     )
 

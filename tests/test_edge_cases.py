@@ -21,7 +21,7 @@ from coarse_bounds.applications.insurance import (
 )
 from coarse_bounds.cli import run
 from coarse_bounds.engine import bound, bound_value, pull_back, siminf, simsup
-from coarse_bounds.errors import DegenerateBeliefError
+from coarse_bounds.errors import DegenerateBeliefError, InvalidCapacityError, OracleTooLargeError
 from coarse_bounds.partitions import common_refinement, partition_path
 
 from test_contracts import PROBLEM
@@ -355,6 +355,52 @@ class TestTopLayer:
                         for b in range(1, blocks):
                             assert list(map(repr, top[0][b])) == list(map(repr, full[0][b])), case
                             assert list(top[1][b]) == list(full[1][b]), case
+
+
+class TestOptimumSets:
+    """``optimum_sets`` reads every capacity's optimum set from one fill at
+    the largest; on every branch each set equals ``optimum_set`` at that
+    capacity alone, tuple order included."""
+
+    @pytest.mark.parametrize("branch", list(BRANCHES))
+    @pytest.mark.parametrize("shape", ["float", "dyadic", "tied", "zero-mass"])
+    def test_match_one_capacity_at_a_time(self, branch, shape, monkeypatch):
+        for length in (2, 7, 24, 41):
+            lad = parity_ladder(length, shape)
+            for interval in (None, (1, length - 2)):
+                if interval and interval[0] > interval[1]:
+                    continue
+                for n in (1, 2, 4):
+                    for kind in (engine.LOWER, engine.UPPER):
+                        for caps in ((n, n + 1), (n + 1, n), (3, n, 3)):
+                            got = solve_with(branch, monkeypatch, engine.optimum_sets,
+                                             lad, caps, kind, interval)
+                            want = tuple(
+                                solve_with(branch, monkeypatch, engine.optimum_set,
+                                           lad, c, kind, interval)
+                                for c in caps
+                            )
+                            assert got == want, (length, interval, caps, kind)
+
+    def test_too_large_sets_raise_per_capacity(self):
+        # all mass on level 0: every vector is optimal, and at N = 6 there
+        # are more than MAX_ORACLE_VECTORS of them
+        lad = ValueLadder([float(i) for i in range(60)], [1.0] + [0.0] * 59)
+        small = tuple(engine.optimum_set(lad, n, engine.LOWER) for n in (1, 2))
+        assert engine.optimum_sets(lad, (1, 2), engine.LOWER) == small
+        for caps in ((6,), (1, 6), (6, 1), (2, 6, 1)):
+            with pytest.raises(OracleTooLargeError, match="too many optimal cutoff vectors"):
+                engine.optimum_sets(lad, caps, engine.LOWER)
+
+    @pytest.mark.parametrize("caps, kind, message", [
+        ((2, 0, -1), engine.LOWER, "capacity must be a positive integer, got 0"),
+        ((2.5, 0), engine.LOWER, "capacity must be a positive integer, got 2.5"),
+        ((0,), "middle", "kind must be"),
+        ((), engine.LOWER, "capacities must not be empty"),
+    ])
+    def test_bad_input_raises_the_first_error(self, caps, kind, message):
+        with pytest.raises((InvalidCapacityError, ValueError), match=message):
+            engine.optimum_sets(parity_ladder(7, "float"), caps, kind)
 
 
 def square_dense_fill(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):

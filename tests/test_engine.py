@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
 
@@ -638,6 +639,15 @@ class TestOptimumSet:
         assert optimum_set(lad, 2, "lower") == ((1,), (2,))
         assert top_block_starts(lad, 2, "lower") == [1, 2]
 
+    def test_absolute_tie_tolerance(self):
+        # the three vectors value 0, 6e-14 and 6.3e-14: apart by far more
+        # than TIE_TOL relative, but all within TIE_TOL absolute
+        lad = ValueLadder([0.0, 1e-13, 2.1e-13], [0.4, 0.3, 0.3])
+        values = [coarse_value(cuts, lad, "lower") for cuts in ((), (1,), (2,))]
+        assert TIE_TOL * max(values) < max(values) - min(values) <= TIE_TOL
+        assert optimum_set(lad, 2, "lower") == ((), (1,), (2,))
+        assert top_block_starts(lad, 2, "lower") == [0, 1, 2]
+
     @pytest.mark.parametrize("interval", [(2, 1), (0, 4), (-1, 2)])
     def test_invalid_interval_rejected(self, interval):
         with pytest.raises(ValueError, match="invalid interval"):
@@ -931,6 +941,93 @@ class TestExactSuffixDp:
         res = bound(lad, n, kind)
         assert res.value == value / 4096
         assert res.cutoffs.cuts == cutoffs
+
+
+def exact_optimum_set(levels, masses, n: int, kind: str) -> tuple:
+    """``(value, optima, gap)``: the optimal bound of the ladder in exact
+    rational arithmetic, every cutoff vector that attains it, sorted, and
+    the distance from it to the best value of any other vector (None when
+    no other vector exists), by a suffix DP over ``Fraction`` that keeps the
+    best two distinct values of every state. Reads the float inputs
+    exactly and no engine code."""
+    upper = kind == "upper"
+    pick = min if upper else max
+    lvl = [Fraction(v) for v in levels]
+    pref = list(accumulate(map(Fraction, masses), initial=Fraction(0)))
+    last = len(lvl) - 1
+
+    def cell(lo, hi):
+        return lvl[hi if upper else lo] * (pref[hi + 1] - pref[lo])
+
+    # best[b][j] and second[b][j] are the best two distinct values of
+    # levels[j..] in at most b blocks, and moves[b][j] the moves (-1 for
+    # the close, else the block end) that attain best[b][j]
+    best = [None, [cell(j, last) for j in range(last + 1)]]
+    second, moves = [None, [None] * (last + 1)], [None, [[-1]] * (last + 1)]
+    for _ in range(2, n + 1):
+        row, row2, row_moves = [], [], []
+        for j in range(last + 1):
+            cands = [(-1, cell(j, last), None)]
+            for e in range(j, last):
+                runner_up = second[-1][e + 1]
+                cands.append((e, cell(j, e) + best[-1][e + 1],
+                              None if runner_up is None else cell(j, e) + runner_up))
+            top = pick(v for _, v, _ in cands)
+            rest = [v for c in cands for v in c[1:] if v is not None and v != top]
+            row.append(top)
+            row2.append(pick(rest) if rest else None)
+            row_moves.append([e for e, v, _ in cands if v == top])
+        best.append(row)
+        second.append(row2)
+        moves.append(row_moves)
+    optima = []
+
+    def walk(j, b, cuts):
+        for e in moves[b][j]:
+            if e < 0:
+                optima.append(cuts)
+            else:
+                walk(e + 1, b - 1, cuts + (e + 1,))
+
+    walk(0, n, ())
+    runner_up = second[n][0]
+    return best[n][0], sorted(optima), None if runner_up is None else abs(best[n][0] - runner_up)
+
+
+class TestExactOptimumSet:
+    """``optimum_set`` on float ladders against :func:`exact_optimum_set`:
+    the set holds every exactly optimal vector. Levels are positive;
+    ``random`` ladders have random levels and masses, ``even`` ones equally
+    spaced levels and equal masses 1/L, which tie exactly in real
+    arithmetic while their rounded prefix sums do not. Scaled by 2^40,
+    where the exact optimum is unique up to ``TIE_TOL`` (every other vector
+    lies farther from it than the tolerance), only the relative part of the
+    tolerance covers the rounding. Scaled by 2^-40 the absolute part ties
+    every vector within 1e-12 of the optimum."""
+
+    @pytest.mark.parametrize("scale", [-40, 0, 40])
+    @pytest.mark.parametrize("shape", ["random", "even"])
+    @pytest.mark.parametrize("length", [5, 12, 17, 18, 33, 60])
+    def test_contains_the_exact_optima(self, length, shape, scale):
+        rng = np.random.default_rng(length * 100 + scale)
+        if shape == "even":
+            levels, masses = [float(i) for i in range(1, length + 1)], [1 / length] * length
+        else:
+            levels = np.cumsum(rng.uniform(0.05, 1.0, length)).tolist()
+            w = rng.uniform(0.2, 1.0, length)
+            masses = (w / w.sum()).tolist()
+            masses[-1] = 1.0 - math.fsum(masses[:-1])
+        lad = ValueLadder([math.ldexp(v, scale) for v in levels], masses)
+        unique = 0
+        # scaled down, nearly every vector ties: N <= 3 keeps the sets small
+        capacities = (2, 3) if scale < 0 else (2, 3, 4, 6)
+        for n in capacities:
+            for kind in ("lower", "upper"):
+                value, optima, gap = exact_optimum_set(lad.levels, lad.level_masses, n, kind)
+                unique += gap is None or gap > Fraction(TIE_TOL) * (1 + abs(value))
+                got = optimum_set(lad, n, kind)
+                assert set(optima) <= set(got), (n, kind, optima, got)
+        assert unique == (0 if scale < 0 else 2 * len(capacities))
 
 
 class TestStructuralInvariants:

@@ -1,8 +1,9 @@
 """Source hygiene: no function in the package takes a setting it never reads
 or a default that no caller overrides, no module imports a private name of
 another or a name it never reads, every public name has a caller in the
-package or an export, every module-level name is read or exported, and only
-``preferences`` builds a preference verdict."""
+package or an export, every module-level name is read or exported, only
+``preferences`` builds a preference verdict, and no function builds a cache
+on each call."""
 
 import ast
 from collections import Counter
@@ -539,3 +540,69 @@ def test_scan_flags_a_dp_reference(tmp_path):
         "    return _solve()\n"
     )
     assert dp_references(path, ["oracle"]) == [("helper", "bound_values"), ("inner", "_fill")]
+
+
+CACHE_DECORATORS = frozenset({"cache", "lru_cache"})
+
+
+def nested_caches(path: Path) -> list:
+    """(line, outer function, inner function) for every function that
+    ``path`` defines inside another function under a ``functools.cache`` or
+    ``lru_cache`` decorator, bare, called or read from ``functools``. Each
+    call of the outer function builds a new cache, which no later call
+    reads."""
+
+    def is_cache(decorator) -> bool:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        return name in CACHE_DECORATORS
+
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for outer in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(outer, functions):
+            continue
+        for stmt in outer.body:
+            for inner in ast.walk(stmt):
+                if isinstance(inner, functions) and any(map(is_cache, inner.decorator_list)):
+                    found.append((inner.lineno, outer.name, inner.name))
+    return sorted(set(found))
+
+
+def test_no_cache_built_per_call():
+    paths = sorted(SRC.rglob("*.py"))
+    assert paths
+    built = [
+        f"{path.relative_to(SRC)}:{line} {outer}.{inner}"
+        for path in paths
+        for line, outer, inner in nested_caches(path)
+    ]
+    assert built == []
+
+
+def test_scan_flags_a_nested_cache(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=4)\n"
+        "def table(n):\n"
+        "    return n\n"
+        "def query(x):\n"
+        "    @cache\n"
+        "    def moves(j):\n"
+        "        return j\n"
+        "    if x:\n"
+        "        @functools.lru_cache(maxsize=None)\n"
+        "        def count(j):\n"
+        "            return j\n"
+        "    @staticmethod\n"
+        "    def plain(j):\n"
+        "        return j\n"
+        "    return moves(x)\n"
+        "class Ladder:\n"
+        "    @functools.cache\n"
+        "    def levels(self):\n"
+        "        return ()\n"
+    )
+    assert nested_caches(path) == [(8, "query", "moves"), (12, "query", "count")]

@@ -231,6 +231,22 @@ class TestSandwich:
             n = int(rng.integers(1, 5))
             assert sandwich_check(lad, n)
 
+    @pytest.mark.parametrize("n", [4.5, 7.0, -1, 0, 2.5, True, "3"])
+    def test_capacity_checked_before_the_vacuous_case(self, n):
+        # 4.5 and 7.0 exceed the 4 levels, and the message names n, not n + 1
+        with pytest.raises(InvalidCapacityError, match=f"got {n!r}$"):
+            sandwich_check(UNIFORM4, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_one_fill_for_both_capacities(self, n, monkeypatch):
+        fills = []
+        fill = engine._fill
+        monkeypatch.setattr(engine, "_fill", lambda *args: fills.append(args[2:]) or fill(*args))
+        assert sandwich_check(UNIFORM8, n)
+        assert fills == [(0, 7, n + 1, False)]
+        fills.clear()
+        assert sandwich_check(UNIFORM4, 4) and fills == []
+
 
 class TestStrongSetOrder:
     def test_identical_intervals(self):
