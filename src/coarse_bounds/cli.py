@@ -136,7 +136,8 @@ def cmd_statics(args) -> int:
     act, belief = load_act(args.infile)
     ladder = build_ladder(act, belief)
     n = _one_capacity(args.capacity)
-    lam = 0.8
+    # the top weight exp(700) stays finite on long ladders
+    lam = min(0.8, 700 / max(1, len(ladder) - 1))
     weights = np.exp(lam * np.arange(len(ladder))).tolist()
     profile = capacity_profile(ladder, max(2, n), "lower")
     report = {

@@ -65,8 +65,15 @@ Tie policy: the canonical cutoff vector compares candidate values exactly.
 At every state it closes the block when closing is optimal and otherwise
 takes the smallest optimal block end, which yields the lexicographically
 smallest optimal vector, shorter vectors first. Every set query reads the
-DP and counts a candidate as optimal when it lies within ``TIE_TOL``
-(relative and absolute) of the optimum.
+DP and counts a candidate as optimal when it lies within
+``tie_slack(|optimum|)`` of the optimum. :func:`tie_slack` is the one tie
+rule of the package, ``tol + tol * scale`` with ``tol = TIE_TOL`` by
+default, and the statics verdicts read it too, scaled by their ladder. The
+set queries keep its absolute floor, so on payoffs far below 1 they list
+every vector within ``TIE_TOL`` of the optimum. The contract and portfolio
+solvers keep slacks of their own: the contract solvers an absolute 1e-12,
+which the benchmark's bait check also uses on ``perceived_value_gap``, and
+the portfolio searches their tie-breaks and margins, which are not verdicts.
 
 Cutoff convention: a cutoff at index ``j`` starts a new block at level ``j``
 (cut levels belong to the upper block). A vector of ``B - 1`` strictly
@@ -130,6 +137,13 @@ _workspace = threading.local()
 # Relative and absolute tolerance under which set queries count a candidate
 # value as tied with the optimum.
 TIE_TOL = 1e-12
+
+
+def tie_slack(scale: float, tol: float = TIE_TOL) -> float:
+    """The one tie rule: two values of magnitude at most ``scale`` count as
+    equal when they differ by at most ``tol`` absolute plus ``tol`` relative
+    to ``scale``."""
+    return tol + tol * scale
 
 
 def _check_kind(kind: str) -> bool:
@@ -536,8 +550,9 @@ def _optimal_moves(ladder: ValueLadder, capacities, kind: str, interval):
     closing one block over [j..hi] is optimal, then every optimal end ``e``
     of the block starting at j, ascending, which leads to state
     (e + 1, b - 1). A move is optimal when its candidate value, the cell
-    arithmetic of the fill, lies within ``TIE_TOL`` of the state's suffix
-    value. Every optimal cutoff vector is one path from a start to a close.
+    arithmetic of the fill, lies within ``tie_slack(|v|)`` of the state's
+    suffix value v. Every optimal cutoff vector is one path from a start to
+    a close.
     """
     caps = tuple(capacities)
     if not caps:
@@ -553,7 +568,7 @@ def _optimal_moves(ladder: ValueLadder, capacities, kind: str, interval):
             continue
         j, b = state
         best, base = layers[b][j - lo], pref[j]
-        tol = TIE_TOL + TIE_TOL * abs(best)
+        tol = tie_slack(abs(best))
         close = levels[hi if upper else j] * (pref[hi + 1] - base)
         found = [-1] if abs(close - best) <= tol else []
         if b > 1:

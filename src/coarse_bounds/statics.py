@@ -10,6 +10,14 @@ monotone-likelihood-ratio improvements of the belief. Each check here
 quantifies over the *full* optimum sets that ``engine.optimum_set`` reads
 off the DP, never the canonical selection alone. ``sandwich_check`` reads
 the sets at n and n + 1 with ``engine.optimum_sets``, from one DP fill.
+
+Tie rule: every verdict compares through ``engine.tie_slack``, the rule the
+set queries use, at one scale per ladder, its largest |level|, so that no
+verdict depends on the scale of the payoffs. The lattice verdicts use
+``TIE_TOL`` and those on marginal returns and increasing differences, which
+compare differences of differences, ``MARGIN_TOL``; ``fosd_leq`` compares
+cdfs, which lie in [0, 1], within ``TIE_TOL``. The optimum sets behind the
+set-valued checks keep the queries' absolute floor of ``TIE_TOL``.
 """
 
 from __future__ import annotations
@@ -21,14 +29,20 @@ import numpy as np
 from .acts import Belief, ValueLadder
 from .engine import (
     LOWER,
+    TIE_TOL,
     UPPER,
     capacity_values,
     cell_value,
     coarse_value,
     optimum_set,
     optimum_sets,
+    tie_slack,
 )
-from .errors import AlignmentError, PreconditionError, check_capacity
+from .errors import AlignmentError, PreconditionError, check_capacity, check_finite
+
+# Relative and absolute tolerance of the verdicts on marginal returns and
+# increasing differences, whose sides are differences of differences.
+MARGIN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -58,6 +72,13 @@ class DistributionShift:
     shifted: tuple
 
 
+def _slack(ladder: ValueLadder, tol: float = TIE_TOL) -> float:
+    """``tie_slack`` at the ladder's largest |level|. The masses sum to 1, so
+    that scale bounds every bound, cell and coarse value of the ladder, and
+    the sum of their magnitudes."""
+    return tie_slack(max(abs(ladder.levels[0]), abs(ladder.levels[-1])), tol)
+
+
 def _as_distribution(dist):
     """Extract (support, masses) from a ladder, perceived distribution, or pair."""
     if isinstance(dist, ValueLadder):
@@ -70,14 +91,15 @@ def _as_distribution(dist):
 
 def fosd_leq(p, q) -> bool:
     """True iff ``p`` first-order stochastically dominates ``q``: the cdf of
-    ``q`` lies weakly above the cdf of ``p`` on the union of supports."""
+    ``q`` lies weakly above the cdf of ``p`` on the union of supports, up to
+    ``TIE_TOL``, absolute, as cdfs lie in [0, 1]."""
     ps, pm = _as_distribution(p)
     qs, qm = _as_distribution(q)
     grid = sorted(set(ps) | set(qs))
     for x in grid:
         cdf_p = sum(m for v, m in zip(ps, pm) if v <= x)
         cdf_q = sum(m for v, m in zip(qs, qm) if v <= x)
-        if cdf_q < cdf_p - 1e-12:
+        if cdf_q < cdf_p - TIE_TOL:
             return False
     return True
 
@@ -130,6 +152,7 @@ def mlr_shift(masses, weights) -> DistributionShift:
     weights = tuple(float(w) for w in weights)
     if len(masses) != len(weights):
         raise AlignmentError("weights must align with masses")
+    check_finite(weights, "weights")
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be strictly positive")
     if any(b < a for a, b in zip(weights, weights[1:])):
@@ -140,17 +163,19 @@ def mlr_shift(masses, weights) -> DistributionShift:
 
 
 def capacity_profile(ladder: ValueLadder, n_max: int, kind: str) -> CapacityProfile:
-    """W(N) for N = 1..n_max, with monotonicity and concavity flags."""
+    """W(N) for N = 1..n_max, with monotonicity and concavity flags, each
+    increment compared within the ladder's ``tie_slack``."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     values = capacity_values(ladder, n_max, kind)
     inc = [b - a for a, b in zip(values, values[1:])]
+    tol = _slack(ladder)
     if kind == UPPER:
-        monotone = all(d <= 1e-12 for d in inc)
-        concave = all(b >= a - 1e-12 for a, b in zip(inc, inc[1:]))
+        monotone = all(d <= tol for d in inc)
+        concave = all(b >= a - tol for a, b in zip(inc, inc[1:]))
     else:
-        monotone = all(d >= -1e-12 for d in inc)
-        concave = all(b <= a + 1e-12 for a, b in zip(inc, inc[1:]))
+        monotone = all(d >= -tol for d in inc)
+        concave = all(b <= a + tol for a, b in zip(inc, inc[1:]))
     return CapacityProfile(kind=kind, values=values, monotone=monotone, concave=concave)
 
 
@@ -168,7 +193,7 @@ def submodular_delta_holds(ladder: ValueLadder, outer, inner, split: int) -> boo
     """Splitting gains weakly more on the wider interval (submodularity)."""
     gain_outer = submodularity_gap(ladder, outer, split)
     gain_inner = submodularity_gap(ladder, inner, split)
-    return gain_outer >= gain_inner - 1e-12
+    return gain_outer >= gain_inner - _slack(ladder)
 
 
 def supermodular_coarse_holds(ladder: ValueLadder, cuts_a, cuts_b) -> bool:
@@ -180,7 +205,7 @@ def supermodular_coarse_holds(ladder: ValueLadder, cuts_a, cuts_b) -> bool:
     join = tuple(max(a, b) for a, b in zip(cuts_a, cuts_b))
     meet = tuple(min(a, b) for a, b in zip(cuts_a, cuts_b))
     val = lambda cuts: coarse_value(cuts, ladder, LOWER)
-    return val(join) + val(meet) >= val(cuts_a) + val(cuts_b) - 1e-12
+    return val(join) + val(meet) >= val(cuts_a) + val(cuts_b) - _slack(ladder)
 
 
 def weakly_sandwiched(coarse: tuple, fine: tuple) -> bool:
@@ -223,12 +248,17 @@ def _sso_sets(high: tuple, low: tuple) -> bool:
 
 def sso_monotone_in_interval(ladder: ValueLadder, n: int, i_low, i_high) -> bool:
     """Optimum sets of interval-restricted lower-bound problems are ordered
-    in the strong set order when the intervals are."""
+    in the strong set order when the intervals are; equal intervals read
+    one set, from one DP fill."""
     lo1, hi1 = i_low
     lo2, hi2 = i_high
     if lo2 < lo1 or hi2 < hi1:
         raise PreconditionError("intervals must be ordered in the strong set order")
-    return _sso_sets(optimum_set(ladder, n, LOWER, i_high), optimum_set(ladder, n, LOWER, i_low))
+    high = optimum_set(ladder, n, LOWER, i_high)
+    # bounds of one value and type pose one problem; a float bound fails in the engine
+    same = (lo1, hi1, type(lo1), type(hi1)) == (lo2, hi2, type(lo2), type(hi2))
+    low = high if same else optimum_set(ladder, n, LOWER, i_low)
+    return _sso_sets(high, low)
 
 
 def nested_marginal_returns(ladder: ValueLadder, n: int, s, s_prime) -> bool:
@@ -251,7 +281,7 @@ def nested_marginal_returns(ladder: ValueLadder, n: int, s, s_prime) -> bool:
     *_, w_n_s, w_n1_s = capacity_values(ladder, n + 1, LOWER, s)
     lhs = w_n1_sp - w_n_sp
     rhs = w_n1_s - w_n_s
-    return lhs >= rhs - 1e-9
+    return lhs >= rhs - _slack(ladder, MARGIN_TOL)
 
 
 def mlr_cutoff_monotonicity(ladder: ValueLadder, shift: DistributionShift, n: int) -> bool:
@@ -286,4 +316,4 @@ def increasing_differences_holds(ladder: ValueLadder, lo: int, hi_small: int, hi
 
     lhs = val(hi_big, cuts_hi) - val(hi_big, cuts_lo)
     rhs = val(hi_small, cuts_hi) - val(hi_small, cuts_lo)
-    return lhs >= rhs - 1e-9
+    return lhs >= rhs - _slack(ladder, MARGIN_TOL)

@@ -209,6 +209,36 @@ class TestSubcommands:
         report = json.loads(out)
         assert report["sandwich"] and report["mlr_cutoff_monotone"]
 
+    def test_statics_verdicts_do_not_move_with_scale(self, tmp_path, capsys):
+        # at 2^20 the last two increments, equal in real arithmetic, differ
+        # by 3e-11, which an absolute slack of 1e-12 took for convexity
+        path = tmp_path / "act.json"
+        path.write_text(json.dumps({
+            "states": list("abcde"), "values": [2 ** 20 * 0.1 * k for k in range(5)],
+            "masses": [0.2] * 5,
+        }))
+        code, out = invoke(["statics", "--in", str(path), "--N", "5"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["profile_values"][2:] == [167772.16, 188743.68, 209715.2]
+        assert report["profile_monotone"] and report["profile_concave"]
+
+    def test_statics_tilt_stays_finite_on_long_ladders(self, tmp_path):
+        # exp(0.8 * k) overflows from 889 levels on; a fresh process shows
+        # that no numpy warning reaches stderr
+        size = 900
+        path = tmp_path / "act.json"
+        path.write_text(json.dumps({
+            "states": list(range(size)), "values": [0.5 * k for k in range(size)],
+            "masses": [1 / size] * size,
+        }))
+        res = subprocess.run(
+            [sys.executable, "-m", "coarse_bounds", "statics", "--in", str(path), "--N", "2"],
+            capture_output=True, text=True,
+        )
+        assert (res.returncode, res.stderr) == (0, "")
+        assert json.loads(res.stdout)["mlr_cutoff_monotone"]
+
     def test_learn(self, tmp_path, capsys):
         fixture = {
             "states": [0, 1, 2], "values": [1.0, 1.05, 1.12],

@@ -2,8 +2,9 @@
 or a default that no caller overrides, no module imports a private name of
 another or a name it never reads, every public name has a caller in the
 package or an export, every module-level name is read or exported, only
-``preferences`` builds a preference verdict, and no function builds a cache
-on each call."""
+``preferences`` builds a preference verdict, no function builds a cache
+on each call, and the statics and engine modules compare against no bare
+slack."""
 
 import ast
 from collections import Counter
@@ -606,3 +607,44 @@ def test_scan_flags_a_nested_cache(tmp_path):
         "        return ()\n"
     )
     assert nested_caches(path) == [(8, "query", "moves"), (12, "query", "count")]
+
+
+SLACK_MODULES = ("engine.py", "statics.py")
+
+
+def literal_slacks(path: Path) -> list:
+    """(line, value) of every nonzero float literal below 1e-2 in absolute
+    value inside a comparison in ``path``. Such a bare slack does not scale
+    with the values compared; ``engine.tie_slack`` states the tie rule."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Compare):
+            found.extend(
+                (sub.lineno, sub.value)
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Constant)
+                and isinstance(sub.value, float)
+                and 0 < abs(sub.value) < 1e-2
+            )
+    return sorted(set(found))
+
+
+def test_no_literal_slack_in_a_comparison():
+    bare = [
+        f"{name}:{line} {value!r}"
+        for name in SLACK_MODULES
+        for line, value in literal_slacks(SRC / name)
+    ]
+    assert bare == []
+
+
+def test_scan_flags_a_literal_slack(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "TOL = 1e-12\n"
+        "def holds(a, b, c):\n"
+        "    if a <= b + 1e-12 and c != 0.0:\n"
+        "        return abs(a - b) < -1e-9 < max(c, 0.005)\n"
+        "    return a >= b - TOL * 2 and a < 1e-2 and b > 5e-3j and c in (0.001,)\n"
+    )
+    assert literal_slacks(path) == [(3, 1e-12), (4, 1e-09), (4, 0.005), (5, 0.001)]

@@ -119,6 +119,12 @@ class TestMlrShift:
         with pytest.raises(AlignmentError):
             mlr_shift((0.5, 0.5), (1.0,))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weights(self, bad):
+        # NaN passed both order checks and shifted the belief to NaN masses
+        with pytest.raises(ValueError, match=f"^weights must be finite, got {bad!r}$"):
+            mlr_shift((0.5, 0.5), (1.0, bad))
+
     @pytest.mark.parametrize("masses, error, message", [
         ((-1.0, 2.0), ValueError, "belief masses must be finite and non-negative"),
         ((0.0, 0.0), DegenerateBeliefError, "belief puts no mass on any state"),
@@ -275,6 +281,27 @@ class TestStrongSetOrder:
                 lad, n, (lo1, lo1 + span - 1), (lo2, lo2 + span - 1)
             )
 
+    @pytest.mark.parametrize("i_low, i_high, filled", [
+        ((0, 5), (0, 5), [(0, 5, 3, False)]),
+        ([0, 5], (0, 5), [(0, 5, 3, False)]),
+        ((0, 5), (2, 7), [(2, 7, 3, False), (0, 5, 3, False)]),
+        ((0, 7), (0, 7), [(0, 7, 3, False)]),
+    ], ids=["equal", "equal-list", "shifted", "whole"])
+    def test_one_fill_per_distinct_interval(self, i_low, i_high, filled, monkeypatch):
+        fills = []
+        fill = engine._fill
+        monkeypatch.setattr(engine, "_fill", lambda *args: fills.append(args[2:]) or fill(*args))
+        assert sso_monotone_in_interval(UNIFORM8, 3, i_low, i_high)
+        assert fills == filled
+
+    def test_equal_intervals_keep_their_errors(self):
+        with pytest.raises(ValueError, match="invalid interval"):
+            sso_monotone_in_interval(UNIFORM8, 3, (2, 9), (2, 9))
+        with pytest.raises(TypeError):
+            sso_monotone_in_interval(UNIFORM8, 3, (0.0, 5.0), (0, 5))
+        with pytest.raises(InvalidCapacityError):
+            sso_monotone_in_interval(UNIFORM8, 0, (0, 5), (0, 5))
+
 
 class TestNestedMarginalReturns:
     def test_equal_intervals(self):
@@ -380,3 +407,82 @@ class TestRestrictedProblems:
         assert opt == ((2,),)
         opt3 = optimum_set(UNIFORM4, 3, "lower")
         assert opt3 == ((1, 2), (1, 3), (2, 3))
+
+
+SCALES = (-40, 0, 20, 40)
+# ladders with many exact ties in real arithmetic, which rounding breaks
+TIED = [(step, size) for step in (0.1, 0.3, 0.7, 1 / 3) for size in range(5, 31)]
+
+
+def tied_ladder(step: float, size: int, s: int) -> ValueLadder:
+    return ValueLadder([step * k * 2.0 ** s for k in range(size)], [1 / size] * size)
+
+
+class TestScaleFreeVerdicts:
+    """Scaling every level by 2^s is exact, and so is every sum and product
+    of the bound values, cells and coarse values that the predicates
+    compare, so no verdict may move with s. An absolute slack moved some at
+    2^20 and 2^40, where rounding is larger than 1e-12."""
+
+    @staticmethod
+    def moved(check, draw, per_ladder, seed):
+        """(step, size, args, verdicts) of every seeded instance whose verdict
+        ``check(ladder, *args)`` differs between two scales."""
+        rng = np.random.default_rng(seed)
+        moved = []
+        for step, size in TIED:
+            for _ in range(per_ladder):
+                args = draw(rng, size)
+                if args is None:
+                    continue
+                verdicts = []
+                for s in SCALES:
+                    try:
+                        verdicts.append(check(tied_ladder(step, size, s), *args))
+                    except PreconditionError:
+                        verdicts.append("precondition")
+                if len(set(verdicts)) > 1:
+                    moved.append((step, size, args, verdicts))
+        return moved
+
+    @pytest.mark.parametrize("kind", ["lower", "upper"])
+    def test_capacity_profile(self, kind):
+        def check(lad):
+            profile = capacity_profile(lad, min(len(lad), 8), kind)
+            return profile.monotone, profile.concave
+        assert self.moved(check, lambda rng, size: (), 1, 0) == []
+
+    def test_submodular_delta(self):
+        def draw(rng, size):
+            lo_o = int(rng.integers(0, size - 2))
+            hi_o = int(rng.integers(lo_o + 2, size))
+            lo_i = int(rng.integers(lo_o, hi_o - 1))
+            hi_i = int(rng.integers(lo_i + 1, hi_o + 1))
+            return (lo_o, hi_o), (lo_i, hi_i), int(rng.integers(lo_i + 1, hi_i + 1))
+        assert self.moved(submodular_delta_holds, draw, 5, 1) == []
+
+    def test_supermodular_coarse(self):
+        def draw(rng, size):
+            k = int(rng.integers(1, min(4, size - 1) + 1))
+            pool = np.arange(1, size)
+            return tuple(tuple(sorted(rng.choice(pool, size=k, replace=False).tolist()))
+                         for _ in range(2))
+        assert self.moved(supermodular_coarse_holds, draw, 5, 2) == []
+
+    def test_nested_marginal_returns(self):
+        def draw(rng, size):
+            n = int(rng.integers(2, 4))
+            lo_s, hi_s = int(rng.integers(0, 3)), int(rng.integers(size - 3, size))
+            inner = int(rng.integers(lo_s, lo_s + 2)), int(rng.integers(hi_s - 1, hi_s + 1))
+            return None if inner[1] - inner[0] < n else (n, inner, (lo_s, hi_s))
+        assert self.moved(nested_marginal_returns, draw, 5, 3) == []
+
+    def test_increasing_differences(self):
+        def draw(rng, size):
+            hi_small = int(rng.integers(3, size))
+            k = int(rng.integers(1, 3))
+            pool = np.arange(1, hi_small + 1)
+            a, b = (tuple(sorted(rng.choice(pool, size=k, replace=False).tolist()))
+                    for _ in range(2))
+            return (0, hi_small, size - 1, *((a, b) if a[-1] >= b[-1] else (b, a)))
+        assert self.moved(increasing_differences_holds, draw, 5, 4) == []
