@@ -18,7 +18,7 @@ from math import inf
 
 from .. import preferences
 from ..acts import Belief, DiscreteAct, build_ladder, check_ascending, check_finite
-from ..engine import bound, pull_back, top_block_starts
+from ..engine import Fill, bound, pull_back
 from ..errors import (
     AlignmentError, DegenerateBeliefError, InfeasibleConstructionError, PreconditionError,
 )
@@ -190,22 +190,6 @@ def simplify_contract(problem: ContractingProblem, schedule, n: int) -> Simplifi
     )
 
 
-def _top_block_start(problem: ContractingProblem, schedule, effort, n: int) -> float:
-    """Output where the top block of the perceived upper bound begins, for
-    the optimal partition whose top block starts highest."""
-    act = utility_act(problem, schedule, effort)
-    belief = problem.belief(effort)
-    ladder = build_ladder(act, belief)
-    if len(ladder) <= n:
-        raise PreconditionError("schedule is already within the agent's capacity")
-    top_level = ladder.levels[top_block_starts(ladder, n, "upper")[-1]]
-    return min(
-        o
-        for o, u, m in zip(problem.outputs, act.values, belief.masses)
-        if m > 0 and u >= top_level
-    )
-
-
 def _reckless_effort(problem: ContractingProblem, schedule, n: int):
     if any(b < a for a, b in zip(schedule, schedule[1:])):
         raise PreconditionError("schedule must be non-decreasing in output")
@@ -216,12 +200,21 @@ def _bait_shaver(problem: ContractingProblem, schedule, effort, n: int, epsilon:
     """The bait region of a schedule and a function that shaves ``delta`` off
     the wages there.
 
-    The region holds the outputs strictly inside the top perceived block,
-    below an ``epsilon`` collar under the highest output. It, the perceived
-    value and the principal's value of the unshaved schedule are computed
-    once; a shave only builds and verifies the modified schedule.
+    The region holds the outputs strictly inside the top perceived block
+    (of the optimal partition whose top block starts highest), below an
+    ``epsilon`` collar under the highest output. It, the perceived value and
+    the principal's value of the unshaved schedule are computed once, the
+    first two from one fill; a shave only builds and verifies the modified
+    schedule.
     """
-    t_start = _top_block_start(problem, schedule, effort, n)
+    act, belief = utility_act(problem, schedule, effort), problem.belief(effort)
+    ladder = build_ladder(act, belief)
+    if len(ladder) <= n:
+        raise PreconditionError("schedule is already within the agent's capacity")
+    fill = Fill(ladder, (n,), "upper", None)
+    top_level = ladder.levels[fill.top_block_starts(n)[-1]]
+    t_start = min(o for o, u, m in zip(problem.outputs, act.values, belief.masses)
+                  if m > 0 and u >= top_level)
     top = problem.outputs[-1]
     region = tuple(
         i for i, o in enumerate(problem.outputs) if t_start < o < top - epsilon
@@ -230,7 +223,7 @@ def _bait_shaver(problem: ContractingProblem, schedule, effort, n: int, epsilon:
         raise InfeasibleConstructionError(
             "bait region (top block interior below the cap) is empty"
         )
-    before = agent_value(problem, schedule, effort, n, "reckless")
+    before = fill.value(n)
     principal_before = principal_value(problem, schedule, effort)
 
     def shave(delta: float) -> BaitResult:

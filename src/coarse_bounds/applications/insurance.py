@@ -17,9 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..acts import Belief, DiscreteAct, ValueLadder, check_ascending, check_finite
-from ..engine import (
-    attitude_kind, blocks_from_cuts, bound, bound_value, optimum_set, top_block_starts,
-)
+from ..engine import Fill, attitude_kind, blocks_from_cuts, bound, bound_value, optimum_set
 from ..errors import AlignmentError, BracketingError, ConvergenceError, PreconditionError
 
 
@@ -357,27 +355,26 @@ def dominated_pair(base: InsuranceContract, target_deductible: float,
         raise ValueError("target deductible must lie below the base deductible")
     bump = base.coverage * (d_hi - target_deductible)
     low = replace(base, deductible=target_deductible, premium=base.premium + bump)
-    # the base plan's ladder serves its value and its optimal partitions
+    # one fill of the base plan's ladder serves its value and its optimal partitions
     ladder, level_of = _plan_ladder(base, model, utility, _payment_runs(base, model))
-    v_hi = bound_value(ladder, n, "lower")
+    fill = Fill(ladder, (n,), "lower", None)
+    v_hi = fill.value(n)
     v_lo = plan_value(low, model, utility, n, "cautious")
     return DominatedPairResult(
         low_contract=low,
         indifferent=abs(v_hi - v_lo) <= tol,
-        lowest_cutoff_ok=_exists_selection_first_block_reaching(
-            ladder, level_of, model, n, d_hi
-        ),
+        lowest_cutoff_ok=_exists_selection_first_block_reaching(fill, level_of, model, n, d_hi),
         value_high=v_hi,
         value_low=v_lo,
     )
 
 
-def _exists_selection_first_block_reaching(ladder, level_of, model, n, loss_mark) -> bool:
-    """True iff some optimal lower-bound partition of ``ladder``, whose
-    positive-mass states have the level indices ``level_of``, puts every
-    loss below ``loss_mark`` into its first loss block (lowest cutoff >=
-    loss_mark)."""
-    if min(n, len(ladder)) == 1:
+def _exists_selection_first_block_reaching(fill, level_of, model, n, loss_mark) -> bool:
+    """True iff some optimal lower-bound partition at capacity ``n`` of the
+    ladder of ``fill`` (a lower fill of the whole ladder), whose positive-mass
+    states have the level indices ``level_of``, puts every loss below
+    ``loss_mark`` into its first loss block (lowest cutoff >= loss_mark)."""
+    if min(n, len(fill.levels)) == 1:
         return True
     # the first loss block is the top ladder block; its lowest loss cutoff
     # reaches loss_mark iff it starts at or below the level of the first
@@ -386,7 +383,7 @@ def _exists_selection_first_block_reaching(ladder, level_of, model, n, loss_mark
     if i == len(level_of):
         return False
     j0 = level_of[i]
-    return any(1 <= s <= j0 for s in top_block_starts(ladder, n, "lower"))
+    return any(1 <= s <= j0 for s in fill.top_block_starts(n))
 
 
 def has_kink(contract: InsuranceContract) -> bool:

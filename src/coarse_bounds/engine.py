@@ -46,14 +46,14 @@ of two equal candidates. Each capacity layer is then one add, one reduction
 and one lookup. ``bound_values`` keeps the layout of the last mass vector
 it checked, so a run of calls on one mass vector builds it once.
 
-Every optimal cutoff vector is a path through the optimum DAG of the
-fill's suffix values, whose moves at each reachable state are the tied
-candidates, recomputed with the fill's cell arithmetic on its layers as
-Python lists and kept in one dict: :func:`optimum_set` lists the paths and
-:func:`top_block_starts` reads where their top blocks start. Layer b of a
-fill is the same at every larger capacity, so :func:`optimum_sets` reads
-the optimum sets of several capacities from one fill at the largest; a
-sandwich check reads those at n and n + 1 from one fill.
+Every query but ``bound_values`` reads one :class:`Fill`, which checks its
+inputs, fills once and alone reads the layers, at any capacity up to its own,
+so a library call holds one fill per ladder. Every optimal cutoff vector is
+a path through the optimum DAG of the fill's suffix values, whose moves at
+each reachable state are the tied candidates, recomputed with the fill's
+cell arithmetic on its layers as Python lists and kept in one dict:
+:meth:`Fill.optimum_sets` lists the paths and :meth:`Fill.top_block_starts`
+reads where their top blocks start.
 :func:`brute_force_bound` is an independent
 exhaustive oracle, kept only as a reference for those queries and the DP,
 for instances below a size guard. It reads the vectors of
@@ -92,7 +92,7 @@ from math import comb, inf, isfinite
 import numpy as np
 
 from .acts import Belief, DiscreteAct, ValueLadder, build_ladder
-from .errors import OracleTooLargeError, PreconditionError, check_capacity
+from .errors import OracleTooLargeError, PreconditionError, check_capacity, is_integer
 
 LOWER = "lower"
 UPPER = "upper"
@@ -191,9 +191,6 @@ class BoundResult:
     bound_values: tuple
     value: float
     exact: bool
-
-    def blocks(self, num_levels: int) -> list:
-        return blocks_from_cuts(self.cutoffs.cuts, num_levels)
 
 
 @dataclass(frozen=True)
@@ -442,9 +439,9 @@ def _fill(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):
     ``values[b][j - lo]`` is the best value of partitioning levels[j..hi]
     into at most b blocks. ``choices[b][j - lo]`` is -1 when closing one
     block over [j..hi] is optimal, otherwise the smallest optimal end ``e``
-    of the block starting at j. Row 0 of both is None. Every query reads
-    the top layer, b = n_blocks, only at its start j = lo, so that layer
-    holds only that entry.
+    of the block starting at j. Row 0 of both is None. Only the readers of
+    :class:`Fill` read this format, and they read the top layer, b =
+    n_blocks, only at its start j = lo, so that layer holds only that entry.
 
     Three branches share the candidate arithmetic exactly (see the module
     notes); nothing the fill returns is a view of the dense branch's
@@ -500,143 +497,155 @@ def _fill(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):
     return values, choices
 
 
-def _solve(ladder: ValueLadder, n, kind: str, interval, *more):
-    """The checked setup and DP fill behind every engine query.
+class Fill:
+    """One checked DP fill of levels[lo..hi] (the whole ladder when ``interval``
+    is None) up to the largest of ``capacities``, and the only reader of its
+    layers. It checks that ``capacities`` is not empty, then the kind, the
+    interval's integer bounds and each capacity. Layer b of a fill is what a
+    fill at b computes, bit for bit, so it serves every capacity up to its own."""
 
-    Checks the kind, the interval (the whole ladder when None), the
-    capacity ``n`` and then each capacity of ``more``, in order, and fills
-    levels[lo..hi] once, up to the largest capacity clamped to the interval
-    length. Layer b of a fill at a larger capacity holds, bit for bit,
-    what a fill at capacity b computes, its top entry included, so one fill
-    serves every capacity. Returns ``(n, upper, lo, hi, pref, values,
-    choices)``.
-    """
-    upper = _check_kind(kind)
-    lo, hi = (0, len(ladder) - 1) if interval is None else interval
-    if not 0 <= lo <= hi < len(ladder):
-        raise ValueError(f"invalid interval {interval!r} for {len(ladder)} levels")
-    n = check_capacity(n)
-    top = max(n, *map(check_capacity, more)) if more else n
-    pref = _prefix_masses(ladder.level_masses)
-    values, choices = _fill(ladder.levels, pref, lo, hi, min(top, hi - lo + 1), upper)
-    return n, upper, lo, hi, pref, values, choices
+    __slots__ = ("levels", "upper", "lo", "hi", "pref", "values", "choices")
+
+    def __init__(self, ladder: ValueLadder, capacities, kind: str, interval):
+        caps = tuple(capacities)
+        if not caps:
+            raise ValueError("capacities must not be empty")
+        self.upper = upper = _check_kind(kind)
+        if interval is None:
+            lo, hi = 0, len(ladder) - 1
+        else:
+            lo, hi = interval
+            if not (is_integer(lo) and is_integer(hi)):
+                raise TypeError(f"interval bounds must be integers, got {interval!r}")
+            if not 0 <= lo <= hi < len(ladder):
+                raise ValueError(f"invalid interval {interval!r} for {len(ladder)} levels")
+            lo, hi = int(lo), int(hi)
+        top = check_capacity(caps[0]) if len(caps) == 1 else max(map(check_capacity, caps))
+        self.levels, self.lo, self.hi = ladder.levels, lo, hi
+        self.pref = pref = _prefix_masses(ladder.level_masses)
+        self.values, self.choices = _fill(ladder.levels, pref, lo, hi, min(top, hi - lo + 1), upper)
+
+    def _layer(self, n) -> int:
+        """Capacity ``n`` clamped to the interval length: a layer of the fill."""
+        b = min(check_capacity(n), self.hi - self.lo + 1)
+        if b >= len(self.values):
+            raise ValueError(f"capacity {n!r} exceeds the fill's {len(self.values) - 1}")
+        return b
+
+    def value(self, n) -> float:
+        """The optimal value W(n) on levels[lo..hi]."""
+        return float(self.values[self._layer(n)][0])
+
+    def cutoffs(self, n) -> tuple:
+        """The lexicographically smallest optimal cutoff vector at capacity ``n``."""
+        b, j, cuts = self._layer(n), self.lo, []
+        while (e := int(self.choices[b][j - self.lo])) >= 0:
+            cuts.append(e + 1)
+            j, b = e + 1, b - 1
+        return tuple(cuts)
+
+    def capacity_values(self, n_max) -> tuple:
+        """W(1..n_max); from the interval length on, W stays at its last value."""
+        row = tuple(float(v[0]) for v in self.values[1 : self._layer(n_max) + 1])
+        return row + row[-1:] * (int(n_max) - len(row))
+
+    def _optimal_moves(self, capacities):
+        """Start states and moves of the optimum DAG of the fill.
+
+        A state (j, b) asks for the best partition of levels[j..hi] into at
+        most b blocks; capacity n starts at (lo, min(n, hi - lo + 1)).
+        ``moves`` maps every reachable state to its optimal moves: -1 when
+        closing one block over [j..hi] is optimal, then every optimal end
+        ``e`` of the block starting at j, ascending, which leads to state
+        (e + 1, b - 1). A move is optimal when its candidate value, the
+        fill's cell arithmetic, lies within ``tie_slack(|v|)`` of the
+        state's suffix value v. Every optimal cutoff vector is one path.
+        """
+        starts = [(self.lo, self._layer(n)) for n in capacities]
+        levels, pref, lo, hi, upper = self.levels, self.pref, self.lo, self.hi, self.upper
+        layers = [None, *(v if isinstance(v, list) else v.tolist() for v in self.values[1:])]
+        moves, todo = {}, list(starts)
+        while todo:
+            state = todo.pop()
+            if state in moves:
+                continue
+            j, b = state
+            best, base = layers[b][j - lo], pref[j]
+            tol = tie_slack(abs(best))
+            close = levels[hi if upper else j] * (pref[hi + 1] - base)
+            found = [-1] if abs(close - best) <= tol else []
+            if b > 1:
+                reps = levels[j:hi] if upper else repeat(levels[j])
+                nxt = layers[b - 1][j + 1 - lo :]
+                for e, rep, p, v in zip(range(j, hi), reps, pref[j + 1 : hi + 1], nxt):
+                    if abs(rep * (p - base) + v - best) <= tol:
+                        found.append(e)
+                        todo.append((e + 1, b - 1))
+            moves[state] = found
+        return starts, moves
+
+    def optimum_sets(self, capacities) -> tuple:
+        """The optimum set of each of ``capacities``: every optimal cutoff
+        vector, sorted, as the paths of the optimum DAG walked depth first,
+        the close first. Each set is counted before any is listed; the first,
+        in capacity order, above ``MAX_ORACLE_VECTORS`` vectors raises
+        :class:`OracleTooLargeError`."""
+        starts, moves = self._optimal_moves(capacities)
+        count = {}
+        # a move leads to a later block start, so in descending order each
+        # state comes after every state that it leads to
+        for j, b in sorted(moves, reverse=True):
+            count[j, b] = sum(1 if m < 0 else count[m + 1, b - 1] for m in moves[j, b])
+        if any(count[s] > MAX_ORACLE_VECTORS for s in starts):
+            raise OracleTooLargeError("too many optimal cutoff vectors to list")
+        sets = []
+        for start in starts:
+            # depth first, the close before the block ends ascending
+            found, stack = [], [(start, ())]
+            while stack:
+                state, cuts = stack.pop()
+                if state is None:
+                    found.append(cuts)
+                    continue
+                b = state[1] - 1
+                for m in reversed(moves[state]):
+                    stack.append((None, cuts) if m < 0 else ((m + 1, b), (*cuts, m + 1)))
+            sets.append(tuple(found))
+        return tuple(sets)
+
+    def top_block_starts(self, n) -> list:
+        """Ascending level indices where some optimal partition at capacity
+        ``n`` starts its top block, ``lo`` for the one-block partition: the
+        reachable DAG states that close, so no vector is listed and no size
+        guard applies."""
+        _, moves = self._optimal_moves((n,))
+        return sorted({j for (j, _), found in moves.items() if found and found[0] < 0})
 
 
 def _dp_solve(ladder: ValueLadder, n, kind: str):
     """Optimal value and lexicographically smallest optimal cutoff vector."""
-    *_, values, choices = _solve(ladder, n, kind, None)
-    cuts = []
-    j, b = 0, len(values) - 1
-    while (e := int(choices[b][j])) >= 0:
-        cuts.append(e + 1)
-        j, b = e + 1, b - 1
-    return float(values[-1][0]), tuple(cuts)
+    fill = Fill(ladder, (n,), kind, None)
+    return fill.value(n), fill.cutoffs(n)
 
 
 def capacity_values(ladder: ValueLadder, n_max, kind: str, interval=None) -> tuple:
     """Optimal bound values W(1..n_max) of the problem on levels[lo..hi] (the
     whole ladder when ``interval`` is None), read from one DP fill."""
-    n_max, *_, values, _ = _solve(ladder, n_max, kind, interval)
-    row = tuple(float(values[n][0]) for n in range(1, len(values)))
-    return row + row[-1:] * (n_max - len(row))
-
-
-def _optimal_moves(ladder: ValueLadder, capacities, kind: str, interval):
-    """Start states and moves of the optimum DAG of one DP fill.
-
-    A state (j, b) asks for the best partition of levels[j..hi] into at most
-    b blocks; capacity n starts at (lo, min(n, hi - lo + 1)). ``moves`` maps
-    every state reachable from the starts to its optimal moves: -1 when
-    closing one block over [j..hi] is optimal, then every optimal end ``e``
-    of the block starting at j, ascending, which leads to state
-    (e + 1, b - 1). A move is optimal when its candidate value, the cell
-    arithmetic of the fill, lies within ``tie_slack(|v|)`` of the state's
-    suffix value v. Every optimal cutoff vector is one path from a start to
-    a close.
-    """
-    caps = tuple(capacities)
-    if not caps:
-        raise ValueError("capacities must not be empty")
-    _, upper, lo, hi, pref, values, _ = _solve(ladder, caps[0], kind, interval, *caps[1:])
-    levels = ladder.levels
-    layers = [None, *(v if isinstance(v, list) else v.tolist() for v in values[1:])]
-    starts = [(lo, min(int(n), hi - lo + 1)) for n in caps]
-    moves, todo = {}, list(starts)
-    while todo:
-        state = todo.pop()
-        if state in moves:
-            continue
-        j, b = state
-        best, base = layers[b][j - lo], pref[j]
-        tol = tie_slack(abs(best))
-        close = levels[hi if upper else j] * (pref[hi + 1] - base)
-        found = [-1] if abs(close - best) <= tol else []
-        if b > 1:
-            reps = levels[j:hi] if upper else repeat(levels[j])
-            nxt = layers[b - 1][j + 1 - lo :]
-            for e, rep, p, v in zip(range(j, hi), reps, pref[j + 1 : hi + 1], nxt):
-                if abs(rep * (p - base) + v - best) <= tol:
-                    found.append(e)
-                    todo.append((e + 1, b - 1))
-        moves[state] = found
-    return starts, moves
+    return Fill(ladder, (n_max,), kind, interval).capacity_values(n_max)
 
 
 def optimum_sets(ladder: ValueLadder, capacities, kind: str, interval=None) -> tuple:
-    """The optimum set of each of ``capacities`` on levels[lo..hi] (the whole
-    ladder when ``interval`` is None), from one DP fill at the largest.
-
-    Entry i is ``optimum_set(ladder, capacities[i], kind, interval)``. Each
-    set's size is counted over the DAG before any set is listed; the first
-    set, in capacity order, with more than ``MAX_ORACLE_VECTORS`` vectors
-    raises :class:`OracleTooLargeError`.
-    """
-    starts, moves = _optimal_moves(ladder, capacities, kind, interval)
-    count = {}
-    # a move leads to a later block start, so in descending order each
-    # state comes after every state that it leads to
-    for j, b in sorted(moves, reverse=True):
-        count[j, b] = sum(1 if m < 0 else count[m + 1, b - 1] for m in moves[j, b])
-    if any(count[s] > MAX_ORACLE_VECTORS for s in starts):
-        raise OracleTooLargeError("too many optimal cutoff vectors to list")
-    sets = []
-    for start in starts:
-        # depth first, the close before the block ends ascending
-        found, stack = [], [(start, ())]
-        while stack:
-            state, cuts = stack.pop()
-            if state is None:
-                found.append(cuts)
-                continue
-            b = state[1] - 1
-            for m in reversed(moves[state]):
-                stack.append((None, cuts) if m < 0 else ((m + 1, b), (*cuts, m + 1)))
-        sets.append(tuple(found))
-    return tuple(sets)
+    """``optimum_set`` at each of ``capacities`` on levels[lo..hi] (the whole
+    ladder when ``interval`` is None), from one fill at the largest."""
+    caps = tuple(capacities)
+    return Fill(ladder, caps, kind, interval).optimum_sets(caps)
 
 
 def optimum_set(ladder: ValueLadder, n, kind: str, interval=None) -> tuple:
     """Every optimal cutoff vector of the problem on levels[lo..hi] (the whole
-    ladder when ``interval`` is None), sorted, in global level indices.
-
-    The vectors are the paths of the optimum DAG, walked depth first with
-    the close move before the block ends. Their number is counted over the
-    DAG before any is listed; above ``MAX_ORACLE_VECTORS`` the query raises
-    :class:`OracleTooLargeError`.
-    """
+    ladder when ``interval`` is None), sorted, in global level indices; see
+    :meth:`Fill.optimum_sets`."""
     return optimum_sets(ladder, (n,), kind, interval)[0]
-
-
-def top_block_starts(ladder: ValueLadder, n, kind: str) -> list:
-    """Ascending level indices at which some optimal partition at capacity
-    ``n`` starts its top block; 0 stands for the one-block partition.
-
-    These are the states of the optimum DAG that close, gathered over the
-    reachable states, so no optimal vector is listed and no size guard
-    applies.
-    """
-    _, moves = _optimal_moves(ladder, (n,), kind, None)
-    return sorted({j for (j, _), found in moves.items() if found and found[0] < 0})
 
 
 def _bound_from_cuts(ladder: ValueLadder, cuts, value: float, n: int, kind: str) -> BoundResult:
@@ -662,8 +671,7 @@ def bound(ladder: ValueLadder, n, kind: str) -> BoundResult:
 def bound_value(ladder: ValueLadder, n, kind: str) -> float:
     """``bound(ladder, n, kind).value``, bit for bit and with the same
     errors, without walking the cutoffs or building the result."""
-    *_, values, _ = _solve(ladder, n, kind, None)
-    return float(values[-1][0])
+    return Fill(ladder, (n,), kind, None).value(n)
 
 
 def _mass_layout(key: tuple):
@@ -930,14 +938,11 @@ def perceived_distribution(ladder: ValueLadder, n, attitude: str) -> PerceivedDi
     value, and the original ladder dominates (is dominated by) the cautious
     (reckless) perception in the first-order stochastic sense.
     """
-    kind = attitude_kind(attitude)
-    result = bound(ladder, n, kind)
-    pref = _prefix_masses(ladder.level_masses)
-    support, masses = [], []
-    for blo, bhi in result.blocks(len(ladder)):
-        support.append(ladder.levels[bhi if kind == UPPER else blo])
-        masses.append(pref[bhi + 1] - pref[blo])
-    return PerceivedDistribution(tuple(support), tuple(masses))
+    fill = Fill(ladder, (n,), attitude_kind(attitude), None)
+    blocks = blocks_from_cuts(fill.cutoffs(n), len(ladder))
+    support = tuple(ladder.levels[hi if fill.upper else lo] for lo, hi in blocks)
+    masses = tuple(fill.pref[hi + 1] - fill.pref[lo] for lo, hi in blocks)
+    return PerceivedDistribution(support, masses)
 
 
 def attitude_kind(attitude) -> str:

@@ -62,7 +62,11 @@ def check_ascending(values: tuple, name: str) -> None:
         raise ValueError(f"{name} must be strictly ascending")
 
 
+def is_integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def check_capacity(n) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+    if not is_integer(n) or n < 1:
         raise InvalidCapacityError(f"capacity must be a positive integer, got {n!r}")
     return int(n)

@@ -31,6 +31,7 @@ from .engine import (
     LOWER,
     TIE_TOL,
     UPPER,
+    Fill,
     capacity_values,
     cell_value,
     coarse_value,
@@ -255,7 +256,8 @@ def sso_monotone_in_interval(ladder: ValueLadder, n: int, i_low, i_high) -> bool
     if lo2 < lo1 or hi2 < hi1:
         raise PreconditionError("intervals must be ordered in the strong set order")
     high = optimum_set(ladder, n, LOWER, i_high)
-    # bounds of one value and type pose one problem; a float bound fails in the engine
+    # bounds of one value and type pose one problem; the engine rejects a
+    # float bound with a TypeError
     same = (lo1, hi1, type(lo1), type(hi1)) == (lo2, hi2, type(lo2), type(hi2))
     low = high if same else optimum_set(ladder, n, LOWER, i_low)
     return _sso_sets(high, low)
@@ -271,16 +273,15 @@ def nested_marginal_returns(ladder: ValueLadder, n: int, s, s_prime) -> bool:
     (lo, hi), (lo_p, hi_p) = s, s_prime
     if lo_p > lo or hi_p < hi:
         raise PreconditionError("s must be contained in s_prime")
-    opt_coarse = [c for c in optimum_set(ladder, n, LOWER, s_prime) if len(c) == n - 1]
-    opt_fine = [c for c in optimum_set(ladder, n + 1, LOWER, s) if len(c) == n]
-    if not any(
-        weakly_sandwiched(c, f) for c in opt_coarse for f in opt_fine
-    ):
+    n = check_capacity(n)
+    # one fill per interval at n + 1 gives its optimum set and W(n), W(n + 1)
+    wide = Fill(ladder, (n + 1,), LOWER, s_prime)
+    opt_coarse = [c for c in wide.optimum_sets((n,))[0] if len(c) == n - 1]
+    narrow = Fill(ladder, (n + 1,), LOWER, s)
+    opt_fine = [c for c in narrow.optimum_sets((n + 1,))[0] if len(c) == n]
+    if not any(weakly_sandwiched(c, f) for c in opt_coarse for f in opt_fine):
         raise PreconditionError("no sandwiched selections across the two problems")
-    *_, w_n_sp, w_n1_sp = capacity_values(ladder, n + 1, LOWER, s_prime)
-    *_, w_n_s, w_n1_s = capacity_values(ladder, n + 1, LOWER, s)
-    lhs = w_n1_sp - w_n_sp
-    rhs = w_n1_s - w_n_s
+    lhs, rhs = (fill.value(n + 1) - fill.value(n) for fill in (wide, narrow))
     return lhs >= rhs - _slack(ladder, MARGIN_TOL)
 
 

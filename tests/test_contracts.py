@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from coarse_bounds import preferences
+from coarse_bounds import engine, preferences
 from coarse_bounds.acts import build_ladder
-from coarse_bounds.engine import top_block_starts
+from coarse_bounds.engine import Fill
 from coarse_bounds.errors import InfeasibleConstructionError, PreconditionError
 from coarse_bounds.applications.contracts import (
     ContractingProblem,
@@ -192,7 +192,7 @@ def bisection_bait_bound(problem, schedule, n, epsilon):
     ladder = build_ladder(act, belief)
     if len(ladder) <= n:
         raise PreconditionError("schedule is already within the agent's capacity")
-    top_level = ladder.levels[top_block_starts(ladder, n, "upper")[-1]]
+    top_level = ladder.levels[Fill(ladder, (n,), "upper", None).top_block_starts(n)[-1]]
     t_start = min(
         o for o, u, m in zip(problem.outputs, act.values, belief.masses)
         if m > 0 and u >= top_level
@@ -304,9 +304,10 @@ class TestChosenEffortValuedOnce:
                 continue
             calls = self.counted(monkeypatch)
             res = reckless_bait(PROBLEM, schedule, 3, 0.05, delta)
-            # the unshaved value, the reckless best response, then the
-            # shaved schedule's best response with its effort valued once
-            assert len(calls) == 2 * len(PROBLEM.efforts) + 1
+            # the reckless best response, then the shaved schedule's best
+            # response with its effort valued once; the unshaved value is
+            # read from the fill that gives the top block
+            assert len(calls) == 2 * len(PROBLEM.efforts)
             monkeypatch.undo()
             effort = best_response_effort(PROBLEM, schedule, "reckless", 3)
             assert res.induced_effort == effort == best_response_effort(
@@ -316,6 +317,28 @@ class TestChosenEffortValuedOnce:
                 agent_value(PROBLEM, res.schedule, effort, 3, "reckless")
                 - agent_value(PROBLEM, schedule, effort, 3, "reckless")
             )
+            checked += 1
+        assert checked >= 3
+
+    def test_bait_fills_the_chosen_ladder_once(self, monkeypatch):
+        fill = engine._fill
+        checked = 0
+        for schedule in self.schedules(np.random.default_rng(3), 10):
+            try:
+                delta = 0.5 * bait_feasibility_bound(PROBLEM, schedule, 3, 0.05)
+            except InfeasibleConstructionError:
+                continue
+            effort = best_response_effort(PROBLEM, schedule, "reckless", 3)
+            chosen = build_ladder(utility_act(PROBLEM, schedule, effort), PROBLEM.belief(effort))
+            fills = []
+            monkeypatch.setattr(engine, "_fill", lambda *args: fills.append(args[0]) or fill(*args))
+            reckless_bait(PROBLEM, schedule, 3, 0.05, delta)
+            monkeypatch.undo()
+            # the best response fills each effort's ladder, the bait one more
+            # of the chosen effort's for its top block and unshaved value, and
+            # the shave its own ladder and those of the other efforts
+            assert len(fills) == 2 * len(PROBLEM.efforts) + 1
+            assert fills.count(chosen.levels) == 2
             checked += 1
         assert checked >= 3
 

@@ -55,6 +55,11 @@ def parity_ladder(length: int, shape: str) -> ValueLadder:
     return ValueLadder(levels, masses)
 
 
+def top_block_starts(ladder, n, kind):
+    """The top-block starts of a fill of the whole ladder at capacity ``n``."""
+    return engine.Fill(ladder, (n,), kind, None).top_block_starts(n)
+
+
 def solve_with(branch, monkeypatch, query, *args):
     numpy_at, monotone_at = BRANCHES[branch]
     monkeypatch.setattr(engine, "_NUMPY_DP_THRESHOLD", numpy_at)
@@ -99,7 +104,7 @@ class TestDpPathParity:
         lad = parity_ladder(length, shape)
         for n in (2, 3, 6):
             for kind in (engine.LOWER, engine.UPPER):
-                for query in (engine.optimum_set, engine.top_block_starts):
+                for query in (engine.optimum_set, top_block_starts):
                     dense, python = (
                         solve_with(b, monkeypatch, query, lad, n, kind) for b in ("dense", "python")
                     )
@@ -283,8 +288,9 @@ class TestMonotoneSplits:
             for kind in (engine.LOWER, engine.UPPER):
                 fast, slow = (
                     [[layer.tolist() for layer in table[1:]]
-                     for table in solve_with(b, monkeypatch, engine._solve, lad, n, kind, None)[-2:]]
-                    for b in ("monotone", "dense")
+                     for table in (fill.values, fill.choices)]
+                    for fill in (solve_with(b, monkeypatch, engine.Fill, lad, (n,), kind, None)
+                                 for b in ("monotone", "dense"))
                 )
                 assert fast == slow, (n, kind)
 
@@ -401,6 +407,56 @@ class TestOptimumSets:
     def test_bad_input_raises_the_first_error(self, caps, kind, message):
         with pytest.raises((InvalidCapacityError, ValueError), match=message):
             engine.optimum_sets(parity_ladder(7, "float"), caps, kind)
+
+
+class TestFillReaders:
+    """Each reader of a ``Fill`` at each capacity b up to the fill's own
+    gives, on every branch, what a fill at b gives: values bit for bit, then
+    cutoffs, optimum sets and top-block starts. So a library call may read
+    every capacity it needs from one fill at the largest."""
+
+    @staticmethod
+    def readings(fill, b):
+        try:
+            sets = fill.optimum_sets((b,))
+        except OracleTooLargeError as err:
+            sets = str(err)
+        return (
+            fill.value(b).hex(),
+            [v.hex() for v in fill.capacity_values(b)],
+            fill.cutoffs(b),
+            sets,
+            fill.top_block_starts(b),
+        )
+
+    @pytest.mark.parametrize("branch", list(BRANCHES))
+    @pytest.mark.parametrize("shape", ["float", "tied", "zero-mass"])
+    def test_every_capacity_reads_as_its_own_fill(self, branch, shape, monkeypatch):
+        for length in (2, 7, 20):
+            lad = parity_ladder(length, shape)
+            for interval in (None, (1, length - 1)):
+                size = length - (interval is not None)
+                for n in sorted({1, 2, size - 1, size, size + 2} - {0}):
+                    for kind in (engine.LOWER, engine.UPPER):
+                        fills = [
+                            solve_with(branch, monkeypatch, engine.Fill, lad, (b,), kind, interval)
+                            for b in range(1, n + 1)
+                        ]
+                        for b, own in enumerate(fills, 1):
+                            case = (length, interval, n, b, kind)
+                            assert self.readings(fills[-1], b) == self.readings(own, b), case
+
+    def test_a_capacity_above_the_fill_is_named(self):
+        fill = engine.Fill(parity_ladder(7, "float"), (2,), engine.LOWER, (0, 5))
+        readers = (fill.value, fill.cutoffs, fill.capacity_values, fill.top_block_starts,
+                   lambda n: fill.optimum_sets((n,)))
+        for reader in readers:
+            for n in (3, 6, 9):
+                with pytest.raises(ValueError, match=f"capacity {n} exceeds the fill's 2$"):
+                    reader(n)
+        # at the interval length and above, a full fill reads its top layer
+        full = engine.Fill(parity_ladder(7, "float"), (6,), engine.LOWER, (0, 5))
+        assert full.value(9) == full.value(6) and full.cutoffs(9) == full.cutoffs(6)
 
 
 def square_dense_fill(levels, pref, lo: int, hi: int, n_blocks: int, upper: bool):

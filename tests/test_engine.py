@@ -28,6 +28,7 @@ from coarse_bounds.engine import (
     TIE_TOL,
     BoundResult,
     CutoffVector,
+    Fill,
     blocks_from_cuts,
     bound,
     bound_values,
@@ -41,7 +42,6 @@ from coarse_bounds.engine import (
     pull_back,
     siminf,
     simsup,
-    top_block_starts,
 )
 from coarse_bounds.errors import (
     AlignmentError,
@@ -549,12 +549,12 @@ class TestTopBlockStarts:
             for kind in ("lower", "upper"):
                 optima = brute_force_bound(lad, n, kind).optima
                 expected = sorted({o[-1] if o else 0 for o in optima})
-                assert top_block_starts(lad, n, kind) == expected
+                assert Fill(lad, (n,), kind, None).top_block_starts(n) == expected
 
     def test_uniform4_ties(self):
         # N=3 optima (1,2), (1,3), (2,3): top blocks start at 2 or 3
-        assert top_block_starts(UNIFORM4, 3, "lower") == [2, 3]
-        assert top_block_starts(UNIFORM4, 1, "upper") == [0]
+        assert Fill(UNIFORM4, (3,), "lower", None).top_block_starts(3) == [2, 3]
+        assert Fill(UNIFORM4, (1,), "upper", None).top_block_starts(1) == [0]
 
 
 def zero_mass_ladder(rng: np.random.Generator) -> ValueLadder:
@@ -637,7 +637,7 @@ class TestOptimumSet:
         one, two = (coarse_value(cuts, lad, "lower") for cuts in ((1,), (2,)))
         assert TIE_TOL < abs(one - two) <= TIE_TOL * max(abs(one), abs(two))
         assert optimum_set(lad, 2, "lower") == ((1,), (2,))
-        assert top_block_starts(lad, 2, "lower") == [1, 2]
+        assert Fill(lad, (2,), "lower", None).top_block_starts(2) == [1, 2]
 
     def test_absolute_tie_tolerance(self):
         # the three vectors value 0, 6e-14 and 6.3e-14: apart by far more
@@ -646,7 +646,7 @@ class TestOptimumSet:
         values = [coarse_value(cuts, lad, "lower") for cuts in ((), (1,), (2,))]
         assert TIE_TOL * max(values) < max(values) - min(values) <= TIE_TOL
         assert optimum_set(lad, 2, "lower") == ((), (1,), (2,))
-        assert top_block_starts(lad, 2, "lower") == [0, 1, 2]
+        assert Fill(lad, (2,), "lower", None).top_block_starts(2) == [0, 1, 2]
 
     @pytest.mark.parametrize("interval", [(2, 1), (0, 4), (-1, 2)])
     def test_invalid_interval_rejected(self, interval):
@@ -679,7 +679,7 @@ class TestOptimumSet:
             for s in range(1, length)
         ]
         expected = [s for s, v in enumerate(top) if abs(v - best) <= TIE_TOL * (1 + abs(best))]
-        assert top_block_starts(lad, n, "lower") == expected == [146, 147]
+        assert Fill(lad, (n,), "lower", None).top_block_starts(n) == expected == [146, 147]
 
 
 class TestCellAndCoarseValue:

@@ -490,7 +490,7 @@ def test_scan_flags_a_verdict_built_elsewhere(tmp_path):
 # The exhaustive oracle is the reference for the DP fill: a reference that
 # shares the fill's code could share its bugs.
 DP_NAMES = frozenset({
-    "_fill", "_solve", "_dense_search", "_triangle", "_row_blocks", "_corner", "_workspace",
+    "Fill", "_fill", "_solve", "_dense_search", "_triangle", "_row_blocks", "_corner", "_workspace",
     "_monotone_search", "_splits", "bound", "bound_value", "bound_values", "_mass_layout",
     "_last_layout",
 })

@@ -8,10 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coarse_bounds import preferences
+from coarse_bounds import engine, preferences
 from coarse_bounds.acts import DiscreteAct, ValueLadder, build_ladder
 from coarse_bounds.engine import (
-    bound, bound_value, brute_force_bound, optimum_set, top_block_starts,
+    Fill, bound, bound_value, brute_force_bound, optimum_set,
 )
 from coarse_bounds.errors import (
     AlignmentError, BracketingError, ConvergenceError, NonPositiveWealthError, PreconditionError,
@@ -228,7 +228,7 @@ def per_state_lowest_cutoff_ok(base, model, utility, n):
     if i == len(model.losses):
         return False
     j0 = ladder.levels.index(act.values[i])
-    return any(1 <= s <= j0 for s in top_block_starts(ladder, n, "lower"))
+    return any(1 <= s <= j0 for s in Fill(ladder, (n,), "lower", None).top_block_starts(n))
 
 
 def per_state_losses_by_level(act, ladder, model):
@@ -584,6 +584,26 @@ class TestDominatedPair:
         capped = InsuranceContract(0.05, 0.35, 0.6, 0.5, 2.0)
         with pytest.raises(PreconditionError):
             dominated_pair(capped, 0.15, MODEL, U, 3)
+
+    def test_one_fill_per_plan(self, monkeypatch):
+        # the base plan's value and its top-block starts come from one fill,
+        # then the low plan's value from one more
+        cases = [(InsuranceContract(0.05, 0.35, 0.6, None, 2.0), MODEL.tilted(3.0), U, n)
+                 for n in (2, 3, 6)]
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            contract, model, u = random_plan(rng)
+            base = replace(contract, cap=None, deductible=contract.deductible + 0.05)
+            cases.append((base, model, u, int(rng.integers(1, 9))))
+        fill = engine._fill
+        for base, model, u, n in cases:
+            fills = []
+            monkeypatch.setattr(engine, "_fill", lambda *args: fills.append(args[0]) or fill(*args))
+            res = dominated_pair(base, 0.5 * base.deductible, model, u, n)
+            monkeypatch.undo()
+            plans = [build_ladder(utility_act(c, model, u), model.belief).levels
+                     for c in (base, res.low_contract)]
+            assert fills == plans, (base, n)
 
     @pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf")])
     def test_tol_must_be_non_negative_finite(self, tol):

@@ -315,14 +315,13 @@ class TestNestedMarginalReturns:
             nested_marginal_returns(UNIFORM8, 3, (0, 7), (2, 5))
 
     def test_one_value_fill_per_interval(self, monkeypatch):
-        # one fill per optimum set, then W(n) and W(n + 1) of each interval
-        # come from one fill
+        # one fill per interval at n + 1, the wider interval's first, gives
+        # its optimum set and W(n), W(n + 1)
         fills = []
         fill = engine._fill
         monkeypatch.setattr(engine, "_fill", lambda *args: fills.append(args[2:]) or fill(*args))
         assert nested_marginal_returns(UNIFORM8, 3, (2, 5), (0, 7))
-        assert sorted(fills) == [(0, 7, 3, False), (0, 7, 4, False),
-                                 (2, 5, 4, False), (2, 5, 4, False)]
+        assert fills == [(0, 7, 4, False), (2, 5, 4, False)]
 
     def test_random_filtered(self):
         rng = np.random.default_rng(16)
@@ -396,6 +395,21 @@ class TestRestrictedProblems:
     def test_restricted_value_rejects_invalid_interval(self, interval):
         with pytest.raises(ValueError, match="invalid interval"):
             capacity_values(UNIFORM4, 2, "lower", interval)
+
+    @pytest.mark.parametrize("query, interval", [
+        (optimum_set, (0.0, 5.0)),
+        (capacity_values, (0, 5.5)),
+        (optimum_set, (True, 5)),
+    ])
+    def test_non_integer_interval_bounds_are_named(self, query, interval):
+        with pytest.raises(TypeError, match=r"interval bounds must be integers, got \("):
+            query(UNIFORM8, 3, "lower", interval)
+
+    def test_numpy_integer_interval_bounds(self):
+        interval = (np.int64(1), np.int32(6))
+        assert optimum_set(UNIFORM8, 3, "lower", interval) == optimum_set(UNIFORM8, 3, "lower", (1, 6))
+        assert capacity_values(UNIFORM8, 3, "lower", interval) == capacity_values(
+            UNIFORM8, 3, "lower", (1, 6))
 
     @pytest.mark.parametrize("n", [0, -1, -3, 2.5, True])
     def test_restricted_value_rejects_invalid_capacity(self, n):
