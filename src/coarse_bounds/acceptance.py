@@ -93,11 +93,16 @@ def dyadic_ladder(rng: np.random.Generator, max_levels: int = 12) -> ValueLadder
     return ValueLadder([float(v) for v in levels], masses)
 
 
+# Smallest gap between two levels of a float_ladder: a draw with a closer pair
+# is redrawn, so no two levels of a float instance tie to within rounding.
+MIN_LEVEL_GAP = 1e-6
+
+
 def float_ladder(rng: np.random.Generator, max_levels: int = 12,
                  min_levels: int = 1) -> ValueLadder:
     length = int(rng.integers(min_levels, max_levels + 1))
     levels = np.sort(rng.uniform(-10.0, 10.0, size=length))
-    while np.any(np.diff(levels) < 1e-6):
+    while np.any(np.diff(levels) < MIN_LEVEL_GAP):
         levels = np.sort(rng.uniform(-10.0, 10.0, size=length))
     return ValueLadder(levels.tolist(), _array_masses(rng, length, 0.05))
 
@@ -111,6 +116,13 @@ def random_act_belief(rng: np.random.Generator, max_states: int):
 # ---------------------------------------------------------------------------
 # criterion 1 and 2: oracle equivalence and structural invariants
 # ---------------------------------------------------------------------------
+
+# Rounding slack of criteria 1, 2 and 4 on float ladders (levels in [-10, 10],
+# masses summing to 1): the bounds, cdfs and expectations they compare are at
+# most 10 in size and round by some ulps of it, about 1e-14. The relative
+# comparisons scale it by the larger of 1 and the reference's size.
+BOUND_TOL = 1e-12
+
 
 def criterion_oracle_equivalence(seed: int) -> CriterionResult:
     n_instances = 10_000
@@ -128,14 +140,14 @@ def criterion_oracle_equivalence(seed: int) -> CriterionResult:
                 ok = dp.value == oracle.bound.value and dp.cutoffs.cuts == oracle.optima[0]
             else:
                 ref = oracle.bound.value
-                ok = abs(dp.value - ref) <= 1e-12 * max(1.0, abs(ref))
+                ok = abs(dp.value - ref) <= BOUND_TOL * max(1.0, abs(ref))
             if not ok:
                 bad += 1
     return CriterionResult(
         1, "oracle equivalence",
         bad == 0,
-        f"{n_instances} instances ({half} dyadic exact, {n_instances - half} float at 1e-12), "
-        f"{bad} mismatches",
+        f"{n_instances} instances ({half} dyadic exact, "
+        f"{n_instances - half} float at {BOUND_TOL:g}), {bad} mismatches",
     )
 
 
@@ -150,16 +162,16 @@ def criterion_structural_invariants(seed: int) -> CriterionResult:
         prev_lo, prev_hi = -np.inf, np.inf
         for n in range(1, 7):
             lo, hi = siminf(lad, n), simsup(lad, n)
-            if lo.value > expect + 1e-12 or hi.value < expect - 1e-12:
+            if lo.value > expect + BOUND_TOL or hi.value < expect - BOUND_TOL:
                 bad.append((i, n, "sandwich"))
-            if lo.value < prev_lo - 1e-12 or hi.value > prev_hi + 1e-12:
+            if lo.value < prev_lo - BOUND_TOL or hi.value > prev_hi + BOUND_TOL:
                 bad.append((i, n, "monotone"))
             prev_lo, prev_hi = lo.value, hi.value
             dual = -siminf(negate_ladder(lad), n).value
             if dyadic:
                 if hi.value != dual:
                     bad.append((i, n, "duality"))
-            elif abs(hi.value - dual) > 1e-12 * max(1.0, abs(dual)):
+            elif abs(hi.value - dual) > BOUND_TOL * max(1.0, abs(dual)):
                 bad.append((i, n, "duality"))
             if len(lad) <= n and not (lo.exact and hi.exact):
                 bad.append((i, n, "exactness"))
@@ -317,12 +329,12 @@ def criterion_perceived_distributions(seed: int) -> CriterionResult:
             pr = perceived_distribution(lad, m, "reckless")
             for x in grid:
                 base = sum(mm for v, mm in zip(lad.levels, lad.level_masses) if v <= x)
-                if pc.cdf(x) < base - 1e-12 or pr.cdf(x) > base + 1e-12:
+                if pc.cdf(x) < base - BOUND_TOL or pr.cdf(x) > base + BOUND_TOL:
                     bad += 1
-            if pc.expectation() < prev - 1e-12:
+            if pc.expectation() < prev - BOUND_TOL:
                 bad += 1
             prev = pc.expectation()
-        if abs(prev - lad.expectation()) > 1e-12 * max(1.0, abs(lad.expectation())):
+        if abs(prev - lad.expectation()) > BOUND_TOL * max(1.0, abs(lad.expectation())):
             bad += 1
     return CriterionResult(
         4, "perceived-distribution order and convergence",
@@ -334,6 +346,11 @@ def criterion_perceived_distributions(seed: int) -> CriterionResult:
 # ---------------------------------------------------------------------------
 # criterion 5: learning suite
 # ---------------------------------------------------------------------------
+
+# Slack k of criterion 5's smooth rule, a statistical threshold: an act is
+# weakly preferred to c when its score clears phi(c) - k (learning.SmoothRule).
+RULE_SLACK = 1e-5
+
 
 def _learning_fixture(rng: np.random.Generator):
     """Acts with small dispersion around a unit base.
@@ -355,7 +372,7 @@ def _learning_fixture(rng: np.random.Generator):
 def criterion_learning(seed: int) -> CriterionResult:
     n_fixtures, k, b = 200, 200, 4_000
     rng = np.random.default_rng(seed + 4)
-    rule = ln.SmoothRule(gamma=1.0, k=1e-5)
+    rule = ln.SmoothRule(gamma=1.0, k=RULE_SLACK)
     sosd_pass = 0
     audit_checked = 0
     audit_failed = 0
@@ -409,6 +426,19 @@ def criterion_learning(seed: int) -> CriterionResult:
 # criterion 6: insurance suite
 # ---------------------------------------------------------------------------
 
+# Rounding slack of criterion 6's comparisons of sensitivities (responses),
+# each a difference of plan values (utilities near -0.6) over a step of order
+# 1e-2: they round by some ulps of 0.6 over 1e-2, about 1e-14.
+RESPONSE_TOL = 1e-9
+# Slack of criterion 6 on the order of willingness to pay across capacities:
+# each wtp lies within half of insurance.WTP_TOL (1e-8) of its root, so two of
+# them may stray from their true order by 1e-8; the slack is ten times that.
+WTP_ORDER_TOL = 1e-7
+# Floor of criterion 6's grid-convergence band, 5% of the larger statistic:
+# two statistics near zero on both grids must agree to within 5% of it.
+GRID_FLOOR = 1e-9
+
+
 def _insurance_stats(model: ins.LossModel, u, n: int):
     base = ins.InsuranceContract(premium=0.05, deductible=0.3, coverage=0.75,
                                  cap=None, wealth=2.0)
@@ -445,9 +475,9 @@ def criterion_insurance(seed: int) -> CriterionResult:
                 for n in ns:
                     sd = ins.sensitivity(contract, model, u, n, "deductible", h)
                     sc = ins.sensitivity(contract, model, u, n, "coverage", h, side=side)
-                    if abs(sd) < abs(ref_d) - 1e-9 or abs(sc) < abs(ref_c) - 1e-9:
+                    if abs(sd) < abs(ref_d) - RESPONSE_TOL or abs(sc) < abs(ref_c) - RESPONSE_TOL:
                         issues.append(f"over-reaction {name} d={d} c={c} N={n}")
-                    if c < 1.0 and not abs(sd) > abs(ref_d) + 1e-9:
+                    if c < 1.0 and not abs(sd) > abs(ref_d) + RESPONSE_TOL:
                         issues.append(f"strict deductible over-reaction {name} d={d} c={c} N={n}")
         # responses shrink with capacity under full coverage
         for d in (0.25, 0.4):
@@ -456,7 +486,7 @@ def criterion_insurance(seed: int) -> CriterionResult:
             for n in ns:
                 sd = abs(ins.sensitivity(contract, model, u, n, "deductible", h))
                 sc = abs(ins.sensitivity(contract, model, u, n, "coverage", h, side="backward"))
-                if sd > prev_d + 1e-9 or sc > prev_c + 1e-9:
+                if sd > prev_d + RESPONSE_TOL or sc > prev_c + RESPONSE_TOL:
                     issues.append(f"capacity monotonicity {name} d={d} N={n}")
                 prev_d, prev_c = sd, sc
         # willingness to pay falls with capacity
@@ -466,7 +496,7 @@ def criterion_insurance(seed: int) -> CriterionResult:
         for n in (2, 3, 4, 5, 6, 7, 8):
             w1 = ins.wtp(full, model, u, n, "lower_deductible", 0.1)
             w2 = ins.wtp(capped, model, u, n, "lower_cap", 0.1)
-            if w1 > prev_w1 + 1e-7 or w2 > prev_w2 + 1e-7:
+            if w1 > prev_w1 + WTP_ORDER_TOL or w2 > prev_w2 + WTP_ORDER_TOL:
                 issues.append(f"wtp monotonicity {name} N={n}")
             prev_w1, prev_w2 = w1, w2
 
@@ -521,7 +551,7 @@ def criterion_insurance(seed: int) -> CriterionResult:
         fine_stats = _insurance_stats(fine, u, 3)
         for key in coarse_stats:
             a, b = coarse_stats[key], fine_stats[key]
-            if abs(a - b) > 0.05 * max(abs(a), abs(b), 1e-9):
+            if abs(a - b) > 0.05 * max(abs(a), abs(b), GRID_FLOOR):
                 issues.append(f"grid convergence {name} {key}: {a} vs {b}")
 
     detail = f"{len(issues)} issues" + (f": {issues[:4]}" if issues else "")
@@ -531,6 +561,15 @@ def criterion_insurance(seed: int) -> CriterionResult:
 # ---------------------------------------------------------------------------
 # criterion 7: portfolio suite
 # ---------------------------------------------------------------------------
+
+# Slack of criterion 7 on a solved share, savings total or price against its
+# comparator: the share and savings searches stop at brackets 1e-6 and 1e-9
+# wide, and the price when successive difference quotients agree within 1e-7.
+SOLVER_TOL = 1e-6
+# Rounding slack of criterion 7 on the order of the prices (near 1) across
+# capacities, each the difference quotient of one sequence of steps.
+PRICE_ORDER_TOL = 1e-9
+
 
 def criterion_portfolio(seed: int) -> CriterionResult:
     issues = []
@@ -548,22 +587,22 @@ def criterion_portfolio(seed: int) -> CriterionResult:
         for x in (0.3, 0.5):
             a_n = pf.solve_allocation(prob, x)
             a_inf = pf.solve_allocation(full, x)
-            if a_n > a_inf + 1e-6:
+            if a_n > a_inf + SOLVER_TOL:
                 issues.append(f"allocation gamma={gamma} x={x}: {a_n} > {a_inf}")
         s_n = pf.solve_savings(prob)
         s_inf = pf.solve_savings(full)
-        if s_n.total < s_inf.total - 1e-6:
+        if s_n.total < s_inf.total - SOLVER_TOL:
             issues.append(f"savings gamma={gamma}: {s_n.total} < {s_inf.total}")
     closed_form = base.beta * float(np.dot(grid, masses))
     caps = (1, 2, 3, 5, 10, 20, base.grid_size)
     prices = [pf.equilibrium_price(replace(base, capacity=n)) for n in caps]
-    if any(b < a - 1e-9 for a, b in zip(prices, prices[1:])):
+    if any(b < a - PRICE_ORDER_TOL for a, b in zip(prices, prices[1:])):
         issues.append(f"cautious prices not increasing: {prices}")
-    if abs(prices[-1] - closed_form) > 1e-6:
+    if abs(prices[-1] - closed_form) > SOLVER_TOL:
         issues.append(f"price at full capacity {prices[-1]} vs closed form {closed_form}")
     reckless = replace(base, attitude="reckless")
     prices_r = [pf.equilibrium_price(replace(reckless, capacity=n)) for n in caps]
-    if any(b > a + 1e-9 for a, b in zip(prices_r, prices_r[1:])):
+    if any(b > a + PRICE_ORDER_TOL for a, b in zip(prices_r, prices_r[1:])):
         issues.append(f"reckless prices not decreasing: {prices_r}")
     detail = f"{len(issues)} issues" + (f": {issues[:3]}" if issues else "")
     return CriterionResult(7, "portfolio suite", not issues, detail)
@@ -572,6 +611,12 @@ def criterion_portfolio(seed: int) -> CriterionResult:
 # ---------------------------------------------------------------------------
 # criterion 8: contracting suite
 # ---------------------------------------------------------------------------
+
+# Rounding slack of criterion 8 on agent and principal values (utilities and
+# outputs less wages, of order 1): an agent value gap within it counts as
+# none, and a principal gain must exceed it to count as strict.
+CONTRACT_TOL = 1e-12
+
 
 def _contracting_problem(rng: np.random.Generator, n_outputs: int):
     outputs = np.linspace(0.5, 4.0, n_outputs)
@@ -584,11 +629,10 @@ def _contracting_problem(rng: np.random.Generator, n_outputs: int):
     dists = (tilt(-1.0), tilt(0.8), tilt(2.0))
     costs = {"low": 0.0, "mid": float(rng.uniform(0.1, 0.25)),
              "high": float(rng.uniform(0.3, 0.5))}
-    agent_u = lambda wage, effort: float(np.sqrt(max(wage, 1e-12))) - costs[effort]
     principal_u = lambda output, wage: output - wage
     wage_grid = tuple(np.linspace(0.05, 3.0, 60).tolist())
     return ct.ContractingProblem(tuple(outputs.tolist()), efforts, dists,
-                                 agent_u, principal_u, wage_grid)
+                                 ct.sqrt_wage_utility(costs), principal_u, wage_grid)
 
 
 def criterion_contracting(seed: int) -> CriterionResult:
@@ -603,7 +647,7 @@ def criterion_contracting(seed: int) -> CriterionResult:
         result = ct.simplify_contract(prob, schedule, n)
         if not result.effort_unchanged:
             issues.append(f"effort changed at {i}")
-        if result.agent_value_gap > 1e-12:
+        if result.agent_value_gap > CONTRACT_TOL:
             issues.append(f"agent value moved at {i}: {result.agent_value_gap}")
         if not result.principal_pointwise_ok:
             issues.append(f"principal worse somewhere at {i}")
@@ -612,7 +656,7 @@ def criterion_contracting(seed: int) -> CriterionResult:
         effort = result.induced_effort
         if ct.principal_value(prob, result.schedule, effort) > ct.principal_value(
             prob, schedule, effort
-        ) + 1e-12:
+        ) + CONTRACT_TOL:
             strict_gain_seen = True
     if not strict_gain_seen:
         issues.append("no instance with a strict principal gain")
@@ -637,7 +681,7 @@ def criterion_contracting(seed: int) -> CriterionResult:
         bait_ok += 1
         if not (
             res.effort_unchanged
-            and res.perceived_value_gap <= 1e-12
+            and res.perceived_value_gap <= CONTRACT_TOL
             and res.principal_gain > 0
             and res.has_top_jump
         ):
@@ -654,6 +698,15 @@ def criterion_contracting(seed: int) -> CriterionResult:
 # ---------------------------------------------------------------------------
 # criterion 9: preference suite
 # ---------------------------------------------------------------------------
+
+# Rounding slack of criterion 9's value comparisons: the acts, their shifts
+# and mixtures pay at most about 12 in size, so their values round by some
+# ulps of it, about 1e-14.
+PREFERENCE_TOL = 1e-9
+# Margin by which an uncertainty-aversion witness's mixture must fall below
+# the acts' common value, so that rounding alone cannot make a witness.
+WITNESS_MARGIN = 1e-6
+
 
 def criterion_preferences(seed: int) -> CriterionResult:
     n_checks = 10_000
@@ -678,7 +731,7 @@ def criterion_preferences(seed: int) -> CriterionResult:
             continue
         common = max(vf, value(g, belief, n, Attitude.CAUTIOUS))
         for alpha in (0.25, 0.5, 0.75):
-            if value(mix(f, g, alpha), belief, n, Attitude.CAUTIOUS) > common + 1e-9:
+            if value(mix(f, g, alpha), belief, n, Attitude.CAUTIOUS) > common + PREFERENCE_TOL:
                 issues.append("comonotone mixture aversion")
                 break
 
@@ -707,7 +760,7 @@ def criterion_preferences(seed: int) -> CriterionResult:
             al * np.asarray(a.values) for al, a in zip(alphas, adjusted)
         )
         mixed = DiscreteAct(states, mixed_vals.tolist())
-        if value(mixed, belief, n, Attitude.CAUTIOUS) < target - 1e-9:
+        if value(mixed, belief, n, Attitude.CAUTIOUS) < target - PREFERENCE_TOL:
             issues.append("capacity-simple mixture aversion reversed")
 
     # linearity on capacity-simple acts sharing a partition
@@ -729,7 +782,7 @@ def criterion_preferences(seed: int) -> CriterionResult:
             value(f, belief, n, Attitude.CAUTIOUS)
             - value(g, belief, n, Attitude.CAUTIOUS)
         )
-        if abs(lhs - rhs) > 1e-9:
+        if abs(lhs - rhs) > PREFERENCE_TOL:
             issues.append("linearity on shared partitions")
 
     # completion consistency
@@ -740,11 +793,11 @@ def criterion_preferences(seed: int) -> CriterionResult:
         verdict = simple_bounds_compare(f, g, belief, n).verdict
         if verdict is Verdict.STRICTLY_PREFERS_F:
             for att in (Attitude.CAUTIOUS, Attitude.RECKLESS):
-                if value(f, belief, n, att) < value(g, belief, n, att) - 1e-9:
+                if value(f, belief, n, att) < value(g, belief, n, att) - PREFERENCE_TOL:
                     issues.append("completion consistency")
         elif verdict is Verdict.INDIFFERENT:
             for att in (Attitude.CAUTIOUS, Attitude.RECKLESS):
-                if abs(value(f, belief, n, att) - value(g, belief, n, att)) > 1e-9:
+                if abs(value(f, belief, n, att) - value(g, belief, n, att)) > PREFERENCE_TOL:
                     issues.append("indifference value gap")
 
     witness = find_uncertainty_aversion_failure(seed)
@@ -774,7 +827,7 @@ def find_uncertainty_aversion_failure(seed: int):
         if not are_comonotone(f, g, belief):
             continue
         mixed = mix(f, g, 0.5)
-        if value(mixed, belief, n, Attitude.CAUTIOUS) < vf - 1e-6:
+        if value(mixed, belief, n, Attitude.CAUTIOUS) < vf - WITNESS_MARGIN:
             return f, g, belief, n
     return None
 

@@ -14,7 +14,7 @@ discrete jump at the top.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf
+from math import inf, sqrt
 
 from .. import preferences
 from ..acts import Belief, DiscreteAct, build_ladder, check_ascending, check_finite
@@ -22,6 +22,21 @@ from ..engine import Fill, bound, pull_back
 from ..errors import (
     AlignmentError, DegenerateBeliefError, InfeasibleConstructionError, PreconditionError,
 )
+
+# Absolute slack under which two perceived agent values count as equal: the
+# efforts tied for the best response, and a bait shave that keeps the
+# perceived upper bound. Agent values are utilities of order 1, so it is some
+# thousands of ulps. It is not engine.TIE_TOL: a bait's perceived_value_gap is
+# checked against this same absolute 1e-12 outside the package too.
+AGENT_VALUE_TOL = 1e-12
+# Floor of the square-root wage utility's argument: a wage below it, a
+# negative one included, is valued as the floor, so every utility is real.
+WAGE_FLOOR = 1e-12
+
+
+def sqrt_wage_utility(costs):
+    """The agent utility ``sqrt(max(wage, WAGE_FLOOR)) - costs[effort]``."""
+    return lambda wage, effort: sqrt(max(wage, WAGE_FLOOR)) - costs[effort]
 
 
 @dataclass(frozen=True)
@@ -139,7 +154,7 @@ def _best_response(problem: ContractingProblem, schedule, attitude: str, n: int,
             value = agent_value(problem, schedule, effort, n, attitude)
         scored.append((value, effort, idx))
     best_agent = max(s[0] for s in scored)
-    tied = [s for s in scored if s[0] >= best_agent - 1e-12]
+    tied = [s for s in scored if s[0] >= best_agent - AGENT_VALUE_TOL]
     tied.sort(key=lambda s: (-principal_value(problem, schedule, s[1]), s[2]))
     return tied[0][1], tied[0][0]
 
@@ -235,7 +250,7 @@ def _bait_shaver(problem: ContractingProblem, schedule, effort, n: int, epsilon:
             raise InfeasibleConstructionError("monotonicity binds: delta too large")
         after = agent_value(problem, modified, effort, n, "reckless")
         gap = abs(after - before)
-        if gap > 1e-12:
+        if gap > AGENT_VALUE_TOL:
             raise InfeasibleConstructionError(
                 "perceived upper bound moved: delta too large"
             )

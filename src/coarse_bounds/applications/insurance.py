@@ -245,19 +245,30 @@ def sensitivity(contract: InsuranceContract, model: LossModel, utility, n: int,
     return (val(up) - val(down)) / (2.0 * h if side == "central" else h)
 
 
+# Bracket width at which wtp's bisection stops, by default.
+WTP_TOL = 1e-8
+# Smallest upper end of wtp's first bracket, so that a zero or tiny delta
+# still starts from a bracket of positive width.
+WTP_BRACKET_FLOOR = 1e-6
+# Most times wtp doubles its bracket's upper end before it gives up.
+WTP_DOUBLINGS = 60
+
+
 def wtp(contract: InsuranceContract, model: LossModel, utility, n: int,
-        improvement: str, delta: float, tol: float = 1e-8) -> float:
+        improvement: str, delta: float, tol: float = WTP_TOL) -> float:
     """Premium increase making a cautious agent indifferent to an improved plan.
 
     ``improvement`` is ``"lower_deductible"`` or ``"lower_cap"``; ``delta``
-    is the reduction. Solved by bisection to ``tol``, a positive finite
-    number; a bracket whose midpoint rounds to one of its ends, which float
-    spacing keeps wider than ``tol``, raises :class:`ConvergenceError`.
+    is the reduction, a non-negative finite number. Solved by bisection to
+    ``tol``, a positive finite number; a bracket whose midpoint rounds to
+    one of its ends, which float spacing keeps wider than ``tol``, raises
+    :class:`ConvergenceError`.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     if delta < 0:
         raise ValueError("delta must be non-negative")
+    check_finite((delta,), "delta")
     if improvement == "lower_deductible":
         improved = replace(contract, deductible=contract.deductible - delta)
     elif improvement == "lower_cap":
@@ -273,10 +284,10 @@ def wtp(contract: InsuranceContract, model: LossModel, utility, n: int,
         _plan_ladder(replace(improved, premium=improved.premium + dp), model, utility, runs)[0],
         n, "lower",
     ) - base_value
-    lo, hi = 0.0, max(delta, 1e-6)
+    lo, hi = 0.0, max(delta, WTP_BRACKET_FLOOR)
     if gain(lo) < 0:
         raise BracketingError("improvement does not weakly raise the plan value")
-    for _ in range(60):
+    for _ in range(WTP_DOUBLINGS):
         if gain(hi) < 0:
             break
         hi *= 2.0
@@ -334,9 +345,14 @@ class DominatedPairResult:
     value_low: float
 
 
+# Default absolute slack of dominated_pair's indifference verdict on two plan
+# values, utilities of order 1 that round by some ulps of it.
+INDIFFERENCE_TOL = 1e-9
+
+
 def dominated_pair(base: InsuranceContract, target_deductible: float,
                    model: LossModel, utility, n: int,
-                   tol: float = 1e-9) -> DominatedPairResult:
+                   tol: float = INDIFFERENCE_TOL) -> DominatedPairResult:
     """The weakly dominated low-deductible companion of a capless plan.
 
     Lowering the deductible from d' to d saves at most ``c (d' - d)`` in

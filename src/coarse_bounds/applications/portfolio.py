@@ -37,6 +37,10 @@ _PRUNE_SUB_BLOCK = 4
 # utility increases with wealth, so a share's utility exceeds its
 # envelope's by under 3 * 2^-52 of it: at most 6 ulps, and 8 leave room.
 _PAD_ULPS = 8
+# Relative margin, floored at 1, by which a block's envelope bound must lie
+# below the bar for the block to be skipped: it covers a share whose levels
+# merge by rounding, which the envelope need not bound bit for bit.
+PRUNE_MARGIN = 1e-12
 # _golden_max values the points of this many steps ahead, over every
 # branch, in one call.
 _GOLDEN_DEPTH = 3
@@ -125,29 +129,39 @@ def allocation_objective(problem: PortfolioProblem, x: float, alpha: float) -> f
     return perceived_return_value(problem, lambda r: (1.0 - alpha) * x * rb + alpha * x * r)
 
 
+# Spacing of solve_allocation's grid of risky shares, a search step.
+SHARE_STEP = 1e-3
+# Bracket width at which solve_allocation's golden-section refinement stops.
+SHARE_TOL = 1e-6
+# Absolute slack under which solve_allocation counts a share's value as tied
+# with the best, so that the smaller share wins: values are utilities of
+# order 1, where it is some ulps.
+SHARE_TIE_TOL = 1e-15
+
+
 def solve_allocation(problem: PortfolioProblem, x: float) -> float:
     """Optimal risky share in [0, 1] for fixed savings ``x``.
 
-    Grid search at step 1e-3 followed by golden-section refinement to 1e-6;
-    ties resolve to the smallest share. Savings whose wealth overflows at
-    share 0 or 1 raise ``OverflowError``.
+    Grid search at step ``SHARE_STEP`` followed by golden-section refinement
+    to ``SHARE_TOL``; ties within ``SHARE_TIE_TOL`` resolve to the smallest
+    share. Savings whose wealth overflows at share 0 or 1 raise
+    ``OverflowError``.
     """
     if not 0 < x < math.inf:
         raise ValueError(f"savings must be positive and finite, got {x!r}")
     # every share's wealth lies between the wealth of shares 0 and 1
     if not math.isfinite(x * max(map(abs, (problem.safe_return, *problem.risky_returns)))):
         raise OverflowError(f"savings {x!r} overflow the second-period wealth")
-    step = 1e-3
-    grid = np.arange(0.0, 1.0 + 0.5 * step, step)
+    grid = np.arange(0.0, 1.0 + 0.5 * SHARE_STEP, SHARE_STEP)
     grid[-1] = 1.0
     vals = _pruned_grid_values(problem, x, grid)
     i_best = int(np.argmax(vals))
     lo = float(grid[max(0, i_best - 1)])
     hi = float(grid[min(len(grid) - 1, i_best + 1)])
-    refined = _golden_max(lambda shares: _grid_values(problem, x, shares), lo, hi, 1e-6)
+    refined = _golden_max(lambda shares: _grid_values(problem, x, shares), lo, hi, SHARE_TOL)
     candidates = [(float(grid[i_best]), vals[i_best]), refined]
     best_val = max(v for _, v in candidates)
-    return min(a for a, v in candidates if v >= best_val - 1e-15)
+    return min(a for a, v in candidates if v >= best_val - SHARE_TIE_TOL)
 
 
 def _pruned_grid_values(problem: PortfolioProblem, x: float, shares) -> list:
@@ -196,7 +210,7 @@ def _dominated_blocks(problem: PortfolioProblem, x: float, shares, best: float, 
     utility. The bound DP is monotone in the levels (non-negative widths
     times levels, sums, and maxima or minima), so the envelope's value is at
     least the value of every share whose row is batched, bit for bit; a
-    share whose levels merge by rounding is covered by the 1e-12 margin. A
+    share whose levels merge by rounding is covered by ``PRUNE_MARGIN``. A
     block may be skipped only when its envelope's levels are finite and
     strictly ascending on the positive-mass returns, its smallest wealth
     less 2^-49 of itself is a positive normal float with finite utilities
@@ -224,7 +238,7 @@ def _dominated_blocks(problem: PortfolioProblem, x: float, shares, best: float, 
         return skip
     bounds = bound_values(levels[ok], problem._masses, problem.capacity, problem._kind)
     if np.isfinite(bounds).all():
-        skip[blocks[ok]] = bounds < best - 1e-12 * max(1.0, abs(best))
+        skip[blocks[ok]] = bounds < best - PRUNE_MARGIN * max(1.0, abs(best))
     return skip
 
 
@@ -421,6 +435,17 @@ class SavingsSolution:
         return self.safe + self.risky
 
 
+# Bracket width at which solve_savings' golden-section searches, of the risky
+# share and of total savings, stop.
+SAVINGS_TOL = 1e-9
+# Step, relative to wealth floored at 1, of the central differences whose
+# largest slope is the savings solution's KKT residual.
+KKT_STEP = 1e-6
+# A holding or consumption within this of zero puts the savings solution on
+# the boundary: a hundred times the searches' bracket width.
+BOUNDARY_TOL = 1e-7
+
+
 def solve_savings(problem: PortfolioProblem) -> SavingsSolution:
     """Maximize the two-period objective over (safe, risky) holdings.
 
@@ -429,27 +454,35 @@ def solve_savings(problem: PortfolioProblem) -> SavingsSolution:
     when gamma = 1), and so is its perceived value. The optimal risky share
     therefore does not depend on t. It is found by a golden-section search
     at unit savings, and total savings by a second one at that share, each
-    to 1e-9.
+    to ``SAVINGS_TOL``.
     """
     w = problem.endowment
-    share, _ = _golden_max(lambda shares: _grid_values(problem, 1.0, shares), 0.0, 1.0, 1e-9)
+    share, _ = _golden_max(lambda shares: _grid_values(problem, 1.0, shares), 0.0, 1.0, SAVINGS_TOL)
     at_share = lambda totals: _savings_values(
         problem, [((1.0 - share) * t, share * t) for t in totals]
     )
-    total, _ = _golden_max(at_share, 0.0, w, 1e-9)
+    total, _ = _golden_max(at_share, 0.0, w, SAVINGS_TOL)
     b, s = (1.0 - share) * total, share * total
     value = savings_objective(problem, b, s)
-    h = 1e-6 * max(1.0, w)
+    h = KKT_STEP * max(1.0, w)
     slopes = []
     for db, ds in ((h, 0.0), (0.0, h)):
         up = savings_objective(problem, b + db, s + ds)
         dn = savings_objective(problem, b - db, s - ds)
         if up != NEG_INF and dn != NEG_INF:
             slopes.append(abs(up - dn) / (2.0 * h))
-    boundary = b < 1e-7 or s < 1e-7 or (w - b - s) < 1e-7
+    boundary = b < BOUNDARY_TOL or s < BOUNDARY_TOL or (w - b - s) < BOUNDARY_TOL
     residual = max(slopes) if slopes else float("nan")
     return SavingsSolution(safe=b, risky=s, value=value, boundary=boundary,
                            kkt_residual=residual)
+
+
+# equilibrium_price's difference quotient starts from step PRICE_STEP, a
+# search step, and halves it up to PRICE_HALVINGS times; it stops when two
+# successive quotients agree within PRICE_TOL.
+PRICE_STEP = 1e-2
+PRICE_HALVINGS = 40
+PRICE_TOL = 1e-7
 
 
 def equilibrium_price(problem: PortfolioProblem) -> float:
@@ -458,8 +491,9 @@ def equilibrium_price(problem: PortfolioProblem) -> float:
     The safe-asset first-order condition pins the safe return at 1/beta, and
     the price equals the marginal perceived value of an infinitesimal risky
     position at the per-period endowment, in units of first-period marginal
-    utility. Computed as a one-sided difference quotient from step 1e-2,
-    halved up to 40 times until successive estimates agree within 1e-7.
+    utility. Computed as a one-sided difference quotient from step
+    ``PRICE_STEP``, halved up to ``PRICE_HALVINGS`` times until successive
+    estimates agree within ``PRICE_TOL``.
     """
     w, beta, u = problem.endowment, problem.beta, problem.utility
     if beta <= 0:
@@ -480,8 +514,8 @@ def equilibrium_price(problem: PortfolioProblem) -> float:
         return _perceived_values(problem, np.full(len(steps), w), 1.0, np.array(steps))
 
     # the steps depend on no estimate, so they are valued _PRICE_CHUNK at a time
-    steps = [1e-2]
-    for _ in range(40):
+    steps = [PRICE_STEP]
+    for _ in range(PRICE_HALVINGS):
         steps.append(steps[-1] * 0.5)
     prev = None
     for start in range(0, len(steps), _PRICE_CHUNK):
@@ -489,7 +523,7 @@ def equilibrium_price(problem: PortfolioProblem) -> float:
         at = _look_ahead(act_values, chunk)
         for k, h in chunk.items():
             cur = estimate(h, at(k))
-            if prev is not None and abs(cur - prev) < 1e-7:
+            if prev is not None and abs(cur - prev) < PRICE_TOL:
                 return cur
             prev = cur
     raise ConvergenceError("difference quotient failed to converge")

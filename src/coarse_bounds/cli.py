@@ -321,7 +321,7 @@ def cmd_contract(args) -> int:
         outputs=tuple(fixture["outputs"]),
         efforts=efforts,
         output_masses=tuple(tuple(m) for m in fixture["output_masses"]),
-        agent_utility=lambda wage, effort: float(np.sqrt(max(wage, 1e-12))) - costs[effort],
+        agent_utility=ct.sqrt_wage_utility(costs),
         principal_utility=lambda output, wage: output - wage,
         wage_grid=tuple(fixture["wage_grid"]),
     )
@@ -390,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attitude", choices=("cautious", "reckless"), default="cautious")
     p.add_argument("--figure", choices=("siminf_overlay", "dominated_pair"), default=None)
     p.add_argument("--grid", type=int, default=None, help="override grid resolution")
-    p.add_argument("--tol", type=float, default=1e-9, help="indifference tolerance")
+    p.add_argument("--tol", type=float, default=ins.INDIFFERENCE_TOL,
+                   help="indifference tolerance")
     p.add_argument("--dominated", default=None, metavar="TARGET_D",
                    help="emit the weakly dominated low-deductible pair report")
 

@@ -71,9 +71,11 @@ rule of the package, ``tol + tol * scale`` with ``tol = TIE_TOL`` by
 default, and the statics verdicts read it too, scaled by their ladder. The
 set queries keep its absolute floor, so on payoffs far below 1 they list
 every vector within ``TIE_TOL`` of the optimum. The contract and portfolio
-solvers keep slacks of their own: the contract solvers an absolute 1e-12,
-which the benchmark's bait check also uses on ``perceived_value_gap``, and
-the portfolio searches their tie-breaks and margins, which are not verdicts.
+solvers keep slacks of their own: the contract solvers
+``contracts.AGENT_VALUE_TOL``, an absolute 1e-12, which the benchmark's bait
+check also uses on ``perceived_value_gap``, and the portfolio searches their
+tie-break ``portfolio.SHARE_TIE_TOL`` and prune margin
+``portfolio.PRUNE_MARGIN``, which are not verdicts.
 
 Cutoff convention: a cutoff at index ``j`` starts a new block at level ``j``
 (cut levels belong to the upper block). A vector of ``B - 1`` strictly
@@ -97,7 +99,8 @@ from .errors import OracleTooLargeError, PreconditionError, check_capacity, is_i
 LOWER = "lower"
 UPPER = "upper"
 
-# Brute-force enumeration guards.
+# brute_force_bound enumerates at most MAX_ORACLE_LEVELS levels, so at most
+# 2^21 cutoff vectors; Fill.optimum_sets lists at most MAX_ORACLE_VECTORS.
 MAX_ORACLE_LEVELS = 22
 MAX_ORACLE_VECTORS = 2_000_000
 
@@ -860,14 +863,14 @@ def _enumerate_raw(levels, masses, n: int, upper: bool):
     sum :func:`coarse_value` forms; a padded block ``[length, length)`` has
     zero mass and adds an exact zero. As in a loop over the vectors, the
     value is the first optimal total and every row that equals it is an
-    optimum.
+    optimum. The level guard bounds the vectors enumerated at
+    ``2^(MAX_ORACLE_LEVELS - 1)``, the count of all cutoff vectors of
+    ``MAX_ORACLE_LEVELS`` levels.
     """
     length = len(levels)
     if length > MAX_ORACLE_LEVELS:
         raise OracleTooLargeError(f"{length} levels exceed the oracle guard")
     width = min(n, length)
-    if comb(length - 1, width - 1) > MAX_ORACLE_VECTORS:
-        raise OracleTooLargeError("too many cutoff vectors to enumerate")
     pre = np.array(_prefix_masses(masses))
     # cells[s * (length + 1) + e] = value of the block [s, e): level[e - 1]
     # or level[s] times its mass; the padded level meets only empty blocks

@@ -357,12 +357,17 @@ def audit_mixture_preserves_ce(f: DiscreteAct, g: DiscreteAct, data: Dataset,
     return AuditReport(True, tuple(checks), tuple(violations))
 
 
+# Spread of audit_near_constant_split's binary re-split of a merged cell: its
+# two values lie this far apart, around the cell's empirical mean.
+SPLIT_SPREAD = 1e-3
+
+
 def audit_near_constant_split(f: DiscreteAct, data: Dataset, rule: SmoothRule,
                               b: int, seed: int, v1: float, v2: float,
                               true_belief: Belief | None = None) -> AuditReport:
     """After merging two cells, a near-constant binary re-split of the merged
-    cell (spread ``1e-3``) with matched empirical mean still has a certain
-    equivalent."""
+    cell (spread ``SPLIT_SPREAD``) with matched empirical mean still has a
+    certain equivalent."""
     if not has_certain_equivalent(f, data, rule, b, seed):
         return AuditReport(False, (), ())
     merged = coarsen_act(f, v1, v2, "empirical_mean", true_belief=true_belief, data=data)
@@ -376,16 +381,16 @@ def audit_near_constant_split(f: DiscreteAct, data: Dataset, rule: SmoothRule,
     if k1 + k2 == 0:
         raise PreconditionError("merged cell has no empirical mass")
     # opposite nudges keeping the empirical conditional mean fixed
-    eta = 1e-3
-    d1 = eta if k1 == 0 else eta * k2 / (k1 + k2)
-    d2 = -eta if k2 == 0 else -eta * k1 / (k1 + k2)
+    d1 = SPLIT_SPREAD if k1 == 0 else SPLIT_SPREAD * k2 / (k1 + k2)
+    d2 = -SPLIT_SPREAD if k2 == 0 else -SPLIT_SPREAD * k1 / (k1 + k2)
     split_values = [
         mean_val + d1 if s in part1 else mean_val + d2 if s in part2 else v
         for s, v in zip(f.state_ids, f.values)
     ]
     split = DiscreteAct(f.state_ids, split_values)
     ok = has_certain_equivalent(split, data, rule, b, seed)
-    return AuditReport(True, ((v1, v2, eta),), () if ok else ((v1, v2, eta),))
+    checked = ((v1, v2, SPLIT_SPREAD),)
+    return AuditReport(True, checked, () if ok else checked)
 
 
 def coarsening_sosd_bootstrap(f: DiscreteAct, v1: float, v2: float, data: Dataset,

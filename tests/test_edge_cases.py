@@ -1,7 +1,8 @@
 """Edge cases across modules: DP fill-path parity, degenerate masses,
-larger partition grounds, and CLI error handling."""
+larger partition grounds, input checks, and CLI error handling."""
 
 import json
+import re
 import sys
 import threading
 from itertools import combinations, product
@@ -12,16 +13,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import coarse_bounds.engine as engine
-from coarse_bounds import preferences
+from coarse_bounds import preferences, statics
 from coarse_bounds.acts import Belief, DiscreteAct, ValueLadder, build_ladder
 from coarse_bounds.applications.contracts import agent_value
 from coarse_bounds.applications.crra import CRRAUtility
 from coarse_bounds.applications.insurance import (
-    InsuranceContract, LossModel, dominated_pair, plan_value, wtp,
+    InsuranceContract, LossModel, dominated_pair, plan_value, sensitivity, wtp,
 )
 from coarse_bounds.cli import run
 from coarse_bounds.engine import bound, bound_value, pull_back, siminf, simsup
-from coarse_bounds.errors import DegenerateBeliefError, InvalidCapacityError, OracleTooLargeError
+from coarse_bounds.errors import (
+    AlignmentError, DegenerateBeliefError, InvalidCapacityError, OracleTooLargeError,
+    PreconditionError,
+)
+from coarse_bounds.learning import coarsen_act
 from coarse_bounds.partitions import common_refinement, partition_path
 
 from test_contracts import PROBLEM
@@ -672,3 +677,60 @@ class TestCliErrors:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"states": [0, 1], "values": [1.0]}))
         assert run(["bounds", "--in", str(path), "--N", "2"]) == 1
+
+
+LADDER = ValueLadder([1.0, 2.0, 3.0, 4.0, 5.0], [0.2] * 5)
+CAPLESS = InsuranceContract(0.05, 0.3, 0.75, None, 2.0)
+LOSSES = LossModel.uniform(1.0, 20)
+ACT = DiscreteAct((0, 1, 2), [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: statics.capacity_profile(LADDER, 1, "lower"),
+                 ValueError, "n_max must be at least 2", id="capacity_profile-n_max"),
+    pytest.param(lambda: statics.supermodular_coarse_holds(LADDER, (1,), (1, 2)),
+                 AlignmentError, "cutoff vectors must have equal length",
+                 id="supermodular_coarse_holds-lengths"),
+    pytest.param(lambda: statics.increasing_differences_holds(LADDER, 0, 3, 4, (1,), (1, 2)),
+                 AlignmentError, "cutoff vectors must have equal length",
+                 id="increasing_differences_holds-lengths"),
+    pytest.param(lambda: statics.increasing_differences_holds(LADDER, 0, 3, 4, (1,), (2,)),
+                 PreconditionError, "last cutoff of the high vector must be >=",
+                 id="increasing_differences_holds-last-cutoff"),
+    pytest.param(lambda: statics.increasing_differences_holds(LADDER, 0, 4, 3, (2,), (1,)),
+                 PreconditionError, "hi_small must not exceed hi_big",
+                 id="increasing_differences_holds-intervals"),
+    pytest.param(lambda: statics.mlr_cutoff_monotonicity(
+                     LADDER, statics.mlr_shift([0.5, 0.5], [1.0, 2.0]), 2),
+                 AlignmentError, "shift does not align with the ladder",
+                 id="mlr_cutoff_monotonicity-shift"),
+    pytest.param(lambda: engine.coarse_value((0,), LADDER, "lower"),
+                 ValueError, "cutoffs (0,) invalid for range [0, 4]", id="coarse_value-cutoffs"),
+    pytest.param(lambda: pull_back(bound(LADDER, 2, "lower"), ACT, Belief([0.2, 0.3, 0.5])),
+                 PreconditionError, "bound does not match the act/belief ladder",
+                 id="pull_back-other-ladder"),
+    pytest.param(lambda: sensitivity(CAPLESS, LOSSES, CRRAUtility(2.0), 3, "deductible", 0.01,
+                                     side="forward"),
+                 ValueError, "unknown side 'forward'", id="sensitivity-side"),
+    pytest.param(lambda: wtp(CAPLESS, LOSSES, CRRAUtility(2.0), 3, "lower_deductible", -0.1),
+                 ValueError, "delta must be non-negative", id="wtp-negative-delta"),
+    pytest.param(lambda: wtp(CAPLESS, LOSSES, CRRAUtility(2.0), 3, "raise_coverage", 0.1),
+                 ValueError, "unknown improvement 'raise_coverage'", id="wtp-improvement"),
+    pytest.param(lambda: dominated_pair(CAPLESS, 0.3, LOSSES, CRRAUtility(2.0), 3),
+                 ValueError, "target deductible must lie below the base deductible",
+                 id="dominated_pair-target"),
+    pytest.param(lambda: coarsen_act(ACT, 1.0, 2.0, "true_mean"),
+                 PreconditionError, "true_mean mode needs the true belief",
+                 id="coarsen_act-no-belief"),
+    pytest.param(lambda: coarsen_act(ACT, 1.0, 2.0, "true_mean",
+                                     true_belief=Belief([0.0, 0.0, 1.0])),
+                 PreconditionError, "merged cell has zero true mass",
+                 id="coarsen_act-zero-mass"),
+    pytest.param(lambda: coarsen_act(ACT, 1.0, 2.0, "empirical_mean"),
+                 PreconditionError, "empirical_mean mode needs a dataset",
+                 id="coarsen_act-no-data"),
+])
+def test_input_check_raises_its_documented_error(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is error

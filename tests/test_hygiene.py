@@ -3,8 +3,8 @@ or a default that no caller overrides, no module imports a private name of
 another or a name it never reads, every public name has a caller in the
 package or an export, every module-level name is read or exported, only
 ``preferences`` builds a preference verdict, no function builds a cache
-on each call, and the statics and engine modules compare against no bare
-slack."""
+on each call, and every small float literal of the package is the value of
+a named module constant, so no comparison holds a bare slack."""
 
 import ast
 from collections import Counter
@@ -206,23 +206,47 @@ def calls_by_name(paths) -> dict:
     return calls
 
 
-def same_literal(node: ast.expr, default: ast.expr) -> bool:
-    """True iff both expressions are literals of the same value and type."""
+def module_constants(paths) -> dict:
+    """UPPER_CASE name -> value of every module-level ``NAME = literal`` of
+    ``paths``; a name bound to two different values is left out."""
+    values: dict = {}
+    for path in paths:
+        for node in ast.parse(path.read_text()).body:
+            if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name) and node.targets[0].id.isupper()):
+                continue
+            try:
+                value = repr(ast.literal_eval(node.value))
+            except (ValueError, TypeError):
+                continue
+            values.setdefault(node.targets[0].id, set()).add(value)
+    return {name: found.pop() for name, found in values.items() if len(found) == 1}
+
+
+def same_literal(node: ast.expr, default: ast.expr, constants: dict) -> bool:
+    """True iff both expressions are literals of the same value and type,
+    where a name or attribute of ``constants`` reads as its value."""
+
+    def value(expr):
+        name = expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr", None)
+        return constants[name] if name in constants else repr(ast.literal_eval(expr))
+
     try:
-        return repr(ast.literal_eval(node)) == repr(ast.literal_eval(default))
+        return value(node) == value(default)
     except (ValueError, TypeError):
         return False
 
 
-def sets_parameter(call: ast.Call, parameter: str, position, default: ast.expr) -> bool:
+def sets_parameter(call: ast.Call, parameter: str, position, default: ast.expr,
+                   constants: dict) -> bool:
     """True iff ``call`` passes ``parameter`` something other than a literal
     equal to its default; a ``*`` or ``**`` argument might, so it counts."""
     if any(isinstance(a, ast.Starred) for a in call.args):
         return True
     if position is not None and len(call.args) > position:
-        return not same_literal(call.args[position], default)
+        return not same_literal(call.args[position], default, constants)
     return any(
-        k.arg is None or (k.arg == parameter and not same_literal(k.value, default))
+        k.arg is None or (k.arg == parameter and not same_literal(k.value, default, constants))
         for k in call.keywords
     )
 
@@ -230,14 +254,17 @@ def sets_parameter(call: ast.Call, parameter: str, position, default: ast.expr) 
 def unset_defaults(paths, caller_paths) -> list:
     """(path, line, function, parameter) for every defaulted parameter of a
     function in ``paths`` that no call in ``caller_paths`` with the same
-    callee name sets to other than its default."""
+    callee name sets to other than its default. A module constant of
+    ``paths``, as a default or an argument, counts as its literal value."""
     calls = calls_by_name(caller_paths)
+    constants = module_constants(paths)
     return [
         (path, line, name, parameter)
         for path in paths
         for line, name, parameter, position, default in defaulted_parameters(path)
         if not any(
-            sets_parameter(c, parameter, position, default) for c in calls.get(name, ())
+            sets_parameter(c, parameter, position, default, constants)
+            for c in calls.get(name, ())
         )
     ]
 
@@ -269,6 +296,11 @@ def test_scan_flags_an_unset_default(tmp_path):
         "    return v\n"
         "def h(p=0, q='a', r=1_000):\n"
         "    return p, q, r\n"
+        "TOL = 1e-8\n"
+        "def t(tol=TOL, eps=1e-3):\n"
+        "    return tol, eps\n"
+        "def u(x=1e-8, y=TOL):\n"
+        "    return x, y\n"
     )
     caller = tmp_path / "caller.py"
     caller.write_text(
@@ -278,6 +310,9 @@ def test_scan_flags_an_unset_default(tmp_path):
         "g(*[1])\n"
         "h(0, r=1000)\n"
         "h(q=name)\n"
+        "t(1e-8)\n"
+        "t(tol=mod.TOL, eps=0.001)\n"
+        "u(x=TOL, y=2e-8)\n"
     )
     assert unset_defaults([src], [src, caller]) == [
         (src, 1, "f", "c"),
@@ -285,6 +320,9 @@ def test_scan_flags_an_unset_default(tmp_path):
         (src, 4, "m", "y"),
         (src, 11, "h", "p"),
         (src, 11, "h", "r"),
+        (src, 14, "t", "tol"),
+        (src, 14, "t", "eps"),
+        (src, 16, "u", "x"),
     ]
 
 
@@ -609,31 +647,34 @@ def test_scan_flags_a_nested_cache(tmp_path):
     assert nested_caches(path) == [(8, "query", "moves"), (12, "query", "count")]
 
 
-SLACK_MODULES = ("engine.py", "statics.py")
+def is_small_float(node) -> bool:
+    """True iff ``node`` is a nonzero float literal below 1e-2 in absolute value."""
+    return (
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, float)
+        and 0 < abs(node.value) < 1e-2
+    )
 
 
 def literal_slacks(path: Path) -> list:
-    """(line, value) of every nonzero float literal below 1e-2 in absolute
-    value inside a comparison in ``path``. Such a bare slack does not scale
-    with the values compared; ``engine.tie_slack`` states the tie rule."""
+    """(line, value) of every small float literal (:func:`is_small_float`)
+    inside a comparison in ``path``. Such a bare slack does not say what it
+    bounds, and it does not scale with the values compared;
+    ``engine.tie_slack`` states the tie rule."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Compare):
-            found.extend(
-                (sub.lineno, sub.value)
-                for sub in ast.walk(node)
-                if isinstance(sub, ast.Constant)
-                and isinstance(sub.value, float)
-                and 0 < abs(sub.value) < 1e-2
-            )
+            found.extend((sub.lineno, sub.value) for sub in ast.walk(node) if is_small_float(sub))
     return sorted(set(found))
 
 
 def test_no_literal_slack_in_a_comparison():
+    paths = sorted(SRC.rglob("*.py"))
+    assert paths
     bare = [
-        f"{name}:{line} {value!r}"
-        for name in SLACK_MODULES
-        for line, value in literal_slacks(SRC / name)
+        f"{path.relative_to(SRC)}:{line} {value!r}"
+        for path in paths
+        for line, value in literal_slacks(path)
     ]
     assert bare == []
 
@@ -648,3 +689,58 @@ def test_scan_flags_a_literal_slack(tmp_path):
         "    return a >= b - TOL * 2 and a < 1e-2 and b > 5e-3j and c in (0.001,)\n"
     )
     assert literal_slacks(path) == [(3, 1e-12), (4, 1e-09), (4, 0.005), (5, 0.001)]
+
+
+def unnamed_small_floats(path: Path) -> list:
+    """(line, value) of every small float literal (:func:`is_small_float`)
+    in ``path`` other than the whole value of a module-level assignment to
+    UPPER_CASE names. A tolerance, search step or stop rule then has one
+    name, whose comment says what it bounds."""
+    tree = ast.parse(path.read_text())
+    named = {
+        id(node.value)
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and all(
+            isinstance(t, ast.Name) and t.id.isupper()
+            for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        )
+    }
+    return sorted(
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if is_small_float(node) and id(node) not in named
+    )
+
+
+def test_every_small_float_is_a_named_constant():
+    paths = sorted(SRC.rglob("*.py"))
+    assert paths
+    bare = [
+        f"{path.relative_to(SRC)}:{line} {value!r}"
+        for path in paths
+        for line, value in unnamed_small_floats(path)
+    ]
+    assert bare == []
+
+
+def test_scan_flags_an_unnamed_small_float(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "TOL = 1e-12\n"
+        "_STEP: float = 1e-3\n"
+        "A = B = 5e-3\n"
+        "SPREAD = 2 * 1e-3\n"
+        "step = 1e-3\n"
+        "NEG = -1e-9\n"
+        "def solve(x, tol=1e-8, *, floor=1e-6):\n"
+        "    h = 1e-6 * max(1.0, x)\n"
+        "    return h + TOL + 0.01\n"
+        "class K:\n"
+        "    LIMIT = 1e-4\n"
+        "p.add_argument('--tol', type=float, default=1e-9)\n"
+    )
+    assert unnamed_small_floats(path) == [
+        (4, 0.001), (5, 0.001), (6, 1e-09), (7, 1e-08), (7, 1e-06), (8, 1e-06), (11, 0.0001),
+        (12, 1e-09),
+    ]

@@ -509,6 +509,37 @@ class TestWtp:
         with pytest.raises(ValueError, match="tol must be a positive finite number"):
             wtp(full, MODEL, U, 3, "lower_deductible", 0.1, tol=tol)
 
+    @pytest.mark.parametrize("improvement", ["lower_deductible", "lower_cap"])
+    @pytest.mark.parametrize("delta, message", [
+        (float("nan"), "delta must be finite, got nan"),
+        (float("inf"), "delta must be finite, got inf"),
+        (float("-inf"), "delta must be non-negative"),
+    ])
+    def test_delta_must_be_non_negative_and_finite(self, improvement, delta, message):
+        # nan and inf pass the sign check; they used to fail later, on the
+        # improved plan's deductible or cap, with a message naming that field
+        capped = InsuranceContract(0.05, 0.3, 0.8, 0.5, 2.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            wtp(capped, LossModel.uniform(1.0, 20), U, 3, improvement, delta)
+
+    def test_bracket_doubles_while_the_gain_is_not_negative(self, monkeypatch):
+        # full cover above a deductible below every loss: lowering it by
+        # delta saves exactly delta, so the gain at a premium increase of
+        # delta is 0, not negative, and the bracket's upper end doubles once
+        premiums = []
+        plan_ladder = insurance._plan_ladder
+
+        def recorded(contract, *args):
+            premiums.append(contract.premium)
+            return plan_ladder(contract, *args)
+
+        monkeypatch.setattr(insurance, "_plan_ladder", recorded)
+        full = InsuranceContract(0.05, 0.01, 1.0, None, 2.0)
+        got = wtp(full, LossModel.uniform(1.0, 40), U, 3, "lower_deductible", 0.005)
+        # the base plan, then the premium increases 0, delta and 2 delta
+        assert premiums[:4] == [0.05, 0.05 + 0.0, 0.05 + 0.005, 0.05 + 0.01]
+        assert abs(got - 0.005) <= insurance.WTP_TOL
+
 
     @pytest.mark.parametrize("wealth, gamma", [(1e12, 0.0), (1e12, 2.0), (1e300, 2.0)])
     def test_bisection_that_cannot_narrow_raises(self, monkeypatch, wealth, gamma):
