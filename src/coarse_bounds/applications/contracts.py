@@ -32,6 +32,10 @@ AGENT_VALUE_TOL = 1e-12
 # Floor of the square-root wage utility's argument: a wage below it, a
 # negative one included, is valued as the floor, so every utility is real.
 WAGE_FLOOR = 1e-12
+# Halvings of bait_feasibility_bound's bisection, a stop rule: the reduction
+# it returns lies below the largest feasible one by at most 2^-40 times the
+# monotonicity bound.
+BAIT_HALVINGS = 40
 
 
 def sqrt_wage_utility(costs):
@@ -279,11 +283,11 @@ def bait_feasibility_bound(problem: ContractingProblem, schedule, n: int,
     """Largest verified wage reduction on the bait region.
 
     Starts from the monotonicity bound (the wage gap at the region's left
-    edge) and bisects down, in 40 steps, until every bait clause verifies;
-    the perceived upper bound is constant in delta on the optimal partition
-    while every competing partition only gets cheaper, so the feasible set
-    is an interval at zero. The effort, region and unshaved values are
-    computed once per call; each probe only shaves and verifies.
+    edge) and bisects down, in ``BAIT_HALVINGS`` steps, until every bait
+    clause verifies; the perceived upper bound is constant in delta on the
+    optimal partition while every competing partition only gets cheaper, so
+    the feasible set is an interval at zero. The effort, region and unshaved
+    values are computed once per call; each probe only shaves and verifies.
     """
     schedule = _check_schedule(problem, schedule)
     _check_collar(epsilon)
@@ -307,7 +311,7 @@ def bait_feasibility_bound(problem: ContractingProblem, schedule, n: int,
     if verifies(mono):
         return mono
     lo, hi = 0.0, mono
-    for _ in range(40):
+    for _ in range(BAIT_HALVINGS):
         mid = 0.5 * (lo + hi)
         if mid > 0 and verifies(mid):
             lo = mid

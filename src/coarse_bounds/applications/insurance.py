@@ -17,7 +17,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..acts import Belief, DiscreteAct, ValueLadder, check_ascending, check_finite
-from ..engine import Fill, attitude_kind, blocks_from_cuts, bound, bound_value, optimum_set
+from ..engine import (
+    Fill, attitude_kind, blocks_from_cuts, bound, bound_value, optimum_set, tie_slack,
+)
 from ..errors import AlignmentError, BracketingError, ConvergenceError, PreconditionError
 
 
@@ -345,14 +347,8 @@ class DominatedPairResult:
     value_low: float
 
 
-# Default absolute slack of dominated_pair's indifference verdict on two plan
-# values, utilities of order 1 that round by some ulps of it.
-INDIFFERENCE_TOL = 1e-9
-
-
 def dominated_pair(base: InsuranceContract, target_deductible: float,
-                   model: LossModel, utility, n: int,
-                   tol: float = INDIFFERENCE_TOL) -> DominatedPairResult:
+                   model: LossModel, utility, n: int) -> DominatedPairResult:
     """The weakly dominated low-deductible companion of a capless plan.
 
     Lowering the deductible from d' to d saves at most ``c (d' - d)`` in
@@ -360,10 +356,9 @@ def dominated_pair(base: InsuranceContract, target_deductible: float,
     plan weakly dominated (wealth coincides above d', is strictly lower
     below). A cautious capacity-``n`` agent is indifferent precisely when
     some optimal lower-bound partition of the base plan has its lowest
-    cutoff at or above d'. ``tol`` is a non-negative finite number.
+    cutoff at or above d'. The two values tie within ``engine.tie_slack`` at
+    the larger |value|, so scaling every money term and loss keeps the verdict.
     """
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be a non-negative finite number, got {tol!r}")
     if base.cap is not None:
         raise PreconditionError("dominated-pair construction needs capless plans")
     d_hi = base.deductible
@@ -378,7 +373,7 @@ def dominated_pair(base: InsuranceContract, target_deductible: float,
     v_lo = plan_value(low, model, utility, n, "cautious")
     return DominatedPairResult(
         low_contract=low,
-        indifferent=abs(v_hi - v_lo) <= tol,
+        indifferent=abs(v_hi - v_lo) <= tie_slack(max(abs(v_hi), abs(v_lo))),
         lowest_cutoff_ok=_exists_selection_first_block_reaching(fill, level_of, model, n, d_hi),
         value_high=v_hi,
         value_low=v_lo,

@@ -153,11 +153,23 @@ def cmd_statics(args) -> int:
     return EXIT_OK
 
 
+def _whole_number(value, key: str):
+    """A fixture's size or seed ``value`` at ``key``: JSON does not tell 20
+    from 20.0, so a whole-valued float is the integer, but beyond 2**53 it
+    need not be the integer that was written, so it keeps its float form
+    rather than hundreds of digits. Other types are the caller's to check."""
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError(f"{key!r} must be a whole number, got {value}")
+        if abs(value) <= 2**53:
+            return int(value)
+    return value
+
+
 def cmd_learn(args) -> int:
     fixture = load_record(args.infile, dict.fromkeys(("gamma", "k", "K", "B", "seed"), Real))
     for key in ("K", "B", "seed"):
-        if isinstance(fixture.get(key), float) and not fixture[key].is_integer():
-            raise ValueError(f"{key!r} must be a whole number, got {fixture[key]}")
+        _whole_number(fixture.get(key), key)
     act, belief = act_from_record(fixture)
     rule = SmoothRule(gamma=fixture["gamma"], k=fixture["k"])
     seed = int(fixture.get("seed", args.seed))
@@ -190,15 +202,7 @@ def cmd_learn(args) -> int:
 
 
 def _loss_model(grid: dict) -> ins.LossModel:
-    n = grid.get("n", 200)
-    # JSON does not tell 20 from 20.0, so a whole-valued float is a size, as
-    # learn's K, B and seed are; beyond 2**53 it need not be the integer that
-    # was written, so it keeps its float form rather than hundreds of digits
-    if isinstance(n, float):
-        if not n.is_integer():
-            raise ValueError(f"'n' must be a whole number, got {n}")
-        if abs(n) <= 2**53:
-            n = int(n)
+    n = _whole_number(grid.get("n", 200), "n")
     # other types and non-positive sizes are the loss model's to reject
     if isinstance(n, (int, float)) and n > MAX_LOSS_GRID:
         raise CoarseBoundsError(f"loss grid size n = {n} exceeds the limit of {MAX_LOSS_GRID}")
@@ -230,7 +234,7 @@ def cmd_insurance(args) -> int:
     utility = CRRAUtility(fixture.get("gamma", 2.0))
     if args.dominated is not None:
         pair = ins.dominated_pair(contract, float(args.dominated), model, utility,
-                                  _one_capacity(args.capacity), tol=args.tol)
+                                  _one_capacity(args.capacity))
         _emit(dump_json({
             "indifferent": pair.indifferent,
             "lowest_cutoff_ok": pair.lowest_cutoff_ok,
@@ -390,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attitude", choices=("cautious", "reckless"), default="cautious")
     p.add_argument("--figure", choices=("siminf_overlay", "dominated_pair"), default=None)
     p.add_argument("--grid", type=int, default=None, help="override grid resolution")
-    p.add_argument("--tol", type=float, default=ins.INDIFFERENCE_TOL,
-                   help="indifference tolerance")
     p.add_argument("--dominated", default=None, metavar="TARGET_D",
                    help="emit the weakly dominated low-deductible pair report")
 

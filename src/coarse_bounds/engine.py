@@ -67,15 +67,16 @@ takes the smallest optimal block end, which yields the lexicographically
 smallest optimal vector, shorter vectors first. Every set query reads the
 DP and counts a candidate as optimal when it lies within
 ``tie_slack(|optimum|)`` of the optimum. :func:`tie_slack` is the one tie
-rule of the package, ``tol + tol * scale`` with ``tol = TIE_TOL`` by
-default, and the statics verdicts read it too, scaled by their ladder. The
-set queries keep its absolute floor, so on payoffs far below 1 they list
-every vector within ``TIE_TOL`` of the optimum. The contract and portfolio
-solvers keep slacks of their own: the contract solvers
-``contracts.AGENT_VALUE_TOL``, an absolute 1e-12, which the benchmark's bait
-check also uses on ``perceived_value_gap``, and the portfolio searches their
-tie-break ``portfolio.SHARE_TIE_TOL`` and prune margin
-``portfolio.PRUNE_MARGIN``, which are not verdicts.
+rule of the package, ``TIE_TOL + TIE_TOL * scale``, and every verdict on
+computed values reads it too: the statics verdicts scaled by their ladder and
+``insurance.dominated_pair`` by its two plan values. The set queries keep
+its absolute floor, so on payoffs far below 1 they list every vector within
+``TIE_TOL`` of the optimum. The contract and portfolio solvers keep slacks
+of their own: the contract solvers ``contracts.AGENT_VALUE_TOL``, an
+absolute 1e-12, which the benchmark's bait check also uses on
+``perceived_value_gap``, and the portfolio searches their tie-break
+``portfolio.SHARE_TIE_TOL`` and prune margin ``portfolio.PRUNE_MARGIN``,
+which are not verdicts.
 
 Cutoff convention: a cutoff at index ``j`` starts a new block at level ``j``
 (cut levels belong to the upper block). A vector of ``B - 1`` strictly
@@ -137,16 +138,17 @@ _last_layout = (None, None)
 # that a repeated fill allocates nothing of size L x L.
 _workspace = threading.local()
 
-# Relative and absolute tolerance under which set queries count a candidate
-# value as tied with the optimum.
+# Relative and absolute tolerance of tie_slack, under which set queries count
+# a candidate value as tied with the optimum and every verdict counts two
+# computed values as equal.
 TIE_TOL = 1e-12
 
 
-def tie_slack(scale: float, tol: float = TIE_TOL) -> float:
+def tie_slack(scale: float) -> float:
     """The one tie rule: two values of magnitude at most ``scale`` count as
-    equal when they differ by at most ``tol`` absolute plus ``tol`` relative
-    to ``scale``."""
-    return tol + tol * scale
+    equal when they differ by at most ``TIE_TOL`` absolute plus ``TIE_TOL``
+    relative to ``scale``."""
+    return TIE_TOL + TIE_TOL * scale
 
 
 def _check_kind(kind: str) -> bool:

@@ -11,13 +11,12 @@ quantifies over the *full* optimum sets that ``engine.optimum_set`` reads
 off the DP, never the canonical selection alone. ``sandwich_check`` reads
 the sets at n and n + 1 with ``engine.optimum_sets``, from one DP fill.
 
-Tie rule: every verdict compares through ``engine.tie_slack``, the rule the
-set queries use, at one scale per ladder, its largest |level|, so that no
-verdict depends on the scale of the payoffs. The lattice verdicts use
-``TIE_TOL`` and those on marginal returns and increasing differences, which
-compare differences of differences, ``MARGIN_TOL``; ``fosd_leq`` compares
-cdfs, which lie in [0, 1], within ``TIE_TOL``. The optimum sets behind the
-set-valued checks keep the queries' absolute floor of ``TIE_TOL``.
+Tie rule: every verdict on computed values compares within
+``engine.tie_slack``, the rule the set queries use, at one scale per ladder,
+its largest |level|, so that no verdict depends on the scale of the payoffs.
+``fosd_leq`` compares cdfs, which lie in [0, 1], within ``TIE_TOL``. The
+optimum sets behind the set-valued checks keep the queries' absolute floor
+of ``TIE_TOL``.
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ from .engine import (
     tie_slack,
 )
 from .errors import AlignmentError, PreconditionError, check_capacity, check_finite
-
-# Relative and absolute tolerance of the verdicts on marginal returns and
-# increasing differences, whose sides are differences of differences.
-MARGIN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,11 +68,11 @@ class DistributionShift:
     shifted: tuple
 
 
-def _slack(ladder: ValueLadder, tol: float = TIE_TOL) -> float:
+def _slack(ladder: ValueLadder) -> float:
     """``tie_slack`` at the ladder's largest |level|. The masses sum to 1, so
     that scale bounds every bound, cell and coarse value of the ladder, and
     the sum of their magnitudes."""
-    return tie_slack(max(abs(ladder.levels[0]), abs(ladder.levels[-1])), tol)
+    return tie_slack(max(abs(ladder.levels[0]), abs(ladder.levels[-1])))
 
 
 def _as_distribution(dist):
@@ -282,7 +277,7 @@ def nested_marginal_returns(ladder: ValueLadder, n: int, s, s_prime) -> bool:
     if not any(weakly_sandwiched(c, f) for c in opt_coarse for f in opt_fine):
         raise PreconditionError("no sandwiched selections across the two problems")
     lhs, rhs = (fill.value(n + 1) - fill.value(n) for fill in (wide, narrow))
-    return lhs >= rhs - _slack(ladder, MARGIN_TOL)
+    return lhs >= rhs - _slack(ladder)
 
 
 def mlr_cutoff_monotonicity(ladder: ValueLadder, shift: DistributionShift, n: int) -> bool:
@@ -317,4 +312,4 @@ def increasing_differences_holds(ladder: ValueLadder, lo: int, hi_small: int, hi
 
     lhs = val(hi_big, cuts_hi) - val(hi_big, cuts_lo)
     rhs = val(hi_small, cuts_hi) - val(hi_small, cuts_lo)
-    return lhs >= rhs - _slack(ladder, MARGIN_TOL)
+    return lhs >= rhs - _slack(ladder)

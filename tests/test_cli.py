@@ -481,15 +481,6 @@ class TestExitCodes:
             "numerical failure: CRRA utility with gamma=3.0 overflows at wealth 1.02e-200\n"
         )
 
-    def test_dominated_negative_tol(self, tmp_path, capsys):
-        path = tmp_path / "insurance.json"
-        path.write_text(json.dumps(APP_FIXTURES["insurance"]))
-        args = ["insurance", "--in", str(path), "--N", "2", "--dominated", "0.1", "--tol", "-1"]
-        assert run(args) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: tol must be a non-negative finite number, got -1.0\n"
-
     @pytest.mark.parametrize("command, fixture", [
         ("insurance", [1, 2]),
         ("portfolio", [1, 2]),

@@ -500,3 +500,66 @@ class TestScaleFreeVerdicts:
                     for _ in range(2))
             return (0, hi_small, size - 1, *((a, b) if a[-1] >= b[-1] else (b, a)))
         assert self.moved(increasing_differences_holds, draw, 5, 4) == []
+
+
+class TestMarginVerdictsOnRoundedLadders:
+    """The marginal-return and increasing-difference verdicts compare
+    differences of rounded bound and coarse values within the ladder's
+    ``tie_slack``. On generic float levels and on integer levels with
+    generic masses, which criterion 3's dyadic ladders never are, each
+    verdict holds at 2^-40, 1, 2^20 and 2^40."""
+
+    @staticmethod
+    def ladders(seed, count):
+        """(levels, masses) pairs, float levels and integer levels in turn,
+        5-12 levels each, masses generic floats that sum to 1."""
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            if i % 2:
+                lad = float_ladder(rng, max_levels=12, min_levels=5)
+                yield lad.levels, lad.level_masses
+            else:
+                size = int(rng.integers(5, 13))
+                levels = sorted(rng.choice(np.arange(-16, 17), size=size, replace=False))
+                masses = rng.uniform(0.05, 1.0, size=size)
+                yield [float(v) for v in levels], (masses / masses.sum()).tolist()
+
+    @staticmethod
+    def verdicts(check, levels, masses, *args):
+        """``check`` at each of ``SCALES``; a failed precondition is None."""
+        out = []
+        for s in SCALES:
+            try:
+                out.append(check(ValueLadder([v * 2.0 ** s for v in levels], masses), *args))
+            except PreconditionError:
+                out.append(None)
+        return out
+
+    def test_nested_marginal_returns(self):
+        rng = np.random.default_rng(5)
+        checked = 0
+        for levels, masses in self.ladders(5, 1000):
+            size, n = len(levels), int(rng.integers(2, 4))
+            lo_s, hi_s = int(rng.integers(0, 3)), int(rng.integers(size - 3, size))
+            inner = int(rng.integers(lo_s, lo_s + 2)), int(rng.integers(hi_s - 1, hi_s + 1))
+            if inner[1] - inner[0] < n:
+                continue
+            got = self.verdicts(nested_marginal_returns, levels, masses, n, inner, (lo_s, hi_s))
+            # the precondition reads optimum sets, whose absolute floor
+            # admits more tied vectors at 2^-40; every verdict given is true
+            assert set(got) <= {True, None}, (levels, masses, n, inner, (lo_s, hi_s), got)
+            checked += got[SCALES.index(0)] is True
+        assert checked >= 500
+
+    def test_increasing_differences(self):
+        rng = np.random.default_rng(6)
+        for levels, masses in self.ladders(6, 1000):
+            size = len(levels)
+            hi_small, k = int(rng.integers(3, size)), int(rng.integers(1, 3))
+            pool = np.arange(1, hi_small + 1)
+            a, b = (tuple(sorted(rng.choice(pool, size=k, replace=False).tolist()))
+                    for _ in range(2))
+            cuts = (a, b) if a[-1] >= b[-1] else (b, a)
+            got = self.verdicts(increasing_differences_holds, levels, masses,
+                                0, hi_small, size - 1, *cuts)
+            assert got == [True] * len(SCALES), (levels, masses, hi_small, cuts, got)
